@@ -13,7 +13,6 @@ from .bundles import (
     check_equivariance,
     compose_maps,
     enumerate_maps,
-    eval_map,
     identity_map,
     invert_map,
     to_gauge,
@@ -39,6 +38,7 @@ from .gauge import (
     fiber_quandle,
     homogeneous_quandle,
     isomorphism_census,
+    quotient,
     rack_from_map,
     reduce,
     transport_fiber,

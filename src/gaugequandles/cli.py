@@ -19,13 +19,16 @@ from .errors import AlgebraError
 MAX_PRINTED_TABLE = 12
 
 
-def _emit(obj: dict, as_json: bool, human: str) -> None:
-    print(json.dumps(obj, indent=2) if as_json else human)
+def _emit(args, obj: dict, human: str) -> None:
+    """Write obj to --out (if given) and print it (--json) or the human text.
 
-
-def _write_out(path: str | None, obj: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    The JSON text is made once and shared by the file and stdout.
+    """
+    out = getattr(args, "out", None)
+    text = json.dumps(obj, indent=2) if args.json or out else ""
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text if args.json else human)
 
 
 def format_table(m: racks.MagmaTable) -> str:
@@ -82,7 +85,7 @@ def cmd_verify(args) -> int:
     m = racks.load_magma(args.quandle)
     report = racks.verify_rack(m) if args.rack else racks.verify_quandle(m)
     ok = report.is_rack if args.rack else report.is_quandle
-    _emit({"size": m.size, **report.to_json()}, args.json, _report_lines(report))
+    _emit(args, {"size": m.size, **report.to_json()}, _report_lines(report))
     return 0 if ok else 1
 
 
@@ -91,10 +94,9 @@ def cmd_build(args) -> int:
     f = bundles.load_map(b, args.map)
     q = gauge.build(b, f)
     obj = gauge.gauge_quandle_to_json(q)
-    _write_out(args.out, obj)
     human = f"gauge quandle on {q.table.size} points (base {b.base_size}, group order {b.group.order})\n"
     human += _maybe_table(q.table)
-    _emit(obj, args.json, human)
+    _emit(args, obj, human)
     return 0
 
 
@@ -104,10 +106,9 @@ def cmd_rack(args) -> int:
     m = gauge.rack_from_map(b, f)
     report = racks.verify_rack(m)
     obj = {**racks.magma_to_json(m), "report": report.to_json()}
-    _write_out(args.out, obj)
     human = f"augmented-rack table on {m.size} points\n" + _maybe_table(m)
     human += "\n" + _report_lines(report)
-    _emit(obj, args.json, human)
+    _emit(args, obj, human)
     return 0 if report.is_rack else 1
 
 
@@ -125,8 +126,7 @@ def cmd_census(args) -> int:
     lines = [f"{total} equivariant maps fall into {len(classes)} isomorphism classes"]
     for i, c in enumerate(classes):
         lines.append(f"  class {i}: size {c.size}, representative section values {list(c.representative)}")
-    _write_out(args.out, obj)
-    _emit(obj, args.json, "\n".join(lines))
+    _emit(args, obj, "\n".join(lines))
     return 0
 
 
@@ -145,11 +145,10 @@ def cmd_fiber(args) -> int:
         "matches_generalized_alexander": matches,
         "section_value": c,
     }
-    _write_out(args.out, obj)
     human = f"fiber quandle at base {args.base}, transported to the group\n"
     human += _maybe_table(transported)
     human += f"\nmatches generalized Alexander table for section value {c}: {'yes' if matches else 'NO'}"
-    _emit(obj, args.json, human)
+    _emit(args, obj, human)
     return 0 if matches else 1
 
 
@@ -164,11 +163,10 @@ def cmd_reduce(args) -> int:
         "classes": [list(c) for c in reduced.classes],
         "subgroup": list(H.elements),
     }
-    _write_out(args.out, obj)
     human = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})\n"
     human += _maybe_table(reduced.table)
     human += "\nclasses: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in reduced.classes)
-    _emit(obj, args.json, human)
+    _emit(args, obj, human)
     return 0
 
 
@@ -178,9 +176,8 @@ def cmd_homogeneous(args) -> int:
     H = _parse_subgroup(G, args.subgroup)
     table = gauge.homogeneous_quandle(G, H, args.element)
     obj = {**racks.magma_to_json(table), "subgroup": list(H.elements), "element": args.element}
-    _write_out(args.out, obj)
     human = f"homogeneous quandle on {table.size} right cosets\n" + _maybe_table(table)
-    _emit(obj, args.json, human)
+    _emit(args, obj, human)
     return 0
 
 
@@ -195,7 +192,6 @@ def cmd_lie_check(args) -> int:
         config = dataclasses.replace(config, tolerance=args.tolerance)
     report = lie.run_sweep(config)
     obj = report.to_json()
-    _write_out(args.out, obj)
     lines = [f"model {config.model}, seed {config.seed}, {config.samples} samples, tolerance {config.tolerance:g}"]
     for name, rep in {**report.axioms, "section_equivariance": report.section_equivariance}.items():
         status = "PASS" if rep.passed else "FAIL"
@@ -207,7 +203,7 @@ def cmd_lie_check(args) -> int:
         f"{'PASS' if noe.passed else 'FAIL'}"
     )
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    _emit(obj, args.json, "\n".join(lines))
+    _emit(args, obj, "\n".join(lines))
     return 0 if report.passed else 1
 
 

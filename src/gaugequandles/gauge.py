@@ -11,6 +11,7 @@ in its own right, and quotients by suitable subgroups inherit the structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,34 +71,18 @@ class GaugeQuandle:
 
 
 def build(b: DiscreteBundle, f: EquivariantMap, *, check: bool = True) -> GaugeQuandle:
-    """Construct the gauge quandle p1 <|f p2 = p1 * f(p1)^-1 f(p2).
+    """Construct the gauge quandle p1 <|f p2 = phi_f^-1(p1) * f(p2).
 
-    The equivalent form phi_f^-1(p1) * f(p2) is computed independently and
-    asserted equal; with check=True the quandle axioms are verified
-    exhaustively over all |P|^3 triples.
+    This equals p1 * f(p1)^-1 f(p2), since phi_f^-1(p1) = p1 * f(p1)^-1. With
+    check=True the quandle axioms are verified exhaustively over all |P|^3
+    triples.
     """
-    G = b.group
-    act = b.action_table()
-    fvals = f.total_values()
-    finv = G.inverses[fvals]
-
-    # op[p1, p2] = p1 * (f(p1)^-1 * f(p2))
-    shift = G.table[np.ix_(finv, fvals)]
-    op = act[np.arange(b.total_size)[:, None], shift]
-
-    phi_inv = to_gauge(f).inverted()
-    op_alt = act[phi_inv.values][:, fvals]
-    if not np.array_equal(op, op_alt):
-        raise AlgebraError("the two defining forms of the gauge quandle disagree")
-
+    op = b.action_table()[to_gauge(f).inverted().values][:, f.total_values()]
     table = magma_from_table(op)
     if check:
         report = verify_quandle(table)
         if not report.is_quandle:
             raise AlgebraError(f"constructed table fails quandle axioms: {report.to_json()}")
-        bases = np.arange(b.total_size) // G.order
-        if not np.array_equal(bases[op], np.broadcast_to(bases[:, None], op.shape)):
-            raise AlgebraError("operation does not preserve fibers")
     return GaugeQuandle(bundle=b, map=f, table=table)
 
 
@@ -106,9 +91,8 @@ def fiber_quandle(q: GaugeQuandle, m: int) -> MagmaTable:
     b = q.bundle
     if not 0 <= m < b.base_size:
         raise ShapeError(f"base index {m} out of range")
-    pts = np.array([b.point(m, g) for g in range(b.group.order)])
-    sub = q.table.op[np.ix_(pts, pts)] % b.group.order
-    return magma_from_table(sub)
+    pts = b.point(m, np.arange(b.group.order))
+    return magma_from_table(b.coord(q.table.op[np.ix_(pts, pts)]))
 
 
 def transport_fiber(q: GaugeQuandle, m: int) -> tuple[MagmaTable, np.ndarray]:
@@ -116,22 +100,45 @@ def transport_fiber(q: GaugeQuandle, m: int) -> tuple[MagmaTable, np.ndarray]:
 
     Returns the transported table g1 <| g2 = psi_m(psi_m^-1(g1) <|f psi_m^-1(g2))
     and the chart bijection (fiber position -> group element) as the witness.
-    The result always coincides with the generalized Alexander quandle of G
-    for the inner automorphism of f(s(m)).
+    In the (m, g) encoding psi_m is the identity on fiber positions, so the
+    transported table is the fiber quandle itself. It always coincides with
+    the generalized Alexander quandle of G for the inner automorphism of
+    f(s(m)).
     """
-    b = q.bundle
-    if not 0 <= m < b.base_size:
-        raise ShapeError(f"base index {m} out of range")
-    n = b.group.order
-    psi = np.array([b.coord(b.point(m, g)) for g in range(n)], dtype=np.int64)
-    op = np.empty((n, n), dtype=np.int64)
-    psi_inv = np.empty(n, dtype=np.int64)
-    psi_inv[psi] = np.arange(n)
-    for g1 in range(n):
-        for g2 in range(n):
-            p = q.table.apply(b.point(m, psi_inv[g1]), b.point(m, psi_inv[g2]))
-            op[g1, g2] = b.coord(p)
-    return magma_from_table(op), psi
+    return fiber_quandle(q, m), np.arange(q.bundle.group.order)
+
+
+def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
+    """The quandle [x] <| [y] = [x <| y] on the classes of a partition.
+
+    class_of[x] is the class index of element x, with classes numbered
+    0..k-1. The table is read off one representative per class (its smallest
+    member); the partition must be a congruence, which is checked for every
+    pair of elements at once. Raises AlgebraError naming the first class pair
+    (i, j) whose products land in more than one class, or when the quotient
+    fails the quandle axioms.
+    """
+    op = np.asarray(op)
+    class_of = np.asarray(class_of)
+    ids, reps = np.unique(class_of, return_index=True)
+    if class_of.shape != op.shape[:1] or not np.array_equal(ids, np.arange(len(ids))):
+        raise ShapeError("class_of must give every element a class index 0..k-1")
+    table = class_of[op[np.ix_(reps, reps)]]
+    bad = class_of[op] != table[class_of[:, None], class_of[None, :]]
+    if bad.any():
+        pairs = np.zeros(table.shape, dtype=bool)
+        xs, ys = np.nonzero(bad)
+        pairs[class_of[xs], class_of[ys]] = True
+        i, j = (int(v) for v in np.argwhere(pairs)[0])
+        images = np.unique(class_of[op[np.ix_(class_of == i, class_of == j)]])
+        raise AlgebraError(
+            f"quotient not well-defined on classes ({i}, {j}): images {images.tolist()}"
+        )
+    m = magma_from_table(table, labels=labels)
+    report = verify_quandle(m)
+    if not report.is_quandle:
+        raise AlgebraError(f"quotient table fails quandle axioms: {report.to_json()}")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,56 +156,31 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     """Quotient the gauge quandle by the right H-orbits p*H.
 
     Requires Im(f), evaluated on every total point, to lie in the normalizer
-    of H (NormalizerViolation with witness (p, h) otherwise). Well-definedness
-    of [p1] <| [p2] = [p1 <|f p2] is verified over all representative pairs,
-    and the quotient table is verified to be a quandle.
+    of H (NormalizerViolation with witness (p, h) otherwise). The quotient is
+    taken by `quotient`, which checks well-definedness and the quandle axioms.
+    Classes are ordered by their smallest member.
     """
     b = q.bundle
     if H.group != b.group:
         raise ShapeError("subgroup belongs to a different group")
-    norm = set(normalizer(b.group, H).elements)
-    members = set(H.elements)
     fvals = q.map.total_values()
-    for p in b.points():
-        v = int(fvals[p])
-        if v not in norm:
-            witness_h = next(
-                h for h in H.elements if b.group.conjugate(h, v) not in members
-            )
-            raise NormalizerViolation((p, witness_h))
+    outside = np.flatnonzero(~np.isin(fvals, normalizer(b.group, H).elements))
+    if len(outside):
+        p = int(outside[0])
+        members = set(H.elements)
+        witness_h = next(
+            h for h in H.elements if b.group.conjugate(h, int(fvals[p])) not in members
+        )
+        raise NormalizerViolation((p, witness_h))
 
-    act = b.action_table()
-    class_of = np.full(b.total_size, -1, dtype=np.int64)
-    classes: list[tuple[int, ...]] = []
-    for p in b.points():
-        if class_of[p] >= 0:
-            continue
-        orbit = tuple(sorted(int(act[p, h]) for h in H.elements))
-        idx = len(classes)
-        classes.append(orbit)
-        for r in orbit:
-            class_of[r] = idx
-
-    k = len(classes)
-    op = np.full((k, k), -1, dtype=np.int64)
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            results = {int(class_of[q.table.op[p1, p2]]) for p1 in ci for p2 in cj}
-            if len(results) != 1:
-                raise AlgebraError(
-                    f"quotient not well-defined on classes ({i}, {j}): images {sorted(results)}"
-                )
-            op[i, j] = results.pop()
-
-    table = magma_from_table(op)
-    report = verify_quandle(table)
-    if not report.is_quandle:
-        raise AlgebraError(f"reduced table fails quandle axioms: {report.to_json()}")
+    orbits = np.sort(b.action_table()[:, H.elements], axis=1)
+    smallest, class_of = np.unique(orbits[:, 0], return_inverse=True)
+    table = quotient(q.table.op, class_of)
     class_of.setflags(write=False)
     return ReducedQuandle(
         parent=q,
         subgroup=H,
-        classes=tuple(classes),
+        classes=tuple(tuple(int(r) for r in orbits[p]) for p in smallest),
         class_of=class_of,
         table=table,
     )
@@ -208,9 +190,9 @@ def homogeneous_quandle(G: FiniteGroup, H: Subgroup, c: int) -> MagmaTable:
     """[g1] <| [g2] = [sigma_c(g1 g2^-1) g2] on the right cosets Hg.
 
     Requires c to commute with every element of H (CentralizerViolation with
-    the offending h otherwise); well-definedness is verified exhaustively over
-    all representative pairs. With H = {e} this is the generalized Alexander
-    quandle of sigma_c.
+    the offending h otherwise); the table is the quotient of the generalized
+    Alexander quandle of sigma_c by the right cosets, taken by `quotient`.
+    With H = {e} this is the generalized Alexander quandle of sigma_c.
     """
     if H.group != G:
         raise ShapeError("subgroup belongs to a different group")
@@ -222,30 +204,10 @@ def homogeneous_quandle(G: FiniteGroup, H: Subgroup, c: int) -> MagmaTable:
 
     blocks = cosets(G, H, side="right")
     class_of = np.empty(G.order, dtype=np.int64)
-    for i, block in enumerate(blocks):
-        for g in block:
-            class_of[g] = i
-
-    sigma = G.inner_automorphism(c)
-    ga = generalized_alexander(G, sigma)
-
-    k = len(blocks)
-    op = np.full((k, k), -1, dtype=np.int64)
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            results = {int(class_of[ga.op[g1, g2]]) for g1 in bi for g2 in bj}
-            if len(results) != 1:
-                raise AlgebraError(
-                    f"coset table not well-defined on classes ({i}, {j}): images {sorted(results)}"
-                )
-            op[i, j] = results.pop()
-
+    class_of[np.array(blocks)] = np.arange(len(blocks))[:, None]
     labels = ["{" + ",".join(str(g) for g in block) + "}" for block in blocks]
-    table = magma_from_table(op, labels=labels)
-    report = verify_quandle(table)
-    if not report.is_quandle:
-        raise AlgebraError(f"homogeneous table fails quandle axioms: {report.to_json()}")
-    return table
+    ga = generalized_alexander(G, G.inner_automorphism(c))
+    return quotient(ga.op, class_of, labels=labels)
 
 
 def gauge_quandle_to_json(q: GaugeQuandle) -> dict:

@@ -249,19 +249,6 @@ def centralizes(G: FiniteGroup, g: int, H: Subgroup) -> bool:
     return all(G.mul(g, h) == G.mul(h, g) for h in H.elements)
 
 
-# Function forms of the single-group queries; internal code uses the methods.
-def inverse(G: FiniteGroup, a: int) -> int:
-    return G.inverse(a)
-
-
-def conjugate(G: FiniteGroup, a: int, g: int) -> int:
-    return G.conjugate(a, g)
-
-
-def inner_automorphism(G: FiniteGroup, g: int) -> np.ndarray:
-    return G.inner_automorphism(g)
-
-
 # ---------------------------------------------------------------------------
 # Built-in catalog
 # ---------------------------------------------------------------------------

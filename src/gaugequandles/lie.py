@@ -514,6 +514,16 @@ class SweepConfig:
     t_range: tuple[float, float] = (-2.0, 2.0)
     tolerance: float = DEFAULT_COMPOSITE_TOLERANCE
 
+    def __post_init__(self):
+        # Runs on construction and on every dataclasses.replace override.
+        if self.samples < 1 or self.base_points < 1:
+            raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
+        lo, hi = self.t_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ShapeError(f"t_range must be finite with lo <= hi, got {list(self.t_range)}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ShapeError(f"tolerance must be finite and > 0, got {self.tolerance}")
+
     def to_json(self) -> dict:
         return {
             "model": self.model,
@@ -528,15 +538,18 @@ class SweepConfig:
     def from_json(obj) -> "SweepConfig":
         if not isinstance(obj, dict) or "model" not in obj:
             raise ShapeError("sweep config must carry at least a 'model'")
-        lo, hi = obj.get("t_range", (-2.0, 2.0))
-        return SweepConfig(
-            model=str(obj["model"]),
-            base_points=int(obj.get("base_points", 3)),
-            samples=int(obj.get("samples", 100)),
-            seed=int(obj.get("seed", 0)),
-            t_range=(float(lo), float(hi)),
-            tolerance=float(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE)),
-        )
+        try:
+            lo, hi = obj.get("t_range", (-2.0, 2.0))
+            return SweepConfig(
+                model=str(obj["model"]),
+                base_points=int(obj.get("base_points", 3)),
+                samples=int(obj.get("samples", 100)),
+                seed=int(obj.get("seed", 0)),
+                t_range=(float(lo), float(hi)),
+                tolerance=float(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE)),
+            )
+        except TypeError as exc:  # null, list or object where a number belongs
+            raise ShapeError(f"malformed sweep config: {exc}") from exc
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:

@@ -70,7 +70,9 @@ def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
         raise ShapeError(f"operation table must be square and non-empty, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ShapeError(f"operation table entries must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
+    # Always a C-ordered copy: a Fortran-ordered table slows verify_rack, and
+    # freezing a view below would freeze the caller's array.
+    arr = np.array(arr, dtype=np.int64, order="C")
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         raise ShapeError("operation table entries out of range")

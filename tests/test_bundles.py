@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugequandles import bundles, groups
-from gaugequandles.errors import BundleMismatch, CapExceeded, ShapeError
+from gaugequandles.errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError
 
 
 def test_bundle_over_a_point_is_the_group():
@@ -206,3 +206,55 @@ def test_inline_group_bundle_json():
     obj = bundles.bundle_to_json(b)
     assert isinstance(obj["group"], dict)
     assert bundles.bundle_from_json(obj) == b
+
+
+@pytest.mark.parametrize("name", groups.catalog_names())
+@pytest.mark.parametrize("base_size", [1, 2, 3])
+def test_encoding_facts_hold_for_every_catalog_bundle(name, base_size):
+    # The facts the (m, g) encoding guarantees by construction: the chart is
+    # a bijection on each fiber, the action is free and transitive on each
+    # fiber, it preserves fibers, and the chart is equivariant.
+    G = groups.catalog(name)
+    b = bundles.trivial_bundle(G, base_size)
+    act = b.action_table()
+    for m in range(base_size):
+        fiber = [b.point(m, g) for g in G.elements()]
+        assert sorted(b.coord(p) for p in fiber) == list(G.elements())
+        for p in fiber:
+            assert sorted(act[p].tolist()) == fiber
+    for p in b.points():
+        for g in G.elements():
+            q = int(act[p, g])
+            assert q == b.act(p, g)
+            assert b.base(q) == b.base(p)
+            assert b.coord(q) == G.mul(b.coord(p), g)
+
+
+def test_gauge_transformation_rejects_bad_values():
+    G = groups.catalog("Z3")
+    b = bundles.trivial_bundle(G, 2)
+    with pytest.raises(AlgebraError, match="permute"):
+        bundles.GaugeTransformation(b, [0, 1, 2, 3, 4, 4])
+    with pytest.raises(AlgebraError, match="permute"):
+        bundles.GaugeTransformation(b, [0, 1, 2, 3, 4])
+    with pytest.raises(AlgebraError, match="projection not preserved at point 2"):
+        bundles.GaugeTransformation(b, [0, 1, 3, 2, 4, 5])
+    with pytest.raises(AlgebraError, match="equivariance"):
+        bundles.GaugeTransformation(b, [1, 0, 2, 3, 4, 5])
+    assert bundles.GaugeTransformation(b, [1, 2, 0, 3, 4, 5])(0) == 1
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "1", None, [1]])
+def test_map_json_accepts_only_integers(bad):
+    b = bundles.trivial_bundle(groups.catalog("S3"), 2)
+    with pytest.raises(ShapeError, match="integer"):
+        bundles.map_from_json(b, {"section_values": [bad, 3]})
+    assert bundles.map_from_json(b, {"section_values": [2.0, 3]}).section_values == (2, 3)
+    with pytest.raises(ShapeError, match="list"):
+        bundles.map_from_json(b, {"section_values": 23})
+
+
+@pytest.mark.parametrize("bad", [2.9, False, "2", None])
+def test_bundle_json_accepts_only_integer_base_size(bad):
+    with pytest.raises(ShapeError, match="integer"):
+        bundles.bundle_from_json({"group": "S3", "base_size": bad})

@@ -196,3 +196,50 @@ def test_format_table_alignment():
     lines = text.splitlines()
     assert len(lines) == 5
     assert lines[2].split()[-3:] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "bundle, values",
+    [
+        ({"group": "S3", "base_size": 2}, [2.7, 3]),
+        ({"group": "S3", "base_size": 2}, [True, 3]),
+        ({"group": "S3", "base_size": 2.9}, [2, 3]),
+        ({"group": "S3", "base_size": 2}, 23),
+    ],
+)
+def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values):
+    b = write(tmp_path, "bundle.json", bundle)
+    f = write(tmp_path, "map.json", {"section_values": values})
+    assert cli.main(["build", b, f]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"samples": 0},
+        {"base_points": 0},
+        {"t_range": [2, -2]},
+        {"tolerance": -1},
+        {"tolerance": 0},
+        {"samples": None},
+        {"t_range": 5},
+    ],
+)
+def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):
+    config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1, **override})
+    assert cli.main(["lie-check", config]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0"])
+def test_lie_check_bad_tolerance_override_exits_2(tmp_path, tolerance):
+    config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1})
+    assert cli.main(["lie-check", config, "--tolerance", tolerance]) == 2
+
+
+def test_out_file_holds_the_printed_json(tmp_path, capsys, s3_point):
+    bundle, fmap = s3_point
+    out = tmp_path / "quandle.json"
+    assert cli.main(["build", bundle, fmap, "--out", str(out), "--json"]) == 0
+    assert out.read_text() == capsys.readouterr().out

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from gaugequandles.errors import CentralizerViolation, NormalizerViolation
+from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -242,3 +245,110 @@ def test_gauge_quandle_provenance_json():
     assert obj["provenance"]["bundle"] == {"group": "Z4", "base_size": 1}
     assert obj["provenance"]["section_values"] == [2]
     assert racks.magma_from_json(obj) == gauge.build(b, f).table
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the single code paths in gauge.py
+# ---------------------------------------------------------------------------
+
+def gauge_table_by_shift(b, f):
+    """The other defining form, p1 <|f p2 = p1 * (f(p1)^-1 f(p2))."""
+    G = b.group
+    fvals = f.total_values()
+    shift = G.table[np.ix_(G.inverses[fvals], fvals)]
+    return b.action_table()[np.arange(b.total_size)[:, None], shift]
+
+
+def quotient_by_loop(op, class_of):
+    """Reference quotient: every representative pair of every class pair."""
+    k = int(max(class_of)) + 1
+    classes = [[x for x in range(len(op)) if class_of[x] == i] for i in range(k)]
+    table = np.full((k, k), -1, dtype=np.int64)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            images = {int(class_of[op[x][y]]) for x in ci for y in cj}
+            if len(images) != 1:
+                raise AlgebraError(
+                    f"quotient not well-defined on classes ({i}, {j}): images {sorted(images)}"
+                )
+            table[i, j] = images.pop()
+    return table
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_gauge_table_forms_agree_on_every_map(name):
+    b = bundles.trivial_bundle(groups.catalog(name), 2)
+    for f in bundles.enumerate_maps(b):
+        q = gauge.build(b, f, check=False)
+        assert np.array_equal(q.table.op, gauge_table_by_shift(b, f))
+
+
+def test_build_table_is_c_contiguous():
+    G = groups.catalog("S4")
+    b = bundles.trivial_bundle(G, 8)
+    f = bundles.EquivariantMap(b, (1, 5, 9, 13, 17, 21, 3, 0))
+    op = gauge.build(b, f).table.op
+    assert op.shape == (192, 192) and op.flags.c_contiguous
+
+
+@st.composite
+def congruences(draw):
+    """A quandle table with a congruence: right H-orbits of a gauge quandle
+    under the normalizer condition, or right cosets of H in a generalized
+    Alexander quandle under the centralizer condition. Class indices are
+    shuffled so the quotient cannot rely on their order."""
+    G = groups.catalog(draw(st.sampled_from(["Z4", "S3", "D4", "Q8"])))
+    H = groups.generated_subgroup(G, draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
+    if draw(st.booleans()):
+        norm = set(groups.normalizer(G, H).elements)
+        usable = [c for c in G.elements() if all(G.conjugate(c, g) in norm for g in G.elements())]
+        b = bundles.trivial_bundle(G, draw(st.integers(1, 2)))
+        values = draw(st.lists(st.sampled_from(usable), min_size=b.base_size, max_size=b.base_size))
+        op = gauge.build(b, bundles.EquivariantMap(b, tuple(values)), check=False).table.op
+        blocks = [sorted({b.act(p, h) for h in H.elements}) for p in b.points()]
+    else:
+        c = draw(st.sampled_from([c for c in G.elements() if groups.centralizes(G, c, H)]))
+        op = racks.generalized_alexander(G, G.inner_automorphism(c)).op
+        blocks = [sorted(G.mul(h, g) for h in H.elements) for g in G.elements()]
+    blocks = sorted({tuple(block) for block in blocks})
+    order = draw(st.permutations(range(len(blocks))))
+    class_of = np.empty(len(op), dtype=np.int64)
+    for i, block in zip(order, blocks):
+        class_of[list(block)] = i
+    return op, class_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(congruences())
+def test_quotient_matches_reference_loop_on_congruences(case):
+    op, class_of = case
+    assert np.array_equal(gauge.quotient(op, class_of).op, quotient_by_loop(op, class_of))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_quotient_agrees_with_reference_on_any_partition(labels):
+    # Relabel to classes 0..k-1 in order of first appearance.
+    first = {}
+    class_of = np.array([first.setdefault(v, len(first)) for v in labels])
+    op = racks.conjugation_quandle(groups.catalog("S3")).op
+    try:
+        expected = quotient_by_loop(op, class_of)
+    except AlgebraError as exc:
+        with pytest.raises(AlgebraError) as err:
+            gauge.quotient(op, class_of)
+        assert str(err.value) == str(exc)
+    else:
+        assert np.array_equal(gauge.quotient(op, class_of).op, expected)
+
+
+def test_quotient_names_the_first_bad_class_pair():
+    # In the conjugation quandle of S3, {0, 1} is not a block of a congruence:
+    # 0 <| 2 = 0 but 1 <| 2 = 5, which is alone in class 4.
+    op = racks.conjugation_quandle(groups.catalog("S3")).op
+    class_of = np.array([0, 0, 1, 2, 3, 4])
+    with pytest.raises(AlgebraError, match=r"classes \(0, 1\): images \[0, 4\]") as err:
+        gauge.quotient(op, class_of)
+    with pytest.raises(AlgebraError) as ref:
+        quotient_by_loop(op, class_of)
+    assert str(err.value) == str(ref.value)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -275,3 +276,24 @@ def test_sweep_is_deterministic():
     a = lie.run_sweep(lie.SweepConfig(model="SU2", samples=30, seed=777))
     b = lie.run_sweep(lie.SweepConfig(model="SU2", samples=30, seed=777))
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("samples", 0),
+        ("base_points", 0),
+        ("t_range", (1.0, -1.0)),
+        ("t_range", (-math.inf, 1.0)),
+        ("t_range", (math.nan, 1.0)),
+        ("tolerance", 0.0),
+        ("tolerance", -1.0),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+    ],
+)
+def test_sweep_config_rejects_uncheckable_runs(field, value):
+    with pytest.raises(ShapeError):
+        lie.SweepConfig(model="SO3", **{field: value})
+    with pytest.raises(ShapeError):
+        dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})

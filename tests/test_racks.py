@@ -292,3 +292,14 @@ def test_bad_table_shapes():
         racks.magma_from_table([[0, 5], [1, 0]])
     with pytest.raises(ShapeError):
         racks.magma_from_table([[0.5, 0], [1, 0]])
+
+
+def test_tables_are_stored_c_contiguous_copies():
+    op = np.asfortranarray(racks.conjugation_quandle(groups.catalog("S3")).op.copy())
+    assert not op.flags.c_contiguous
+    m = racks.magma_from_table(op)
+    assert m.op.flags.c_contiguous and not m.op.flags.writeable
+    assert np.array_equal(m.op, op)
+    assert op.flags.writeable
+    op[0, 0] = 1  # the caller's array is neither frozen nor shared
+    assert m.op[0, 0] == 0
