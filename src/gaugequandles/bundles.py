@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError
+from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, json_int
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -103,7 +103,10 @@ class GaugeTransformation:
 
     def __post_init__(self):
         b = self.bundle
-        vals = np.asarray(self.values, dtype=np.int64)
+        vals = np.asarray(self.values)
+        if not np.issubdtype(vals.dtype, np.integer):
+            raise ShapeError(f"gauge transformation values must be integers, got dtype {vals.dtype}")
+        vals = vals.astype(np.int64)  # a copy: freezing it leaves the caller's array alone
         points = np.arange(b.total_size)
         if vals.shape != points.shape or not np.array_equal(np.sort(vals), points):
             raise AlgebraError("gauge transformation must permute the total points")
@@ -260,19 +263,10 @@ def bundle_to_json(b: DiscreteBundle) -> dict:
     return {"group": group, "base_size": b.base_size}
 
 
-def _json_int(value, what: str) -> int:
-    """An integer read from JSON; bools, strings and non-integral numbers fail."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShapeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def bundle_from_json(obj) -> DiscreteBundle:
     if not isinstance(obj, dict) or "group" not in obj or "base_size" not in obj:
         raise ShapeError("bundle JSON must carry 'group' and 'base_size'")
-    base_size = _json_int(obj["base_size"], "base_size")
+    base_size = json_int(obj["base_size"], "base_size")
     return trivial_bundle(group_from_json(obj["group"]), base_size)
 
 
@@ -288,7 +282,7 @@ def map_from_json(b: DiscreteBundle, obj) -> EquivariantMap:
     if not isinstance(obj, dict) or not isinstance(obj.get("section_values"), list):
         raise ShapeError("map JSON must carry a 'section_values' list")
     return EquivariantMap(
-        b, tuple(_json_int(v, "section value") for v in obj["section_values"])
+        b, tuple(json_int(v, "section value") for v in obj["section_values"])
     )
 
 

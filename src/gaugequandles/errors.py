@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the strict JSON integer reader."""
 
 from __future__ import annotations
 
@@ -82,3 +82,12 @@ class CentralizerViolation(AlgebraError):
 
 class NonFinite(AlgebraError):
     """A numerical input contains NaN or infinity."""
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bools, strings and non-integral numbers fail."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShapeError(f"{what} must be an integer, got {value!r}")
+    return value

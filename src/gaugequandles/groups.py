@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, ShapeError
+from .errors import AxiomViolation, ShapeError, json_int
 
 # Exhaustive O(n^3) associativity validation is capped here; larger tables
 # must be constructed with verify_associativity=False.
@@ -362,7 +362,7 @@ def group_from_json(obj) -> FiniteGroup:
     if isinstance(obj, dict):
         if "table" in obj:
             G = group_from_table(obj["table"], name=str(obj.get("name", "")))
-            if "order" in obj and int(obj["order"]) != G.order:
+            if "order" in obj and json_int(obj["order"], "order") != G.order:
                 raise ShapeError(f"declared order {obj['order']} != table size {G.order}")
             return G
         if "name" in obj:

@@ -8,6 +8,10 @@ Lie-quandle axioms (self-action, self-distributivity, idempotency), the
 conjugation identity behind them, and the Noether fixing equivalence, and
 report max Frobenius-norm residuals against a tolerance.
 
+Everything broadcasts over leading axes: a point (m, g) is one base index
+with one (d, d) matrix, or an int array of shape (...) with a (..., d, d)
+stack. Each check draws all of its samples as one stack.
+
 All randomness is seeded; every report carries its seed.
 """
 
@@ -15,13 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite, ShapeError
+from .errors import CapExceeded, NonFinite, ShapeError, json_int
 
 # Truncation order for the scaled Taylor series; at argument norm <= 0.5 the
 # remainder is far below double precision.
@@ -30,32 +35,51 @@ _EXP_TAYLOR_ORDER = 16
 DEFAULT_COMPOSITE_TOLERANCE = 1e-8
 PRIMITIVE_TOLERANCE = 1e-12
 
+# Largest n accepted in a "GL<n>" model name. The basis alone holds n^2 dense
+# n x n matrices (n^4 floats), and each is exponentiated before any check runs.
+GL_DIM_CAP = 16
+
+
+def _fro(a) -> np.ndarray:
+    """Frobenius norm over the last two axes."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def _col(t) -> np.ndarray:
+    """Scalars of shape (...) as (..., 1, 1), to scale a stack of matrices."""
+    return np.asarray(t, dtype=float)[..., None, None]
+
+
+def _adjoint(M) -> np.ndarray:
+    """Conjugate transpose of each matrix."""
+    return np.swapaxes(M, -1, -2).conj()
+
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring a truncated Taylor series.
 
-    The argument is halved until its Frobenius norm is <= 0.5, the series is
-    summed by Horner's rule, and the result squared back. Dimension-agnostic
-    and valid for non-normal input.
+    Takes one (d, d) matrix or a (..., d, d) stack. Each matrix is halved
+    until its Frobenius norm is <= 0.5, the series is summed by Horner's
+    rule, and the result squared back as often as that matrix was halved.
+    Dimension-agnostic and valid for non-normal input.
     """
     A = np.asarray(a)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"matrix exponential needs a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ShapeError(f"matrix exponential needs square matrices, got shape {A.shape}")
     if not np.issubdtype(A.dtype, np.inexact):
         A = A.astype(np.float64)
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix exponential of a non-finite matrix")
 
-    norm = float(np.linalg.norm(A))
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    B = A / (2.0**squarings)
+    squarings = np.ceil(np.log2(np.maximum(_fro(A), 0.5) / 0.5)).astype(int)
+    B = A / _col(2.0**squarings)
 
-    eye = np.eye(A.shape[0], dtype=B.dtype)
-    result = eye.copy()
+    eye = np.eye(A.shape[-1], dtype=B.dtype)
+    result = eye
     for k in range(_EXP_TAYLOR_ORDER, 0, -1):
         result = eye + (B @ result) / k
-    for _ in range(squarings):
-        result = result @ result
+    for i in range(squarings.max(initial=0)):
+        result = np.where((squarings > i)[..., None, None], result @ result, result)
     return result
 
 
@@ -65,63 +89,67 @@ def mat_exp(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MatrixGroupModel:
-    """A matrix group with a basis of its Lie algebra and a membership test."""
+    """A matrix group with a basis of its Lie algebra.
+
+    A `unitary` model is a special unitary group: M^H M = I and det M = 1,
+    the inverse is the conjugate transpose, and the algebra holds the
+    traceless X with X^H = -X. A `real` model also needs real entries, as
+    SO(3) inside SU(3) does. A model that is neither is GL(n): det M != 0,
+    the inverse is solved for, and the algebra has no constraint.
+    """
 
     name: str
     dim: int
     algebra_basis: tuple[np.ndarray, ...]
     tolerance: float = 1e-9
+    unitary: bool = False
+    real: bool = False
 
     def __post_init__(self):
-        for B in self.algebra_basis:
-            r = algebra_residual(self, B)
-            if r > self.tolerance:
-                raise ShapeError(f"{self.name} basis matrix violates algebra constraints ({r:.2e})")
-            r = membership_residual(self, mat_exp(B))
-            if r > self.tolerance:
-                raise ShapeError(f"exp of a {self.name} basis matrix leaves the group ({r:.2e})")
+        basis = np.asarray(self.algebra_basis)
+        r = np.max(algebra_residual(self, basis))
+        if r > self.tolerance:
+            raise ShapeError(f"{self.name} basis matrix violates algebra constraints ({r:.2e})")
+        r = np.max(membership_residual(self, mat_exp(basis)))
+        if r > self.tolerance:
+            raise ShapeError(f"exp of a {self.name} basis matrix leaves the group ({r:.2e})")
+
+    def inverse(self, M) -> np.ndarray:
+        return _adjoint(M) if self.unitary else np.linalg.inv(M)
 
 
-def algebra_residual(model: MatrixGroupModel, A) -> float:
-    """Distance from the model's algebra constraints (0 when satisfied)."""
+def _imag_residual(A) -> np.ndarray:
+    return np.abs(np.imag(A)).max(axis=(-2, -1))
+
+
+def algebra_residual(model: MatrixGroupModel, A):
+    """Distance of each matrix from the model's algebra constraints (0 when satisfied)."""
     A = np.asarray(A)
-    if A.shape != (model.dim, model.dim):
-        return float("inf")
-    if model.name == "SO3":
-        if np.iscomplexobj(A) and np.abs(A.imag).max() > 0:
-            return float(np.abs(A.imag).max())
-        return float(np.linalg.norm(A + A.T))
-    if model.name == "SU2":
-        return max(float(np.linalg.norm(A + A.conj().T)), abs(complex(np.trace(A))))
-    return 0.0  # gl(n): no constraint
+    if A.shape[-2:] != (model.dim, model.dim):
+        return np.inf
+    r = np.zeros(A.shape[:-2])
+    if model.unitary:
+        r = np.maximum(_fro(A + _adjoint(A)), np.abs(np.trace(A, axis1=-2, axis2=-1)))
+    if model.real:
+        r = np.maximum(r, _imag_residual(A))
+    return r[()]
 
 
-def membership_residual(model: MatrixGroupModel, M) -> float:
-    """Frobenius distance from the group's defining relations."""
+def membership_residual(model: MatrixGroupModel, M):
+    """Frobenius distance of each matrix from the group's defining relations."""
     M = np.asarray(M)
-    if M.shape != (model.dim, model.dim) or not np.all(np.isfinite(M)):
-        return float("inf")
-    eye = np.eye(model.dim)
-    if model.name == "SO3":
-        return max(
-            float(np.linalg.norm(M.T @ M - eye)),
-            abs(float(np.linalg.det(M)) - 1.0),
-            float(np.abs(M.imag).max()) if np.iscomplexobj(M) else 0.0,
-        )
-    if model.name == "SU2":
-        return max(
-            float(np.linalg.norm(M.conj().T @ M - eye)),
-            abs(complex(np.linalg.det(M)) - 1.0),
-        )
-    return 0.0 if abs(np.linalg.det(M)) > 1e-12 else float("inf")
-
-
-def group_inverse(model: MatrixGroupModel, M: np.ndarray) -> np.ndarray:
-    if model.name == "SO3":
-        return M.T
-    if model.name == "SU2":
-        return M.conj().T
-    return np.linalg.inv(M)
+    if M.shape[-2:] != (model.dim, model.dim):
+        return np.inf
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    M = np.where(finite[..., None, None], M, 0)
+    det = np.linalg.det(M)
+    if model.unitary:
+        r = np.maximum(_fro(_adjoint(M) @ M - np.eye(model.dim)), np.abs(det - 1.0))
+    else:
+        r = np.where(np.abs(det) > 1e-12, 0.0, np.inf)
+    if model.real:
+        r = np.maximum(r, _imag_residual(M))
+    return np.where(finite, r, np.inf)[()]
 
 
 _SO3_BASIS = (
@@ -136,40 +164,47 @@ _SU2_BASIS = (
     0.5j * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+_GL_NAME = re.compile(r"GL([1-9][0-9]*)(?:-dense)?")
+
 
 def get_model(name: str, tolerance: float = 1e-9) -> MatrixGroupModel:
-    """Look up a model: "SO3", "SU2", or dense general linear "GL<n>"."""
+    """Look up a model: "SO3", "SU2", or dense general linear "GL<n>", 1 <= n <= GL_DIM_CAP."""
     if name == "SO3":
-        return MatrixGroupModel("SO3", 3, _SO3_BASIS, tolerance)
+        return MatrixGroupModel("SO3", 3, _SO3_BASIS, tolerance, unitary=True, real=True)
     if name == "SU2":
-        return MatrixGroupModel("SU2", 2, _SU2_BASIS, tolerance)
-    if name.startswith("GL"):
-        n = int(name[2:].removesuffix("-dense"))
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                E = np.zeros((n, n))
-                E[i, j] = 1.0
-                basis.append(E)
-        return MatrixGroupModel(f"GL{n}-dense", n, tuple(basis), tolerance)
-    raise ShapeError(f"unknown matrix group model {name!r}")
+        return MatrixGroupModel("SU2", 2, _SU2_BASIS, tolerance, unitary=True)
+    gl = _GL_NAME.fullmatch(name)
+    if gl is None:
+        raise ShapeError(
+            f"unknown matrix group model {name!r}; expected SO3, SU2 or GL<n> with n a positive integer"
+        )
+    digits = gl[1]
+    if len(digits) > len(str(GL_DIM_CAP)) or int(digits) > GL_DIM_CAP:
+        raise CapExceeded(f"model {name!r} exceeds the GL<n> size cap n <= {GL_DIM_CAP}")
+    n = int(digits)
+    return MatrixGroupModel(f"GL{n}-dense", n, tuple(np.eye(n * n).reshape(n * n, n, n)), tolerance)
 
 
-def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    coeffs = rng.uniform(-scale, scale, size=len(model.algebra_basis))
-    out = sum(c * B for c, B in zip(coeffs, model.algebra_basis))
-    return np.asarray(out)
+def random_algebra(
+    model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0, size=None
+) -> np.ndarray:
+    """One random algebra matrix, or a stack of shape (*size, d, d)."""
+    shape = () if size is None else np.atleast_1d(size)
+    coeffs = rng.uniform(-scale, scale, size=(*shape, len(model.algebra_basis)))
+    return np.einsum("...k,kij->...ij", coeffs, np.asarray(model.algebra_basis))
 
 
-def random_group_element(model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return mat_exp(random_algebra(model, rng, scale))
+def random_group_element(
+    model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0, size=None
+) -> np.ndarray:
+    return mat_exp(random_algebra(model, rng, scale, size))
 
 
 # ---------------------------------------------------------------------------
 # Sampled bundles, adjoint sections, and the parametrized operation
 # ---------------------------------------------------------------------------
 
-Point = tuple[int, np.ndarray]  # (base index, group matrix)
+Point = tuple  # (base index or int array of shape (...), group matrix or (..., d, d) stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +218,15 @@ class SampledBundle:
     def __post_init__(self):
         if self.base_points < 1:
             raise ShapeError("need at least one base point")
-        for m, g in self.points:
-            if not 0 <= m < self.base_points:
-                raise ShapeError(f"base index {m} out of range")
-            r = membership_residual(self.model, g)
-            if r > self.model.tolerance:
-                raise ShapeError(f"sampled matrix is not a group member (residual {r:.2e})")
+        if not self.points:
+            return
+        ms, gs = (np.asarray(v) for v in zip(*self.points))
+        out = np.flatnonzero((ms < 0) | (ms >= self.base_points))
+        if len(out):
+            raise ShapeError(f"base index {ms[out[0]]} out of range")
+        r = np.max(membership_residual(self.model, gs))
+        if r > self.model.tolerance:
+            raise ShapeError(f"sampled matrix is not a group member (residual {r:.2e})")
 
 
 def sample_bundle(
@@ -197,73 +235,123 @@ def sample_bundle(
     points_per_base: int,
     rng: np.random.Generator,
 ) -> SampledBundle:
-    pts = tuple(
-        (m, random_group_element(model, rng))
-        for m in range(base_points)
-        for _ in range(points_per_base)
-    )
-    return SampledBundle(model=model, base_points=base_points, points=pts)
+    ms = np.repeat(np.arange(base_points), points_per_base)
+    gs = random_group_element(model, rng, size=len(ms))
+    return SampledBundle(model=model, base_points=base_points, points=tuple(zip(ms.tolist(), gs)))
 
 
 @dataclass(frozen=True, eq=False)
 class AdjointSection:
-    """One algebra matrix per base point; X(m, g) = g^-1 * Xs(m) * g."""
+    """One algebra matrix per base point; X(m, g) = g^-1 * Xs(m) * g.
+
+    The section values may be given as any sequence of matrices; they are
+    stored as one read-only (base_points, d, d) array.
+    """
 
     bundle: SampledBundle
-    section_algebra_values: tuple[np.ndarray, ...]
+    section_algebra_values: np.ndarray
 
     def __post_init__(self):
-        if len(self.section_algebra_values) != self.bundle.base_points:
+        values = np.array(self.section_algebra_values)
+        if len(values) != self.bundle.base_points:
             raise ShapeError("need one algebra value per base point")
         model = self.bundle.model
-        for A in self.section_algebra_values:
-            r = algebra_residual(model, A)
-            if r > model.tolerance:
-                raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
+        r = np.max(algebra_residual(model, values))
+        if r > model.tolerance:
+            raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
+        values.setflags(write=False)
+        object.__setattr__(self, "section_algebra_values", values)
 
     def eval(self, p: Point) -> np.ndarray:
         m, g = p
-        return group_inverse(self.bundle.model, g) @ self.section_algebra_values[m] @ g
+        return self.bundle.model.inverse(g) @ self.section_algebra_values[m] @ g
 
     def equivariance_residual(self, rng: np.random.Generator, samples: int = 50) -> float:
         """Max residual of X(p*g) == g^-1 X(p) g over random (p, g)."""
-        model = self.bundle.model
-        worst = 0.0
-        for _ in range(samples):
-            p = random_point(self.bundle, rng)
-            g = random_group_element(model, rng)
-            moved = self.eval((p[0], p[1] @ g))
-            conjugated = group_inverse(model, g) @ self.eval(p) @ g
-            worst = max(worst, float(np.linalg.norm(moved - conjugated)))
-        return worst
+        m, h = random_point(self.bundle, rng, samples)
+        g = random_group_element(self.bundle.model, rng, size=samples)
+        moved = self.eval((m, h @ g))
+        conjugated = self.bundle.model.inverse(g) @ self.eval((m, h)) @ g
+        return float(np.max(_fro(moved - conjugated)))
 
 
-def random_point(b: SampledBundle, rng: np.random.Generator) -> Point:
-    m = int(rng.integers(b.base_points))
-    return (m, random_group_element(b.model, rng))
+def random_point(b: SampledBundle, rng: np.random.Generator, size=None) -> Point:
+    """One random point, or a stack of them with leading shape `size`."""
+    return (rng.integers(b.base_points, size=size), random_group_element(b.model, rng, size=size))
 
 
-def op_t(b: SampledBundle, X: AdjointSection, p1: Point, p2: Point, t: float) -> Point:
-    """p1 <|_t p2 = (m1, g1 * exp(-t X(p1)) * exp(t X(p2)))."""
-    if not math.isfinite(t):
-        raise NonFinite(f"parameter t = {t!r}")
+def op_t(b: SampledBundle, X: AdjointSection, p1: Point, p2: Point, t) -> Point:
+    """p1 <|_t p2 = (m1, g1 * exp(-t X(p1)) * exp(t X(p2))).
+
+    t is a scalar or an array that broadcasts with the points' leading shape.
+    """
+    t = _col(t)
+    if not np.all(np.isfinite(t)):
+        raise NonFinite("parameter t must be finite")
     m1, g1 = p1
     return (m1, g1 @ mat_exp(-t * X.eval(p1)) @ mat_exp(t * X.eval(p2)))
 
 
+def _gap(p: Point, q: Point) -> np.ndarray:
+    """Distance of the fiber coordinates; inf where the base points differ."""
+    return np.where(np.equal(p[0], q[0]), _fro(p[1] - q[1]), np.inf)
+
+
 # ---------------------------------------------------------------------------
-# Axiom checks
+# Sweep configuration
+#   {"model": "SO3"|"SU2"|"GL<n>", "base_points": int, "samples": int,
+#    "seed": int, "t_range": [lo, hi], "tolerance": real}
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SamplePlan:
-    """How to drive a randomized check: sample count, seed, t window, tolerance."""
-
+class SweepConfig:
+    model: str = "SO3"
+    base_points: int = 3
     samples: int = 100
     seed: int = 0
     t_range: tuple[float, float] = (-2.0, 2.0)
     tolerance: float = DEFAULT_COMPOSITE_TOLERANCE
 
+    def __post_init__(self):
+        # Runs on construction and on every dataclasses.replace override.
+        if not isinstance(self.model, str):
+            raise ShapeError(f"model must be a string, got {self.model!r}")
+        if self.samples < 1 or self.base_points < 1:
+            raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
+        lo, hi = self.t_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ShapeError(f"t_range must be finite with lo <= hi, got {list(self.t_range)}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ShapeError(f"tolerance must be finite and > 0, got {self.tolerance}")
+
+    def to_json(self) -> dict:
+        return {**asdict(self), "t_range": list(self.t_range)}
+
+    @staticmethod
+    def from_json(obj) -> "SweepConfig":
+        if not isinstance(obj, dict) or "model" not in obj:
+            raise ShapeError("sweep config must carry at least a 'model'")
+        try:
+            lo, hi = obj.get("t_range", (-2.0, 2.0))
+            return SweepConfig(
+                model=obj["model"],
+                base_points=json_int(obj.get("base_points", 3), "base_points"),
+                samples=json_int(obj.get("samples", 100), "samples"),
+                seed=json_int(obj.get("seed", 0), "seed"),
+                t_range=(float(lo), float(hi)),
+                tolerance=float(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE)),
+            )
+        except TypeError as exc:  # list or object where a number belongs
+            raise ShapeError(f"malformed sweep config: {exc}") from exc
+
+
+def load_sweep_config(path: str | Path) -> SweepConfig:
+    return SweepConfig.from_json(json.loads(Path(path).read_text()))
+
+
+# ---------------------------------------------------------------------------
+# Axiom checks
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -275,96 +363,68 @@ class ResidualReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
-def _report(check: str, plan: SamplePlan, residual: float, tolerance: float | None = None) -> ResidualReport:
-    tol = plan.tolerance if tolerance is None else tolerance
+def _report(check: str, config: SweepConfig, residuals, tolerance: float | None = None) -> ResidualReport:
+    tol = config.tolerance if tolerance is None else tolerance
+    worst = float(np.max(residuals))
     return ResidualReport(
         check=check,
-        samples=plan.samples,
-        seed=plan.seed,
-        max_residual=residual,
+        samples=config.samples,
+        seed=config.seed,
+        max_residual=worst,
         tolerance=tol,
-        passed=residual <= tol,
+        passed=worst <= tol,
     )
 
 
-def _gap(p: Point, q: Point) -> float:
-    return float(np.linalg.norm(p[1] - q[1])) if p[0] == q[0] else float("inf")
+def _draw(b: SampledBundle, config: SweepConfig, points: int, params: int) -> list:
+    """`points` stacks of sample points, then `params` stacks of t values, from the config's seed."""
+    rng = np.random.default_rng(config.seed)
+    stacks = [random_point(b, rng, config.samples) for _ in range(points)]
+    return [*stacks, *rng.uniform(*config.t_range, size=(params, config.samples))]
 
 
-def check_idempotency(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> ResidualReport:
+def check_idempotency(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """x <|_s x == x."""
-    rng = np.random.default_rng(plan.seed)
-    worst = 0.0
-    for _ in range(plan.samples):
-        x = random_point(b, rng)
-        s = rng.uniform(*plan.t_range)
-        worst = max(worst, _gap(op_t(b, X, x, x, s), x))
-    return _report("idempotency", plan, worst)
+    x, s = _draw(b, config, 1, 1)
+    return _report("idempotency", config, _gap(op_t(b, X, x, x, s), x))
 
 
-def check_self_action(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> ResidualReport:
+def check_self_action(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s y == x <|_{s+t} y."""
-    rng = np.random.default_rng(plan.seed)
-    worst = 0.0
-    for _ in range(plan.samples):
-        x, y = random_point(b, rng), random_point(b, rng)
-        t, s = rng.uniform(*plan.t_range, size=2)
-        lhs = op_t(b, X, op_t(b, X, x, y, t), y, s)
-        rhs = op_t(b, X, x, y, s + t)
-        worst = max(worst, _gap(lhs, rhs))
-    return _report("self_action", plan, worst)
+    x, y, t, s = _draw(b, config, 2, 2)
+    lhs = op_t(b, X, op_t(b, X, x, y, t), y, s)
+    rhs = op_t(b, X, x, y, s + t)
+    return _report("self_action", config, _gap(lhs, rhs))
 
 
-def check_self_distributivity(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> ResidualReport:
+def check_self_distributivity(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s z == (x <|_s z) <|_t (y <|_s z)."""
-    rng = np.random.default_rng(plan.seed)
-    worst = 0.0
-    for _ in range(plan.samples):
-        x, y, z = (random_point(b, rng) for _ in range(3))
-        t, s = rng.uniform(*plan.t_range, size=2)
-        lhs = op_t(b, X, op_t(b, X, x, y, t), z, s)
-        rhs = op_t(b, X, op_t(b, X, x, z, s), op_t(b, X, y, z, s), t)
-        worst = max(worst, _gap(lhs, rhs))
-    return _report("self_distributivity", plan, worst)
+    x, y, z, t, s = _draw(b, config, 3, 2)
+    lhs = op_t(b, X, op_t(b, X, x, y, t), z, s)
+    rhs = op_t(b, X, op_t(b, X, x, z, s), op_t(b, X, y, z, s), t)
+    return _report("self_distributivity", config, _gap(lhs, rhs))
 
 
-def check_key_identity(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> ResidualReport:
+def check_key_identity(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """exp(t X(p1 * exp(s X(p2)))) == exp(-s X(p2)) exp(t X(p1)) exp(s X(p2)).
 
     The conjugation identity that makes the other axioms work.
     """
-    rng = np.random.default_rng(plan.seed)
-    worst = 0.0
-    for _ in range(plan.samples):
-        p1, p2 = random_point(b, rng), random_point(b, rng)
-        t, s = rng.uniform(*plan.t_range, size=2)
-        h = mat_exp(s * X.eval(p2))
-        moved = (p1[0], p1[1] @ h)
-        lhs = mat_exp(t * X.eval(moved))
-        rhs = mat_exp(-s * X.eval(p2)) @ mat_exp(t * X.eval(p1)) @ h
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return _report("key_identity", plan, worst)
+    p1, p2, t, s = _draw(b, config, 2, 2)
+    t, s = _col(t), _col(s)
+    h = mat_exp(s * X.eval(p2))
+    lhs = mat_exp(t * X.eval((p1[0], p1[1] @ h)))
+    rhs = mat_exp(-s * X.eval(p2)) @ mat_exp(t * X.eval(p1)) @ h
+    return _report("key_identity", config, _fro(lhs - rhs))
 
 
-def check_membership(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> ResidualReport:
+def check_membership(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """Operation results stay in the group (chart residual)."""
-    rng = np.random.default_rng(plan.seed)
-    worst = 0.0
-    for _ in range(plan.samples):
-        x, y = random_point(b, rng), random_point(b, rng)
-        t = rng.uniform(*plan.t_range)
-        worst = max(worst, membership_residual(b.model, op_t(b, X, x, y, t)[1]))
-    return _report("membership", plan, worst)
+    x, y, t = _draw(b, config, 2, 1)
+    return _report("membership", config, membership_residual(b.model, op_t(b, X, x, y, t)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +435,10 @@ def check_membership(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> R
 class NoetherReport:
     """Both directional fixing predicates for one pair, plus the algebra gap.
 
-    The sampled "for all t" predicates are backed by the algebra-level
-    criterion ||X(p1) - X(p2)|| <= tolerance, which implies fixing for every
-    t, not only the sampled ones.
+    For stacked pairs every field has the pairs' leading shape. The sampled
+    "for all t" predicates are backed by the algebra-level criterion
+    ||X(p1) - X(p2)|| <= tolerance, which implies fixing for every t, not
+    only the sampled ones.
     """
 
     fixes_forward: bool
@@ -392,15 +453,15 @@ class NoetherReport:
         return self.fixes_forward == self.fixes_backward
 
     def to_json(self) -> dict:
-        return {
-            "fixes_forward": self.fixes_forward,
-            "fixes_backward": self.fixes_backward,
-            "forward_residual": self.forward_residual,
-            "backward_residual": self.backward_residual,
-            "algebra_gap": self.algebra_gap,
-            "tolerance": self.tolerance,
-            "agree": self.agree,
-        }
+        fields = {**asdict(self), "agree": self.agree}
+        return {key: np.asarray(value).tolist() for key, value in fields.items()}
+
+
+def _fixing_residual(b: SampledBundle, X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
+    """Max over the last axis of ts of the distance from p <|_t q to p."""
+    p = (np.expand_dims(p[0], -1), np.expand_dims(p[1], -3))
+    q = (np.expand_dims(q[0], -1), np.expand_dims(q[1], -3))
+    return _gap(op_t(b, X, p, q, ts), p).max(axis=-1)
 
 
 def check_noether(
@@ -411,18 +472,22 @@ def check_noether(
     t_samples: Sequence[float],
     tolerance: float = DEFAULT_COMPOSITE_TOLERANCE,
 ) -> NoetherReport:
-    """Evaluate "p1 <|_t p2 == p1 for all t" in both directions."""
-    if len(t_samples) == 0:
+    """Evaluate "p1 <|_t p2 == p1 for all t" in both directions.
+
+    The points may be stacks with leading shape (...); t_samples then has
+    shape (K,) or (..., K), and all K values are tried on every pair.
+    """
+    ts = np.asarray(t_samples, dtype=float)
+    if ts.ndim == 0 or ts.shape[-1] == 0:
         raise ShapeError("need at least one t sample")
-    fwd = max(_gap(op_t(b, X, p1, p2, t), p1) for t in t_samples)
-    bwd = max(_gap(op_t(b, X, p2, p1, t), p2) for t in t_samples)
-    gap = float(np.linalg.norm(X.eval(p1) - X.eval(p2)))
+    fwd = _fixing_residual(b, X, p1, p2, ts)
+    bwd = _fixing_residual(b, X, p2, p1, ts)
     return NoetherReport(
         fixes_forward=fwd <= tolerance,
         fixes_backward=bwd <= tolerance,
         forward_residual=fwd,
         backward_residual=bwd,
-        algebra_gap=gap,
+        algebra_gap=_fro(X.eval(p1) - X.eval(p2)),
         tolerance=tolerance,
     )
 
@@ -458,103 +523,40 @@ class NoetherSweepReport:
 
 
 def equal_section_pair(
-    b: SampledBundle, X: AdjointSection, rng: np.random.Generator
+    b: SampledBundle, X: AdjointSection, rng: np.random.Generator, size=None
 ) -> tuple[Point, Point]:
-    """A pair of distinct points with X(p1) == X(p2) exactly.
+    """A pair of distinct points with X(p1) == X(p2) exactly, or a stack of pairs.
 
     Multiplying the fiber coordinate on the left by exp(a * Xs(m)) commutes
     with Xs(m), so the adjoint value is unchanged.
     """
-    p1 = random_point(b, rng)
-    a = rng.uniform(0.5, 1.5)
-    p2 = (p1[0], mat_exp(a * X.section_algebra_values[p1[0]]) @ p1[1])
-    return p1, p2
+    m, g = random_point(b, rng, size)
+    a = rng.uniform(0.5, 1.5, size=size)
+    return (m, g), (m, mat_exp(_col(a) * X.section_algebra_values[m]) @ g)
 
 
-def noether_sweep(b: SampledBundle, X: AdjointSection, plan: SamplePlan) -> NoetherSweepReport:
+def noether_sweep(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     """Agreement of the directional predicates over random and equal-X pairs."""
-    rng = np.random.default_rng(plan.seed)
-    disagreements = 0
-    equal_max = 0.0
-    equal_all_fix = True
-    for _ in range(plan.samples):
-        ts = np.append(rng.uniform(*plan.t_range, size=4), 1.0)
-        p1, p2 = random_point(b, rng), random_point(b, rng)
-        if check_noether(b, X, p1, p2, ts, plan.tolerance).agree is False:
-            disagreements += 1
-        q1, q2 = equal_section_pair(b, X, rng)
-        rep = check_noether(b, X, q1, q2, ts, plan.tolerance)
-        equal_max = max(equal_max, rep.forward_residual, rep.backward_residual)
-        if not (rep.fixes_forward and rep.fixes_backward):
-            equal_all_fix = False
-        if not rep.agree:
-            disagreements += 1
+    rng = np.random.default_rng(config.seed)
+    n = config.samples
+    ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
+    p1, p2 = random_point(b, rng, n), random_point(b, rng, n)
+    q1, q2 = equal_section_pair(b, X, rng, n)
+    random_pairs = check_noether(b, X, p1, p2, ts, config.tolerance)
+    equal_pairs = check_noether(b, X, q1, q2, ts, config.tolerance)
     return NoetherSweepReport(
-        samples=plan.samples,
-        seed=plan.seed,
-        disagreements=disagreements,
-        equal_pair_max_residual=equal_max,
-        equal_pairs_all_fix=equal_all_fix,
-        tolerance=plan.tolerance,
+        samples=n,
+        seed=config.seed,
+        disagreements=int(np.sum(~random_pairs.agree) + np.sum(~equal_pairs.agree)),
+        equal_pair_max_residual=float(np.max([equal_pairs.forward_residual, equal_pairs.backward_residual])),
+        equal_pairs_all_fix=bool(np.all(equal_pairs.fixes_forward & equal_pairs.fixes_backward)),
+        tolerance=config.tolerance,
     )
 
 
 # ---------------------------------------------------------------------------
-# Sweep driver and its JSON config
-#   {"model": "SO3"|"SU2", "base_points": int, "samples": int, "seed": int,
-#    "t_range": [lo, hi], "tolerance": real}
+# Sweep driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepConfig:
-    model: str = "SO3"
-    base_points: int = 3
-    samples: int = 100
-    seed: int = 0
-    t_range: tuple[float, float] = (-2.0, 2.0)
-    tolerance: float = DEFAULT_COMPOSITE_TOLERANCE
-
-    def __post_init__(self):
-        # Runs on construction and on every dataclasses.replace override.
-        if self.samples < 1 or self.base_points < 1:
-            raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
-        lo, hi = self.t_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ShapeError(f"t_range must be finite with lo <= hi, got {list(self.t_range)}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ShapeError(f"tolerance must be finite and > 0, got {self.tolerance}")
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "base_points": self.base_points,
-            "samples": self.samples,
-            "seed": self.seed,
-            "t_range": list(self.t_range),
-            "tolerance": self.tolerance,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "SweepConfig":
-        if not isinstance(obj, dict) or "model" not in obj:
-            raise ShapeError("sweep config must carry at least a 'model'")
-        try:
-            lo, hi = obj.get("t_range", (-2.0, 2.0))
-            return SweepConfig(
-                model=str(obj["model"]),
-                base_points=int(obj.get("base_points", 3)),
-                samples=int(obj.get("samples", 100)),
-                seed=int(obj.get("seed", 0)),
-                t_range=(float(lo), float(hi)),
-                tolerance=float(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE)),
-            )
-        except TypeError as exc:  # null, list or object where a number belongs
-            raise ShapeError(f"malformed sweep config: {exc}") from exc
-
-
-def load_sweep_config(path: str | Path) -> SweepConfig:
-    return SweepConfig.from_json(json.loads(Path(path).read_text()))
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -588,25 +590,17 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     model = get_model(config.model)
     rng = np.random.default_rng(config.seed)
     bundle = sample_bundle(model, config.base_points, points_per_base=2, rng=rng)
-    section = AdjointSection(
-        bundle, tuple(random_algebra(model, rng) for _ in range(config.base_points))
-    )
-    plan = SamplePlan(
-        samples=config.samples,
-        seed=config.seed,
-        t_range=config.t_range,
-        tolerance=config.tolerance,
-    )
+    section = AdjointSection(bundle, random_algebra(model, rng, size=config.base_points))
     axioms = {
-        "idempotency": check_idempotency(bundle, section, plan),
-        "self_action": check_self_action(bundle, section, plan),
-        "self_distributivity": check_self_distributivity(bundle, section, plan),
-        "key_identity": check_key_identity(bundle, section, plan),
-        "membership": check_membership(bundle, section, plan),
+        "idempotency": check_idempotency(bundle, section, config),
+        "self_action": check_self_action(bundle, section, config),
+        "self_distributivity": check_self_distributivity(bundle, section, config),
+        "key_identity": check_key_identity(bundle, section, config),
+        "membership": check_membership(bundle, section, config),
     }
     eq_res = section.equivariance_residual(np.random.default_rng(config.seed), samples=50)
-    section_eq = _report("section_equivariance", plan, eq_res, tolerance=PRIMITIVE_TOLERANCE)
-    noether = noether_sweep(bundle, section, plan)
+    section_eq = _report("section_equivariance", config, eq_res, tolerance=PRIMITIVE_TOLERANCE)
+    noether = noether_sweep(bundle, section, config)
     return SweepReport(
         config=config,
         axioms=axioms,

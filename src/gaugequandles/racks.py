@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch
+from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, json_int
 from .groups import FiniteGroup
 
 # Chunk the n^3 self-distributivity scan to bound peak memory.
@@ -336,7 +336,7 @@ def magma_from_json(obj) -> MagmaTable:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ShapeError("quandle JSON must carry an 'op' table")
     m = magma_from_table(obj["op"], labels=obj.get("labels"))
-    if "size" in obj and int(obj["size"]) != m.size:
+    if "size" in obj and json_int(obj["size"], "size") != m.size:
         raise ShapeError(f"declared size {obj['size']} != table size {m.size}")
     return m
 

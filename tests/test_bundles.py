@@ -244,6 +244,22 @@ def test_gauge_transformation_rejects_bad_values():
     assert bundles.GaugeTransformation(b, [1, 2, 0, 3, 4, 5])(0) == 1
 
 
+def test_gauge_transformation_copies_its_values():
+    b = bundles.trivial_bundle(groups.catalog("Z3"), 2)
+    values = np.array([1, 2, 0, 3, 4, 5], dtype=np.int64)
+    phi = bundles.GaugeTransformation(b, values)
+    assert values.flags.writeable and not phi.values.flags.writeable
+    values[0] = 2
+    assert phi(0) == 1
+
+
+@pytest.mark.parametrize("values", [np.array([1.0, 2.0, 0.0, 3.0, 4.0, 5.0]), np.array([1.7, 2, 0, 3, 4, 5])])
+def test_gauge_transformation_rejects_non_integer_arrays(values):
+    b = bundles.trivial_bundle(groups.catalog("Z3"), 2)
+    with pytest.raises(ShapeError, match="integers"):
+        bundles.GaugeTransformation(b, values)
+
+
 @pytest.mark.parametrize("bad", [2.7, True, "1", None, [1]])
 def test_map_json_accepts_only_integers(bad):
     b = bundles.trivial_bundle(groups.catalog("S3"), 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaugequandles import bundles, cli, gauge, groups, racks
+from gaugequandles import bundles, cli, gauge, groups, lie, racks
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -205,6 +205,8 @@ def test_format_table_alignment():
         ({"group": "S3", "base_size": 2}, [True, 3]),
         ({"group": "S3", "base_size": 2.9}, [2, 3]),
         ({"group": "S3", "base_size": 2}, 23),
+        ({"group": {"table": [[0, 1], [1, 0]], "order": 2.9}, "base_size": 2}, [0, 1]),
+        ({"group": {"table": [[0]], "order": True}, "base_size": 2}, [0, 0]),
     ],
 )
 def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values):
@@ -224,11 +226,28 @@ def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values
         {"tolerance": 0},
         {"samples": None},
         {"t_range": 5},
+        {"samples": 2.7},
+        {"base_points": 1.5},
+        {"seed": True},
+        {"seed": "1"},
+        {"model": 3},
+        {"model": ["SO3"]},
+        {"model": "GL0"},
+        {"model": "GL-1"},
+        {"model": "GLx"},
+        {"model": f"GL{lie.GL_DIM_CAP + 1}"},
     ],
 )
 def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):
     config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1, **override})
     assert cli.main(["lie-check", config]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size, op", [(2.9, [[0, 0], [1, 1]]), (True, [[0]]), ("2", [[0, 0], [1, 1]])])
+def test_verify_rejects_non_integer_size_exits_2(tmp_path, capsys, size, op):
+    path = write(tmp_path, "quandle.json", {"size": size, "op": op})
+    assert cli.main(["verify", path]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from gaugequandles import lie
-from gaugequandles.errors import NonFinite, ShapeError
+from gaugequandles.errors import CapExceeded, NonFinite, ShapeError
 
 
 def rodrigues(v):
@@ -65,6 +65,22 @@ def test_mat_exp_against_scipy_general_matrices():
                 1.0, np.linalg.norm(scipy.linalg.expm(A))
             )
             assert rel < 1e-12
+
+
+def test_mat_exp_stack_against_scipy_per_slice():
+    # One stack whose norms need from 0 to many squarings; each slice gets its own count
+    rng = np.random.default_rng(19)
+    scales = np.array([0.0, 1e-3, 0.3, 0.5, 0.51, 2.0, 9.0, 40.0])
+    A = rng.normal(size=(len(scales), 4, 4))
+    A = A / np.linalg.norm(A, axis=(1, 2))[:, None, None] * scales[:, None, None]
+    stacked = lie.mat_exp(A)
+    assert stacked.shape == A.shape
+    for a, e in zip(A, stacked):
+        ref = scipy.linalg.expm(a)
+        assert np.linalg.norm(e - ref) / max(1.0, np.linalg.norm(ref)) < 1e-12
+        assert np.linalg.norm(lie.mat_exp(a) - e) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+    nested = lie.mat_exp(A.reshape(2, 4, 4, 4))
+    assert np.array_equal(nested.reshape(A.shape), stacked)
 
 
 def test_mat_exp_complex():
@@ -159,6 +175,51 @@ def test_op_t_stays_in_group_and_on_base():
         assert lie.membership_residual(model, g) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_op_t_and_membership_on_a_stack_match_per_slice_calls(name):
+    rng = np.random.default_rng(83)
+    model = lie.get_model(name)
+    b = lie.sample_bundle(model, 3, 2, rng)
+    X = lie.AdjointSection(b, lie.random_algebra(model, rng, size=3))
+    p1, p2 = lie.random_point(b, rng, 12), lie.random_point(b, rng, 12)
+    t = rng.uniform(-2.0, 2.0, size=12)
+    m, g = lie.op_t(b, X, p1, p2, t)
+    residuals = lie.membership_residual(model, g)
+    assert m.shape == (12,) and g.shape == (12, model.dim, model.dim) and residuals.shape == (12,)
+    for i in range(12):
+        mi, gi = lie.op_t(b, X, (p1[0][i], p1[1][i]), (p2[0][i], p2[1][i]), t[i])
+        assert mi == m[i]
+        assert np.linalg.norm(gi - g[i]) < 1e-14
+        assert abs(lie.membership_residual(model, gi) - residuals[i]) < 1e-14
+
+
+def test_membership_residual_stack_marks_bad_slices():
+    so3 = lie.get_model("SO3")
+    stack = np.array([np.eye(3), 2 * np.eye(3), np.full((3, 3), np.nan)])
+    r = lie.membership_residual(so3, stack)
+    assert r[0] < 1e-15 and r[1] > 1.0 and r[2] == np.inf
+    assert lie.membership_residual(so3, np.eye(2)) == np.inf
+
+
+@pytest.mark.parametrize("name", ["GL0", "GL-1", "GLx", "GL", "GL2.5", "GL 2", "GL٣", "gl2", "E8"])
+def test_get_model_rejects_malformed_names(name):
+    with pytest.raises(ShapeError, match="unknown matrix group model"):
+        lie.get_model(name)
+
+
+@pytest.mark.parametrize("n", [lie.GL_DIM_CAP + 1, 10**40])
+def test_get_model_caps_gl_size(n):
+    with pytest.raises(CapExceeded, match="cap"):
+        lie.get_model(f"GL{n}")
+
+
+def test_get_model_gl_at_the_cap():
+    n = lie.GL_DIM_CAP
+    model = lie.get_model(f"GL{n}")
+    assert model.dim == n and len(model.algebra_basis) == n * n
+    assert lie.get_model("GL2-dense").name == "GL2-dense"
+
+
 def _setup(name, seed):
     rng = np.random.default_rng(seed)
     model = lie.get_model(name)
@@ -172,14 +233,14 @@ def test_self_action_zero_section_is_exact():
     rng = np.random.default_rng(47)
     b = lie.sample_bundle(model, 2, 2, rng)
     zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
-    rep = lie.check_self_action(b, zero, lie.SamplePlan(samples=20, seed=1))
+    rep = lie.check_self_action(b, zero, lie.SweepConfig(samples=20, seed=1))
     assert rep.max_residual == 0.0
 
 
 def test_axiom_checks_pass_on_both_models():
     for name in ("SO3", "SU2"):
         b, X = _setup(name, 53)
-        plan = lie.SamplePlan(samples=60, seed=53)
+        plan = lie.SweepConfig(samples=60, seed=53)
         assert lie.check_idempotency(b, X, plan).passed
         assert lie.check_self_action(b, X, plan).passed
         assert lie.check_self_distributivity(b, X, plan).passed
@@ -255,6 +316,20 @@ def test_sweep_config_json_round_trip(tmp_path):
     assert lie.load_sweep_config(path) == cfg
     with pytest.raises(ShapeError):
         lie.SweepConfig.from_json({"samples": 3})
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"model": 3}, "string"),
+        ({"samples": 2.7}, "integer"),
+        ({"base_points": "2"}, "integer"),
+        ({"seed": True}, "integer"),
+    ],
+)
+def test_sweep_config_from_json_is_strict(override, message):
+    with pytest.raises(ShapeError, match=message):
+        lie.SweepConfig.from_json({"model": "SO3", "seed": 1, **override})
 
 
 def test_run_sweep_report_fields():
