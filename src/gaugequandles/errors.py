@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the strict JSON integer reader."""
+"""Exception types shared across the library, and the strict JSON number readers."""
 
 from __future__ import annotations
 
@@ -91,3 +91,13 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ShapeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_real(value, what: str) -> float:
+    """A real number read from JSON; bools, strings and null fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ShapeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ShapeError(f"{what} is too large for a float") from None

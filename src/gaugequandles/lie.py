@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NonFinite, ShapeError, json_int
+from .errors import CapExceeded, NonFinite, ShapeError, json_int, json_real
 
 # Truncation order for the scaled Taylor series; at argument norm <= 0.5 the
 # remainder is far below double precision.
@@ -331,18 +331,17 @@ class SweepConfig:
     def from_json(obj) -> "SweepConfig":
         if not isinstance(obj, dict) or "model" not in obj:
             raise ShapeError("sweep config must carry at least a 'model'")
-        try:
-            lo, hi = obj.get("t_range", (-2.0, 2.0))
-            return SweepConfig(
-                model=obj["model"],
-                base_points=json_int(obj.get("base_points", 3), "base_points"),
-                samples=json_int(obj.get("samples", 100), "samples"),
-                seed=json_int(obj.get("seed", 0), "seed"),
-                t_range=(float(lo), float(hi)),
-                tolerance=float(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE)),
-            )
-        except TypeError as exc:  # list or object where a number belongs
-            raise ShapeError(f"malformed sweep config: {exc}") from exc
+        t_range = obj.get("t_range", [-2.0, 2.0])
+        if not isinstance(t_range, list) or len(t_range) != 2:
+            raise ShapeError(f"t_range must be a list [lo, hi], got {t_range!r}")
+        return SweepConfig(
+            model=obj["model"],
+            base_points=json_int(obj.get("base_points", 3), "base_points"),
+            samples=json_int(obj.get("samples", 100), "samples"),
+            seed=json_int(obj.get("seed", 0), "seed"),
+            t_range=tuple(json_real(v, "t_range") for v in t_range),
+            tolerance=json_real(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE), "tolerance"),
+        )
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:

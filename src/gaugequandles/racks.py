@@ -216,57 +216,47 @@ def is_morphism(f, src: MagmaTable, dst: MagmaTable) -> bool:
     return not morphism_witnesses(f, src, dst)
 
 
-def _cycle_type(perm: np.ndarray) -> tuple[int, ...]:
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(perm[x])
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
+    """Per-element fingerprints preserved by any isomorphism, one flat int tuple each.
 
-
-def _column_signature(col: np.ndarray) -> tuple:
-    # Cycle type for permutation columns; in-degree profile otherwise (both
-    # are preserved by relabeling).
-    n = len(col)
-    if sorted(col.tolist()) == list(range(n)):
-        return ("perm", _cycle_type(col))
-    return ("func", tuple(sorted(np.unique(col, return_counts=True)[1].tolist())))
-
-
-def element_invariants(m: MagmaTable) -> list[tuple]:
-    """Per-element fingerprints preserved by any isomorphism."""
+    For x: the sorted cycle lengths of the points under - <| x (0 for a point
+    on no cycle), the sorted in-degree profile of that column, the sorted
+    value profile of the row x <| -, the flag x <| x == x, and the number of
+    table entries equal to x. Every column is treated alike, permutation or not.
+    """
     op = m.op
     n = m.size
-    values, counts = np.unique(op, return_counts=True)
-    occurrences = dict(zip(values.tolist(), counts.tolist()))
-    inv = []
-    for x in range(n):
-        right_sig = _column_signature(op[:, x])
-        row_profile = tuple(sorted(np.unique(op[x], return_counts=True)[1].tolist()))
-        inv.append((
-            right_sig,
-            bool(op[x, x] == x),
-            occurrences.get(x, 0),
-            row_profile,
-        ))
-    return inv
+    idx = np.arange(n)
+    # cycles[p, x]: least k <= n with (- <| x)^k (p) == p, else 0.
+    cycles = np.zeros((n, n), dtype=np.int64)
+    cur = np.broadcast_to(idx[:, None], (n, n))
+    for k in range(1, n + 1):
+        cur = op[cur, idx]
+        cycles[(cur == idx[:, None]) & (cycles == 0)] = k
+        if cycles.all():
+            break
+    col_counts = np.zeros((n, n), dtype=np.int64)   # [v, x] = #{p : p <| x == v}
+    np.add.at(col_counts, (op, idx), 1)
+    row_counts = np.zeros((n, n), dtype=np.int64)   # [x, v] = #{y : x <| y == v}
+    np.add.at(row_counts, (idx[:, None], op), 1)
+    flat = np.concatenate([
+        np.sort(cycles, axis=0).T,
+        np.sort(col_counts, axis=0).T,
+        np.sort(row_counts, axis=1),
+        (op[idx, idx] == idx)[:, None],
+        np.bincount(op.ravel(), minlength=n)[:, None],
+    ], axis=1)
+    return [tuple(row) for row in flat.tolist()]
 
 
 def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     """Search for a bijection f with f(x <| y) = f(x) <| f(y).
 
-    Backtracking over images, pruned by per-element invariants (right
-    translation cycle type, x <| x fixed-point flag, occurrence counts).
-    Returns the witness as a list, or None after exhaustion.
+    Backtracking over images with forced-image propagation: once f(x) and
+    f(u) are set, f(x <| u) and f(u <| x) are forced. Only elements that no
+    assignment forces are branched on, most constrained first, and every
+    image must match its element's invariants. Returns the witness as a
+    list, or None after exhaustion.
     """
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} != {b.size}")
@@ -276,48 +266,51 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     if sorted(inv_a) != sorted(inv_b):
         return None
 
-    candidates = {x: [w for w in range(n) if inv_b[w] == inv_a[x]] for x in range(n)}
-    # Most-constrained-first ordering keeps the search shallow.
+    candidates = [[w for w in range(n) if inv_b[w] == inv_a[x]] for x in range(n)]
     order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    op_a, op_b = a.op, b.op
-    f = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
+    op_a, op_b = a.op.tolist(), b.op.tolist()
+    f = [-1] * n
+    used = [False] * n
+    trail: list[int] = []  # mapped elements, in the order they were mapped
 
-    def consistent(x: int, assigned: list[int]) -> bool:
-        # A pair (u, v) is fully checkable once u, v, and op_a[u, v] are all
-        # mapped; x is the element mapped last, so it suffices to look at
-        # pairs involving x and pairs whose op value is x.
-        group = assigned + [x]
-        for u in group:
-            for v in group:
-                if u != x and v != x and op_a[u, v] != x:
-                    continue
-                img = f[op_a[u, v]]
-                if img >= 0 and img != op_b[f[u], f[v]]:
+    def assign(x: int, w: int) -> bool:
+        # Set f(x) = w and everything it forces; False on a contradiction.
+        queue = [(x, w)]
+        while queue:
+            x, w = queue.pop()
+            if f[x] >= 0:
+                if f[x] != w:
                     return False
+                continue
+            if used[w] or inv_a[x] != inv_b[w]:
+                return False
+            f[x] = w
+            used[w] = True
+            trail.append(x)
+            for u in trail:
+                fu = f[u]
+                queue.append((op_a[x][u], op_b[w][fu]))
+                queue.append((op_a[u][x], op_b[fu][w]))
         return True
 
-    def search(pos: int, assigned: list[int]) -> bool:
+    def search(pos: int) -> bool:
+        while pos < n and f[order[pos]] >= 0:
+            pos += 1
         if pos == n:
             return True
         x = order[pos]
+        mark = len(trail)
         for w in candidates[x]:
-            if used[w]:
-                continue
-            f[x] = w
-            used[w] = True
-            if consistent(x, assigned):
-                assigned.append(x)
-                if search(pos + 1, assigned):
-                    return True
-                assigned.pop()
-            f[x] = -1
-            used[w] = False
+            if assign(x, w) and search(pos + 1):
+                return True
+            while len(trail) > mark:
+                used[f[trail[-1]]] = False
+                f[trail.pop()] = -1
         return False
 
-    if search(0, []):
+    if search(0):
         assert is_morphism(f, a, b)
-        return [int(v) for v in f]
+        return f
     return None
 
 
@@ -335,7 +328,10 @@ def magma_to_json(m: MagmaTable) -> dict:
 def magma_from_json(obj) -> MagmaTable:
     if not isinstance(obj, dict) or "op" not in obj:
         raise ShapeError("quandle JSON must carry an 'op' table")
-    m = magma_from_table(obj["op"], labels=obj.get("labels"))
+    labels = obj.get("labels")
+    if "labels" in obj and not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise ShapeError(f"labels must be a list of strings, got {labels!r}")
+    m = magma_from_table(obj["op"], labels=labels)
     if "size" in obj and json_int(obj["size"], "size") != m.size:
         raise ShapeError(f"declared size {obj['size']} != table size {m.size}")
     return m

@@ -236,6 +236,15 @@ def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values
         {"model": "GL-1"},
         {"model": "GLx"},
         {"model": f"GL{lie.GL_DIM_CAP + 1}"},
+        {"tolerance": "1e-8"},
+        {"tolerance": True},
+        {"tolerance": None},
+        {"tolerance": 10**400},
+        {"t_range": ["1", True]},
+        {"t_range": ["1", 2]},
+        {"t_range": [-1, False]},
+        {"t_range": [-1, 0, 1]},
+        {"t_range": {"lo": -1, "hi": 1}},
     ],
 )
 def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):
@@ -247,6 +256,13 @@ def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):
 @pytest.mark.parametrize("size, op", [(2.9, [[0, 0], [1, 1]]), (True, [[0]]), ("2", [[0, 0], [1, 1]])])
 def test_verify_rejects_non_integer_size_exits_2(tmp_path, capsys, size, op):
     path = write(tmp_path, "quandle.json", {"size": size, "op": op})
+    assert cli.main(["verify", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [7, "ab", [1, None], ["a", None], None, {"0": "a", "1": "b"}])
+def test_verify_rejects_malformed_labels_exits_2(tmp_path, capsys, labels):
+    path = write(tmp_path, "quandle.json", {"size": 2, "op": [[0, 0], [1, 1]], "labels": labels})
     assert cli.main(["verify", path]) == 2
     assert "error:" in capsys.readouterr().err
 

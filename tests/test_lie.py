@@ -325,6 +325,9 @@ def test_sweep_config_json_round_trip(tmp_path):
         ({"samples": 2.7}, "integer"),
         ({"base_points": "2"}, "integer"),
         ({"seed": True}, "integer"),
+        ({"tolerance": "1e-8"}, "number"),
+        ({"t_range": [-1, True]}, "number"),
+        ({"t_range": 5}, r"\[lo, hi\]"),
     ],
 )
 def test_sweep_config_from_json_is_strict(override, message):

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaugequandles import groups, racks
+from gaugequandles import bundles, gauge, groups, racks
 from gaugequandles.errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch
 
 S3_PERMS = groups.symmetric_group_elements(3)
@@ -266,6 +268,132 @@ def test_found_witnesses_respect_cycle_types():
     inv_b = racks.element_invariants(b)
     for x in range(a.size):
         assert inv_a[x][0] == inv_b[f[x]][0]
+
+
+def relabel_table(op, perm):
+    """The table with element x renamed perm[x]."""
+    inv = np.argsort(perm)
+    return perm[np.asarray(op)[np.ix_(inv, inv)]]
+
+
+def is_isomorphism(f, a, b):
+    return sorted(f) == list(range(a.size)) and racks.is_morphism(f, a, b)
+
+
+def gauge_quandle(name, base, values):
+    b = bundles.trivial_bundle(groups.catalog(name), base)
+    return gauge.build(b, bundles.EquivariantMap(b, tuple(values))).table
+
+
+def vf2_isomorphic(a, b):
+    """networkx VF2 on the table as a labelled digraph: element nodes, and one
+    node per pair (x, y) with edges to x, y and x <| y, each edge labelled
+    with the roles ("left", "right", "out") its element plays for the pair."""
+    nx = pytest.importorskip("networkx")
+
+    def digraph(m):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(m.size), kind="element")
+        # VF2 matches the out-neighbours of matched nodes first, earliest
+        # inserted first: so the inputs of a matched pair are matched right
+        # after it, and pairs go in by max(x, y), which matches the pairs
+        # among the elements met so far before a new element is tried. With
+        # edges into the pair node, or in row-major order, a 16-element
+        # search ran for minutes.
+        for k in range(m.size):
+            for x, y in [p for j in range(k) for p in ((j, k), (k, j))] + [(k, k)]:
+                pair = ("pair", x, y)
+                g.add_node(pair, kind="pair")
+                roles: dict[int, tuple[str, ...]] = {}
+                for role, z in (("left", x), ("right", y), ("out", m.apply(x, y))):
+                    roles[z] = roles.get(z, ()) + (role,)
+                for z, r in roles.items():
+                    g.add_edge(pair, z, roles=r)
+        return g
+
+    return nx.is_isomorphic(
+        digraph(a), digraph(b),
+        node_match=lambda u, v: u["kind"] == v["kind"],
+        edge_match=lambda u, v: u["roles"] == v["roles"],
+    )
+
+
+@pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2), ("S3", 3), ("S4", 1)])
+def test_find_isomorphism_agrees_with_vf2(name, base):
+    G = groups.catalog(name)
+    rng = np.random.default_rng(base * 100 + G.order)
+    tables = [gauge_quandle(name, base, rng.integers(0, G.order, size=base)) for _ in range(6)]
+    keys = [sorted(racks.element_invariants(t)) for t in tables]
+    # Two pairs from one invariant class (the search runs to a witness) and
+    # one from two classes; the second table of each pair is relabeled.
+    pairs = [(i, j) for i in range(6) for j in range(i, 6) if keys[i] == keys[j]][:2]
+    pairs += [(0, j) for j in range(1, 6) if keys[0] != keys[j]][:1]
+    for i, j in pairs:
+        a = tables[i]
+        b = racks.magma_from_table(relabel_table(tables[j].op, rng.permutation(a.size)))
+        found = racks.find_isomorphism(a, b)
+        assert (found is not None) == vf2_isomorphic(a, b)
+        assert found is None or is_isomorphism(found, a, b)
+
+
+def invariants_by_loop(op):
+    """Per-element loop reference for element_invariants."""
+    n = len(op)
+    out = []
+    for x in range(n):
+        cycles = []
+        for p in range(n):
+            cur, length = op[p][x], 1
+            while cur != p and length < n:
+                cur, length = op[cur][x], length + 1
+            cycles.append(length if cur == p else 0)
+        col = [sum(op[p][x] == v for p in range(n)) for v in range(n)]
+        row = [op[x].count(v) for v in range(n)]
+        occurrences = sum(r.count(x) for r in op)
+        out.append(tuple(sorted(cycles) + sorted(col) + sorted(row) + [int(op[x][x] == x), occurrences]))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.permutations(range(n)),
+)))
+def test_element_invariants_match_loop_and_follow_relabeling(case):
+    op, perm = case
+    perm = np.array(perm)
+    m = racks.magma_from_table(op)
+    inv = racks.element_invariants(m)
+    assert inv == invariants_by_loop(op)
+    inv_relabeled = racks.element_invariants(racks.magma_from_table(relabel_table(m.op, perm)))
+    assert all(inv_relabeled[perm[x]] == inv[x] for x in range(m.size))
+    assert all(type(v) is int for row in inv for v in row)
+
+
+@st.composite
+def relabeled_gauge_quandles(draw):
+    name = draw(st.sampled_from(["Z4", "S3", "D4", "Q8"]))
+    base = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, groups.catalog(name).order - 1), min_size=base, max_size=base))
+    q = gauge_quandle(name, base, values)
+    perm = np.array(draw(st.permutations(range(q.size))))
+    return q, racks.magma_from_table(relabel_table(q.op, perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_gauge_quandles())
+def test_find_isomorphism_finds_every_relabeling(case):
+    q, relabeled = case
+    f = racks.find_isomorphism(q, relabeled)
+    assert f is not None and is_isomorphism(f, q, relabeled)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_census_of_relabeled_s4_over_a_point(seed):
+    t = groups.catalog("S4").table
+    G = groups.group_from_table(relabel_table(t, np.random.default_rng(seed).permutation(len(t))))
+    classes = gauge.isomorphism_census(bundles.trivial_bundle(G, 1))
+    assert sorted(c.size for c in classes) == [1, 3, 6, 6, 8]
 
 
 def test_magma_json_round_trip():
