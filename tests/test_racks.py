@@ -267,7 +267,8 @@ def test_found_witnesses_respect_cycle_types():
     inv_a = racks.element_invariants(a)
     inv_b = racks.element_invariants(b)
     for x in range(a.size):
-        assert inv_a[x][0] == inv_b[f[x]][0]
+        # The whole fingerprint, which starts with the sorted cycle lengths of - <| x.
+        assert inv_a[x] == inv_b[f[x]]
 
 
 def relabel_table(op, perm):
