@@ -26,6 +26,10 @@ from .groups import FiniteGroup, group_from_json, group_to_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
+# Bundles are capped at this many total points, checked on construction,
+# before any |P| x |G| action table or |P|^2 operation table is allocated.
+TOTAL_POINTS_CAP = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteBundle:
@@ -42,6 +46,11 @@ class DiscreteBundle:
     def __post_init__(self):
         if self.base_size < 1:
             raise ShapeError("base must have at least one point")
+        if self.total_size > TOTAL_POINTS_CAP:
+            raise CapExceeded(
+                f"{self.base_size} base points x group order {self.group.order} exceed "
+                f"the total points cap {TOTAL_POINTS_CAP}"
+            )
 
     @property
     def total_size(self) -> int:
@@ -161,17 +170,11 @@ class EquivariantMap:
     def eval(self, p: int) -> int:
         """f(m, g) = g^-1 * f(s(m)) * g."""
         b = self.bundle
-        return b.group.conjugate(self.section_values[b.base(p)], b.coord(p))
+        return int(b.group.conj[self.section_values[b.base(p)], b.coord(p)])
 
     def total_values(self) -> np.ndarray:
         """f(p) for every total point, in point order."""
-        b = self.bundle
-        G = b.group
-        cols = []
-        for c in self.section_values:
-            # row over g of g^-1 * c * g
-            cols.append(G.table[G.table[G.inverses, c], np.arange(G.order)])
-        return np.concatenate(cols)
+        return self.bundle.group.conj[list(self.section_values)].ravel()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantMap):
@@ -192,14 +195,8 @@ def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
     vals = np.asarray(values, dtype=np.int64)
     if vals.shape != (b.total_size,):
         raise ShapeError("need one value per total point")
-    G = b.group
-    act = b.action_table()
-    bad: list[tuple[int, int]] = []
-    for p in b.points():
-        for g in range(G.order):
-            if vals[act[p, g]] != G.conjugate(int(vals[p]), g):
-                bad.append((p, g))
-    return bad
+    bad = vals[b.action_table()] != b.group.conj[vals]
+    return [(int(p), int(g)) for p, g in np.argwhere(bad)]
 
 
 def check_equivariance(f: EquivariantMap) -> tuple[bool, list[tuple[int, int]]]:
@@ -229,16 +226,11 @@ def compose_maps(f1: EquivariantMap, f2: EquivariantMap) -> EquivariantMap:
     """Pointwise product (f1 f2)(p) = f1(p) * f2(p)."""
     if f1.bundle != f2.bundle:
         raise BundleMismatch("maps live on different bundles")
-    G = f1.bundle.group
-    vals = tuple(
-        G.mul(a, b) for a, b in zip(f1.section_values, f2.section_values)
-    )
-    return EquivariantMap(f1.bundle, vals)
+    return EquivariantMap(f1.bundle, f1.bundle.group.table[f1.section_values, f2.section_values])
 
 
 def invert_map(f: EquivariantMap) -> EquivariantMap:
-    G = f.bundle.group
-    return EquivariantMap(f.bundle, tuple(G.inverse(v) for v in f.section_values))
+    return EquivariantMap(f.bundle, f.bundle.group.inverses[list(f.section_values)])
 
 
 def enumerate_maps(

@@ -29,10 +29,9 @@ from .errors import (
     NormalizerViolation,
     ShapeError,
 )
-from .groups import FiniteGroup, Subgroup, centralizes, cosets, normalizer
+from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
-    element_invariants,
     find_isomorphism,
     generalized_alexander,
     magma_from_table,
@@ -167,11 +166,9 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     outside = np.flatnonzero(~np.isin(fvals, normalizer(b.group, H).elements))
     if len(outside):
         p = int(outside[0])
-        members = set(H.elements)
-        witness_h = next(
-            h for h in H.elements if b.group.conjugate(h, int(fvals[p])) not in members
-        )
-        raise NormalizerViolation((p, witness_h))
+        hs = list(H.elements)
+        leaving = np.flatnonzero(~np.isin(b.group.conj[hs, fvals[p]], hs))
+        raise NormalizerViolation((p, hs[leaving[0]]))
 
     orbits = np.sort(b.action_table()[:, H.elements], axis=1)
     smallest, class_of = np.unique(orbits[:, 0], return_inverse=True)
@@ -180,7 +177,7 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     return ReducedQuandle(
         parent=q,
         subgroup=H,
-        classes=tuple(tuple(int(r) for r in orbits[p]) for p in smallest),
+        classes=tuple(map(tuple, orbits[smallest].tolist())),
         class_of=class_of,
         table=table,
     )
@@ -198,9 +195,10 @@ def homogeneous_quandle(G: FiniteGroup, H: Subgroup, c: int) -> MagmaTable:
         raise ShapeError("subgroup belongs to a different group")
     if not 0 <= c < G.order:
         raise ShapeError(f"element {c} out of range")
-    if not centralizes(G, c, H):
-        witness = next(h for h in H.elements if G.mul(c, h) != G.mul(h, c))
-        raise CentralizerViolation(witness)
+    hs = list(H.elements)
+    moved = np.flatnonzero(G.conj[hs, c] != hs)
+    if len(moved):
+        raise CentralizerViolation(hs[moved[0]])
 
     blocks = cosets(G, H, side="right")
     class_of = np.empty(G.order, dtype=np.int64)
@@ -244,7 +242,7 @@ def isomorphism_census(
     ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
     for f in enumerate_maps(b, cap=cap):
         q = build(b, f, check=check)
-        key = tuple(sorted(element_invariants(q.table)))
+        key = tuple(sorted(q.table.invariants))
         entry = None
         for rep, members in buckets.setdefault(key, []):
             if find_isomorphism(q.table, rep.table) is not None:

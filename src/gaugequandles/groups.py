@@ -25,13 +25,14 @@ ASSOCIATIVITY_CAP = 256
 class FiniteGroup:
     """A finite group given by its Cayley table, table[a, b] = a*b.
 
-    Identity is element 0. Instances are immutable; construct through
-    group_from_table or the catalog.
+    Identity is element 0, inverses[a] = a^-1 and conj[a, g] = g^-1 * a * g.
+    Instances are immutable; construct through group_from_table or the catalog.
     """
 
     order: int
     table: np.ndarray
     inverses: np.ndarray
+    conj: np.ndarray
     name: str = ""
 
     def mul(self, a: int, b: int) -> int:
@@ -42,13 +43,11 @@ class FiniteGroup:
 
     def conjugate(self, a: int, g: int) -> int:
         """g^-1 * a * g."""
-        t = self.table
-        return int(t[t[self.inverses[g], a], g])
+        return int(self.conj[a, g])
 
     def inner_automorphism(self, g: int) -> np.ndarray:
         """The permutation a -> g^-1 * a * g as an index array."""
-        t = self.table
-        return t[t[self.inverses[g], :], g].copy()
+        return self.conj[:, g].copy()
 
     def elements(self) -> range:
         return range(self.order)
@@ -128,13 +127,10 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
         raise AxiomViolation("closure", (int(a), int(b)), f"entry {int(t[a, b])} out of range")
 
     idx = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            identity = e
-            break
-    if identity is None:
+    identities = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
+    if not len(identities):
         raise AxiomViolation("identity", None, "no two-sided identity element")
+    identity = int(identities[0])
 
     if verify_associativity:
         if n > ASSOCIATIVITY_CAP:
@@ -144,31 +140,21 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
             )
         _check_associativity(t)
 
-    inverses = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        for b in np.flatnonzero(t[a] == identity):
-            if t[b, a] == identity:
-                inverses[a] = b
-                break
-        if inverses[a] < 0:
-            raise AxiomViolation("inverse", (a,))
+    # Relabel so the identity sits at index 0, preserving the relative order
+    # of the remaining elements: new element i is old element old[i].
+    old = np.concatenate([[identity], np.delete(idx, identity)])
+    t = np.argsort(old)[t[np.ix_(old, old)]]
 
-    if identity != 0:
-        # Relabel so the identity sits at index 0, preserving the relative
-        # order of the remaining elements.
-        relabel = np.empty(n, dtype=np.int64)
-        old_order = [identity] + [a for a in range(n) if a != identity]
-        for new, old in enumerate(old_order):
-            relabel[old] = new
-        new_t = np.empty_like(t)
-        for a in range(n):
-            new_t[relabel[a], relabel] = relabel[t[a]]
-        t = new_t
-        inverses = relabel[inverses[np.argsort(relabel)]]
+    two_sided = (t == 0) & (t.T == 0)
+    missing = np.flatnonzero(~two_sided.any(axis=1))
+    if len(missing):
+        raise AxiomViolation("inverse", (int(old[missing[0]]),))
+    inverses = two_sided.argmax(axis=1)
+    conj = t[t[inverses].T, idx]
 
-    t.setflags(write=False)
-    inverses.setflags(write=False)
-    return FiniteGroup(order=n, table=t, inverses=inverses, name=name)
+    for arr in (t, inverses, conj):
+        arr.setflags(write=False)
+    return FiniteGroup(order=n, table=t, inverses=inverses, conj=conj, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +166,41 @@ def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     elems = sorted({int(a) for a in elements})
     if any(a < 0 or a >= G.order for a in elems):
         raise ShapeError(f"subgroup elements out of range for order {G.order}")
-    member = set(elems)
-    if 0 not in member:
+    if 0 not in elems:
         raise AxiomViolation("identity", None, "subgroup must contain the identity")
-    for a in elems:
-        if G.inverse(a) not in member:
-            raise AxiomViolation("inverse", (a,), "subgroup not closed under inverses")
-        for b in elems:
-            if G.mul(a, b) not in member:
-                raise AxiomViolation("closure", (a, b), "subgroup not closed under product")
+    member = np.zeros(G.order, dtype=bool)
+    member[elems] = True
+    # Row a: a^-1 first, then a*b for every b, the order the witnesses are reported in.
+    bad = ~member[np.column_stack([G.inverses[elems], G.table[np.ix_(elems, elems)]])]
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        if j == 0:
+            raise AxiomViolation("inverse", (elems[i],), "subgroup not closed under inverses")
+        raise AxiomViolation("closure", (elems[i], elems[j - 1]), "subgroup not closed under product")
     return Subgroup(group=G, elements=tuple(elems))
 
 
 def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    """The subgroup generated by the given elements."""
-    closure = {0}
-    frontier = {0, *(int(g) for g in generators)}
-    while frontier:
-        closure |= frontier
-        frontier = {
-            G.mul(a, b) for a in closure for b in closure
-        } | {G.inverse(a) for a in closure}
-        frontier -= closure
-    return subgroup(G, closure)
+    """The subgroup generated by the given elements.
+
+    Closing under products is enough: in a finite group every inverse is a
+    positive power.
+    """
+    elems = np.unique([0, *(int(g) for g in generators)])
+    while True:
+        grown = np.union1d(elems, G.table[np.ix_(elems, elems)])
+        if len(grown) == len(elems):
+            return subgroup(G, elems)
+        elems = grown
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """All g with g^-1 H g = H, as a subgroup."""
-    helems = set(H.elements)
-    keep = [
-        g for g in G.elements()
-        if {G.conjugate(h, g) for h in H.elements} == helems
-    ]
-    return subgroup(G, keep)
+    """All g with g^-1 H g = H, as a subgroup.
+
+    Conjugation is injective, so g^-1 H g inside H already means equal.
+    """
+    hs = list(H.elements)
+    return subgroup(G, np.flatnonzero(np.isin(G.conj[hs], hs).all(axis=0)))
 
 
 def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> list[tuple[int, ...]]:
@@ -222,31 +210,21 @@ def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> list[tuple[int, .
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    seen: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        if side == "left":
-            block = sorted(G.mul(g, h) for h in H.elements)
-        else:
-            block = sorted(G.mul(h, g) for h in H.elements)
-        seen.update(block)
-        blocks.append(tuple(block))
-    blocks.sort(key=lambda b: b[0])
-    return blocks
+    hs = list(H.elements)
+    rows = G.table[:, hs] if side == "left" else G.table[hs, :].T  # row g: gH or Hg
+    # Cosets are disjoint, so sorting the sorted rows orders them by smallest element.
+    return [tuple(block) for block in np.unique(np.sort(rows, axis=1), axis=0).tolist()]
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    helems = set(H.elements)
-    return all(
-        G.conjugate(h, g) in helems for g in G.elements() for h in H.elements
-    )
+    hs = list(H.elements)
+    return bool(np.isin(G.conj[hs], hs).all())
 
 
 def centralizes(G: FiniteGroup, g: int, H: Subgroup) -> bool:
-    """True iff g*h == h*g for every h in H."""
-    return all(G.mul(g, h) == G.mul(h, g) for h in H.elements)
+    """True iff g*h == h*g, that is g^-1 h g == h, for every h in H."""
+    hs = list(H.elements)
+    return bool(np.array_equal(G.conj[hs, g], hs))
 
 
 # ---------------------------------------------------------------------------

@@ -209,35 +209,14 @@ Point = tuple  # (base index or int array of shape (...), group matrix or (..., 
 
 @dataclass(frozen=True, eq=False)
 class SampledBundle:
-    """A finite sample of bundle points standing in for M x G."""
+    """M x G for a finite base 0..base_points-1; points are drawn by random_point."""
 
     model: MatrixGroupModel
     base_points: int
-    points: tuple[Point, ...]
 
     def __post_init__(self):
         if self.base_points < 1:
             raise ShapeError("need at least one base point")
-        if not self.points:
-            return
-        ms, gs = (np.asarray(v) for v in zip(*self.points))
-        out = np.flatnonzero((ms < 0) | (ms >= self.base_points))
-        if len(out):
-            raise ShapeError(f"base index {ms[out[0]]} out of range")
-        r = np.max(membership_residual(self.model, gs))
-        if r > self.model.tolerance:
-            raise ShapeError(f"sampled matrix is not a group member (residual {r:.2e})")
-
-
-def sample_bundle(
-    model: MatrixGroupModel,
-    base_points: int,
-    points_per_base: int,
-    rng: np.random.Generator,
-) -> SampledBundle:
-    ms = np.repeat(np.arange(base_points), points_per_base)
-    gs = random_group_element(model, rng, size=len(ms))
-    return SampledBundle(model=model, base_points=base_points, points=tuple(zip(ms.tolist(), gs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,7 +567,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Build a seeded random section over the requested model and run every check."""
     model = get_model(config.model)
     rng = np.random.default_rng(config.seed)
-    bundle = sample_bundle(model, config.base_points, points_per_base=2, rng=rng)
+    bundle = SampledBundle(model, config.base_points)
     section = AdjointSection(bundle, random_algebra(model, rng, size=config.base_points))
     axioms = {
         "idempotency": check_idempotency(bundle, section, config),

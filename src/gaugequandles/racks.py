@@ -9,6 +9,7 @@ satisfies x <| x == x. Tables store op[x, y] = x <| y.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +34,11 @@ class MagmaTable:
 
     def apply(self, x: int, y: int) -> int:
         return int(self.op[x, y])
+
+    @functools.cached_property
+    def invariants(self) -> list[tuple[int, ...]]:
+        """element_invariants(self), computed once per table."""
+        return element_invariants(self)
 
     def __eq__(self, other) -> bool:
         # Entrywise table equality; labels are display-only.
@@ -135,13 +141,8 @@ def trivial_quandle(n: int) -> MagmaTable:
 
 
 def conjugation_quandle(G: FiniteGroup) -> MagmaTable:
-    """a <| b = b^-1 * a * b on the elements of G."""
-    t = G.table
-    n = G.order
-    op = np.empty((n, n), dtype=np.int64)
-    for b in range(n):
-        op[:, b] = t[t[G.inverses[b], :], b]
-    return magma_from_table(op)
+    """a <| b = b^-1 * a * b on the elements of G: the table G.conj."""
+    return magma_from_table(G.conj)
 
 
 def check_automorphism(G: FiniteGroup, sigma) -> np.ndarray:
@@ -164,11 +165,7 @@ def generalized_alexander(G: FiniteGroup, sigma) -> MagmaTable:
     """g1 <| g2 = sigma(g1 * g2^-1) * g2 for an automorphism sigma of G."""
     s = check_automorphism(G, sigma)
     t = G.table
-    n = G.order
-    op = np.empty((n, n), dtype=np.int64)
-    for g2 in range(n):
-        op[:, g2] = t[s[t[:, G.inverses[g2]]], g2]
-    return magma_from_table(op)
+    return magma_from_table(t[s[t[:, G.inverses]], np.arange(G.order)])
 
 
 def rack_iota(m: MagmaTable) -> np.ndarray:
@@ -180,11 +177,7 @@ def rack_iota(m: MagmaTable) -> np.ndarray:
     report = verify_rack(m)
     if not report.is_rack:
         raise NotARack(f"table fails rack axioms: {report.to_json()}")
-    n = m.size
-    iota = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        iota[x] = int(np.flatnonzero(m.op[:, x] == x)[0])
-    return iota
+    return (m.op == np.arange(m.size)).argmax(axis=0)
 
 
 def associated_quandle(m: MagmaTable) -> MagmaTable:
@@ -261,8 +254,7 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} != {b.size}")
     n = a.size
-    inv_a = element_invariants(a)
-    inv_b = element_invariants(b)
+    inv_a, inv_b = a.invariants, b.invariants
     if sorted(inv_a) != sorted(inv_b):
         return None
 

@@ -278,3 +278,21 @@ def test_out_file_holds_the_printed_json(tmp_path, capsys, s3_point):
     out = tmp_path / "quandle.json"
     assert cli.main(["build", bundle, fmap, "--out", str(out), "--json"]) == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [{"group": "S4", "base_size": 10**9}, {"group": "Z1", "base_size": bundles.TOTAL_POINTS_CAP + 1}],
+)
+def test_bundle_over_total_points_cap_exits_2(tmp_path, capsys, bundle):
+    # The map is short for the bundle, so without the cap this would still
+    # exit 2, but with a different message; nothing is allocated either way.
+    path = write(tmp_path, "bundle.json", bundle)
+    fmap = write(tmp_path, "map.json", {"section_values": [0]})
+    assert cli.main(["build", path, fmap]) == 2
+    assert f"exceed the total points cap {bundles.TOTAL_POINTS_CAP}" in capsys.readouterr().err
+
+
+def test_bundle_at_total_points_cap_constructs(tmp_path):
+    path = write(tmp_path, "bundle.json", {"group": "Q8", "base_size": bundles.TOTAL_POINTS_CAP // 8})
+    assert bundles.load_bundle(path).total_size == bundles.TOTAL_POINTS_CAP

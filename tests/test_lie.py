@@ -125,17 +125,18 @@ def test_random_group_elements_are_members():
             assert lie.membership_residual(model, g) < 1e-12
 
 
-def test_sampled_bundle_rejects_non_members():
+def test_sampled_bundle_rejects_no_base_points():
     model = lie.get_model("SO3")
-    with pytest.raises(ShapeError):
-        lie.SampledBundle(model, 1, ((0, 2 * np.eye(3)),))
+    for base_points in (0, -1):
+        with pytest.raises(ShapeError, match="at least one base point"):
+            lie.SampledBundle(model, base_points)
 
 
 def test_adjoint_section_equivariance():
     rng = np.random.default_rng(31)
     for name in ("SO3", "SU2"):
         model = lie.get_model(name)
-        b = lie.sample_bundle(model, 3, 2, rng)
+        b = lie.SampledBundle(model, 3)
         X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
         assert X.equivariance_residual(rng, samples=40) < 1e-12
 
@@ -143,7 +144,7 @@ def test_adjoint_section_equivariance():
 def test_op_t_degenerate_cases():
     rng = np.random.default_rng(41)
     model = lie.get_model("SO3")
-    b = lie.sample_bundle(model, 2, 2, rng)
+    b = lie.SampledBundle(model, 2)
     X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(2)))
     p1 = lie.random_point(b, rng)
     p2 = lie.random_point(b, rng)
@@ -165,7 +166,7 @@ def test_op_t_degenerate_cases():
 def test_op_t_stays_in_group_and_on_base():
     rng = np.random.default_rng(43)
     model = lie.get_model("SU2")
-    b = lie.sample_bundle(model, 3, 2, rng)
+    b = lie.SampledBundle(model, 3)
     X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
     for _ in range(30):
         p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
@@ -179,7 +180,7 @@ def test_op_t_stays_in_group_and_on_base():
 def test_op_t_and_membership_on_a_stack_match_per_slice_calls(name):
     rng = np.random.default_rng(83)
     model = lie.get_model(name)
-    b = lie.sample_bundle(model, 3, 2, rng)
+    b = lie.SampledBundle(model, 3)
     X = lie.AdjointSection(b, lie.random_algebra(model, rng, size=3))
     p1, p2 = lie.random_point(b, rng, 12), lie.random_point(b, rng, 12)
     t = rng.uniform(-2.0, 2.0, size=12)
@@ -223,7 +224,7 @@ def test_get_model_gl_at_the_cap():
 def _setup(name, seed):
     rng = np.random.default_rng(seed)
     model = lie.get_model(name)
-    b = lie.sample_bundle(model, 3, 2, rng)
+    b = lie.SampledBundle(model, 3)
     X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
     return b, X
 
@@ -231,7 +232,7 @@ def _setup(name, seed):
 def test_self_action_zero_section_is_exact():
     model = lie.get_model("SO3")
     rng = np.random.default_rng(47)
-    b = lie.sample_bundle(model, 2, 2, rng)
+    b = lie.SampledBundle(model, 2)
     zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
     rep = lie.check_self_action(b, zero, lie.SweepConfig(samples=20, seed=1))
     assert rep.max_residual == 0.0
@@ -270,7 +271,7 @@ def test_noether_same_point():
 def test_noether_zero_section_always_fixes():
     model = lie.get_model("SU2")
     rng = np.random.default_rng(67)
-    b = lie.sample_bundle(model, 2, 2, rng)
+    b = lie.SampledBundle(model, 2)
     zero = lie.AdjointSection(b, (np.zeros((2, 2), dtype=complex),) * 2)
     p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
     rep = lie.check_noether(b, zero, p1, p2, [1.0, 2.0])
