@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, json_int
+from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, index_array, json_int
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -112,10 +112,7 @@ class GaugeTransformation:
 
     def __post_init__(self):
         b = self.bundle
-        vals = np.asarray(self.values)
-        if not np.issubdtype(vals.dtype, np.integer):
-            raise ShapeError(f"gauge transformation values must be integers, got dtype {vals.dtype}")
-        vals = vals.astype(np.int64)  # a copy: freezing it leaves the caller's array alone
+        vals = index_array(self.values, b.total_size, "gauge transformation values")
         points = np.arange(b.total_size)
         if vals.shape != points.shape or not np.array_equal(np.sort(vals), points):
             raise AlgebraError("gauge transformation must permute the total points")
@@ -125,7 +122,6 @@ class GaugeTransformation:
         act = b.action_table()
         if not np.array_equal(vals[act], act[vals]):
             raise AlgebraError("equivariance phi(p*g) == phi(p)*g fails")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __call__(self, p: int) -> int:
@@ -156,16 +152,11 @@ class EquivariantMap:
     section_values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.section_values)
-        if len(vals) != self.bundle.base_size:
-            raise ShapeError(
-                f"need one section value per base point, got {len(vals)} "
-                f"for base size {self.bundle.base_size}"
-            )
-        n = self.bundle.group.order
-        if any(v < 0 or v >= n for v in vals):
-            raise ShapeError("section values out of range for the structure group")
-        object.__setattr__(self, "section_values", vals)
+        vals = index_array(self.section_values, self.bundle.group.order, "section values")
+        n = self.bundle.base_size
+        if vals.shape != (n,):
+            raise ShapeError(f"need one section value per base point, got {vals.size} for base size {n}")
+        object.__setattr__(self, "section_values", tuple(vals.tolist()))
 
     def eval(self, p: int) -> int:
         """f(m, g) = g^-1 * f(s(m)) * g."""
@@ -192,7 +183,7 @@ def identity_map(b: DiscreteBundle) -> EquivariantMap:
 
 def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
     """Pairs (p, g) where f(p*g) != g^-1 f(p) g for a raw total-value array."""
-    vals = np.asarray(values, dtype=np.int64)
+    vals = index_array(values, b.group.order, "map values")
     if vals.shape != (b.total_size,):
         raise ShapeError("need one value per total point")
     bad = vals[b.action_table()] != b.group.conj[vals]

@@ -1,6 +1,8 @@
-"""Exception types shared across the library, and the strict JSON number readers."""
+"""Exception types shared across the library, and the strict input readers."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class AlgebraError(Exception):
@@ -101,3 +103,22 @@ def json_real(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ShapeError(f"{what} is too large for a float") from None
+
+
+def index_array(values, bound: int | None, what: str) -> np.ndarray:
+    """Element indices of any integer dtype as a read-only, C-ordered int64 copy.
+
+    Bool, float, string and object input fail, as does an entry outside
+    0..bound-1 (bound=None skips the range check, for a caller that reports a
+    bad entry with its own witness). Empty input passes whatever its dtype,
+    since np.asarray([]) is float.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ShapeError(f"{what} must be integers, got dtype {arr.dtype}")
+    if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        bad = arr[(arr < 0) | (arr >= bound)][0]
+        raise ShapeError(f"{what} must lie in 0..{bound - 1}, got {bad}")
+    out = np.array(arr, dtype=np.int64, order="C")
+    out.setflags(write=False)
+    return out

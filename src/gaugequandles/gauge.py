@@ -28,6 +28,7 @@ from .errors import (
     CentralizerViolation,
     NormalizerViolation,
     ShapeError,
+    index_array,
 )
 from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
@@ -88,9 +89,7 @@ def build(b: DiscreteBundle, f: EquivariantMap, *, check: bool = True) -> GaugeQ
 def fiber_quandle(q: GaugeQuandle, m: int) -> MagmaTable:
     """The subquandle on pi^-1(m), re-indexed 0..|G|-1 in chart order."""
     b = q.bundle
-    if not 0 <= m < b.base_size:
-        raise ShapeError(f"base index {m} out of range")
-    pts = b.point(m, np.arange(b.group.order))
+    pts = b.point(int(index_array(m, b.base_size, "base index")), np.arange(b.group.order))
     return magma_from_table(b.coord(q.table.op[np.ix_(pts, pts)]))
 
 
@@ -117,8 +116,8 @@ def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
     (i, j) whose products land in more than one class, or when the quotient
     fails the quandle axioms.
     """
-    op = np.asarray(op)
-    class_of = np.asarray(class_of)
+    op = magma_from_table(op).op
+    class_of = index_array(class_of, len(op), "class indices")
     ids, reps = np.unique(class_of, return_index=True)
     if class_of.shape != op.shape[:1] or not np.array_equal(ids, np.arange(len(ids))):
         raise ShapeError("class_of must give every element a class index 0..k-1")
@@ -193,8 +192,7 @@ def homogeneous_quandle(G: FiniteGroup, H: Subgroup, c: int) -> MagmaTable:
     """
     if H.group != G:
         raise ShapeError("subgroup belongs to a different group")
-    if not 0 <= c < G.order:
-        raise ShapeError(f"element {c} out of range")
+    c = int(index_array(c, G.order, "element"))
     hs = list(H.elements)
     moved = np.flatnonzero(G.conj[hs, c] != hs)
     if len(moved):
@@ -230,18 +228,17 @@ class CensusClass:
         return len(self.members)
 
 
-def isomorphism_census(
-    b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP, *, check: bool = True
-) -> list[CensusClass]:
+def isomorphism_census(b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusClass]:
     """Group all |G|^|M| gauge quandles on b into isomorphism classes.
 
-    Classes appear in order of their first representative (enumeration is
-    lexicographic in section values), so output is deterministic.
+    Every table is built with its quandle axioms verified. Classes appear in
+    order of their first representative (enumeration is lexicographic in
+    section values), so output is deterministic.
     """
     buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
     ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
     for f in enumerate_maps(b, cap=cap):
-        q = build(b, f, check=check)
+        q = build(b, f)
         key = tuple(sorted(q.table.invariants))
         entry = None
         for rep, members in buckets.setdefault(key, []):

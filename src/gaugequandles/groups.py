@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, ShapeError, json_int
+from .errors import AxiomViolation, ShapeError, index_array, json_int
 
 # Exhaustive O(n^3) associativity validation is capped here; larger tables
 # must be constructed with verify_associativity=False.
@@ -95,12 +95,10 @@ def _as_index_table(table) -> np.ndarray:
         raise ShapeError(f"Cayley table must be square, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError("Cayley table must be non-empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == arr.astype(np.int64)):
-            arr = arr.astype(np.int64)
-        else:
-            raise ShapeError(f"Cayley table entries must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
+    if np.issubdtype(arr.dtype, np.floating) and np.all(arr == arr.astype(np.int64)):
+        arr = arr.astype(np.int64)  # integral floats such as 2.0 are accepted
+    # No bound: group_from_table reports an out-of-range entry as a closure witness.
+    return index_array(arr, None, "Cayley table entries")
 
 
 def _check_associativity(t: np.ndarray) -> None:
@@ -163,9 +161,7 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
 
 def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Validate a set of element indices as a subgroup of G."""
-    elems = sorted({int(a) for a in elements})
-    if any(a < 0 or a >= G.order for a in elems):
-        raise ShapeError(f"subgroup elements out of range for order {G.order}")
+    elems = np.unique(index_array(list(elements), G.order, "subgroup elements")).tolist()
     if 0 not in elems:
         raise AxiomViolation("identity", None, "subgroup must contain the identity")
     member = np.zeros(G.order, dtype=bool)
@@ -186,7 +182,7 @@ def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     Closing under products is enough: in a finite group every inverse is a
     positive power.
     """
-    elems = np.unique([0, *(int(g) for g in generators)])
+    elems = np.union1d([0], index_array(list(generators), G.order, "generators"))
     while True:
         grown = np.union1d(elems, G.table[np.ix_(elems, elems)])
         if len(grown) == len(elems):

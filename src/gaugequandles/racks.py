@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, json_int
+from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, index_array, json_int
 from .groups import FiniteGroup
 
 # Chunk the n^3 self-distributivity scan to bound peak memory.
@@ -74,17 +74,11 @@ def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
     arr = np.asarray(op)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ShapeError(f"operation table must be square and non-empty, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ShapeError(f"operation table entries must be integers, got dtype {arr.dtype}")
-    # Always a C-ordered copy: a Fortran-ordered table slows verify_rack, and
-    # freezing a view below would freeze the caller's array.
-    arr = np.array(arr, dtype=np.int64, order="C")
     n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
-        raise ShapeError("operation table entries out of range")
+    # A C-ordered copy: a Fortran-ordered table would slow verify_rack.
+    arr = index_array(arr, n, "operation table entries")
     if labels is not None and len(labels) != n:
         raise ShapeError(f"got {len(labels)} labels for {n} elements")
-    arr.setflags(write=False)
     return MagmaTable(size=n, op=arr, labels=tuple(labels) if labels is not None else None)
 
 
@@ -150,7 +144,7 @@ def check_automorphism(G: FiniteGroup, sigma) -> np.ndarray:
 
     Raises AutomorphismRequired with a witness pair (a, b) on failure.
     """
-    s = np.asarray(sigma, dtype=np.int64)
+    s = index_array(sigma, G.order, "sigma")
     if s.shape != (G.order,) or sorted(s.tolist()) != list(range(G.order)):
         raise ShapeError(f"sigma must be a permutation of 0..{G.order - 1}")
     t = G.table
@@ -196,11 +190,9 @@ def associated_quandle(m: MagmaTable) -> MagmaTable:
 
 def morphism_witnesses(f, src: MagmaTable, dst: MagmaTable) -> list[tuple[int, int]]:
     """Pairs (x, y) where f(x <| y) != f(x) <| f(y), sorted."""
-    fa = np.asarray(f, dtype=np.int64)
+    fa = index_array(f, dst.size, "map values")
     if fa.shape != (src.size,):
         raise ShapeError(f"map must assign all {src.size} source elements")
-    if fa.min() < 0 or fa.max() >= dst.size:
-        raise ShapeError("map values out of range for the target table")
     bad = np.argwhere(fa[src.op] != dst.op[np.ix_(fa, fa)])
     return [(int(x), int(y)) for x, y in bad]
 

@@ -180,6 +180,21 @@ def test_map_validation():
         bundles.EquivariantMap(b, (1,))
     with pytest.raises(ShapeError):
         bundles.EquivariantMap(b, (1, 9))
+    with pytest.raises(ShapeError):
+        bundles.EquivariantMap(b, (1, 2.7))
+    with pytest.raises(ShapeError):
+        bundles.EquivariantMap(b, (-1, 0))
+    f = bundles.EquivariantMap(b, np.array([1, 2], dtype=np.int32))
+    assert f.section_values == (1, 2) and all(type(v) is int for v in f.section_values)
+
+
+@pytest.mark.parametrize("last", [-1, 9, 5.0])
+def test_equivariance_witnesses_reject_values_outside_the_group(last):
+    # -1 was once read as element 5 through negative indexing, giving 31
+    # witnesses, and 9 raised a bare IndexError.
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 1)
+    with pytest.raises(ShapeError):
+        bundles.equivariance_witnesses(b, [0, 1, 2, 3, 4, last])
 
 
 def test_bundle_json_round_trip(tmp_path):

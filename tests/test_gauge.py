@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation
+from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation, ShapeError
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -352,3 +352,33 @@ def test_quotient_names_the_first_bad_class_pair():
     with pytest.raises(AlgebraError) as ref:
         quotient_by_loop(op, class_of)
     assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G, q, op: gauge.homogeneous_quandle(G, groups.subgroup(G, [0]), 1.5),
+        lambda G, q, op: gauge.homogeneous_quandle(G, groups.subgroup(G, [0]), 6),
+        lambda G, q, op: gauge.fiber_quandle(q, 0.5),
+        lambda G, q, op: gauge.fiber_quandle(q, True),
+        lambda G, q, op: gauge.fiber_quandle(q, -1),
+        lambda G, q, op: gauge.quotient(op, [0, 0, 0, 0, 0, 0.0]),
+        lambda G, q, op: gauge.quotient(op, [0, 0, 0, 0, 0, 6]),
+        lambda G, q, op: gauge.quotient(op[:, :5], [0, 0, 0, 0, 0, 0]),
+    ],
+)
+def test_element_arguments_must_be_integer_indices(call):
+    G, b = over_a_point("S3")
+    q = gauge.build(b, bundles.EquivariantMap(b, (0,)))
+    with pytest.raises(ShapeError):
+        call(G, q, racks.conjugation_quandle(G).op)
+
+
+def test_element_arguments_accept_numpy_integers():
+    G, b = over_a_point("S3")
+    q = gauge.build(b, bundles.EquivariantMap(b, (2,)))
+    assert gauge.fiber_quandle(q, np.int32(0)) == q.table
+    trivial = groups.subgroup(G, [0])
+    assert gauge.homogeneous_quandle(G, trivial, np.int64(2)) == gauge.homogeneous_quandle(G, trivial, 2)
+    op = racks.conjugation_quandle(G).op
+    assert gauge.quotient(op, np.zeros(6, dtype=np.int32)).size == 1

@@ -162,6 +162,11 @@ def test_subgroup_validation():
         groups.subgroup(G, [1, 3])  # not closed
     with pytest.raises(AxiomViolation):
         groups.subgroup(G, [3])  # missing identity
+    for bad in ([0, 1.9], [True, False], [0, 6], [0, -3]):
+        with pytest.raises(ShapeError):
+            groups.subgroup(G, bad)
+    assert groups.subgroup(G, np.array([3, 0], dtype=np.int32)) == H
+    assert groups.subgroup(G, {np.int64(0), 3}) == H
 
 
 def test_generated_subgroup():
@@ -169,6 +174,10 @@ def test_generated_subgroup():
     three_cycle = s3_index((1, 2, 0))
     H = groups.generated_subgroup(G, [three_cycle])
     assert H.order == 3
+    assert groups.generated_subgroup(G, []).elements == (0,)
+    for bad in ([99], [6], [-1], [1.0]):
+        with pytest.raises(ShapeError):
+            groups.generated_subgroup(G, bad)
 
 
 def test_normalizer_extremes():

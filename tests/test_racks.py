@@ -421,6 +421,33 @@ def test_bad_table_shapes():
         racks.magma_from_table([[0, 5], [1, 0]])
     with pytest.raises(ShapeError):
         racks.magma_from_table([[0.5, 0], [1, 0]])
+    with pytest.raises(ShapeError):
+        racks.magma_from_table([[True, False], [False, True]])
+    with pytest.raises(ShapeError):
+        racks.magma_from_table([[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G, m: racks.check_automorphism(G, [0.0, 1.2, 2, 3, 4, 5]),
+        lambda G, m: racks.check_automorphism(G, [0, 1, 2, 3, 4, 6]),
+        lambda G, m: racks.morphism_witnesses([0.5, 1, 2, 3, 4, 5], m, m),
+        lambda G, m: racks.morphism_witnesses([0, 1, 2, 3, 4, -1], m, m),
+    ],
+)
+def test_maps_of_elements_must_be_integer_indices(call):
+    G = groups.catalog("S3")
+    with pytest.raises(ShapeError):
+        call(G, racks.conjugation_quandle(G))
+
+
+def test_maps_of_elements_accept_any_integer_dtype():
+    G = groups.catalog("S3")
+    m = racks.conjugation_quandle(G)
+    ident = np.arange(6, dtype=np.int32)
+    assert racks.check_automorphism(G, ident).tolist() == list(range(6))
+    assert racks.is_morphism(ident, m, m)
 
 
 def test_tables_are_stored_c_contiguous_copies():
