@@ -78,7 +78,6 @@ from .racks import (
     generalized_alexander,
     is_morphism,
     trivial_quandle,
-    verify_quandle,
     verify_rack,
 )
 

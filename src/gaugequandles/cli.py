@@ -77,6 +77,10 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
 
+def _load_map(args) -> bundles.EquivariantMap:
+    return bundles.load_map(bundles.load_bundle(args.bundle), args.map)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -90,10 +94,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build(args) -> int:
-    b = bundles.load_bundle(args.bundle)
-    f = bundles.load_map(b, args.map)
-    q = gauge.build(b, f)
+    q = gauge.build(_load_map(args))
     obj = gauge.gauge_quandle_to_json(q)
+    b = q.bundle
     human = f"gauge quandle on {q.table.size} points (base {b.base_size}, group order {b.group.order})\n"
     human += _maybe_table(q.table)
     _emit(args, obj, human)
@@ -101,9 +104,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_rack(args) -> int:
-    b = bundles.load_bundle(args.bundle)
-    f = bundles.load_map(b, args.map)
-    m = gauge.rack_from_map(b, f)
+    m = gauge.rack_from_map(_load_map(args))
     report = racks.verify_rack(m)
     obj = {**racks.magma_to_json(m), "report": report.to_json()}
     human = f"augmented-rack table on {m.size} points\n" + _maybe_table(m)
@@ -131,12 +132,12 @@ def cmd_census(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    b = bundles.load_bundle(args.bundle)
-    f = bundles.load_map(b, args.map)
-    q = gauge.build(b, f)
+    f = _load_map(args)
+    q = gauge.build(f)
     transported, psi = gauge.transport_fiber(q, args.base)
     c = f.section_values[args.base]
-    expected = racks.generalized_alexander(b.group, b.group.inner_automorphism(c))
+    G = f.bundle.group
+    expected = racks.generalized_alexander(G, G.inner_automorphism(c))
     matches = transported == expected
     obj = {
         **racks.magma_to_json(transported),
@@ -153,10 +154,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    b = bundles.load_bundle(args.bundle)
-    f = bundles.load_map(b, args.map)
-    q = gauge.build(b, f)
-    H = _parse_subgroup(b.group, args.subgroup)
+    q = gauge.build(_load_map(args))
+    H = _parse_subgroup(q.bundle.group, args.subgroup)
     reduced = gauge.reduce(q, H)
     obj = {
         **racks.magma_to_json(reduced.table),
@@ -216,63 +215,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out")
+    output.add_argument("--json", action="store_true")
+    on_map = argparse.ArgumentParser(add_help=False)
+    on_map.add_argument("bundle")
+    on_map.add_argument("map")
+
     p = sub.add_parser("verify", help="check the rack/quandle axioms of a table file")
     p.add_argument("quandle", help="quandle JSON file")
     p.add_argument("--rack", action="store_true", help="accept racks (skip idempotency in the verdict)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("build", help="build the gauge quandle of a bundle and an equivariant map")
-    p.add_argument("bundle")
-    p.add_argument("map")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_build)
+    sub.add_parser(
+        "build", parents=[on_map, output], help="build the gauge quandle of a bundle and an equivariant map"
+    ).set_defaults(func=cmd_build)
 
-    p = sub.add_parser("rack", help="build the augmented-rack table p1 <| p2 = p1 * f(p2)")
-    p.add_argument("bundle")
-    p.add_argument("map")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rack)
+    sub.add_parser(
+        "rack", parents=[on_map, output], help="build the augmented-rack table p1 <| p2 = p1 * f(p2)"
+    ).set_defaults(func=cmd_rack)
 
-    p = sub.add_parser("census", help="group all gauge quandles on a bundle into isomorphism classes")
+    p = sub.add_parser(
+        "census", parents=[output], help="group all gauge quandles on a bundle into isomorphism classes"
+    )
     p.add_argument("bundle")
     p.add_argument("--cap", type=int, default=bundles.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("fiber", help="transport one fiber quandle onto the group and cross-check it")
-    p.add_argument("bundle")
-    p.add_argument("map")
+    p = sub.add_parser(
+        "fiber", parents=[on_map, output], help="transport one fiber quandle onto the group and cross-check it"
+    )
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fiber)
 
-    p = sub.add_parser("reduce", help="quotient a gauge quandle by a subgroup of the structure group")
-    p.add_argument("bundle")
-    p.add_argument("map")
+    p = sub.add_parser(
+        "reduce", parents=[on_map, output], help="quotient a gauge quandle by a subgroup of the structure group"
+    )
     p.add_argument("--subgroup", required=True, help="comma-separated element indices")
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("homogeneous", help="coset quandle of a group for a centralizing element")
+    p = sub.add_parser("homogeneous", parents=[output], help="coset quandle of a group for a centralizing element")
     p.add_argument("group", help="catalog name or group JSON file")
     p.add_argument("--subgroup", required=True, help="comma-separated element indices")
     p.add_argument("--element", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_homogeneous)
 
-    p = sub.add_parser("lie-check", help="run the seeded numerical axiom sweep from a config file")
+    p = sub.add_parser("lie-check", parents=[output], help="run the seeded numerical axiom sweep from a config file")
     p.add_argument("config", help="sweep config JSON file")
     p.add_argument("--seed", type=int)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lie_check)
 
     return parser

@@ -105,15 +105,42 @@ def json_real(value, what: str) -> float:
         raise ShapeError(f"{what} is too large for a float") from None
 
 
+def _holds_bool(values) -> bool:
+    """Whether nested lists and tuples hold a bool at any depth, read one level's types at a time."""
+    stack = [values]
+    while stack:
+        level = stack.pop()
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds:
+            return True
+        if any(issubclass(k, (list, tuple)) for k in kinds):
+            stack.extend(v for v in level if isinstance(v, (list, tuple)))
+    return False
+
+
+def read_array(values, what: str) -> np.ndarray:
+    """np.asarray, but a bool in a list (numpy reads [0, True] as int64) or ragged rows raise ShapeError.
+
+    Only list and tuple input is scanned, so arrays the library builds pay nothing.
+    """
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ShapeError(f"{what} must be integers, got a bool")
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ShapeError(f"{what} must form a rectangular array, got ragged rows") from None
+
+
 def index_array(values, bound: int | None, what: str) -> np.ndarray:
     """Element indices of any integer dtype as a read-only, C-ordered int64 copy.
 
-    Bool, float, string and object input fail, as does an entry outside
-    0..bound-1 (bound=None skips the range check, for a caller that reports a
-    bad entry with its own witness). Empty input passes whatever its dtype,
-    since np.asarray([]) is float.
+    Bool, float, string and object input fail (read_array also rejects a bool
+    in a list and ragged rows), as does an entry outside 0..bound-1
+    (bound=None skips the range check, for a caller that reports a bad entry
+    with its own witness). Empty input passes whatever its dtype, since
+    np.asarray([]) is float.
     """
-    arr = np.asarray(values)
+    arr = read_array(values, what)
     if arr.size and arr.dtype.kind not in "iu":  # signed or unsigned integers
         raise ShapeError(f"{what} must be integers, got dtype {arr.dtype}")
     if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):

@@ -37,53 +37,45 @@ from .racks import (
     generalized_alexander,
     magma_from_table,
     magma_to_json,
-    verify_quandle,
+    verify_rack,
 )
 
 
-def rack_from_map(b: DiscreteBundle, f: EquivariantMap) -> MagmaTable:
-    """The augmented-rack operation p1 <| p2 = p1 * f(p2).
+def rack_from_map(f: EquivariantMap) -> MagmaTable:
+    """The augmented-rack operation p1 <| p2 = p1 * f(p2) on f's bundle.
 
     Always a rack; a quandle only when f is identically the unit, since
     x <| x = x * f(x).
     """
-    act = b.action_table()
-    fvals = f.total_values()
-    return magma_from_table(act[:, fvals])
+    return magma_from_table(f.bundle.action_table()[:, f.total_values()])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GaugeQuandle:
-    """A gauge quandle: the bundle, the inducing map, and the full table."""
+    """A gauge quandle: the inducing map, which fixes the bundle, and the full table."""
 
-    bundle: DiscreteBundle
     map: EquivariantMap
     table: MagmaTable
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaugeQuandle):
-            return NotImplemented
-        return (
-            self.bundle == other.bundle
-            and self.map == other.map
-            and self.table == other.table
-        )
+    @property
+    def bundle(self) -> DiscreteBundle:
+        return self.map.bundle
 
 
-def build(b: DiscreteBundle, f: EquivariantMap, *, check: bool = True) -> GaugeQuandle:
-    """Construct the gauge quandle p1 <|f p2 = phi_f^-1(p1) * f(p2).
+def build(f: EquivariantMap, *, check: bool = True) -> GaugeQuandle:
+    """Construct the gauge quandle p1 <|f p2 = phi_f^-1(p1) * f(p2) on f's bundle.
 
     This equals p1 * f(p1)^-1 f(p2), since phi_f^-1(p1) = p1 * f(p1)^-1. With
     check=True the quandle axioms are verified exhaustively over all |P|^3
     triples.
     """
-    op = b.action_table()[to_gauge(f).inverted().values][:, f.total_values()]
+    op = f.bundle.action_table()[to_gauge(f).inverted().values][:, f.total_values()]
     table = magma_from_table(op)
     if check:
-        report = verify_quandle(table)
+        report = verify_rack(table)
         if not report.is_quandle:
             raise AlgebraError(f"constructed table fails quandle axioms: {report.to_json()}")
-    return GaugeQuandle(bundle=b, map=f, table=table)
+    return GaugeQuandle(map=f, table=table)
 
 
 def fiber_quandle(q: GaugeQuandle, m: int) -> MagmaTable:
@@ -133,7 +125,7 @@ def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
             f"quotient not well-defined on classes ({i}, {j}): images {images.tolist()}"
         )
     m = magma_from_table(table, labels=labels)
-    report = verify_quandle(m)
+    report = verify_rack(m)
     if not report.is_quandle:
         raise AlgebraError(f"quotient table fails quandle axioms: {report.to_json()}")
     return m
@@ -218,10 +210,13 @@ def gauge_quandle_to_json(q: GaugeQuandle) -> dict:
 
 @dataclass(frozen=True)
 class CensusClass:
-    """One isomorphism class of gauge quandles over a fixed bundle."""
+    """One isomorphism class of gauge quandles: section values in enumeration order."""
 
-    representative: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
+
+    @property
+    def representative(self) -> tuple[int, ...]:
+        return self.members[0]
 
     @property
     def size(self) -> int:
@@ -238,7 +233,7 @@ def isomorphism_census(b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP) ->
     buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
     ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
     for f in enumerate_maps(b, cap=cap):
-        q = build(b, f)
+        q = build(f)
         key = tuple(sorted(q.table.invariants))
         entry = None
         for rep, members in buckets.setdefault(key, []):
@@ -250,7 +245,4 @@ def isomorphism_census(b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP) ->
             buckets[key].append(entry)
             ordered.append(entry)
         entry[1].append(f.section_values)
-    return [
-        CensusClass(representative=rep.map.section_values, members=tuple(members))
-        for rep, members in ordered
-    ]
+    return [CensusClass(members=tuple(members)) for _, members in ordered]

@@ -7,14 +7,12 @@ Elements are dense integer indices 0..n-1 with the identity fixed at 0.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, ShapeError, index_array, json_int
+from .errors import AxiomViolation, ShapeError, index_array, json_int, read_array
 
 # Exhaustive O(n^3) associativity validation is capped here; larger tables
 # must be constructed with verify_associativity=False.
@@ -90,7 +88,7 @@ class Subgroup:
 
 
 def _as_index_table(table) -> np.ndarray:
-    arr = np.asarray(table)
+    arr = read_array(table, "Cayley table entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"Cayley table must be square, got shape {arr.shape}")
     if arr.size == 0:
@@ -342,7 +340,3 @@ def group_from_json(obj) -> FiniteGroup:
         if "name" in obj:
             return catalog(str(obj["name"]))
     raise ShapeError("group JSON must be a catalog name or carry a 'table'")
-
-
-def load_group(path: str | Path) -> FiniteGroup:
-    return group_from_json(json.loads(Path(path).read_text()))

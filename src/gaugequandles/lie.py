@@ -259,7 +259,7 @@ def random_point(b: SampledBundle, rng: np.random.Generator, size=None) -> Point
     return (rng.integers(b.base_points, size=size), random_group_element(b.model, rng, size=size))
 
 
-def op_t(b: SampledBundle, X: AdjointSection, p1: Point, p2: Point, t) -> Point:
+def op_t(X: AdjointSection, p1: Point, p2: Point, t) -> Point:
     """p1 <|_t p2 = (m1, g1 * exp(-t X(p1)) * exp(t X(p2))).
 
     t is a scalar or an array that broadcasts with the points' leading shape.
@@ -357,41 +357,41 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
     )
 
 
-def _draw(b: SampledBundle, config: SweepConfig, points: int, params: int) -> list:
+def _draw(X: AdjointSection, config: SweepConfig, points: int, params: int) -> list:
     """`points` stacks of sample points, then `params` stacks of t values, from the config's seed."""
     rng = np.random.default_rng(config.seed)
-    stacks = [random_point(b, rng, config.samples) for _ in range(points)]
+    stacks = [random_point(X.bundle, rng, config.samples) for _ in range(points)]
     return [*stacks, *rng.uniform(*config.t_range, size=(params, config.samples))]
 
 
-def check_idempotency(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
+def check_idempotency(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """x <|_s x == x."""
-    x, s = _draw(b, config, 1, 1)
-    return _report("idempotency", config, _gap(op_t(b, X, x, x, s), x))
+    x, s = _draw(X, config, 1, 1)
+    return _report("idempotency", config, _gap(op_t(X, x, x, s), x))
 
 
-def check_self_action(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
+def check_self_action(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s y == x <|_{s+t} y."""
-    x, y, t, s = _draw(b, config, 2, 2)
-    lhs = op_t(b, X, op_t(b, X, x, y, t), y, s)
-    rhs = op_t(b, X, x, y, s + t)
+    x, y, t, s = _draw(X, config, 2, 2)
+    lhs = op_t(X, op_t(X, x, y, t), y, s)
+    rhs = op_t(X, x, y, s + t)
     return _report("self_action", config, _gap(lhs, rhs))
 
 
-def check_self_distributivity(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
+def check_self_distributivity(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s z == (x <|_s z) <|_t (y <|_s z)."""
-    x, y, z, t, s = _draw(b, config, 3, 2)
-    lhs = op_t(b, X, op_t(b, X, x, y, t), z, s)
-    rhs = op_t(b, X, op_t(b, X, x, z, s), op_t(b, X, y, z, s), t)
+    x, y, z, t, s = _draw(X, config, 3, 2)
+    lhs = op_t(X, op_t(X, x, y, t), z, s)
+    rhs = op_t(X, op_t(X, x, z, s), op_t(X, y, z, s), t)
     return _report("self_distributivity", config, _gap(lhs, rhs))
 
 
-def check_key_identity(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
+def check_key_identity(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """exp(t X(p1 * exp(s X(p2)))) == exp(-s X(p2)) exp(t X(p1)) exp(s X(p2)).
 
     The conjugation identity that makes the other axioms work.
     """
-    p1, p2, t, s = _draw(b, config, 2, 2)
+    p1, p2, t, s = _draw(X, config, 2, 2)
     t, s = _col(t), _col(s)
     h = mat_exp(s * X.eval(p2))
     lhs = mat_exp(t * X.eval((p1[0], p1[1] @ h)))
@@ -399,10 +399,10 @@ def check_key_identity(b: SampledBundle, X: AdjointSection, config: SweepConfig)
     return _report("key_identity", config, _fro(lhs - rhs))
 
 
-def check_membership(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> ResidualReport:
+def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """Operation results stay in the group (chart residual)."""
-    x, y, t = _draw(b, config, 2, 1)
-    return _report("membership", config, membership_residual(b.model, op_t(b, X, x, y, t)[1]))
+    x, y, t = _draw(X, config, 2, 1)
+    return _report("membership", config, membership_residual(X.bundle.model, op_t(X, x, y, t)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +435,14 @@ class NoetherReport:
         return {key: np.asarray(value).tolist() for key, value in fields.items()}
 
 
-def _fixing_residual(b: SampledBundle, X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
+def _fixing_residual(X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
     """Max over the last axis of ts of the distance from p <|_t q to p."""
     p = (np.expand_dims(p[0], -1), np.expand_dims(p[1], -3))
     q = (np.expand_dims(q[0], -1), np.expand_dims(q[1], -3))
-    return _gap(op_t(b, X, p, q, ts), p).max(axis=-1)
+    return _gap(op_t(X, p, q, ts), p).max(axis=-1)
 
 
 def check_noether(
-    b: SampledBundle,
     X: AdjointSection,
     p1: Point,
     p2: Point,
@@ -458,8 +457,8 @@ def check_noether(
     ts = np.asarray(t_samples, dtype=float)
     if ts.ndim == 0 or ts.shape[-1] == 0:
         raise ShapeError("need at least one t sample")
-    fwd = _fixing_residual(b, X, p1, p2, ts)
-    bwd = _fixing_residual(b, X, p2, p1, ts)
+    fwd = _fixing_residual(X, p1, p2, ts)
+    bwd = _fixing_residual(X, p2, p1, ts)
     return NoetherReport(
         fixes_forward=fwd <= tolerance,
         fixes_backward=bwd <= tolerance,
@@ -500,28 +499,26 @@ class NoetherSweepReport:
         }
 
 
-def equal_section_pair(
-    b: SampledBundle, X: AdjointSection, rng: np.random.Generator, size=None
-) -> tuple[Point, Point]:
+def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -> tuple[Point, Point]:
     """A pair of distinct points with X(p1) == X(p2) exactly, or a stack of pairs.
 
     Multiplying the fiber coordinate on the left by exp(a * Xs(m)) commutes
     with Xs(m), so the adjoint value is unchanged.
     """
-    m, g = random_point(b, rng, size)
+    m, g = random_point(X.bundle, rng, size)
     a = rng.uniform(0.5, 1.5, size=size)
     return (m, g), (m, mat_exp(_col(a) * X.section_algebra_values[m]) @ g)
 
 
-def noether_sweep(b: SampledBundle, X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
+def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     """Agreement of the directional predicates over random and equal-X pairs."""
     rng = np.random.default_rng(config.seed)
     n = config.samples
     ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
-    p1, p2 = random_point(b, rng, n), random_point(b, rng, n)
-    q1, q2 = equal_section_pair(b, X, rng, n)
-    random_pairs = check_noether(b, X, p1, p2, ts, config.tolerance)
-    equal_pairs = check_noether(b, X, q1, q2, ts, config.tolerance)
+    p1, p2 = random_point(X.bundle, rng, n), random_point(X.bundle, rng, n)
+    q1, q2 = equal_section_pair(X, rng, n)
+    random_pairs = check_noether(X, p1, p2, ts, config.tolerance)
+    equal_pairs = check_noether(X, q1, q2, ts, config.tolerance)
     return NoetherSweepReport(
         samples=n,
         seed=config.seed,
@@ -570,15 +567,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     bundle = SampledBundle(model, config.base_points)
     section = AdjointSection(bundle, random_algebra(model, rng, size=config.base_points))
     axioms = {
-        "idempotency": check_idempotency(bundle, section, config),
-        "self_action": check_self_action(bundle, section, config),
-        "self_distributivity": check_self_distributivity(bundle, section, config),
-        "key_identity": check_key_identity(bundle, section, config),
-        "membership": check_membership(bundle, section, config),
+        "idempotency": check_idempotency(section, config),
+        "self_action": check_self_action(section, config),
+        "self_distributivity": check_self_distributivity(section, config),
+        "key_identity": check_key_identity(section, config),
+        "membership": check_membership(section, config),
     }
     eq_res = section.equivariance_residual(np.random.default_rng(config.seed), samples=50)
     section_eq = _report("section_equivariance", config, eq_res, tolerance=PRIMITIVE_TOLERANCE)
-    noether = noether_sweep(bundle, section, config)
+    noether = noether_sweep(section, config)
     return SweepReport(
         config=config,
         axioms=axioms,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, index_array, json_int
+from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, index_array, json_int, read_array
 from .groups import FiniteGroup
 
 # Chunk the n^3 self-distributivity scan to bound peak memory.
@@ -71,7 +71,7 @@ class RackReport:
 
 
 def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
-    arr = np.asarray(op)
+    arr = read_array(op, "operation table entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ShapeError(f"operation table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
@@ -115,11 +115,6 @@ def verify_rack(m: MagmaTable) -> RackReport:
         bijectivity_violations=bij,
         idem_violations=idem,
     )
-
-
-def verify_quandle(m: MagmaTable) -> RackReport:
-    """Rack scan plus idempotency; see verify_rack (one scan covers both)."""
-    return verify_rack(m)
 
 
 # ---------------------------------------------------------------------------

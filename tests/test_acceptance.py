@@ -36,7 +36,7 @@ def instances():
         for base_size in BASE_SIZES:
             b = bundles.trivial_bundle(G, base_size)
             for f in bundles.enumerate_maps(b, cap=MAP_CAP):
-                out.append((b, f, gauge.build(b, f, check=False)))
+                out.append((b, f, gauge.build(f, check=False)))
     return out
 
 
@@ -52,7 +52,7 @@ def sweeps():
 def test_criterion_01_gauge_quandle_axioms(instances):
     ok = bool(instances)
     for b, f, q in instances:
-        report = racks.verify_quandle(q.table)
+        report = racks.verify_rack(q.table)
         bases = np.arange(b.total_size) // b.group.order
         ok = ok and report.is_quandle and bool(
             np.array_equal(bases[q.table.op], np.broadcast_to(bases[:, None], q.table.op.shape))
@@ -62,8 +62,8 @@ def test_criterion_01_gauge_quandle_axioms(instances):
 
 def test_criterion_02_iota_consistency(instances):
     ok = True
-    for b, f, q in instances:
-        rack = gauge.rack_from_map(b, f)
+    for _, f, q in instances:
+        rack = gauge.rack_from_map(f)
         ok = ok and racks.associated_quandle(rack) == q.table
     _verdict(2, "associated quandle of the rack equals the built quandle", ok)
 
@@ -79,7 +79,7 @@ def test_criterion_03_over_a_point_generalized_alexander():
             expected = racks.generalized_alexander(
                 G, G.inner_automorphism(f.section_values[0])
             )
-            ok = ok and gauge.build(b, f).table == expected
+            ok = ok and gauge.build(f).table == expected
     _verdict(3, "over a point: table equals the generalized Alexander quandle", ok)
 
 
@@ -104,7 +104,7 @@ def test_criterion_05_reduced_quandles():
     right_cosets = groups.cosets(G, H, "right")
     ok = True
     for f in bundles.enumerate_maps(b):
-        q = gauge.build(b, f)
+        q = gauge.build(f)
         if any(int(v) not in norm for v in f.total_values()):
             continue  # outside the criterion's scope (never happens: H is normal)
         red = gauge.reduce(q, H)
@@ -113,7 +113,7 @@ def test_criterion_05_reduced_quandles():
             for p2 in b.points():
                 i, j = int(red.class_of[p1]), int(red.class_of[p2])
                 ok = ok and int(red.class_of[q.table.apply(p1, p2)]) == red.table.apply(i, j)
-        ok = ok and racks.verify_quandle(red.table).is_quandle
+        ok = ok and racks.verify_rack(red.table).is_quandle
         c = f.section_values[0]
         if groups.centralizes(G, c, H):
             hom = gauge.homogeneous_quandle(G, H, c)
@@ -202,7 +202,7 @@ def test_criterion_10_negative_controls():
     op = base.op.copy()
     op[0, 1] = (op[0, 1] + 1) % 6
     mutated = racks.magma_from_table(op)
-    report = racks.verify_quandle(mutated)
+    report = racks.verify_rack(mutated)
     ok = ok and not report.is_quandle
     ok = ok and bool(
         report.sd_violations or report.bijectivity_violations or report.idem_violations
@@ -218,7 +218,7 @@ def test_criterion_10_negative_controls():
     G = groups.catalog("S3")
     b = bundles.trivial_bundle(G, 1)
     H = groups.generated_subgroup(G, [TRANSPOSITION])
-    q = gauge.build(b, bundles.EquivariantMap(b, (THREE_CYCLE,)))
+    q = gauge.build(bundles.EquivariantMap(b, (THREE_CYCLE,)))
     try:
         gauge.reduce(q, H)
         ok = False

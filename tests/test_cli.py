@@ -102,7 +102,7 @@ def test_rack_subcommand(tmp_path, capsys, s3_point):
     assert obj["report"]["is_rack"] is True
     b = bundles.trivial_bundle(groups.catalog("S3"), 1)
     f = bundles.EquivariantMap(b, (TRANSPOSITION,))
-    assert obj["op"] == gauge.rack_from_map(b, f).op.tolist()
+    assert obj["op"] == gauge.rack_from_map(f).op.tolist()
 
 
 def test_census_s3_over_point(tmp_path, capsys):
@@ -207,6 +207,8 @@ def test_format_table_alignment():
         ({"group": "S3", "base_size": 2}, 23),
         ({"group": {"table": [[0, 1], [1, 0]], "order": 2.9}, "base_size": 2}, [0, 1]),
         ({"group": {"table": [[0]], "order": True}, "base_size": 2}, [0, 0]),
+        ({"group": {"table": [[0, True], [True, 0]]}, "base_size": 2}, [0, 1]),
+        ({"group": {"table": [[0, 1], [1]]}, "base_size": 2}, [0, 1]),
     ],
 )
 def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values):
@@ -256,6 +258,14 @@ def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):
 @pytest.mark.parametrize("size, op", [(2.9, [[0, 0], [1, 1]]), (True, [[0]]), ("2", [[0, 0], [1, 1]])])
 def test_verify_rejects_non_integer_size_exits_2(tmp_path, capsys, size, op):
     path = write(tmp_path, "quandle.json", {"size": size, "op": op})
+    assert cli.main(["verify", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", [[[0, True], [1, 1]], [[False, 0], [1, 1]], [[0, 1], [1]]])
+def test_verify_rejects_bool_entries_and_ragged_tables_exits_2(tmp_path, capsys, op):
+    # numpy alone would read [0, true] as [0, 1] and report a non-bijective column (exit 1).
+    path = write(tmp_path, "quandle.json", {"op": op})
     assert cli.main(["verify", path]) == 2
     assert "error:" in capsys.readouterr().err
 

@@ -35,6 +35,9 @@ def test_index_array_reads_scalars_and_empty_input():
         ([0, 3], r"0\.\.2, got 3"),
         ([-1, 0], r"0\.\.2, got -1"),
         (np.array([2**63], dtype=np.uint64), r"got 9223372036854775808"),
+        ([0, True], "integers, got a bool"),
+        ([[0, 1], [2, (0, False)]], "integers, got a bool"),
+        ([[0, 1], [2]], "rectangular"),
     ],
 )
 def test_index_array_rejects_non_integers_and_out_of_range_entries(values, message):

@@ -18,14 +18,14 @@ def over_a_point(name):
 
 def test_rack_from_identity_map_is_trivial():
     G, b = over_a_point("S3")
-    m = gauge.rack_from_map(b, bundles.identity_map(b))
+    m = gauge.rack_from_map(bundles.identity_map(b))
     assert m == racks.trivial_quandle(6)
 
 
 def test_rack_from_map_z2_hand_table():
     # Over a point with Z2 and f(e) = 1: p <| q = p + 1, the constant shift.
     G, b = over_a_point("Z2")
-    m = gauge.rack_from_map(b, bundles.EquivariantMap(b, (1,)))
+    m = gauge.rack_from_map(bundles.EquivariantMap(b, (1,)))
     assert m.op.tolist() == [[1, 1], [0, 0]]
     report = racks.verify_rack(m)
     assert report.is_rack and not report.is_quandle
@@ -35,36 +35,52 @@ def test_rack_always_verifies_quandle_sometimes():
     G = groups.catalog("D3")
     b = bundles.trivial_bundle(G, 2)
     for f in bundles.enumerate_maps(b):
-        assert racks.verify_rack(gauge.rack_from_map(b, f)).is_rack
+        assert racks.verify_rack(gauge.rack_from_map(f)).is_rack
 
 
 def test_associated_quandle_of_rack_equals_build():
     G = groups.catalog("D4")
     b = bundles.trivial_bundle(G, 2)
     for f in bundles.enumerate_maps(b):
-        rack = gauge.rack_from_map(b, f)
-        q = gauge.build(b, f, check=False)
+        rack = gauge.rack_from_map(f)
+        q = gauge.build(f, check=False)
         assert racks.associated_quandle(rack) == q.table
+
+
+def test_build_and_rack_read_the_bundle_off_the_map():
+    # Z6 and S3 have the same order, so a table of the wrong group has the right size.
+    tables = {}
+    for name in ("Z6", "S3"):
+        G, b = over_a_point(name)
+        f = bundles.EquivariantMap(b, (THREE_CYCLE,))
+        q = gauge.build(f)
+        assert q.bundle is b
+        assert q.table == racks.generalized_alexander(G, G.inner_automorphism(THREE_CYCLE))
+        rack = gauge.rack_from_map(f).op.tolist()
+        # p1 <| p2 = p1 * f(p2), with f(p2) = p2^-1 * f(e) * p2 over a point
+        assert rack == [[G.mul(x, G.conjugate(THREE_CYCLE, y)) for y in G.elements()] for x in G.elements()]
+        tables[name] = (q.table, rack)
+    assert tables["Z6"][0] != tables["S3"][0] and tables["Z6"][1] != tables["S3"][1]
 
 
 def test_build_trivial_cases():
     Gt, bt = over_a_point("Z1")
-    q = gauge.build(bt, bundles.identity_map(bt))
+    q = gauge.build(bundles.identity_map(bt))
     assert q.table == racks.trivial_quandle(1)
 
     G = groups.catalog("S4")
     b = bundles.trivial_bundle(G, 2)
-    assert gauge.build(b, bundles.identity_map(b)).table == racks.trivial_quandle(48)
+    assert gauge.build(bundles.identity_map(b)).table == racks.trivial_quandle(48)
 
     # Trivial structure group over any base
     b3 = bundles.trivial_bundle(groups.catalog("Z1"), 3)
-    assert gauge.build(b3, bundles.identity_map(b3)).table == racks.trivial_quandle(3)
+    assert gauge.build(bundles.identity_map(b3)).table == racks.trivial_quandle(3)
 
 
 def test_build_preserves_base():
     G = groups.catalog("D3")
     b = bundles.trivial_bundle(G, 3)
-    q = gauge.build(b, bundles.EquivariantMap(b, (1, 4, 2)))
+    q = gauge.build(bundles.EquivariantMap(b, (1, 4, 2)))
     for p1 in b.points():
         for p2 in b.points():
             assert b.base(q.table.apply(p1, p2)) == b.base(p1)
@@ -76,19 +92,19 @@ def test_build_over_point_equals_generalized_alexander():
         for f in bundles.enumerate_maps(b):
             c = f.section_values[0]
             expected = racks.generalized_alexander(G, G.inner_automorphism(c))
-            assert gauge.build(b, f).table == expected
+            assert gauge.build(f).table == expected
 
 
 def test_fiber_quandle_whole_space_over_point():
     G, b = over_a_point("S3")
     f = bundles.EquivariantMap(b, (2,))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     assert gauge.fiber_quandle(q, 0) == q.table
 
 
 def test_fiber_quandles_of_trivial_structure_group():
     b = bundles.trivial_bundle(groups.catalog("Z1"), 3)
-    q = gauge.build(b, bundles.identity_map(b))
+    q = gauge.build(bundles.identity_map(b))
     for m in range(3):
         assert gauge.fiber_quandle(q, m) == racks.trivial_quandle(1)
 
@@ -97,7 +113,7 @@ def test_fiber_quandles_with_distinct_section_values():
     G = groups.catalog("S3")
     b = bundles.trivial_bundle(G, 2)
     f = bundles.EquivariantMap(b, (TRANSPOSITION, THREE_CYCLE))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     for m in range(2):
         fib = gauge.fiber_quandle(q, m)
         expected = racks.generalized_alexander(
@@ -110,7 +126,7 @@ def test_transport_fiber_matches_generalized_alexander():
     G = groups.catalog("S3")
     b = bundles.trivial_bundle(G, 3)
     f = bundles.EquivariantMap(b, (0, TRANSPOSITION, THREE_CYCLE))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     for m in range(3):
         transported, psi = gauge.transport_fiber(q, m)
         expected = racks.generalized_alexander(
@@ -123,7 +139,7 @@ def test_transport_fiber_matches_generalized_alexander():
 
 def test_transport_fiber_identity_map_trivial():
     G, b = over_a_point("D4")
-    q = gauge.build(b, bundles.identity_map(b))
+    q = gauge.build(bundles.identity_map(b))
     transported, _ = gauge.transport_fiber(q, 0)
     assert transported == racks.trivial_quandle(8)
 
@@ -132,7 +148,7 @@ def test_reduce_by_trivial_subgroup_is_identity():
     G = groups.catalog("S3")
     b = bundles.trivial_bundle(G, 2)
     f = bundles.EquivariantMap(b, (1, 3))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     red = gauge.reduce(q, groups.subgroup(G, [0]))
     assert red.table == q.table
     assert all(len(c) == 1 for c in red.classes)
@@ -142,7 +158,7 @@ def test_reduce_by_whole_group_collapses_fibers():
     G = groups.catalog("S3")
     b = bundles.trivial_bundle(G, 3)
     f = bundles.EquivariantMap(b, (1, 3, 5))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     red = gauge.reduce(q, groups.subgroup(G, list(G.elements())))
     assert red.table == racks.trivial_quandle(3)
 
@@ -151,9 +167,9 @@ def test_reduce_s3_over_point_by_rotations():
     G, b = over_a_point("S3")
     H = groups.generated_subgroup(G, [THREE_CYCLE])
     f = bundles.EquivariantMap(b, (TRANSPOSITION,))
-    red = gauge.reduce(gauge.build(b, f), H)
+    red = gauge.reduce(gauge.build(f), H)
     assert red.table.size == 2
-    assert racks.verify_quandle(red.table).is_quandle
+    assert racks.verify_rack(red.table).is_quandle
 
 
 def test_reduce_class_map_is_a_quandle_morphism():
@@ -161,7 +177,7 @@ def test_reduce_class_map_is_a_quandle_morphism():
     b = bundles.trivial_bundle(G, 2)
     H = groups.generated_subgroup(G, [THREE_CYCLE])
     f = bundles.EquivariantMap(b, (THREE_CYCLE, 0))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     red = gauge.reduce(q, H)
     assert racks.is_morphism(red.class_of, q.table, red.table)
 
@@ -170,7 +186,7 @@ def test_reduce_normalizer_violation_witness():
     G, b = over_a_point("S3")
     H = groups.generated_subgroup(G, [TRANSPOSITION])  # normalizer is H itself
     f = bundles.EquivariantMap(b, (THREE_CYCLE,))
-    q = gauge.build(b, f)
+    q = gauge.build(f)
     with pytest.raises(NormalizerViolation) as err:
         gauge.reduce(q, H)
     p, h = err.value.witness
@@ -210,7 +226,7 @@ def test_homogeneous_matches_reduce_for_normal_subgroup():
     G, b = over_a_point("S3")
     H = groups.generated_subgroup(G, [THREE_CYCLE])
     for c in H.elements:  # the centralizer of H in S3 is H itself
-        q = gauge.build(b, bundles.EquivariantMap(b, (c,)))
+        q = gauge.build(bundles.EquivariantMap(b, (c,)))
         red = gauge.reduce(q, H)
         hom = gauge.homogeneous_quandle(G, H, c)
         right = groups.cosets(G, H, "right")
@@ -241,10 +257,10 @@ def test_census_trivial_group():
 def test_gauge_quandle_provenance_json():
     G, b = over_a_point("Z4")
     f = bundles.EquivariantMap(b, (2,))
-    obj = gauge.gauge_quandle_to_json(gauge.build(b, f))
+    obj = gauge.gauge_quandle_to_json(gauge.build(f))
     assert obj["provenance"]["bundle"] == {"group": "Z4", "base_size": 1}
     assert obj["provenance"]["section_values"] == [2]
-    assert racks.magma_from_json(obj) == gauge.build(b, f).table
+    assert racks.magma_from_json(obj) == gauge.build(f).table
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +295,7 @@ def quotient_by_loop(op, class_of):
 def test_gauge_table_forms_agree_on_every_map(name):
     b = bundles.trivial_bundle(groups.catalog(name), 2)
     for f in bundles.enumerate_maps(b):
-        q = gauge.build(b, f, check=False)
+        q = gauge.build(f, check=False)
         assert np.array_equal(q.table.op, gauge_table_by_shift(b, f))
 
 
@@ -287,7 +303,7 @@ def test_build_table_is_c_contiguous():
     G = groups.catalog("S4")
     b = bundles.trivial_bundle(G, 8)
     f = bundles.EquivariantMap(b, (1, 5, 9, 13, 17, 21, 3, 0))
-    op = gauge.build(b, f).table.op
+    op = gauge.build(f).table.op
     assert op.shape == (192, 192) and op.flags.c_contiguous
 
 
@@ -304,7 +320,7 @@ def congruences(draw):
         usable = [c for c in G.elements() if all(G.conjugate(c, g) in norm for g in G.elements())]
         b = bundles.trivial_bundle(G, draw(st.integers(1, 2)))
         values = draw(st.lists(st.sampled_from(usable), min_size=b.base_size, max_size=b.base_size))
-        op = gauge.build(b, bundles.EquivariantMap(b, tuple(values)), check=False).table.op
+        op = gauge.build(bundles.EquivariantMap(b, tuple(values)), check=False).table.op
         blocks = [sorted({b.act(p, h) for h in H.elements}) for p in b.points()]
     else:
         c = draw(st.sampled_from([c for c in G.elements() if groups.centralizes(G, c, H)]))
@@ -369,14 +385,14 @@ def test_quotient_names_the_first_bad_class_pair():
 )
 def test_element_arguments_must_be_integer_indices(call):
     G, b = over_a_point("S3")
-    q = gauge.build(b, bundles.EquivariantMap(b, (0,)))
+    q = gauge.build(bundles.EquivariantMap(b, (0,)))
     with pytest.raises(ShapeError):
         call(G, q, racks.conjugation_quandle(G).op)
 
 
 def test_element_arguments_accept_numpy_integers():
     G, b = over_a_point("S3")
-    q = gauge.build(b, bundles.EquivariantMap(b, (2,)))
+    q = gauge.build(bundles.EquivariantMap(b, (2,)))
     assert gauge.fiber_quandle(q, np.int32(0)) == q.table
     trivial = groups.subgroup(G, [0])
     assert gauge.homogeneous_quandle(G, trivial, np.int64(2)) == gauge.homogeneous_quandle(G, trivial, 2)

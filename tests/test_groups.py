@@ -162,7 +162,7 @@ def test_subgroup_validation():
         groups.subgroup(G, [1, 3])  # not closed
     with pytest.raises(AxiomViolation):
         groups.subgroup(G, [3])  # missing identity
-    for bad in ([0, 1.9], [True, False], [0, 6], [0, -3]):
+    for bad in ([0, 1.9], [True, False], [0, True], [0, 6], [0, -3]):
         with pytest.raises(ShapeError):
             groups.subgroup(G, bad)
     assert groups.subgroup(G, np.array([3, 0], dtype=np.int32)) == H

@@ -149,18 +149,18 @@ def test_op_t_degenerate_cases():
     p1 = lie.random_point(b, rng)
     p2 = lie.random_point(b, rng)
 
-    m, g = lie.op_t(b, X, p1, p2, 0.0)
+    m, g = lie.op_t(X, p1, p2, 0.0)
     assert m == p1[0] and np.linalg.norm(g - p1[1]) < 1e-15
 
-    m, g = lie.op_t(b, X, p1, p1, 1.3)
+    m, g = lie.op_t(X, p1, p1, 1.3)
     assert m == p1[0] and np.linalg.norm(g - p1[1]) < 1e-13
 
     zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
-    m, g = lie.op_t(b, zero, p1, p2, 1.7)
+    m, g = lie.op_t(zero, p1, p2, 1.7)
     assert np.linalg.norm(g - p1[1]) < 1e-15
 
     with pytest.raises(NonFinite):
-        lie.op_t(b, X, p1, p2, float("nan"))
+        lie.op_t(X, p1, p2, float("nan"))
 
 
 def test_op_t_stays_in_group_and_on_base():
@@ -171,7 +171,7 @@ def test_op_t_stays_in_group_and_on_base():
     for _ in range(30):
         p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
         t = rng.uniform(-2.0, 2.0)
-        m, g = lie.op_t(b, X, p1, p2, t)
+        m, g = lie.op_t(X, p1, p2, t)
         assert m == p1[0]
         assert lie.membership_residual(model, g) < 1e-12
 
@@ -184,11 +184,11 @@ def test_op_t_and_membership_on_a_stack_match_per_slice_calls(name):
     X = lie.AdjointSection(b, lie.random_algebra(model, rng, size=3))
     p1, p2 = lie.random_point(b, rng, 12), lie.random_point(b, rng, 12)
     t = rng.uniform(-2.0, 2.0, size=12)
-    m, g = lie.op_t(b, X, p1, p2, t)
+    m, g = lie.op_t(X, p1, p2, t)
     residuals = lie.membership_residual(model, g)
     assert m.shape == (12,) and g.shape == (12, model.dim, model.dim) and residuals.shape == (12,)
     for i in range(12):
-        mi, gi = lie.op_t(b, X, (p1[0][i], p1[1][i]), (p2[0][i], p2[1][i]), t[i])
+        mi, gi = lie.op_t(X, (p1[0][i], p1[1][i]), (p2[0][i], p2[1][i]), t[i])
         assert mi == m[i]
         assert np.linalg.norm(gi - g[i]) < 1e-14
         assert abs(lie.membership_residual(model, gi) - residuals[i]) < 1e-14
@@ -234,18 +234,18 @@ def test_self_action_zero_section_is_exact():
     rng = np.random.default_rng(47)
     b = lie.SampledBundle(model, 2)
     zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
-    rep = lie.check_self_action(b, zero, lie.SweepConfig(samples=20, seed=1))
+    rep = lie.check_self_action(zero, lie.SweepConfig(samples=20, seed=1))
     assert rep.max_residual == 0.0
 
 
 def test_axiom_checks_pass_on_both_models():
     for name in ("SO3", "SU2"):
-        b, X = _setup(name, 53)
+        _, X = _setup(name, 53)
         plan = lie.SweepConfig(samples=60, seed=53)
-        assert lie.check_idempotency(b, X, plan).passed
-        assert lie.check_self_action(b, X, plan).passed
-        assert lie.check_self_distributivity(b, X, plan).passed
-        assert lie.check_key_identity(b, X, plan).passed
+        assert lie.check_idempotency(X, plan).passed
+        assert lie.check_self_action(X, plan).passed
+        assert lie.check_self_distributivity(X, plan).passed
+        assert lie.check_key_identity(X, plan).passed
 
 
 def test_self_distributivity_reduces_to_self_action_when_z_equals_y():
@@ -254,8 +254,8 @@ def test_self_distributivity_reduces_to_self_action_when_z_equals_y():
     for _ in range(20):
         x, y = lie.random_point(b, rng), lie.random_point(b, rng)
         t, s = rng.uniform(-2.0, 2.0, size=2)
-        lhs = lie.op_t(b, X, lie.op_t(b, X, x, y, t), y, s)
-        rhs = lie.op_t(b, X, lie.op_t(b, X, x, y, s), lie.op_t(b, X, y, y, s), t)
+        lhs = lie.op_t(X, lie.op_t(X, x, y, t), y, s)
+        rhs = lie.op_t(X, lie.op_t(X, x, y, s), lie.op_t(X, y, y, s), t)
         assert np.linalg.norm(lhs[1] - rhs[1]) < 1e-10
 
 
@@ -263,7 +263,7 @@ def test_noether_same_point():
     b, X = _setup("SO3", 61)
     rng = np.random.default_rng(61)
     p = lie.random_point(b, rng)
-    rep = lie.check_noether(b, X, p, p, [0.5, 1.0, -1.7])
+    rep = lie.check_noether(X, p, p, [0.5, 1.0, -1.7])
     assert rep.fixes_forward and rep.fixes_backward and rep.agree
     assert rep.algebra_gap < 1e-15
 
@@ -274,7 +274,7 @@ def test_noether_zero_section_always_fixes():
     b = lie.SampledBundle(model, 2)
     zero = lie.AdjointSection(b, (np.zeros((2, 2), dtype=complex),) * 2)
     p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
-    rep = lie.check_noether(b, zero, p1, p2, [1.0, 2.0])
+    rep = lie.check_noether(zero, p1, p2, [1.0, 2.0])
     assert rep.fixes_forward and rep.fixes_backward
 
 
@@ -283,19 +283,19 @@ def test_noether_generic_pairs_fail_both_ways():
     rng = np.random.default_rng(71)
     for _ in range(20):
         p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
-        rep = lie.check_noether(b, X, p1, p2, rng.uniform(-2, 2, size=5))
+        rep = lie.check_noether(X, p1, p2, rng.uniform(-2, 2, size=5))
         assert rep.agree
         if rep.algebra_gap > 1e-6:
             assert not rep.fixes_forward and not rep.fixes_backward
 
 
 def test_equal_section_pairs_fix_both_ways():
-    b, X = _setup("SU2", 73)
+    _, X = _setup("SU2", 73)
     rng = np.random.default_rng(73)
     for _ in range(20):
-        p1, p2 = lie.equal_section_pair(b, X, rng)
+        p1, p2 = lie.equal_section_pair(X, rng)
         assert np.linalg.norm(p1[1] - p2[1]) > 1e-6  # genuinely distinct points
-        rep = lie.check_noether(b, X, p1, p2, rng.uniform(-2, 2, size=5))
+        rep = lie.check_noether(X, p1, p2, rng.uniform(-2, 2, size=5))
         assert rep.fixes_forward and rep.fixes_backward and rep.agree
         assert rep.algebra_gap < 1e-12
 
@@ -305,7 +305,7 @@ def test_check_noether_requires_samples():
     rng = np.random.default_rng(79)
     p = lie.random_point(b, rng)
     with pytest.raises(ShapeError):
-        lie.check_noether(b, X, p, p, [])
+        lie.check_noether(X, p, p, [])
 
 
 def test_sweep_config_json_round_trip(tmp_path):

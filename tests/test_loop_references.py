@@ -275,7 +275,7 @@ def test_equivariance_witnesses_match_loop(G, base, data):
 def test_rack_iota_matches_loop(G, base, data):
     b = bundles.trivial_bundle(G, base)
     values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
-    m = gauge.rack_from_map(b, bundles.EquivariantMap(b, values))
+    m = gauge.rack_from_map(bundles.EquivariantMap(b, values))
     assert np.array_equal(racks.rack_iota(m), ref_rack_iota(m))
 
 

@@ -28,7 +28,7 @@ def test_trivial_quandle_is_quandle():
     m = racks.trivial_quandle(5)
     report = racks.verify_rack(m)
     assert report.is_rack and report.is_quandle
-    assert racks.verify_quandle(racks.trivial_quandle(7)).is_quandle
+    assert racks.verify_rack(racks.trivial_quandle(7)).is_quandle
 
 
 def test_projection_magma_is_not_a_rack():
@@ -42,7 +42,7 @@ def test_projection_magma_is_not_a_rack():
 def test_conjugation_quandle_s3():
     G = groups.catalog("S3")
     m = racks.conjugation_quandle(G)
-    assert racks.verify_quandle(m).is_quandle
+    assert racks.verify_rack(m).is_quandle
     # Orbits under all right translations are the conjugacy classes
     parent = list(range(6))
 
@@ -71,7 +71,7 @@ def test_conjugation_quandle_abelian_is_trivial():
 @pytest.mark.parametrize("name", groups.catalog_names())
 def test_conjugation_quandle_every_catalog_group(name):
     m = racks.conjugation_quandle(groups.catalog(name))
-    assert racks.verify_quandle(m).is_quandle
+    assert racks.verify_rack(m).is_quandle
 
 
 def test_verify_matches_brute_force_on_random_tables():
@@ -98,7 +98,7 @@ def test_generalized_alexander_s3_spot_entries():
     G = groups.catalog("S3")
     c = S3_PERMS.index((1, 0, 2))  # conjugate by a transposition
     m = racks.generalized_alexander(G, G.inner_automorphism(c))
-    assert racks.verify_quandle(m).is_quandle
+    assert racks.verify_rack(m).is_quandle
     cinv = S3_PERMS[G.inverse(c)]
     cperm = S3_PERMS[c]
     for g1, g2 in itertools.product(range(6), repeat=2):
@@ -169,7 +169,7 @@ def test_associated_quandle_over_corpus():
     for m in rack_corpus():
         assert racks.verify_rack(m).is_rack
         q = racks.associated_quandle(m)
-        assert racks.verify_quandle(q).is_quandle
+        assert racks.verify_rack(q).is_quandle
         assert racks.associated_quandle(q) == q
 
 
@@ -283,7 +283,7 @@ def is_isomorphism(f, a, b):
 
 def gauge_quandle(name, base, values):
     b = bundles.trivial_bundle(groups.catalog(name), base)
-    return gauge.build(b, bundles.EquivariantMap(b, tuple(values))).table
+    return gauge.build(bundles.EquivariantMap(b, tuple(values))).table
 
 
 def vf2_isomorphic(a, b):
@@ -425,6 +425,11 @@ def test_bad_table_shapes():
         racks.magma_from_table([[True, False], [False, True]])
     with pytest.raises(ShapeError):
         racks.magma_from_table([[0, -1], [1, 0]])
+    for mixed_or_ragged in ([[0, True], [True, 0]], [[0, 1], [1]], ((0, 1), [1, np.True_])):
+        with pytest.raises(ShapeError):
+            racks.magma_from_table(mixed_or_ragged)
+        with pytest.raises(ShapeError):
+            groups.group_from_table(mixed_or_ragged)
 
 
 @pytest.mark.parametrize(
