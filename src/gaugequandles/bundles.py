@@ -24,7 +24,8 @@ import numpy as np
 from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, index_array, json_int
 from .groups import FiniteGroup, group_from_json, group_to_json
 
-DEFAULT_ENUMERATION_CAP = 10**6
+# enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
+ENUMERATION_CAP = 10**6
 
 # Bundles are capped at this many total points, checked on construction,
 # before any |P| x |G| action table or |P|^2 operation table is allocated.
@@ -224,13 +225,11 @@ def invert_map(f: EquivariantMap) -> EquivariantMap:
     return EquivariantMap(f.bundle, f.bundle.group.inverses[list(f.section_values)])
 
 
-def enumerate_maps(
-    b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[EquivariantMap]:
+def enumerate_maps(b: DiscreteBundle) -> Iterator[EquivariantMap]:
     """All |G|^|M| equivariant maps, one per section-value assignment."""
     total = b.group.order ** b.base_size
-    if total > cap:
-        raise CapExceeded(f"{total} maps exceed the cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapExceeded(f"{total} maps exceed the cap {ENUMERATION_CAP}")
     for vals in itertools.product(range(b.group.order), repeat=b.base_size):
         yield EquivariantMap(b, vals)
 

@@ -115,7 +115,7 @@ def cmd_rack(args) -> int:
 
 def cmd_census(args) -> int:
     b = bundles.load_bundle(args.bundle)
-    classes = gauge.isomorphism_census(b, cap=args.cap)
+    classes = gauge.isomorphism_census(b)
     total = sum(c.size for c in classes)
     obj = {
         "maps": total,
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         "census", parents=[output], help="group all gauge quandles on a bundle into isomorphism classes"
     )
     p.add_argument("bundle")
-    p.add_argument("--cap", type=int, default=bundles.DEFAULT_ENUMERATION_CAP)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser(

@@ -106,12 +106,14 @@ def json_real(value, what: str) -> float:
 
 
 def _holds_bool(values) -> bool:
-    """Whether nested lists and tuples hold a bool at any depth, read one level's types at a time."""
+    """Whether nested lists and tuples hold a bool or a bool array at any depth, one level at a time."""
     stack = [values]
     while stack:
         level = stack.pop()
         kinds = set(map(type, level))
         if bool in kinds or np.bool_ in kinds:
+            return True
+        if np.ndarray in kinds and any(v.dtype == bool for v in level if isinstance(v, np.ndarray)):
             return True
         if any(issubclass(k, (list, tuple)) for k in kinds):
             stack.extend(v for v in level if isinstance(v, (list, tuple)))

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .bundles import (
-    DEFAULT_ENUMERATION_CAP,
     DiscreteBundle,
     EquivariantMap,
     bundle_to_json,
@@ -62,19 +61,17 @@ class GaugeQuandle:
         return self.map.bundle
 
 
-def build(f: EquivariantMap, *, check: bool = True) -> GaugeQuandle:
+def build(f: EquivariantMap) -> GaugeQuandle:
     """Construct the gauge quandle p1 <|f p2 = phi_f^-1(p1) * f(p2) on f's bundle.
 
-    This equals p1 * f(p1)^-1 f(p2), since phi_f^-1(p1) = p1 * f(p1)^-1. With
-    check=True the quandle axioms are verified exhaustively over all |P|^3
-    triples.
+    This equals p1 * f(p1)^-1 f(p2), since phi_f^-1(p1) = p1 * f(p1)^-1. The
+    quandle axioms are verified exhaustively over all |P|^3 triples.
     """
     op = f.bundle.action_table()[to_gauge(f).inverted().values][:, f.total_values()]
     table = magma_from_table(op)
-    if check:
-        report = verify_rack(table)
-        if not report.is_quandle:
-            raise AlgebraError(f"constructed table fails quandle axioms: {report.to_json()}")
+    report = verify_rack(table)
+    if not report.is_quandle:
+        raise AlgebraError(f"constructed table fails quandle axioms: {report.to_json()}")
     return GaugeQuandle(map=f, table=table)
 
 
@@ -223,7 +220,7 @@ class CensusClass:
         return len(self.members)
 
 
-def isomorphism_census(b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP) -> list[CensusClass]:
+def isomorphism_census(b: DiscreteBundle) -> list[CensusClass]:
     """Group all |G|^|M| gauge quandles on b into isomorphism classes.
 
     Every table is built with its quandle axioms verified. Classes appear in
@@ -232,7 +229,7 @@ def isomorphism_census(b: DiscreteBundle, cap: int = DEFAULT_ENUMERATION_CAP) ->
     """
     buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
     ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
-    for f in enumerate_maps(b, cap=cap):
+    for f in enumerate_maps(b):
         q = build(f)
         key = tuple(sorted(q.table.invariants))
         entry = None

@@ -311,12 +311,11 @@ def catalog_names() -> list[str]:
 
 def catalog(name: str) -> FiniteGroup:
     """Look up a built-in group by name ("Z4", "S3", "D4", "Q8", ...)."""
-    key = "Z1" if name == "trivial" else name
-    if key not in _CATALOG_TABLES:
+    if name not in _CATALOG_TABLES:
         raise KeyError(f"unknown catalog group {name!r}; available: {catalog_names()}")
-    if key not in _CATALOG_CACHE:
-        _CATALOG_CACHE[key] = group_from_table(_CATALOG_TABLES[key], name=key)
-    return _CATALOG_CACHE[key]
+    if name not in _CATALOG_CACHE:
+        _CATALOG_CACHE[name] = group_from_table(_CATALOG_TABLES[name], name=name)
+    return _CATALOG_CACHE[name]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ _EXP_TAYLOR_ORDER = 16
 DEFAULT_COMPOSITE_TOLERANCE = 1e-8
 PRIMITIVE_TOLERANCE = 1e-12
 
+# Bound on the algebra and group residuals of a model's basis and a section's values.
+MODEL_TOLERANCE = 1e-9
+
+# Largest samples and base_points a sweep accepts, checked before any draw.
+SAMPLES_CAP = 10_000
+BASE_POINTS_CAP = 10_000
+
 # Largest n accepted in a "GL<n>" model name. The basis alone holds n^2 dense
 # n x n matrices (n^4 floats), and each is exponentiated before any check runs.
 GL_DIM_CAP = 16
@@ -101,17 +108,16 @@ class MatrixGroupModel:
     name: str
     dim: int
     algebra_basis: tuple[np.ndarray, ...]
-    tolerance: float = 1e-9
     unitary: bool = False
     real: bool = False
 
     def __post_init__(self):
         basis = np.asarray(self.algebra_basis)
         r = np.max(algebra_residual(self, basis))
-        if r > self.tolerance:
+        if r > MODEL_TOLERANCE:
             raise ShapeError(f"{self.name} basis matrix violates algebra constraints ({r:.2e})")
         r = np.max(membership_residual(self, mat_exp(basis)))
-        if r > self.tolerance:
+        if r > MODEL_TOLERANCE:
             raise ShapeError(f"exp of a {self.name} basis matrix leaves the group ({r:.2e})")
 
     def inverse(self, M) -> np.ndarray:
@@ -164,15 +170,15 @@ _SU2_BASIS = (
     0.5j * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-_GL_NAME = re.compile(r"GL([1-9][0-9]*)(?:-dense)?")
+_GL_NAME = re.compile(r"GL([1-9][0-9]*)")
 
 
-def get_model(name: str, tolerance: float = 1e-9) -> MatrixGroupModel:
+def get_model(name: str) -> MatrixGroupModel:
     """Look up a model: "SO3", "SU2", or dense general linear "GL<n>", 1 <= n <= GL_DIM_CAP."""
     if name == "SO3":
-        return MatrixGroupModel("SO3", 3, _SO3_BASIS, tolerance, unitary=True, real=True)
+        return MatrixGroupModel("SO3", 3, _SO3_BASIS, unitary=True, real=True)
     if name == "SU2":
-        return MatrixGroupModel("SU2", 2, _SU2_BASIS, tolerance, unitary=True)
+        return MatrixGroupModel("SU2", 2, _SU2_BASIS, unitary=True)
     gl = _GL_NAME.fullmatch(name)
     if gl is None:
         raise ShapeError(
@@ -182,22 +188,18 @@ def get_model(name: str, tolerance: float = 1e-9) -> MatrixGroupModel:
     if len(digits) > len(str(GL_DIM_CAP)) or int(digits) > GL_DIM_CAP:
         raise CapExceeded(f"model {name!r} exceeds the GL<n> size cap n <= {GL_DIM_CAP}")
     n = int(digits)
-    return MatrixGroupModel(f"GL{n}-dense", n, tuple(np.eye(n * n).reshape(n * n, n, n)), tolerance)
+    return MatrixGroupModel(f"GL{n}", n, tuple(np.eye(n * n).reshape(n * n, n, n)))
 
 
-def random_algebra(
-    model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0, size=None
-) -> np.ndarray:
-    """One random algebra matrix, or a stack of shape (*size, d, d)."""
+def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, size=None) -> np.ndarray:
+    """One random algebra matrix, or a stack of shape (*size, d, d), with basis coefficients in [-1, 1]."""
     shape = () if size is None else np.atleast_1d(size)
-    coeffs = rng.uniform(-scale, scale, size=(*shape, len(model.algebra_basis)))
+    coeffs = rng.uniform(-1.0, 1.0, size=(*shape, len(model.algebra_basis)))
     return np.einsum("...k,kij->...ij", coeffs, np.asarray(model.algebra_basis))
 
 
-def random_group_element(
-    model: MatrixGroupModel, rng: np.random.Generator, scale: float = 1.0, size=None
-) -> np.ndarray:
-    return mat_exp(random_algebra(model, rng, scale, size))
+def random_group_element(model: MatrixGroupModel, rng: np.random.Generator, size=None) -> np.ndarray:
+    return mat_exp(random_algebra(model, rng, size))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +236,8 @@ class AdjointSection:
         values = np.array(self.section_algebra_values)
         if len(values) != self.bundle.base_points:
             raise ShapeError("need one algebra value per base point")
-        model = self.bundle.model
-        r = np.max(algebra_residual(model, values))
-        if r > model.tolerance:
+        r = np.max(algebra_residual(self.bundle.model, values))
+        if r > MODEL_TOLERANCE:
             raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
         values.setflags(write=False)
         object.__setattr__(self, "section_algebra_values", values)
@@ -244,14 +245,6 @@ class AdjointSection:
     def eval(self, p: Point) -> np.ndarray:
         m, g = p
         return self.bundle.model.inverse(g) @ self.section_algebra_values[m] @ g
-
-    def equivariance_residual(self, rng: np.random.Generator, samples: int = 50) -> float:
-        """Max residual of X(p*g) == g^-1 X(p) g over random (p, g)."""
-        m, h = random_point(self.bundle, rng, samples)
-        g = random_group_element(self.bundle.model, rng, size=samples)
-        moved = self.eval((m, h @ g))
-        conjugated = self.bundle.model.inverse(g) @ self.eval((m, h)) @ g
-        return float(np.max(_fro(moved - conjugated)))
 
 
 def random_point(b: SampledBundle, rng: np.random.Generator, size=None) -> Point:
@@ -297,6 +290,8 @@ class SweepConfig:
             raise ShapeError(f"model must be a string, got {self.model!r}")
         if self.samples < 1 or self.base_points < 1:
             raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
+        if self.samples > SAMPLES_CAP or self.base_points > BASE_POINTS_CAP:
+            raise CapExceeded(f"a sweep takes at most {SAMPLES_CAP} samples and {BASE_POINTS_CAP} base points")
         lo, hi = self.t_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ShapeError(f"t_range must be finite with lo <= hi, got {list(self.t_range)}")
@@ -403,6 +398,14 @@ def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """Operation results stay in the group (chart residual)."""
     x, y, t = _draw(X, config, 2, 1)
     return _report("membership", config, membership_residual(X.bundle.model, op_t(X, x, y, t)[1]))
+
+
+def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> ResidualReport:
+    """X(p * g) == g^-1 X(p) g, g the fiber coordinate of a second point; held to PRIMITIVE_TOLERANCE."""
+    (m, h), (_, g) = _draw(X, config, 2, 0)
+    moved = X.eval((m, h @ g))
+    conjugated = X.bundle.model.inverse(g) @ X.eval((m, h)) @ g
+    return _report("section_equivariance", config, _fro(moved - conjugated), PRIMITIVE_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +576,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         "key_identity": check_key_identity(section, config),
         "membership": check_membership(section, config),
     }
-    eq_res = section.equivariance_residual(np.random.default_rng(config.seed), samples=50)
-    section_eq = _report("section_equivariance", config, eq_res, tolerance=PRIMITIVE_TOLERANCE)
-    noether = noether_sweep(section, config)
     return SweepReport(
         config=config,
         axioms=axioms,
-        noether=noether,
-        section_equivariance=section_eq,
+        noether=noether_sweep(section, config),
+        section_equivariance=check_section_equivariance(section, config),
     )

@@ -15,7 +15,6 @@ ACCEPT_SEED = 20250809
 
 SMALL_CATALOG = [n for n in groups.catalog_names() if groups.catalog(n).order <= 8]
 BASE_SIZES = (1, 2, 3)
-MAP_CAP = 10_000
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -35,8 +34,8 @@ def instances():
         G = groups.catalog(name)
         for base_size in BASE_SIZES:
             b = bundles.trivial_bundle(G, base_size)
-            for f in bundles.enumerate_maps(b, cap=MAP_CAP):
-                out.append((b, f, gauge.build(f, check=False)))
+            for f in bundles.enumerate_maps(b):
+                out.append((b, f, gauge.build(f)))
     return out
 
 

@@ -168,9 +168,9 @@ def test_enumerate_counts():
 
 def test_enumerate_cap():
     G = groups.catalog("Z12")
-    b = bundles.trivial_bundle(G, 3)
-    with pytest.raises(CapExceeded):
-        list(bundles.enumerate_maps(b, cap=100))
+    b = bundles.trivial_bundle(G, 6)  # 12^6 = 2,985,984 maps
+    with pytest.raises(CapExceeded, match=f"2985984 maps exceed the cap {bundles.ENUMERATION_CAP}"):
+        list(bundles.enumerate_maps(b))
 
 
 def test_map_validation():

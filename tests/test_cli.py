@@ -114,8 +114,9 @@ def test_census_s3_over_point(tmp_path, capsys):
 
 
 def test_census_cap_exceeded_exits_2(tmp_path, capsys):
-    bundle = write(tmp_path, "bundle.json", {"group": "S3", "base_size": 3})
-    assert cli.main(["census", bundle, "--cap", "10"]) == 2
+    bundle = write(tmp_path, "bundle.json", {"group": "S4", "base_size": 5})  # 24^5 = 7,962,624 maps
+    assert cli.main(["census", bundle]) == 2
+    assert "7962624 maps exceed the cap 1000000" in capsys.readouterr().err
 
 
 def test_fiber_subcommand(tmp_path, capsys):
@@ -247,6 +248,10 @@ def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values
         {"t_range": [-1, False]},
         {"t_range": [-1, 0, 1]},
         {"t_range": {"lo": -1, "hi": 1}},
+        {"samples": 10**12},
+        {"samples": lie.SAMPLES_CAP + 1},
+        {"base_points": 10**12},
+        {"base_points": lie.BASE_POINTS_CAP + 1},
     ],
 )
 def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):

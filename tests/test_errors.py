@@ -38,6 +38,7 @@ def test_index_array_reads_scalars_and_empty_input():
         ([0, True], "integers, got a bool"),
         ([[0, 1], [2, (0, False)]], "integers, got a bool"),
         ([[0, 1], [2]], "rectangular"),
+        ([np.array([0, 1]), np.array([True, True])], "integers, got a bool"),
     ],
 )
 def test_index_array_rejects_non_integers_and_out_of_range_entries(values, message):

@@ -43,7 +43,7 @@ def test_associated_quandle_of_rack_equals_build():
     b = bundles.trivial_bundle(G, 2)
     for f in bundles.enumerate_maps(b):
         rack = gauge.rack_from_map(f)
-        q = gauge.build(f, check=False)
+        q = gauge.build(f)
         assert racks.associated_quandle(rack) == q.table
 
 
@@ -295,7 +295,7 @@ def quotient_by_loop(op, class_of):
 def test_gauge_table_forms_agree_on_every_map(name):
     b = bundles.trivial_bundle(groups.catalog(name), 2)
     for f in bundles.enumerate_maps(b):
-        q = gauge.build(f, check=False)
+        q = gauge.build(f)
         assert np.array_equal(q.table.op, gauge_table_by_shift(b, f))
 
 
@@ -320,7 +320,7 @@ def congruences(draw):
         usable = [c for c in G.elements() if all(G.conjugate(c, g) in norm for g in G.elements())]
         b = bundles.trivial_bundle(G, draw(st.integers(1, 2)))
         values = draw(st.lists(st.sampled_from(usable), min_size=b.base_size, max_size=b.base_size))
-        op = gauge.build(bundles.EquivariantMap(b, tuple(values)), check=False).table.op
+        op = gauge.build(bundles.EquivariantMap(b, tuple(values))).table.op
         blocks = [sorted({b.act(p, h) for h in H.elements}) for p in b.points()]
     else:
         c = draw(st.sampled_from([c for c in G.elements() if groups.centralizes(G, c, H)]))

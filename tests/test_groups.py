@@ -15,7 +15,8 @@ def test_catalog_orders():
     expected = {"Z1": 1, "Z4": 4, "Z12": 12, "D2": 4, "D4": 8, "D6": 12, "S3": 6, "S4": 24, "Q8": 8}
     for name, order in expected.items():
         assert groups.catalog(name).order == order
-    assert groups.catalog("trivial").order == 1
+    with pytest.raises(KeyError):
+        groups.catalog("trivial")
 
 
 def test_trivial_group():

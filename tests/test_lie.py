@@ -138,7 +138,9 @@ def test_adjoint_section_equivariance():
         model = lie.get_model(name)
         b = lie.SampledBundle(model, 3)
         X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
-        assert X.equivariance_residual(rng, samples=40) < 1e-12
+        report = lie.check_section_equivariance(X, lie.SweepConfig(model=name, samples=40, seed=31))
+        assert report.samples == 40 and report.tolerance == lie.PRIMITIVE_TOLERANCE
+        assert report.passed and report.max_residual < 1e-12
 
 
 def test_op_t_degenerate_cases():
@@ -218,7 +220,9 @@ def test_get_model_gl_at_the_cap():
     n = lie.GL_DIM_CAP
     model = lie.get_model(f"GL{n}")
     assert model.dim == n and len(model.algebra_basis) == n * n
-    assert lie.get_model("GL2-dense").name == "GL2-dense"
+    assert model.name == f"GL{n}"
+    with pytest.raises(ShapeError, match="unknown matrix group model"):
+        lie.get_model("GL2-dense")
 
 
 def _setup(name, seed):
@@ -349,6 +353,31 @@ def test_run_sweep_report_fields():
         assert rep["max_residual"] <= rep["tolerance"]
     assert obj["noether"]["passed"] is True
     assert obj["section_equivariance"]["tolerance"] == 1e-12
+
+
+def test_every_sweep_draw_takes_the_config_sample_count(monkeypatch):
+    sizes = []
+    draw = lie.random_point
+
+    def recording(b, rng, size=None):
+        sizes.append(size)
+        return draw(b, rng, size)
+
+    monkeypatch.setattr(lie, "random_point", recording)
+    report = lie.run_sweep(lie.SweepConfig(samples=7, seed=1))
+    assert report.passed and report.section_equivariance.samples == 7
+    assert sizes and all(size == 7 for size in sizes)
+
+
+@pytest.mark.parametrize("field, cap", [("samples", lie.SAMPLES_CAP), ("base_points", lie.BASE_POINTS_CAP)])
+def test_sweep_config_caps_samples_and_base_points(field, cap):
+    # At the cap a config constructs; it is not run.
+    assert getattr(lie.SweepConfig(model="SO3", **{field: cap}), field) == cap
+    for value in (cap + 1, 10**12):
+        with pytest.raises(CapExceeded, match="at most"):
+            lie.SweepConfig(model="SO3", **{field: value})
+        with pytest.raises(CapExceeded, match="at most"):
+            dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})
 
 
 def test_sweep_is_deterministic():

@@ -425,7 +425,12 @@ def test_bad_table_shapes():
         racks.magma_from_table([[True, False], [False, True]])
     with pytest.raises(ShapeError):
         racks.magma_from_table([[0, -1], [1, 0]])
-    for mixed_or_ragged in ([[0, True], [True, 0]], [[0, 1], [1]], ((0, 1), [1, np.True_])):
+    for mixed_or_ragged in (
+        [[0, True], [True, 0]],
+        [[0, 1], [1]],
+        ((0, 1), [1, np.True_]),
+        [np.array([0, 1]), np.array([True, True])],
+    ):
         with pytest.raises(ShapeError):
             racks.magma_from_table(mixed_or_ragged)
         with pytest.raises(ShapeError):
