@@ -59,7 +59,6 @@ from .groups import (
 from .lie import (
     AdjointSection,
     MatrixGroupModel,
-    SampledBundle,
     SweepConfig,
     check_noether,
     check_self_action,

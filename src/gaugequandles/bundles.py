@@ -32,7 +32,7 @@ ENUMERATION_CAP = 10**6
 TOTAL_POINTS_CAP = 4096
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DiscreteBundle:
     """Total space M x G with the right G-action on fiber coordinates.
 
@@ -91,14 +91,6 @@ class DiscreteBundle:
             self.total_size, n
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscreteBundle):
-            return NotImplemented
-        return self.base_size == other.base_size and self.group == other.group
-
-    def __repr__(self) -> str:
-        return f"DiscreteBundle(group={self.group!r}, base_size={self.base_size})"
-
 
 def trivial_bundle(G: FiniteGroup, base_size: int) -> DiscreteBundle:
     return DiscreteBundle(group=G, base_size=base_size)
@@ -145,7 +137,7 @@ class GaugeTransformation:
         return self.bundle == other.bundle and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EquivariantMap:
     """An element of Map(P, G)^G, stored by its canonical-section values."""
 
@@ -167,11 +159,6 @@ class EquivariantMap:
     def total_values(self) -> np.ndarray:
         """f(p) for every total point, in point order."""
         return self.bundle.group.conj[list(self.section_values)].ravel()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EquivariantMap):
-            return NotImplemented
-        return self.bundle == other.bundle and self.section_values == other.section_values
 
     def __hash__(self) -> int:
         return hash(self.section_values)

@@ -173,7 +173,7 @@ def cmd_homogeneous(args) -> int:
     spec = args.group
     G = groups.catalog(spec) if not Path(spec).exists() else groups.group_from_json(_load_json(spec))
     H = _parse_subgroup(G, args.subgroup)
-    table = gauge.homogeneous_quandle(G, H, args.element)
+    table = gauge.homogeneous_quandle(H, args.element)
     obj = {**racks.magma_to_json(table), "subgroup": list(H.elements), "element": args.element}
     human = f"homogeneous quandle on {table.size} right cosets\n" + _maybe_table(table)
     _emit(args, obj, human)
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (AlgebraError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

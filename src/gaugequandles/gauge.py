@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     index_array,
 )
-from .groups import FiniteGroup, Subgroup, cosets, normalizer
+from .groups import Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
     find_isomorphism,
@@ -151,7 +151,7 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     if H.group != b.group:
         raise ShapeError("subgroup belongs to a different group")
     fvals = q.map.total_values()
-    outside = np.flatnonzero(~np.isin(fvals, normalizer(b.group, H).elements))
+    outside = np.flatnonzero(~np.isin(fvals, normalizer(H).elements))
     if len(outside):
         p = int(outside[0])
         hs = list(H.elements)
@@ -171,23 +171,22 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     )
 
 
-def homogeneous_quandle(G: FiniteGroup, H: Subgroup, c: int) -> MagmaTable:
-    """[g1] <| [g2] = [sigma_c(g1 g2^-1) g2] on the right cosets Hg.
+def homogeneous_quandle(H: Subgroup, c: int) -> MagmaTable:
+    """[g1] <| [g2] = [sigma_c(g1 g2^-1) g2] on the right cosets Hg of G = H.group.
 
     Requires c to commute with every element of H (CentralizerViolation with
     the offending h otherwise); the table is the quotient of the generalized
     Alexander quandle of sigma_c by the right cosets, taken by `quotient`.
     With H = {e} this is the generalized Alexander quandle of sigma_c.
     """
-    if H.group != G:
-        raise ShapeError("subgroup belongs to a different group")
+    G = H.group
     c = int(index_array(c, G.order, "element"))
     hs = list(H.elements)
     moved = np.flatnonzero(G.conj[hs, c] != hs)
     if len(moved):
         raise CentralizerViolation(hs[moved[0]])
 
-    blocks = cosets(G, H, side="right")
+    blocks = cosets(H, side="right")
     class_of = np.empty(G.order, dtype=np.int64)
     class_of[np.array(blocks)] = np.arange(len(blocks))[:, None]
     labels = ["{" + ",".join(str(g) for g in block) + "}" for block in blocks]

@@ -50,10 +50,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
@@ -64,7 +60,7 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subgroup:
     """A validated subgroup, stored as a sorted tuple of element indices."""
 
@@ -77,11 +73,6 @@ class Subgroup:
 
     def __contains__(self, a: int) -> bool:
         return a in set(self.elements)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.group == other.group and self.elements == other.elements
 
     def __repr__(self) -> str:
         return f"Subgroup({list(self.elements)} of {self.group!r})"
@@ -188,37 +179,37 @@ def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
         elems = grown
 
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """All g with g^-1 H g = H, as a subgroup.
+def normalizer(H: Subgroup) -> Subgroup:
+    """All g in H.group with g^-1 H g = H, as a subgroup.
 
     Conjugation is injective, so g^-1 H g inside H already means equal.
     """
-    hs = list(H.elements)
+    G, hs = H.group, list(H.elements)
     return subgroup(G, np.flatnonzero(np.isin(G.conj[hs], hs).all(axis=0)))
 
 
-def cosets(G: FiniteGroup, H: Subgroup, side: str = "left") -> list[tuple[int, ...]]:
-    """Partition G into left cosets gH or right cosets Hg.
+def cosets(H: Subgroup, side: str = "left") -> list[tuple[int, ...]]:
+    """Partition H.group into left cosets gH or right cosets Hg.
 
     Blocks are sorted internally and ordered by their smallest element.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    hs = list(H.elements)
+    G, hs = H.group, list(H.elements)
     rows = G.table[:, hs] if side == "left" else G.table[hs, :].T  # row g: gH or Hg
     # Cosets are disjoint, so sorting the sorted rows orders them by smallest element.
     return [tuple(block) for block in np.unique(np.sort(rows, axis=1), axis=0).tolist()]
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+def is_normal(H: Subgroup) -> bool:
     hs = list(H.elements)
-    return bool(np.isin(G.conj[hs], hs).all())
+    return bool(np.isin(H.group.conj[hs], hs).all())
 
 
-def centralizes(G: FiniteGroup, g: int, H: Subgroup) -> bool:
+def centralizes(g: int, H: Subgroup) -> bool:
     """True iff g*h == h*g, that is g^-1 h g == h, for every h in H."""
     hs = list(H.elements)
-    return bool(np.array_equal(G.conj[hs, g], hs))
+    return bool(np.array_equal(H.group.conj[hs, g], hs))
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,16 @@ def get_model(name: str) -> MatrixGroupModel:
 
 
 def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, size=None) -> np.ndarray:
-    """One random algebra matrix, or a stack of shape (*size, d, d), with basis coefficients in [-1, 1]."""
+    """One random algebra matrix, or a stack of shape (*size, d, d).
+
+    The k basis coefficients are uniform in [-sqrt(3/k), sqrt(3/k)], so the
+    coefficient vector has expected squared length 1 for every model; for
+    the 3-dimensional SO3 and SU2 algebras the range is [-1, 1].
+    """
     shape = () if size is None else np.atleast_1d(size)
-    coeffs = rng.uniform(-1.0, 1.0, size=(*shape, len(model.algebra_basis)))
+    k = len(model.algebra_basis)
+    bound = math.sqrt(3 / k)
+    coeffs = rng.uniform(-bound, bound, size=(*shape, k))
     return np.einsum("...k,kij->...ij", coeffs, np.asarray(model.algebra_basis))
 
 
@@ -203,53 +210,46 @@ def random_group_element(model: MatrixGroupModel, rng: np.random.Generator, size
 
 
 # ---------------------------------------------------------------------------
-# Sampled bundles, adjoint sections, and the parametrized operation
+# Adjoint sections and the parametrized operation
 # ---------------------------------------------------------------------------
 
 Point = tuple  # (base index or int array of shape (...), group matrix or (..., d, d) stack)
 
 
 @dataclass(frozen=True, eq=False)
-class SampledBundle:
-    """M x G for a finite base 0..base_points-1; points are drawn by random_point."""
-
-    model: MatrixGroupModel
-    base_points: int
-
-    def __post_init__(self):
-        if self.base_points < 1:
-            raise ShapeError("need at least one base point")
-
-
-@dataclass(frozen=True, eq=False)
 class AdjointSection:
-    """One algebra matrix per base point; X(m, g) = g^-1 * Xs(m) * g.
+    """One algebra matrix per base point of M x G; X(m, g) = g^-1 * Xs(m) * g.
 
-    The section values may be given as any sequence of matrices; they are
-    stored as one read-only (base_points, d, d) array.
+    The base is 0..base_points-1, one point per section value. The values
+    may be given as any sequence of matrices; they are stored as one
+    read-only (base_points, d, d) array.
     """
 
-    bundle: SampledBundle
+    model: MatrixGroupModel
     section_algebra_values: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.section_algebra_values)
-        if len(values) != self.bundle.base_points:
-            raise ShapeError("need one algebra value per base point")
-        r = np.max(algebra_residual(self.bundle.model, values))
+        if len(values) < 1:
+            raise ShapeError("need at least one base point")
+        r = np.max(algebra_residual(self.model, values))
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
         values.setflags(write=False)
         object.__setattr__(self, "section_algebra_values", values)
 
+    @property
+    def base_points(self) -> int:
+        return len(self.section_algebra_values)
+
     def eval(self, p: Point) -> np.ndarray:
         m, g = p
-        return self.bundle.model.inverse(g) @ self.section_algebra_values[m] @ g
+        return self.model.inverse(g) @ self.section_algebra_values[m] @ g
 
 
-def random_point(b: SampledBundle, rng: np.random.Generator, size=None) -> Point:
-    """One random point, or a stack of them with leading shape `size`."""
-    return (rng.integers(b.base_points, size=size), random_group_element(b.model, rng, size=size))
+def random_point(X: AdjointSection, rng: np.random.Generator, size=None) -> Point:
+    """One random point of X's bundle, or a stack of them with leading shape `size`."""
+    return (rng.integers(X.base_points, size=size), random_group_element(X.model, rng, size=size))
 
 
 def op_t(X: AdjointSection, p1: Point, p2: Point, t) -> Point:
@@ -355,7 +355,7 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
 def _draw(X: AdjointSection, config: SweepConfig, points: int, params: int) -> list:
     """`points` stacks of sample points, then `params` stacks of t values, from the config's seed."""
     rng = np.random.default_rng(config.seed)
-    stacks = [random_point(X.bundle, rng, config.samples) for _ in range(points)]
+    stacks = [random_point(X, rng, config.samples) for _ in range(points)]
     return [*stacks, *rng.uniform(*config.t_range, size=(params, config.samples))]
 
 
@@ -397,14 +397,14 @@ def check_key_identity(X: AdjointSection, config: SweepConfig) -> ResidualReport
 def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """Operation results stay in the group (chart residual)."""
     x, y, t = _draw(X, config, 2, 1)
-    return _report("membership", config, membership_residual(X.bundle.model, op_t(X, x, y, t)[1]))
+    return _report("membership", config, membership_residual(X.model, op_t(X, x, y, t)[1]))
 
 
 def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """X(p * g) == g^-1 X(p) g, g the fiber coordinate of a second point; held to PRIMITIVE_TOLERANCE."""
     (m, h), (_, g) = _draw(X, config, 2, 0)
     moved = X.eval((m, h @ g))
-    conjugated = X.bundle.model.inverse(g) @ X.eval((m, h)) @ g
+    conjugated = X.model.inverse(g) @ X.eval((m, h)) @ g
     return _report("section_equivariance", config, _fro(moved - conjugated), PRIMITIVE_TOLERANCE)
 
 
@@ -432,10 +432,6 @@ class NoetherReport:
     @property
     def agree(self) -> bool:
         return self.fixes_forward == self.fixes_backward
-
-    def to_json(self) -> dict:
-        fields = {**asdict(self), "agree": self.agree}
-        return {key: np.asarray(value).tolist() for key, value in fields.items()}
 
 
 def _fixing_residual(X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
@@ -508,7 +504,7 @@ def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -
     Multiplying the fiber coordinate on the left by exp(a * Xs(m)) commutes
     with Xs(m), so the adjoint value is unchanged.
     """
-    m, g = random_point(X.bundle, rng, size)
+    m, g = random_point(X, rng, size)
     a = rng.uniform(0.5, 1.5, size=size)
     return (m, g), (m, mat_exp(_col(a) * X.section_algebra_values[m]) @ g)
 
@@ -518,7 +514,7 @@ def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     rng = np.random.default_rng(config.seed)
     n = config.samples
     ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
-    p1, p2 = random_point(X.bundle, rng, n), random_point(X.bundle, rng, n)
+    p1, p2 = random_point(X, rng, n), random_point(X, rng, n)
     q1, q2 = equal_section_pair(X, rng, n)
     random_pairs = check_noether(X, p1, p2, ts, config.tolerance)
     equal_pairs = check_noether(X, q1, q2, ts, config.tolerance)
@@ -567,8 +563,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Build a seeded random section over the requested model and run every check."""
     model = get_model(config.model)
     rng = np.random.default_rng(config.seed)
-    bundle = SampledBundle(model, config.base_points)
-    section = AdjointSection(bundle, random_algebra(model, rng, size=config.base_points))
+    section = AdjointSection(model, random_algebra(model, rng, size=config.base_points))
     axioms = {
         "idempotency": check_idempotency(section, config),
         "self_action": check_self_action(section, config),

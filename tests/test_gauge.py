@@ -199,7 +199,7 @@ def test_homogeneous_with_trivial_subgroup_is_generalized_alexander():
     G = groups.catalog("S3")
     H = groups.subgroup(G, [0])
     c = THREE_CYCLE
-    table = gauge.homogeneous_quandle(G, H, c)
+    table = gauge.homogeneous_quandle(H, c)
     assert racks.magma_from_table(table.op) == racks.generalized_alexander(
         G, G.inner_automorphism(c)
     )
@@ -208,14 +208,14 @@ def test_homogeneous_with_trivial_subgroup_is_generalized_alexander():
 def test_homogeneous_with_identity_element_is_trivial():
     G = groups.catalog("S3")
     H = groups.generated_subgroup(G, [THREE_CYCLE])
-    assert gauge.homogeneous_quandle(G, H, 0) == racks.trivial_quandle(2)
+    assert gauge.homogeneous_quandle(H, 0) == racks.trivial_quandle(2)
 
 
 def test_homogeneous_centralizer_violation_witness():
     G = groups.catalog("S3")
     H = groups.generated_subgroup(G, [THREE_CYCLE])
     with pytest.raises(CentralizerViolation) as err:
-        gauge.homogeneous_quandle(G, H, TRANSPOSITION)
+        gauge.homogeneous_quandle(H, TRANSPOSITION)
     h = err.value.witness
     assert G.mul(TRANSPOSITION, h) != G.mul(h, TRANSPOSITION)
 
@@ -228,8 +228,8 @@ def test_homogeneous_matches_reduce_for_normal_subgroup():
     for c in H.elements:  # the centralizer of H in S3 is H itself
         q = gauge.build(bundles.EquivariantMap(b, (c,)))
         red = gauge.reduce(q, H)
-        hom = gauge.homogeneous_quandle(G, H, c)
-        right = groups.cosets(G, H, "right")
+        hom = gauge.homogeneous_quandle(H, c)
+        right = groups.cosets(H, "right")
         ident = [right.index(cls) for cls in red.classes]
         assert sorted(ident) == list(range(len(right)))
         assert racks.is_morphism(ident, red.table, hom)
@@ -316,14 +316,14 @@ def congruences(draw):
     G = groups.catalog(draw(st.sampled_from(["Z4", "S3", "D4", "Q8"])))
     H = groups.generated_subgroup(G, draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
     if draw(st.booleans()):
-        norm = set(groups.normalizer(G, H).elements)
+        norm = set(groups.normalizer(H).elements)
         usable = [c for c in G.elements() if all(G.conjugate(c, g) in norm for g in G.elements())]
         b = bundles.trivial_bundle(G, draw(st.integers(1, 2)))
         values = draw(st.lists(st.sampled_from(usable), min_size=b.base_size, max_size=b.base_size))
         op = gauge.build(bundles.EquivariantMap(b, tuple(values))).table.op
         blocks = [sorted({b.act(p, h) for h in H.elements}) for p in b.points()]
     else:
-        c = draw(st.sampled_from([c for c in G.elements() if groups.centralizes(G, c, H)]))
+        c = draw(st.sampled_from([c for c in G.elements() if groups.centralizes(c, H)]))
         op = racks.generalized_alexander(G, G.inner_automorphism(c)).op
         blocks = [sorted(G.mul(h, g) for h in H.elements) for g in G.elements()]
     blocks = sorted({tuple(block) for block in blocks})
@@ -373,8 +373,8 @@ def test_quotient_names_the_first_bad_class_pair():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda G, q, op: gauge.homogeneous_quandle(G, groups.subgroup(G, [0]), 1.5),
-        lambda G, q, op: gauge.homogeneous_quandle(G, groups.subgroup(G, [0]), 6),
+        lambda G, q, op: gauge.homogeneous_quandle(groups.subgroup(G, [0]), 1.5),
+        lambda G, q, op: gauge.homogeneous_quandle(groups.subgroup(G, [0]), 6),
         lambda G, q, op: gauge.fiber_quandle(q, 0.5),
         lambda G, q, op: gauge.fiber_quandle(q, True),
         lambda G, q, op: gauge.fiber_quandle(q, -1),
@@ -395,6 +395,6 @@ def test_element_arguments_accept_numpy_integers():
     q = gauge.build(bundles.EquivariantMap(b, (2,)))
     assert gauge.fiber_quandle(q, np.int32(0)) == q.table
     trivial = groups.subgroup(G, [0])
-    assert gauge.homogeneous_quandle(G, trivial, np.int64(2)) == gauge.homogeneous_quandle(G, trivial, 2)
+    assert gauge.homogeneous_quandle(trivial, np.int64(2)) == gauge.homogeneous_quandle(trivial, 2)
     op = racks.conjugation_quandle(G).op
     assert gauge.quotient(op, np.zeros(6, dtype=np.int32)).size == 1

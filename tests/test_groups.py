@@ -185,14 +185,14 @@ def test_normalizer_extremes():
     G = groups.catalog("S4")
     whole = groups.subgroup(G, list(G.elements()))
     trivial = groups.subgroup(G, [0])
-    assert groups.normalizer(G, whole).order == G.order
-    assert groups.normalizer(G, trivial).order == G.order
+    assert groups.normalizer(whole).order == G.order
+    assert groups.normalizer(trivial).order == G.order
 
 
 def test_normalizer_of_transposition_subgroup_in_s3():
     G = groups.catalog("S3")
     H = groups.generated_subgroup(G, [s3_index((1, 0, 2))])
-    N = groups.normalizer(G, H)
+    N = groups.normalizer(H)
     # Brute force over all six elements
     expected = [
         g for g in G.elements()
@@ -204,11 +204,11 @@ def test_normalizer_of_transposition_subgroup_in_s3():
 def test_cosets_examples():
     G = groups.catalog("Z6")
     H = groups.subgroup(G, [0, 3])
-    assert groups.cosets(G, H, "left") == [(0, 3), (1, 4), (2, 5)]
+    assert groups.cosets(H, "left") == [(0, 3), (1, 4), (2, 5)]
     whole = groups.subgroup(G, list(G.elements()))
-    assert groups.cosets(G, whole, "left") == [tuple(G.elements())]
+    assert groups.cosets(whole, "left") == [tuple(G.elements())]
     trivial = groups.subgroup(G, [0])
-    assert groups.cosets(G, trivial, "right") == [(a,) for a in G.elements()]
+    assert groups.cosets(trivial, "right") == [(a,) for a in G.elements()]
 
 
 def _cyclic_subgroups(G):
@@ -226,34 +226,34 @@ def _cyclic_subgroups(G):
 def test_cosets_coincide_iff_normal(name):
     G = groups.catalog(name)
     for H in _cyclic_subgroups(G):
-        same = groups.cosets(G, H, "left") == groups.cosets(G, H, "right")
-        assert same == groups.is_normal(G, H)
+        same = groups.cosets(H, "left") == groups.cosets(H, "right")
+        assert same == groups.is_normal(H)
 
 
 @pytest.mark.parametrize("name", [n for n in groups.catalog_names() if groups.catalog(n).order <= 24])
 def test_normalizer_contains_subgroup(name):
     G = groups.catalog(name)
     for H in _cyclic_subgroups(G):
-        N = groups.normalizer(G, H)
+        N = groups.normalizer(H)
         assert set(H.elements) <= set(N.elements)
 
 
 def test_is_normal_examples():
     G = groups.catalog("S3")
-    assert groups.is_normal(G, groups.subgroup(G, list(G.elements())))
-    assert groups.is_normal(G, groups.subgroup(G, [0]))
-    assert not groups.is_normal(G, groups.generated_subgroup(G, [s3_index((1, 0, 2))]))
+    assert groups.is_normal(groups.subgroup(G, list(G.elements())))
+    assert groups.is_normal(groups.subgroup(G, [0]))
+    assert not groups.is_normal(groups.generated_subgroup(G, [s3_index((1, 0, 2))]))
 
 
 def test_centralizes():
     G = groups.catalog("S3")
     rotations = groups.generated_subgroup(G, [s3_index((1, 2, 0))])
-    assert groups.centralizes(G, 0, rotations)
-    assert not groups.centralizes(G, s3_index((1, 0, 2)), rotations)
+    assert groups.centralizes(0, rotations)
+    assert not groups.centralizes(s3_index((1, 0, 2)), rotations)
     A = groups.catalog("Z8")
     H = groups.generated_subgroup(A, [2])
     for g in A.elements():
-        assert groups.centralizes(A, g, H)
+        assert groups.centralizes(g, H)
 
 
 def test_group_json_round_trip():

@@ -126,18 +126,15 @@ def test_random_group_elements_are_members():
 
 
 def test_sampled_bundle_rejects_no_base_points():
-    model = lie.get_model("SO3")
-    for base_points in (0, -1):
-        with pytest.raises(ShapeError, match="at least one base point"):
-            lie.SampledBundle(model, base_points)
+    with pytest.raises(ShapeError, match="at least one base point"):
+        lie.AdjointSection(lie.get_model("SO3"), ())
 
 
 def test_adjoint_section_equivariance():
     rng = np.random.default_rng(31)
     for name in ("SO3", "SU2"):
         model = lie.get_model(name)
-        b = lie.SampledBundle(model, 3)
-        X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
+        X = lie.AdjointSection(model, tuple(lie.random_algebra(model, rng) for _ in range(3)))
         report = lie.check_section_equivariance(X, lie.SweepConfig(model=name, samples=40, seed=31))
         assert report.samples == 40 and report.tolerance == lie.PRIMITIVE_TOLERANCE
         assert report.passed and report.max_residual < 1e-12
@@ -146,10 +143,9 @@ def test_adjoint_section_equivariance():
 def test_op_t_degenerate_cases():
     rng = np.random.default_rng(41)
     model = lie.get_model("SO3")
-    b = lie.SampledBundle(model, 2)
-    X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(2)))
-    p1 = lie.random_point(b, rng)
-    p2 = lie.random_point(b, rng)
+    X = lie.AdjointSection(model, tuple(lie.random_algebra(model, rng) for _ in range(2)))
+    p1 = lie.random_point(X, rng)
+    p2 = lie.random_point(X, rng)
 
     m, g = lie.op_t(X, p1, p2, 0.0)
     assert m == p1[0] and np.linalg.norm(g - p1[1]) < 1e-15
@@ -157,7 +153,7 @@ def test_op_t_degenerate_cases():
     m, g = lie.op_t(X, p1, p1, 1.3)
     assert m == p1[0] and np.linalg.norm(g - p1[1]) < 1e-13
 
-    zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
+    zero = lie.AdjointSection(model, (np.zeros((3, 3)), np.zeros((3, 3))))
     m, g = lie.op_t(zero, p1, p2, 1.7)
     assert np.linalg.norm(g - p1[1]) < 1e-15
 
@@ -168,10 +164,9 @@ def test_op_t_degenerate_cases():
 def test_op_t_stays_in_group_and_on_base():
     rng = np.random.default_rng(43)
     model = lie.get_model("SU2")
-    b = lie.SampledBundle(model, 3)
-    X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
+    X = lie.AdjointSection(model, tuple(lie.random_algebra(model, rng) for _ in range(3)))
     for _ in range(30):
-        p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
+        p1, p2 = lie.random_point(X, rng), lie.random_point(X, rng)
         t = rng.uniform(-2.0, 2.0)
         m, g = lie.op_t(X, p1, p2, t)
         assert m == p1[0]
@@ -182,9 +177,8 @@ def test_op_t_stays_in_group_and_on_base():
 def test_op_t_and_membership_on_a_stack_match_per_slice_calls(name):
     rng = np.random.default_rng(83)
     model = lie.get_model(name)
-    b = lie.SampledBundle(model, 3)
-    X = lie.AdjointSection(b, lie.random_algebra(model, rng, size=3))
-    p1, p2 = lie.random_point(b, rng, 12), lie.random_point(b, rng, 12)
+    X = lie.AdjointSection(model, lie.random_algebra(model, rng, size=3))
+    p1, p2 = lie.random_point(X, rng, 12), lie.random_point(X, rng, 12)
     t = rng.uniform(-2.0, 2.0, size=12)
     m, g = lie.op_t(X, p1, p2, t)
     residuals = lie.membership_residual(model, g)
@@ -228,23 +222,20 @@ def test_get_model_gl_at_the_cap():
 def _setup(name, seed):
     rng = np.random.default_rng(seed)
     model = lie.get_model(name)
-    b = lie.SampledBundle(model, 3)
-    X = lie.AdjointSection(b, tuple(lie.random_algebra(model, rng) for _ in range(3)))
-    return b, X
+    return lie.AdjointSection(model, tuple(lie.random_algebra(model, rng) for _ in range(3)))
 
 
 def test_self_action_zero_section_is_exact():
     model = lie.get_model("SO3")
     rng = np.random.default_rng(47)
-    b = lie.SampledBundle(model, 2)
-    zero = lie.AdjointSection(b, (np.zeros((3, 3)), np.zeros((3, 3))))
+    zero = lie.AdjointSection(model, (np.zeros((3, 3)), np.zeros((3, 3))))
     rep = lie.check_self_action(zero, lie.SweepConfig(samples=20, seed=1))
     assert rep.max_residual == 0.0
 
 
 def test_axiom_checks_pass_on_both_models():
     for name in ("SO3", "SU2"):
-        _, X = _setup(name, 53)
+        X = _setup(name, 53)
         plan = lie.SweepConfig(samples=60, seed=53)
         assert lie.check_idempotency(X, plan).passed
         assert lie.check_self_action(X, plan).passed
@@ -253,10 +244,10 @@ def test_axiom_checks_pass_on_both_models():
 
 
 def test_self_distributivity_reduces_to_self_action_when_z_equals_y():
-    b, X = _setup("SO3", 59)
+    X = _setup("SO3", 59)
     rng = np.random.default_rng(59)
     for _ in range(20):
-        x, y = lie.random_point(b, rng), lie.random_point(b, rng)
+        x, y = lie.random_point(X, rng), lie.random_point(X, rng)
         t, s = rng.uniform(-2.0, 2.0, size=2)
         lhs = lie.op_t(X, lie.op_t(X, x, y, t), y, s)
         rhs = lie.op_t(X, lie.op_t(X, x, y, s), lie.op_t(X, y, y, s), t)
@@ -264,9 +255,9 @@ def test_self_distributivity_reduces_to_self_action_when_z_equals_y():
 
 
 def test_noether_same_point():
-    b, X = _setup("SO3", 61)
+    X = _setup("SO3", 61)
     rng = np.random.default_rng(61)
-    p = lie.random_point(b, rng)
+    p = lie.random_point(X, rng)
     rep = lie.check_noether(X, p, p, [0.5, 1.0, -1.7])
     assert rep.fixes_forward and rep.fixes_backward and rep.agree
     assert rep.algebra_gap < 1e-15
@@ -275,18 +266,17 @@ def test_noether_same_point():
 def test_noether_zero_section_always_fixes():
     model = lie.get_model("SU2")
     rng = np.random.default_rng(67)
-    b = lie.SampledBundle(model, 2)
-    zero = lie.AdjointSection(b, (np.zeros((2, 2), dtype=complex),) * 2)
-    p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
+    zero = lie.AdjointSection(model, (np.zeros((2, 2), dtype=complex),) * 2)
+    p1, p2 = lie.random_point(zero, rng), lie.random_point(zero, rng)
     rep = lie.check_noether(zero, p1, p2, [1.0, 2.0])
     assert rep.fixes_forward and rep.fixes_backward
 
 
 def test_noether_generic_pairs_fail_both_ways():
-    b, X = _setup("SO3", 71)
+    X = _setup("SO3", 71)
     rng = np.random.default_rng(71)
     for _ in range(20):
-        p1, p2 = lie.random_point(b, rng), lie.random_point(b, rng)
+        p1, p2 = lie.random_point(X, rng), lie.random_point(X, rng)
         rep = lie.check_noether(X, p1, p2, rng.uniform(-2, 2, size=5))
         assert rep.agree
         if rep.algebra_gap > 1e-6:
@@ -294,7 +284,7 @@ def test_noether_generic_pairs_fail_both_ways():
 
 
 def test_equal_section_pairs_fix_both_ways():
-    _, X = _setup("SU2", 73)
+    X = _setup("SU2", 73)
     rng = np.random.default_rng(73)
     for _ in range(20):
         p1, p2 = lie.equal_section_pair(X, rng)
@@ -305,9 +295,9 @@ def test_equal_section_pairs_fix_both_ways():
 
 
 def test_check_noether_requires_samples():
-    b, X = _setup("SO3", 79)
+    X = _setup("SO3", 79)
     rng = np.random.default_rng(79)
-    p = lie.random_point(b, rng)
+    p = lie.random_point(X, rng)
     with pytest.raises(ShapeError):
         lie.check_noether(X, p, p, [])
 
@@ -359,9 +349,9 @@ def test_every_sweep_draw_takes_the_config_sample_count(monkeypatch):
     sizes = []
     draw = lie.random_point
 
-    def recording(b, rng, size=None):
+    def recording(X, rng, size=None):
         sizes.append(size)
-        return draw(b, rng, size)
+        return draw(X, rng, size)
 
     monkeypatch.setattr(lie, "random_point", recording)
     report = lie.run_sweep(lie.SweepConfig(samples=7, seed=1))
@@ -378,6 +368,11 @@ def test_sweep_config_caps_samples_and_base_points(field, cap):
             lie.SweepConfig(model="SO3", **{field: value})
         with pytest.raises(CapExceeded, match="at most"):
             dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})
+
+
+@pytest.mark.parametrize("name", ["GL4", "GL8", "GL16"])
+def test_gl_sweeps_pass_at_the_default_settings(name):
+    assert lie.run_sweep(lie.SweepConfig(model=name, samples=100, seed=1)).passed
 
 
 def test_sweep_is_deterministic():
