@@ -10,7 +10,6 @@ from .bundles import (
     DiscreteBundle,
     EquivariantMap,
     GaugeTransformation,
-    check_equivariance,
     compose_maps,
     enumerate_maps,
     identity_map,
@@ -35,7 +34,6 @@ from .gauge import (
     GaugeQuandle,
     ReducedQuandle,
     build,
-    fiber_quandle,
     homogeneous_quandle,
     isomorphism_census,
     quotient,

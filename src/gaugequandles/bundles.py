@@ -60,10 +60,6 @@ class DiscreteBundle:
     def points(self) -> range:
         return range(self.total_size)
 
-    def total(self) -> list[tuple[int, int]]:
-        """All points as (base index, fiber coordinate) pairs, in point order."""
-        return [(self.base(p), self.coord(p)) for p in self.points()]
-
     def base(self, p: int) -> int:
         """The projection pi(p)."""
         return p // self.group.order
@@ -170,21 +166,15 @@ def identity_map(b: DiscreteBundle) -> EquivariantMap:
 
 
 def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
-    """Pairs (p, g) where f(p*g) != g^-1 f(p) g for a raw total-value array."""
+    """Pairs (p, g) where f(p*g) != g^-1 f(p) g, for raw total values such as f.total_values().
+
+    No pair exactly when (P, G, f) is an augmented rack.
+    """
     vals = index_array(values, b.group.order, "map values")
     if vals.shape != (b.total_size,):
         raise ShapeError("need one value per total point")
     bad = vals[b.action_table()] != b.group.conj[vals]
     return [(int(p), int(g)) for p, g in np.argwhere(bad)]
-
-
-def check_equivariance(f: EquivariantMap) -> tuple[bool, list[tuple[int, int]]]:
-    """Exhaustive check of f(p*g) == g^-1 f(p) g over all points and elements.
-
-    This is exactly the augmented-rack condition for (P, G, f).
-    """
-    witnesses = equivariance_witnesses(f.bundle, f.total_values())
-    return (not witnesses, witnesses)
 
 
 def to_gauge(f: EquivariantMap) -> GaugeTransformation:

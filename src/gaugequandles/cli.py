@@ -134,7 +134,7 @@ def cmd_census(args) -> int:
 def cmd_fiber(args) -> int:
     f = _load_map(args)
     q = gauge.build(f)
-    transported, psi = gauge.transport_fiber(q, args.base)
+    transported = gauge.transport_fiber(q, args.base)
     c = f.section_values[args.base]
     G = f.bundle.group
     expected = racks.generalized_alexander(G, G.inner_automorphism(c))
@@ -142,7 +142,7 @@ def cmd_fiber(args) -> int:
     obj = {
         **racks.magma_to_json(transported),
         "base": args.base,
-        "chart": [int(v) for v in psi],
+        "chart": list(range(G.order)),
         "matches_generalized_alexander": matches,
         "section_value": c,
     }
@@ -157,14 +157,15 @@ def cmd_reduce(args) -> int:
     q = gauge.build(_load_map(args))
     H = _parse_subgroup(q.bundle.group, args.subgroup)
     reduced = gauge.reduce(q, H)
+    classes = reduced.classes
     obj = {
         **racks.magma_to_json(reduced.table),
-        "classes": [list(c) for c in reduced.classes],
+        "classes": [list(c) for c in classes],
         "subgroup": list(H.elements),
     }
     human = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})\n"
     human += _maybe_table(reduced.table)
-    human += "\nclasses: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in reduced.classes)
+    human += "\nclasses: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
     _emit(args, obj, human)
     return 0
 

@@ -10,7 +10,7 @@ class AlgebraError(Exception):
 
 
 class ShapeError(AlgebraError):
-    """Input array has the wrong shape, dtype, or exceeds a validation cap."""
+    """Input array has the wrong shape or dtype."""
 
 
 class AxiomViolation(AlgebraError):
@@ -54,7 +54,7 @@ class BundleMismatch(AlgebraError):
 
 
 class CapExceeded(AlgebraError):
-    """An enumeration would exceed its configured cap."""
+    """An input or enumeration would exceed its configured size cap."""
 
 
 class NormalizerViolation(AlgebraError):

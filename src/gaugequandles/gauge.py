@@ -75,24 +75,18 @@ def build(f: EquivariantMap) -> GaugeQuandle:
     return GaugeQuandle(map=f, table=table)
 
 
-def fiber_quandle(q: GaugeQuandle, m: int) -> MagmaTable:
-    """The subquandle on pi^-1(m), re-indexed 0..|G|-1 in chart order."""
+def transport_fiber(q: GaugeQuandle, m: int) -> MagmaTable:
+    """Move the fiber quandle at m onto G through the chart psi_m.
+
+    The transported table is g1 <| g2 = psi_m(psi_m^-1(g1) <|f psi_m^-1(g2)).
+    In the (m, g) encoding psi_m is the identity on fiber positions, so this
+    is the subquandle on pi^-1(m), re-indexed 0..|G|-1 in chart order. It
+    always coincides with the generalized Alexander quandle of G for the
+    inner automorphism of f(s(m)).
+    """
     b = q.bundle
     pts = b.point(int(index_array(m, b.base_size, "base index")), np.arange(b.group.order))
     return magma_from_table(b.coord(q.table.op[np.ix_(pts, pts)]))
-
-
-def transport_fiber(q: GaugeQuandle, m: int) -> tuple[MagmaTable, np.ndarray]:
-    """Move the fiber quandle at m onto G through the chart psi_m.
-
-    Returns the transported table g1 <| g2 = psi_m(psi_m^-1(g1) <|f psi_m^-1(g2))
-    and the chart bijection (fiber position -> group element) as the witness.
-    In the (m, g) encoding psi_m is the identity on fiber positions, so the
-    transported table is the fiber quandle itself. It always coincides with
-    the generalized Alexander quandle of G for the inner automorphism of
-    f(s(m)).
-    """
-    return fiber_quandle(q, m), np.arange(q.bundle.group.order)
 
 
 def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
@@ -130,13 +124,17 @@ def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
 
 @dataclass(frozen=True, eq=False)
 class ReducedQuandle:
-    """The quotient quandle on the classes p*H of a gauge quandle."""
+    """The quotient quandle `table` on the classes p*H, class_of[p] the class of point p."""
 
-    parent: GaugeQuandle
-    subgroup: Subgroup
-    classes: tuple[tuple[int, ...], ...]
     class_of: np.ndarray
     table: MagmaTable
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Each class's points in ascending order, classes in order of their smallest member."""
+        points = np.argsort(self.class_of, kind="stable")
+        bounds = np.cumsum(np.bincount(self.class_of))[:-1]
+        return tuple(tuple(c.tolist()) for c in np.split(points, bounds))
 
 
 def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
@@ -158,17 +156,11 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
         leaving = np.flatnonzero(~np.isin(b.group.conj[hs, fvals[p]], hs))
         raise NormalizerViolation((p, hs[leaving[0]]))
 
-    orbits = np.sort(b.action_table()[:, H.elements], axis=1)
-    smallest, class_of = np.unique(orbits[:, 0], return_inverse=True)
+    smallest = b.action_table()[:, H.elements].min(axis=1)
+    class_of = np.unique(smallest, return_inverse=True)[1]
     table = quotient(q.table.op, class_of)
     class_of.setflags(write=False)
-    return ReducedQuandle(
-        parent=q,
-        subgroup=H,
-        classes=tuple(map(tuple, orbits[smallest].tolist())),
-        class_of=class_of,
-        table=table,
-    )
+    return ReducedQuandle(class_of=class_of, table=table)
 
 
 def homogeneous_quandle(H: Subgroup, c: int) -> MagmaTable:

@@ -12,10 +12,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, ShapeError, index_array, json_int, read_array
+from .errors import AxiomViolation, CapExceeded, ShapeError, index_array, json_int, read_array
 
-# Exhaustive O(n^3) associativity validation is capped here; larger tables
-# must be constructed with verify_associativity=False.
+# Exhaustive O(n^3) associativity validation is capped here.
 ASSOCIATIVITY_CAP = 256
 
 
@@ -104,7 +103,9 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
     """Validate a Cayley table and return the group with identity relabeled to 0.
 
     Raises ShapeError for malformed input and AxiomViolation (with a witness)
-    when closure, associativity, identity, or inverses fail.
+    when closure, associativity, identity, or inverses fail. An order above
+    ASSOCIATIVITY_CAP raises CapExceeded; a caller that already knows the
+    table is associative may pass verify_associativity=False to skip the check.
     """
     t = _as_index_table(table)
     n = t.shape[0]
@@ -121,10 +122,7 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
 
     if verify_associativity:
         if n > ASSOCIATIVITY_CAP:
-            raise ShapeError(
-                f"order {n} exceeds the associativity check cap {ASSOCIATIVITY_CAP}; "
-                "pass verify_associativity=False to skip"
-            )
+            raise CapExceeded(f"order {n} exceeds the associativity check cap {ASSOCIATIVITY_CAP}")
         _check_associativity(t)
 
     # Relabel so the identity sits at index 0, preserving the relative order

@@ -17,11 +17,9 @@ All randomness is seeded; every report carries its seed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -113,6 +111,9 @@ class MatrixGroupModel:
 
     def __post_init__(self):
         basis = np.asarray(self.algebra_basis)
+        d = self.dim
+        if basis.shape[:1] == (0,) or basis.shape[1:] != (d, d):
+            raise ShapeError(f"{self.name} basis must be a (k, {d}, {d}) stack with k >= 1, got shape {basis.shape}")
         r = np.max(algebra_residual(self, basis))
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"{self.name} basis matrix violates algebra constraints ({r:.2e})")
@@ -129,10 +130,8 @@ def _imag_residual(A) -> np.ndarray:
 
 
 def algebra_residual(model: MatrixGroupModel, A):
-    """Distance of each matrix from the model's algebra constraints (0 when satisfied)."""
+    """Distance of each (dim, dim) matrix in A from the model's algebra constraints (0 when satisfied)."""
     A = np.asarray(A)
-    if A.shape[-2:] != (model.dim, model.dim):
-        return np.inf
     r = np.zeros(A.shape[:-2])
     if model.unitary:
         r = np.maximum(_fro(A + _adjoint(A)), np.abs(np.trace(A, axis1=-2, axis2=-1)))
@@ -221,8 +220,8 @@ class AdjointSection:
     """One algebra matrix per base point of M x G; X(m, g) = g^-1 * Xs(m) * g.
 
     The base is 0..base_points-1, one point per section value. The values
-    may be given as any sequence of matrices; they are stored as one
-    read-only (base_points, d, d) array.
+    may be given as any sequence of (d, d) matrices, but not as one bare
+    matrix; they are stored as one read-only (base_points, d, d) array.
     """
 
     model: MatrixGroupModel
@@ -230,8 +229,11 @@ class AdjointSection:
 
     def __post_init__(self):
         values = np.array(self.section_algebra_values)
-        if len(values) < 1:
+        d = self.model.dim
+        if values.shape[:1] == (0,):
             raise ShapeError("need at least one base point")
+        if values.shape[1:] != (d, d):
+            raise ShapeError(f"section values must be a (base_points, {d}, {d}) stack, got shape {values.shape}")
         r = np.max(algebra_residual(self.model, values))
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
@@ -305,6 +307,10 @@ class SweepConfig:
     def from_json(obj) -> "SweepConfig":
         if not isinstance(obj, dict) or "model" not in obj:
             raise ShapeError("sweep config must carry at least a 'model'")
+        keys = [f.name for f in fields(SweepConfig)]
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ShapeError(f"unknown sweep config key {unknown[0]!r}; expected only {', '.join(keys)}")
         t_range = obj.get("t_range", [-2.0, 2.0])
         if not isinstance(t_range, list) or len(t_range) != 2:
             raise ShapeError(f"t_range must be a list [lo, hi], got {t_range!r}")
@@ -316,10 +322,6 @@ class SweepConfig:
             t_range=tuple(json_real(v, "t_range") for v in t_range),
             tolerance=json_real(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE), "tolerance"),
         )
-
-
-def load_sweep_config(path: str | Path) -> SweepConfig:
-    return SweepConfig.from_json(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

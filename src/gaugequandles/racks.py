@@ -104,8 +104,7 @@ def verify_rack(m: MagmaTable) -> RackReport:
         xs = np.arange(start, min(start + chunk, n))
         lhs = op[op[xs]]                                # [i, y, z] = (x <| y) <| z
         rhs = op[op[xs][:, None, :], op[None, :, :]]    # [i, y, z] = (x <| z) <| (y <| z)
-        for i, y, z in np.argwhere(lhs != rhs):
-            sd.append((int(xs[i]), int(y), int(z)))
+        sd.extend(map(tuple, (np.argwhere(lhs != rhs) + (start, 0, 0)).tolist()))
 
     is_rack = not sd and not bij
     return RackReport(

@@ -27,7 +27,7 @@ def test_fiber_counting():
     for m in range(3):
         fiber = [p for p in b.points() if b.base(p) == m]
         assert len(fiber) == 2
-    assert b.total() == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [(b.base(p), b.coord(p)) for p in b.points()] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
 def test_chart_equivariance():
@@ -72,8 +72,7 @@ def test_check_equivariance_holds_for_all_enumerated_maps():
     for name, base_size in (("S3", 1), ("D3", 2), ("Z4", 3)):
         b = bundles.trivial_bundle(groups.catalog(name), base_size)
         for f in bundles.enumerate_maps(b):
-            ok, witnesses = bundles.check_equivariance(f)
-            assert ok and witnesses == []
+            assert bundles.equivariance_witnesses(b, f.total_values()) == []
 
 
 def test_corrupted_total_map_fails_equivariance():

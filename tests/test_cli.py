@@ -119,6 +119,17 @@ def test_census_cap_exceeded_exits_2(tmp_path, capsys):
     assert "7962624 maps exceed the cap 1000000" in capsys.readouterr().err
 
 
+def test_build_over_group_above_associativity_cap_exits_2(tmp_path, capsys):
+    n = groups.ASSOCIATIVITY_CAP + 1
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    bundle = write(tmp_path, "bundle.json", {"group": {"table": table}, "base_size": 1})
+    fmap = write(tmp_path, "map.json", {"section_values": [0]})
+    assert cli.main(["build", bundle, fmap]) == 2
+    err = capsys.readouterr().err
+    assert f"associativity check cap {groups.ASSOCIATIVITY_CAP}" in err
+    assert "verify_associativity" not in err  # a Python keyword the command line cannot pass
+
+
 def test_fiber_subcommand(tmp_path, capsys):
     bundle = write(tmp_path, "bundle.json", {"group": "S3", "base_size": 2})
     fmap = write(tmp_path, "map.json", {"section_values": [TRANSPOSITION, THREE_CYCLE]})
@@ -252,6 +263,8 @@ def test_build_rejects_non_integer_json_exits_2(tmp_path, capsys, bundle, values
         {"samples": lie.SAMPLES_CAP + 1},
         {"base_points": 10**12},
         {"base_points": lie.BASE_POINTS_CAP + 1},
+        {"sample": 5},
+        {"tolerence": 1e-20},
     ],
 )
 def test_lie_check_uncheckable_config_exits_2(tmp_path, capsys, override):

@@ -99,14 +99,14 @@ def test_fiber_quandle_whole_space_over_point():
     G, b = over_a_point("S3")
     f = bundles.EquivariantMap(b, (2,))
     q = gauge.build(f)
-    assert gauge.fiber_quandle(q, 0) == q.table
+    assert gauge.transport_fiber(q, 0) == q.table
 
 
 def test_fiber_quandles_of_trivial_structure_group():
     b = bundles.trivial_bundle(groups.catalog("Z1"), 3)
     q = gauge.build(bundles.identity_map(b))
     for m in range(3):
-        assert gauge.fiber_quandle(q, m) == racks.trivial_quandle(1)
+        assert gauge.transport_fiber(q, m) == racks.trivial_quandle(1)
 
 
 def test_fiber_quandles_with_distinct_section_values():
@@ -115,7 +115,7 @@ def test_fiber_quandles_with_distinct_section_values():
     f = bundles.EquivariantMap(b, (TRANSPOSITION, THREE_CYCLE))
     q = gauge.build(f)
     for m in range(2):
-        fib = gauge.fiber_quandle(q, m)
+        fib = gauge.transport_fiber(q, m)
         expected = racks.generalized_alexander(
             G, G.inner_automorphism(f.section_values[m])
         )
@@ -128,19 +128,17 @@ def test_transport_fiber_matches_generalized_alexander():
     f = bundles.EquivariantMap(b, (0, TRANSPOSITION, THREE_CYCLE))
     q = gauge.build(f)
     for m in range(3):
-        transported, psi = gauge.transport_fiber(q, m)
+        transported = gauge.transport_fiber(q, m)
         expected = racks.generalized_alexander(
             G, G.inner_automorphism(f.section_values[m])
         )
         assert transported == expected
-        assert racks.is_morphism(psi, gauge.fiber_quandle(q, m), transported)
-        assert sorted(psi.tolist()) == list(range(G.order))
 
 
 def test_transport_fiber_identity_map_trivial():
     G, b = over_a_point("D4")
     q = gauge.build(bundles.identity_map(b))
-    transported, _ = gauge.transport_fiber(q, 0)
+    transported = gauge.transport_fiber(q, 0)
     assert transported == racks.trivial_quandle(8)
 
 
@@ -375,9 +373,9 @@ def test_quotient_names_the_first_bad_class_pair():
     [
         lambda G, q, op: gauge.homogeneous_quandle(groups.subgroup(G, [0]), 1.5),
         lambda G, q, op: gauge.homogeneous_quandle(groups.subgroup(G, [0]), 6),
-        lambda G, q, op: gauge.fiber_quandle(q, 0.5),
-        lambda G, q, op: gauge.fiber_quandle(q, True),
-        lambda G, q, op: gauge.fiber_quandle(q, -1),
+        lambda G, q, op: gauge.transport_fiber(q, 0.5),
+        lambda G, q, op: gauge.transport_fiber(q, True),
+        lambda G, q, op: gauge.transport_fiber(q, -1),
         lambda G, q, op: gauge.quotient(op, [0, 0, 0, 0, 0, 0.0]),
         lambda G, q, op: gauge.quotient(op, [0, 0, 0, 0, 0, 6]),
         lambda G, q, op: gauge.quotient(op[:, :5], [0, 0, 0, 0, 0, 0]),
@@ -393,7 +391,7 @@ def test_element_arguments_must_be_integer_indices(call):
 def test_element_arguments_accept_numpy_integers():
     G, b = over_a_point("S3")
     q = gauge.build(bundles.EquivariantMap(b, (2,)))
-    assert gauge.fiber_quandle(q, np.int32(0)) == q.table
+    assert gauge.transport_fiber(q, np.int32(0)) == q.table
     trivial = groups.subgroup(G, [0])
     assert gauge.homogeneous_quandle(trivial, np.int64(2)) == gauge.homogeneous_quandle(trivial, 2)
     op = racks.conjugation_quandle(G).op

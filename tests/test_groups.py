@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugequandles import groups
-from gaugequandles.errors import AxiomViolation, ShapeError
+from gaugequandles.errors import AxiomViolation, CapExceeded, ShapeError
 
 S3_PERMS = groups.symmetric_group_elements(3)
 
@@ -64,6 +64,13 @@ def test_catalog_round_trip():
 def test_non_square_raises():
     with pytest.raises(ShapeError):
         groups.group_from_table([[0, 1], [1, 0], [0, 1]])
+
+
+def test_associativity_cap_raises_cap_exceeded():
+    n = groups.ASSOCIATIVITY_CAP + 1
+    cyclic = (np.arange(n)[:, None] + np.arange(n)) % n
+    with pytest.raises(CapExceeded, match=f"order {n} exceeds the associativity check cap {n - 1}"):
+        groups.group_from_table(cyclic)
 
 
 def test_closure_violation():

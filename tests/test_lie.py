@@ -130,6 +130,20 @@ def test_sampled_bundle_rejects_no_base_points():
         lie.AdjointSection(lie.get_model("SO3"), ())
 
 
+def test_adjoint_section_rejects_a_bare_matrix():
+    # One (3, 3) matrix is not three base points of 3-vectors.
+    with pytest.raises(ShapeError, match=r"\(base_points, 3, 3\) stack"):
+        lie.AdjointSection(lie.get_model("SO3"), lie._SO3_BASIS[0])
+    with pytest.raises(ShapeError, match=r"\(base_points, 2, 2\) stack"):
+        lie.AdjointSection(lie.get_model("SU2"), [np.zeros((3, 3))])
+
+
+def test_model_basis_must_be_a_stack_of_matrices():
+    for basis in (lie._SO3_BASIS[0], (), lie._SU2_BASIS):
+        with pytest.raises(ShapeError, match=r"\(k, 3, 3\) stack"):
+            lie.MatrixGroupModel("SO3", 3, basis, unitary=True, real=True)
+
+
 def test_adjoint_section_equivariance():
     rng = np.random.default_rng(31)
     for name in ("SO3", "SU2"):
@@ -308,7 +322,7 @@ def test_sweep_config_json_round_trip(tmp_path):
     assert lie.SweepConfig.from_json(obj) == cfg
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(obj))
-    assert lie.load_sweep_config(path) == cfg
+    assert lie.SweepConfig.from_json(json.loads(path.read_text())) == cfg
     with pytest.raises(ShapeError):
         lie.SweepConfig.from_json({"samples": 3})
 
@@ -323,6 +337,8 @@ def test_sweep_config_json_round_trip(tmp_path):
         ({"tolerance": "1e-8"}, "number"),
         ({"t_range": [-1, True]}, "number"),
         ({"t_range": 5}, r"\[lo, hi\]"),
+        ({"sample": 5}, "'sample'"),
+        ({"tolerence": 1e-20}, "'tolerence'"),
     ],
 )
 def test_sweep_config_from_json_is_strict(override, message):
