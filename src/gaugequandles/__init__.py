@@ -15,7 +15,6 @@ from .bundles import (
     identity_map,
     invert_map,
     to_gauge,
-    trivial_bundle,
 )
 from .errors import (
     AlgebraError,

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, index_array, json_int
+from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, index_array, int_field, json_int
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 # enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
@@ -45,6 +45,7 @@ class DiscreteBundle:
     base_size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "base_size", int_field(self.base_size, "base_size"))
         if self.base_size < 1:
             raise ShapeError("base must have at least one point")
         if self.total_size > TOTAL_POINTS_CAP:
@@ -57,9 +58,6 @@ class DiscreteBundle:
     def total_size(self) -> int:
         return self.base_size * self.group.order
 
-    def points(self) -> range:
-        return range(self.total_size)
-
     def base(self, p: int) -> int:
         """The projection pi(p)."""
         return p // self.group.order
@@ -71,25 +69,10 @@ class DiscreteBundle:
     def point(self, m: int, g: int) -> int:
         return m * self.group.order + g
 
-    def act(self, p: int, g: int) -> int:
-        """The right action p * g."""
-        return self.point(self.base(p), self.group.mul(self.coord(p), g))
-
-    def section(self, m: int) -> int:
-        """The canonical section s(m) = psi_m^-1(e)."""
-        return self.point(m, 0)
-
     def action_table(self) -> np.ndarray:
-        """act[p, g] = p * g for all total points and group elements."""
-        n = self.group.order
-        fibers = np.arange(self.base_size) * n
-        return (fibers[:, None, None] + self.group.table[None, :, :]).reshape(
-            self.total_size, n
-        )
-
-
-def trivial_bundle(G: FiniteGroup, base_size: int) -> DiscreteBundle:
-    return DiscreteBundle(group=G, base_size=base_size)
+        """act[p, g] = p * g for all total points and group elements: (m, h) * g = (m, h * g)."""
+        bases = np.arange(self.base_size)[:, None, None]
+        return self.point(bases, self.group.table).reshape(self.total_size, self.group.order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +95,6 @@ class GaugeTransformation:
         if not np.array_equal(vals[act], act[vals]):
             raise AlgebraError("equivariance phi(p*g) == phi(p)*g fails")
         object.__setattr__(self, "values", vals)
-
-    def __call__(self, p: int) -> int:
-        return int(self.values[p])
 
     def compose(self, other: GaugeTransformation) -> GaugeTransformation:
         """Function composition: (self . other)(p) = self(other(p))."""
@@ -147,13 +127,8 @@ class EquivariantMap:
             raise ShapeError(f"need one section value per base point, got {vals.size} for base size {n}")
         object.__setattr__(self, "section_values", tuple(vals.tolist()))
 
-    def eval(self, p: int) -> int:
-        """f(m, g) = g^-1 * f(s(m)) * g."""
-        b = self.bundle
-        return int(b.group.conj[self.section_values[b.base(p)], b.coord(p)])
-
     def total_values(self) -> np.ndarray:
-        """f(p) for every total point, in point order."""
+        """f(p) for every total point, in point order: f(m, g) = g^-1 * f(s(m)) * g."""
         return self.bundle.group.conj[list(self.section_values)].ravel()
 
     def __hash__(self) -> int:
@@ -174,7 +149,7 @@ def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
     if vals.shape != (b.total_size,):
         raise ShapeError("need one value per total point")
     bad = vals[b.action_table()] != b.group.conj[vals]
-    return [(int(p), int(g)) for p, g in np.argwhere(bad)]
+    return list(map(tuple, np.argwhere(bad).tolist()))
 
 
 def to_gauge(f: EquivariantMap) -> GaugeTransformation:
@@ -226,7 +201,7 @@ def bundle_from_json(obj) -> DiscreteBundle:
     if not isinstance(obj, dict) or "group" not in obj or "base_size" not in obj:
         raise ShapeError("bundle JSON must carry 'group' and 'base_size'")
     base_size = json_int(obj["base_size"], "base_size")
-    return trivial_bundle(group_from_json(obj["group"]), base_size)
+    return DiscreteBundle(group_from_json(obj["group"]), base_size)
 
 
 def load_bundle(path: str | Path) -> DiscreteBundle:

@@ -86,13 +86,18 @@ class NonFinite(AlgebraError):
     """A numerical input contains NaN or infinity."""
 
 
+def int_field(value, what: str) -> int:
+    """A Python or numpy integer as int; bools (np.bool_ too), floats, strings and the rest fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def json_int(value, what: str) -> int:
-    """An integer read from JSON; bools, strings and non-integral numbers fail."""
+    """An integer read from JSON: int_field, but integral floats such as 2.0 pass too."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShapeError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int_field(value, what)
 
 
 def json_real(value, what: str) -> float:

@@ -32,22 +32,9 @@ class FiniteGroup:
     conj: np.ndarray
     name: str = ""
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inverses[a])
-
-    def conjugate(self, a: int, g: int) -> int:
-        """g^-1 * a * g."""
-        return int(self.conj[a, g])
-
     def inner_automorphism(self, g: int) -> np.ndarray:
         """The permutation a -> g^-1 * a * g as an index array."""
         return self.conj[:, g].copy()
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -69,9 +56,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
 
     def __repr__(self) -> str:
         return f"Subgroup({list(self.elements)} of {self.group!r})"

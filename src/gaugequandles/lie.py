@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NonFinite, ShapeError, json_int, json_real
+from .errors import CapExceeded, NonFinite, ShapeError, int_field, json_int, json_real
 
 # Truncation order for the scaled Taylor series; at argument norm <= 0.5 the
 # remainder is far below double precision.
@@ -290,6 +290,8 @@ class SweepConfig:
         # Runs on construction and on every dataclasses.replace override.
         if not isinstance(self.model, str):
             raise ShapeError(f"model must be a string, got {self.model!r}")
+        for name in ("base_points", "samples", "seed"):
+            object.__setattr__(self, name, int_field(getattr(self, name), name))
         if self.samples < 1 or self.base_points < 1:
             raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
         if self.samples > SAMPLES_CAP or self.base_points > BASE_POINTS_CAP:
@@ -311,17 +313,16 @@ class SweepConfig:
         unknown = sorted(set(obj) - set(keys))
         if unknown:
             raise ShapeError(f"unknown sweep config key {unknown[0]!r}; expected only {', '.join(keys)}")
-        t_range = obj.get("t_range", [-2.0, 2.0])
-        if not isinstance(t_range, list) or len(t_range) != 2:
-            raise ShapeError(f"t_range must be a list [lo, hi], got {t_range!r}")
-        return SweepConfig(
-            model=obj["model"],
-            base_points=json_int(obj.get("base_points", 3), "base_points"),
-            samples=json_int(obj.get("samples", 100), "samples"),
-            seed=json_int(obj.get("seed", 0), "seed"),
-            t_range=tuple(json_real(v, "t_range") for v in t_range),
-            tolerance=json_real(obj.get("tolerance", DEFAULT_COMPOSITE_TOLERANCE), "tolerance"),
-        )
+        # Only the keys present, read in field order; the dataclass supplies every
+        # default, and __post_init__ checks the model.
+        read = {"model": lambda value, _: value, "t_range": _json_range, "tolerance": json_real}
+        return SweepConfig(**{key: read.get(key, json_int)(obj[key], key) for key in keys if key in obj})
+
+
+def _json_range(value, what: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ShapeError(f"{what} must be a list [lo, hi], got {value!r}")
+    return tuple(json_real(v, what) for v in value)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ class MagmaTable:
     op: np.ndarray
     labels: tuple[str, ...] | None = None
 
-    def apply(self, x: int, y: int) -> int:
-        return int(self.op[x, y])
-
     @functools.cached_property
     def invariants(self) -> list[tuple[int, ...]]:
         """element_invariants(self), computed once per table."""
@@ -187,8 +184,8 @@ def morphism_witnesses(f, src: MagmaTable, dst: MagmaTable) -> list[tuple[int, i
     fa = index_array(f, dst.size, "map values")
     if fa.shape != (src.size,):
         raise ShapeError(f"map must assign all {src.size} source elements")
-    bad = np.argwhere(fa[src.op] != dst.op[np.ix_(fa, fa)])
-    return [(int(x), int(y)) for x, y in bad]
+    bad = fa[src.op] != dst.op[np.ix_(fa, fa)]
+    return list(map(tuple, np.argwhere(bad).tolist()))
 
 
 def is_morphism(f, src: MagmaTable, dst: MagmaTable) -> bool:

@@ -100,7 +100,7 @@ def test_rack_subcommand(tmp_path, capsys, s3_point):
     assert cli.main(["rack", bundle, fmap, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["report"]["is_rack"] is True
-    b = bundles.trivial_bundle(groups.catalog("S3"), 1)
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 1)
     f = bundles.EquivariantMap(b, (TRANSPOSITION,))
     assert obj["op"] == gauge.rack_from_map(f).op.tolist()
 

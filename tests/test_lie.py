@@ -327,6 +327,19 @@ def test_sweep_config_json_round_trip(tmp_path):
         lie.SweepConfig.from_json({"samples": 3})
 
 
+@pytest.mark.parametrize("model", ["SO3", "SU2", "GL2"])
+def test_sweep_config_from_json_takes_the_dataclass_defaults(model):
+    assert lie.SweepConfig.from_json({"model": model}) == lie.SweepConfig(model=model)
+    assert lie.SweepConfig.from_json({"model": model, "seed": 4}) == lie.SweepConfig(model=model, seed=4)
+
+
+def test_sweep_config_counts_take_numpy_integers():
+    cfg = lie.SweepConfig(model="SO3", base_points=np.int64(2), samples=np.int32(5), seed=np.uint8(7))
+    assert cfg == lie.SweepConfig(model="SO3", base_points=2, samples=5, seed=7)
+    assert all(type(v) is int for v in (cfg.base_points, cfg.samples, cfg.seed))
+    assert cfg.to_json()["seed"] == 7
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
@@ -409,10 +422,17 @@ def test_sweep_is_deterministic():
         ("tolerance", -1.0),
         ("tolerance", math.nan),
         ("tolerance", math.inf),
+        ("samples", True),
+        ("base_points", 2.0),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", np.True_),
+        ("base_points", "3"),
+        ("samples", None),
     ],
 )
 def test_sweep_config_rejects_uncheckable_runs(field, value):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=field):
         lie.SweepConfig(model="SO3", **{field: value})
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=field):
         dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})

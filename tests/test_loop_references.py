@@ -65,6 +65,18 @@ def ref_conj(t, inverses):
     return conj
 
 
+def ref_act(b, p, g):
+    """The right action p * g, one point at a time: (m, h) * g = (m, h * g) with p = m * |G| + h."""
+    m, h = divmod(p, b.group.order)
+    return m * b.group.order + int(b.group.table[h, g])
+
+
+def ref_eval(f, p):
+    """f(p) one point at a time: f(m, g) = g^-1 * f(s(m)) * g."""
+    m, g = divmod(p, f.bundle.group.order)
+    return int(f.bundle.group.conj[f.section_values[m], g])
+
+
 def ref_subgroup(G, elements):
     """The sorted elements, or the first failing axiom and its witness."""
     elems = sorted(set(elements))
@@ -72,10 +84,10 @@ def ref_subgroup(G, elements):
     if 0 not in member:
         return ("identity", None)
     for a in elems:
-        if G.inverse(a) not in member:
+        if G.inverses[a] not in member:
             return ("inverse", (a,))
         for b in elems:
-            if G.mul(a, b) not in member:
+            if G.table[a, b] not in member:
                 return ("closure", (a, b))
     return tuple(elems)
 
@@ -92,25 +104,25 @@ def ref_generated(G, generators):
     frontier = {0, *generators}
     while frontier:
         closure |= frontier
-        frontier = {G.mul(a, b) for a in closure for b in closure} | {G.inverse(a) for a in closure}
+        frontier = {int(G.table[a, b]) for a in closure for b in closure} | {int(G.inverses[a]) for a in closure}
         frontier -= closure
     return tuple(sorted(closure))
 
 
 def ref_normalizer(G, H):
     helems = set(H.elements)
-    return tuple(g for g in G.elements() if {G.conjugate(h, g) for h in H.elements} == helems)
+    return tuple(g for g in range(G.order) if {int(G.conj[h, g]) for h in H.elements} == helems)
 
 
 def ref_cosets(G, H, side):
     seen, blocks = set(), []
-    for g in G.elements():
+    for g in range(G.order):
         if g in seen:
             continue
         if side == "left":
-            block = sorted(G.mul(g, h) for h in H.elements)
+            block = sorted(int(G.table[g, h]) for h in H.elements)
         else:
-            block = sorted(G.mul(h, g) for h in H.elements)
+            block = sorted(int(G.table[h, g]) for h in H.elements)
         seen.update(block)
         blocks.append(tuple(block))
     return sorted(blocks, key=lambda b: b[0])
@@ -118,13 +130,21 @@ def ref_cosets(G, H, side):
 
 def ref_equivariance_witnesses(b, vals):
     G = b.group
-    act = b.action_table()
     bad = []
-    for p in b.points():
+    for p in range(b.total_size):
         for g in range(G.order):
-            if vals[act[p, g]] != G.conjugate(int(vals[p]), g):
+            if vals[ref_act(b, p, g)] != G.conj[vals[p], g]:
                 bad.append((p, g))
     return bad
+
+
+def ref_morphism_witnesses(f, src, dst):
+    return [
+        (x, y)
+        for x in range(src.size)
+        for y in range(src.size)
+        if f[src.op[x, y]] != dst.op[f[x], f[y]]
+    ]
 
 
 def ref_rack_iota(m):
@@ -248,17 +268,17 @@ def test_generated_subgroup_matches_loop(G, gens):
 def test_normalizer_cosets_and_centralizer_match_loops(case):
     G, H = case
     assert groups.normalizer(H).elements == ref_normalizer(G, H)
-    assert groups.is_normal(H) == (ref_normalizer(G, H) == tuple(G.elements()))
+    assert groups.is_normal(H) == (ref_normalizer(G, H) == tuple(range(G.order)))
     for side in ("left", "right"):
         assert groups.cosets(H, side) == ref_cosets(G, H, side)
-    for g in G.elements():
-        assert groups.centralizes(g, H) == all(G.mul(g, h) == G.mul(h, g) for h in H.elements)
+    for g in range(G.order):
+        assert groups.centralizes(g, H) == all(G.table[g, h] == G.table[h, g] for h in H.elements)
 
 
 @settings(max_examples=60, deadline=None)
 @given(relabeled_groups(["Z4", "D3", "D4", "Q8", "S3"]), st.integers(1, 2), st.data())
 def test_equivariance_witnesses_match_loop(G, base, data):
-    b = bundles.trivial_bundle(G, base)
+    b = bundles.DiscreteBundle(G, base)
     values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
     vals = bundles.EquivariantMap(b, values).total_values()
     if data.draw(st.booleans()):  # break equivariance at one point
@@ -271,9 +291,24 @@ def test_equivariance_witnesses_match_loop(G, base, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(relabeled_groups(), st.data())
+def test_morphism_witnesses_match_loop(G, data):
+    # An inner automorphism is an endomorphism of the conjugation quandle;
+    # a random map is one only by chance.
+    m = racks.conjugation_quandle(G)
+    if data.draw(st.booleans()):
+        f = G.inner_automorphism(data.draw(st.integers(0, G.order - 1))).tolist()
+    else:
+        f = data.draw(st.lists(st.integers(0, G.order - 1), min_size=G.order, max_size=G.order))
+    got = racks.morphism_witnesses(f, m, m)
+    assert got == ref_morphism_witnesses(f, m, m)
+    assert all(type(x) is int and type(y) is int for x, y in got)
+
+
+@settings(max_examples=60, deadline=None)
 @given(relabeled_groups(["Z4", "D3", "D4", "Q8", "S3"]), st.integers(1, 2), st.data())
 def test_rack_iota_matches_loop(G, base, data):
-    b = bundles.trivial_bundle(G, base)
+    b = bundles.DiscreteBundle(G, base)
     values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
     m = gauge.rack_from_map(bundles.EquivariantMap(b, values))
     assert np.array_equal(racks.rack_iota(m), ref_rack_iota(m))
