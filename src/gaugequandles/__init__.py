@@ -20,14 +20,12 @@ from .errors import (
     AlgebraError,
     AutomorphismRequired,
     AxiomViolation,
-    BundleMismatch,
     CapExceeded,
     CentralizerViolation,
     NonFinite,
     NormalizerViolation,
     NotARack,
     ShapeError,
-    SizeMismatch,
 )
 from .gauge import (
     GaugeQuandle,

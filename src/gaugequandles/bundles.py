@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError, index_array, int_field, json_int
+from .errors import AlgebraError, CapExceeded, ShapeError, index_array, int_field, json_int
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 # enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
@@ -77,7 +77,7 @@ class DiscreteBundle:
 
 @dataclass(frozen=True, eq=False)
 class GaugeTransformation:
-    """A fiber-preserving equivariant permutation of the total points."""
+    """A fiber-preserving equivariant permutation of the total points; see to_gauge."""
 
     bundle: DiscreteBundle
     values: np.ndarray
@@ -95,22 +95,6 @@ class GaugeTransformation:
         if not np.array_equal(vals[act], act[vals]):
             raise AlgebraError("equivariance phi(p*g) == phi(p)*g fails")
         object.__setattr__(self, "values", vals)
-
-    def compose(self, other: GaugeTransformation) -> GaugeTransformation:
-        """Function composition: (self . other)(p) = self(other(p))."""
-        if self.bundle != other.bundle:
-            raise BundleMismatch("gauge transformations live on different bundles")
-        return GaugeTransformation(self.bundle, self.values[other.values])
-
-    def inverted(self) -> GaugeTransformation:
-        inv = np.empty_like(self.values)
-        inv[self.values] = np.arange(len(self.values))
-        return GaugeTransformation(self.bundle, inv)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaugeTransformation):
-            return NotImplemented
-        return self.bundle == other.bundle and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -155,9 +139,10 @@ def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
 def to_gauge(f: EquivariantMap) -> GaugeTransformation:
     """The gauge transformation phi_f(p) = p * f(p).
 
-    Its inverse is p -> p * f(p)^-1, and composition matches pointwise
-    multiplication: to_gauge(compose_maps(f1, f2)) == to_gauge(f1).compose(to_gauge(f2)),
-    i.e. f -> phi_f is a group isomorphism onto its image (not an anti-isomorphism).
+    f -> phi_f is a group isomorphism onto its image (not an
+    anti-isomorphism): phi_{f1 f2} = phi_f1 . phi_f2 for the pointwise
+    product compose_maps(f1, f2), and phi_f^-1 = phi_{f^-1}, that is
+    p -> p * f(p)^-1, for invert_map(f).
     """
     b = f.bundle
     vals = f.total_values()
@@ -169,7 +154,7 @@ def to_gauge(f: EquivariantMap) -> GaugeTransformation:
 def compose_maps(f1: EquivariantMap, f2: EquivariantMap) -> EquivariantMap:
     """Pointwise product (f1 f2)(p) = f1(p) * f2(p)."""
     if f1.bundle != f2.bundle:
-        raise BundleMismatch("maps live on different bundles")
+        raise ShapeError("maps live on different bundles")
     return EquivariantMap(f1.bundle, f1.bundle.group.table[f1.section_values, f2.section_values])
 
 

@@ -116,17 +116,14 @@ def cmd_rack(args) -> int:
 def cmd_census(args) -> int:
     b = bundles.load_bundle(args.bundle)
     classes = gauge.isomorphism_census(b)
-    total = sum(c.size for c in classes)
+    total = sum(len(c) for c in classes)
     obj = {
         "maps": total,
-        "classes": [
-            {"representative": list(c.representative), "size": c.size}
-            for c in classes
-        ],
+        "classes": [{"representative": list(c[0]), "size": len(c)} for c in classes],
     }
     lines = [f"{total} equivariant maps fall into {len(classes)} isomorphism classes"]
     for i, c in enumerate(classes):
-        lines.append(f"  class {i}: size {c.size}, representative section values {list(c.representative)}")
+        lines.append(f"  class {i}: size {len(c)}, representative section values {list(c[0])}")
     _emit(args, obj, "\n".join(lines))
     return 0
 
@@ -172,7 +169,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_homogeneous(args) -> int:
     spec = args.group
-    G = groups.catalog(spec) if not Path(spec).exists() else groups.group_from_json(_load_json(spec))
+    from_file = spec not in groups.catalog_names() and Path(spec).exists()
+    G = groups.group_from_json(_load_json(spec)) if from_file else groups.catalog(spec)
     H = _parse_subgroup(G, args.subgroup)
     table = gauge.homogeneous_quandle(H, args.element)
     obj = {**racks.magma_to_json(table), "subgroup": list(H.elements), "element": args.element}
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("homogeneous", parents=[output], help="coset quandle of a group for a centralizing element")
-    p.add_argument("group", help="catalog name or group JSON file")
+    p.add_argument("group", help="catalog name, or else a group JSON file")
     p.add_argument("--subgroup", required=True, help="comma-separated element indices")
     p.add_argument("--element", type=int, required=True)
     p.set_defaults(func=cmd_homogeneous)

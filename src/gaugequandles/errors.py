@@ -45,14 +45,6 @@ class NotARack(AlgebraError):
     """Operation requires a rack but the table fails the rack axioms."""
 
 
-class SizeMismatch(AlgebraError):
-    """Two tables that must share a carrier size do not."""
-
-
-class BundleMismatch(AlgebraError):
-    """Two objects that must live on the same bundle do not."""
-
-
 class CapExceeded(AlgebraError):
     """An input or enumeration would exceed its configured size cap."""
 

@@ -20,6 +20,7 @@ from .bundles import (
     EquivariantMap,
     bundle_to_json,
     enumerate_maps,
+    invert_map,
     to_gauge,
 )
 from .errors import (
@@ -64,10 +65,11 @@ class GaugeQuandle:
 def build(f: EquivariantMap) -> GaugeQuandle:
     """Construct the gauge quandle p1 <|f p2 = phi_f^-1(p1) * f(p2) on f's bundle.
 
-    This equals p1 * f(p1)^-1 f(p2), since phi_f^-1(p1) = p1 * f(p1)^-1. The
-    quandle axioms are verified exhaustively over all |P|^3 triples.
+    This equals p1 * f(p1)^-1 f(p2), since phi_f^-1 = phi_{f^-1} maps p1 to
+    p1 * f(p1)^-1. The quandle axioms are verified exhaustively over all
+    |P|^3 triples.
     """
-    op = f.bundle.action_table()[to_gauge(f).inverted().values][:, f.total_values()]
+    op = f.bundle.action_table()[to_gauge(invert_map(f)).values][:, f.total_values()]
     table = magma_from_table(op)
     report = verify_rack(table)
     if not report.is_quandle:
@@ -196,27 +198,13 @@ def gauge_quandle_to_json(q: GaugeQuandle) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class CensusClass:
-    """One isomorphism class of gauge quandles: section values in enumeration order."""
-
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def representative(self) -> tuple[int, ...]:
-        return self.members[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def isomorphism_census(b: DiscreteBundle) -> list[CensusClass]:
+def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     """Group all |G|^|M| gauge quandles on b into isomorphism classes.
 
+    Each class is the tuple of its members' section values in enumeration
+    order, which is lexicographic, so its first member is its representative.
     Every table is built with its quandle axioms verified. Classes appear in
-    order of their first representative (enumeration is lexicographic in
-    section values), so output is deterministic.
+    order of their first member, so output is deterministic.
     """
     buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
     ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
@@ -233,4 +221,4 @@ def isomorphism_census(b: DiscreteBundle) -> list[CensusClass]:
             buckets[key].append(entry)
             ordered.append(entry)
         entry[1].append(f.section_values)
-    return [CensusClass(members=tuple(members)) for _, members in ordered]
+    return [tuple(members) for _, members in ordered]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -83,13 +83,12 @@ def _check_associativity(t: np.ndarray) -> None:
             raise AxiomViolation("associativity", (a, int(b), int(c)))
 
 
-def group_from_table(table, name: str = "", *, verify_associativity: bool = True) -> FiniteGroup:
+def group_from_table(table, name: str = "") -> FiniteGroup:
     """Validate a Cayley table and return the group with identity relabeled to 0.
 
     Raises ShapeError for malformed input and AxiomViolation (with a witness)
-    when closure, associativity, identity, or inverses fail. An order above
-    ASSOCIATIVITY_CAP raises CapExceeded; a caller that already knows the
-    table is associative may pass verify_associativity=False to skip the check.
+    when closure, identity, associativity or inverses fail, checked in that
+    order. An order above ASSOCIATIVITY_CAP raises CapExceeded.
     """
     t = _as_index_table(table)
     n = t.shape[0]
@@ -104,10 +103,9 @@ def group_from_table(table, name: str = "", *, verify_associativity: bool = True
         raise AxiomViolation("identity", None, "no two-sided identity element")
     identity = int(identities[0])
 
-    if verify_associativity:
-        if n > ASSOCIATIVITY_CAP:
-            raise CapExceeded(f"order {n} exceeds the associativity check cap {ASSOCIATIVITY_CAP}")
-        _check_associativity(t)
+    if n > ASSOCIATIVITY_CAP:
+        raise CapExceeded(f"order {n} exceeds the associativity check cap {ASSOCIATIVITY_CAP}")
+    _check_associativity(t)
 
     # Relabel so the identity sits at index 0, preserving the relative order
     # of the remaining elements: new element i is old element old[i].
@@ -198,33 +196,17 @@ def centralizes(g: int, H: Subgroup) -> bool:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
-def _table_from_elements(elements: Sequence, compose) -> np.ndarray:
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    t = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            t[i, j] = index[compose(a, b)]
-    return t
-
-
 def _cyclic_table(n: int) -> np.ndarray:
     idx = np.arange(n)
     return (idx[:, None] + idx[None, :]) % n
 
 
 def _dihedral_table(n: int) -> np.ndarray:
-    # Elements (k, e) = r^k s^e, encoded as k + n*e; rotations come first.
-    # (k1,e1)*(k2,e2) = (k1 + (-1)^e1 k2 mod n, e1 xor e2).
-    elements = [(k, e) for e in (0, 1) for k in range(n)]
-
-    def compose(x, y):
-        k1, e1 = x
-        k2, e2 = y
-        k = (k1 - k2) % n if e1 else (k1 + k2) % n
-        return (k, e1 ^ e2)
-
-    return _table_from_elements(elements, compose)
+    # Element k + n*e is r^k s^e, so rotations come first, and
+    # (k1, e1) * (k2, e2) = (k1 + (-1)^e1 k2 mod n, e1 xor e2).
+    idx = np.arange(2 * n)
+    k, e = idx % n, idx // n
+    return (k[:, None] + (1 - 2 * e[:, None]) * k[None, :]) % n + n * (e[:, None] ^ e[None, :])
 
 
 def symmetric_group_elements(n: int) -> list[tuple[int, ...]]:
@@ -232,34 +214,26 @@ def symmetric_group_elements(n: int) -> list[tuple[int, ...]]:
     return sorted(itertools.permutations(range(n)))
 
 
-def compose_permutations(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """(a*b)(i) = a(b(i)): apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def _symmetric_table(n: int) -> np.ndarray:
-    return _table_from_elements(symmetric_group_elements(n), compose_permutations)
+    # (a*b)(i) = a(b(i)): apply b first, then a. Reading a permutation as a
+    # base-n number keeps the lexicographic order, so its index is a search.
+    perms = np.array(symmetric_group_elements(n))
+    digits = n ** np.arange(n - 1, -1, -1)
+    return np.searchsorted(perms @ digits, perms[:, perms] @ digits)
+
+
+# _QUATERNION_SIGN[u1, u2] is 1 when the product of the units u1, u2 in
+# 1, i, j, k is negative (i*i = -1, j*i = -k, ...).
+_QUATERNION_SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def _quaternion_table() -> np.ndarray:
-    # Units 1, i, j, k with signs; element order: +1,-1,+i,-i,+j,-j,+k,-k.
-    units = "1ijk"
-    rules = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-    }
-    elements = [(s, u) for u in units for s in (1, -1)]
-
-    def compose(x, y):
-        s1, u1 = x
-        s2, u2 = y
-        s3, u3 = rules[(u1, u2)]
-        return (s1 * s2 * s3, u3)
-
-    return _table_from_elements(elements, compose)
+    # Element 2*u + s is (-1)^s times unit u of 1, i, j, k, so the order is
+    # +1, -1, +i, -i, +j, -j, +k, -k; the unit of a product is u1 xor u2.
+    idx = np.arange(8)
+    u, s = idx // 2, idx % 2
+    u1, u2, s1, s2 = u[:, None], u[None, :], s[:, None], s[None, :]
+    return 2 * (u1 ^ u2) + (s1 ^ s2 ^ _QUATERNION_SIGN[u1, u2])
 
 
 def _catalog_tables() -> dict[str, np.ndarray]:

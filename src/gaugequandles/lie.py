@@ -66,7 +66,8 @@ def mat_exp(a) -> np.ndarray:
     Takes one (d, d) matrix or a (..., d, d) stack. Each matrix is halved
     until its Frobenius norm is <= 0.5, the series is summed by Horner's
     rule, and the result squared back as often as that matrix was halved.
-    Dimension-agnostic and valid for non-normal input.
+    Dimension-agnostic and valid for non-normal input. Raises NonFinite, with
+    the argument's norm, when the norm or the result overflows.
     """
     A = np.asarray(a)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -76,15 +77,21 @@ def mat_exp(a) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix exponential of a non-finite matrix")
 
-    squarings = np.ceil(np.log2(np.maximum(_fro(A), 0.5) / 0.5)).astype(int)
-    B = A / _col(2.0**squarings)
+    # An overflowing norm or product leaves a non-finite result, checked once below.
+    with np.errstate(all="ignore"):
+        norms = _fro(A)
+        squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
+        B = A / _col(2.0**squarings)
 
-    eye = np.eye(A.shape[-1], dtype=B.dtype)
-    result = eye
-    for k in range(_EXP_TAYLOR_ORDER, 0, -1):
-        result = eye + (B @ result) / k
-    for i in range(squarings.max(initial=0)):
-        result = np.where((squarings > i)[..., None, None], result @ result, result)
+        eye = np.eye(A.shape[-1], dtype=B.dtype)
+        result = eye
+        for k in range(_EXP_TAYLOR_ORDER, 0, -1):
+            result = eye + (B @ result) / k
+        for i in range(squarings.max(initial=0)):
+            result = np.where((squarings > i)[..., None, None], result @ result, result)
+    if not np.isfinite(result).all():
+        bad = ~np.isfinite(result).all(axis=(-2, -1))
+        raise NonFinite(f"matrix exponential overflows at argument norm {np.max(norms[bad]):.3g}")
     return result
 
 
@@ -204,10 +211,6 @@ def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, size=None)
     return np.einsum("...k,kij->...ij", coeffs, np.asarray(model.algebra_basis))
 
 
-def random_group_element(model: MatrixGroupModel, rng: np.random.Generator, size=None) -> np.ndarray:
-    return mat_exp(random_algebra(model, rng, size))
-
-
 # ---------------------------------------------------------------------------
 # Adjoint sections and the parametrized operation
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ class AdjointSection:
 
 def random_point(X: AdjointSection, rng: np.random.Generator, size=None) -> Point:
     """One random point of X's bundle, or a stack of them with leading shape `size`."""
-    return (rng.integers(X.base_points, size=size), random_group_element(X.model, rng, size=size))
+    return (rng.integers(X.base_points, size=size), mat_exp(random_algebra(X.model, rng, size)))
 
 
 def op_t(X: AdjointSection, p1: Point, p2: Point, t) -> Point:
@@ -294,6 +297,8 @@ class SweepConfig:
             object.__setattr__(self, name, int_field(getattr(self, name), name))
         if self.samples < 1 or self.base_points < 1:
             raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
         if self.samples > SAMPLES_CAP or self.base_points > BASE_POINTS_CAP:
             raise CapExceeded(f"a sweep takes at most {SAMPLES_CAP} samples and {BASE_POINTS_CAP} base points")
         lo, hi = self.t_range

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch, index_array, json_int, read_array
+from .errors import AutomorphismRequired, NotARack, ShapeError, index_array, json_int, read_array
 from .groups import FiniteGroup
 
 # Chunk the n^3 self-distributivity scan to bound peak memory.
@@ -232,10 +232,10 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     f(u) are set, f(x <| u) and f(u <| x) are forced. Only elements that no
     assignment forces are branched on, most constrained first, and every
     image must match its element's invariants. Returns the witness as a
-    list, or None after exhaustion.
+    list, or None after exhaustion; tables of different sizes raise ShapeError.
     """
     if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} != {b.size}")
+        raise ShapeError(f"sizes differ: {a.size} != {b.size}")
     n = a.size
     inv_a, inv_b = a.invariants, b.invariants
     if sorted(inv_a) != sorted(inv_b):

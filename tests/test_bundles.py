@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugequandles import bundles, groups
-from gaugequandles.errors import AlgebraError, BundleMismatch, CapExceeded, ShapeError
+from gaugequandles.errors import AlgebraError, CapExceeded, ShapeError
 from test_loop_references import ref_act, ref_eval
 
 
@@ -107,12 +107,14 @@ def test_gauge_inverse_law():
     G = groups.catalog("S3")
     b = bundles.DiscreteBundle(G, 2)
     f = bundles.EquivariantMap(b, (1, 3))
-    phi_inv = bundles.to_gauge(f).inverted()
+    phi = bundles.to_gauge(f).values
+    phi_inv = bundles.to_gauge(bundles.invert_map(f)).values
     vals = f.total_values()
     act = b.action_table()
     for p in range(b.total_size):
-        assert phi_inv.values[p] == act[p, G.inverses[vals[p]]]
-    assert phi_inv == bundles.to_gauge(bundles.invert_map(f))
+        assert phi_inv[p] == act[p, G.inverses[vals[p]]]
+    assert np.array_equal(phi[phi_inv], np.arange(b.total_size))
+    assert np.array_equal(phi_inv[phi], np.arange(b.total_size))
 
 
 def test_gauge_transformations_preserve_fibers_and_act_by_left_multiplication():
@@ -134,7 +136,7 @@ def test_compose_invert_group_laws():
     assert bundles.compose_maps(f, g).section_values == (3,)
     assert bundles.compose_maps(f, bundles.invert_map(f)) == bundles.identity_map(b)
     other = bundles.DiscreteBundle(G, 2)
-    with pytest.raises(BundleMismatch):
+    with pytest.raises(ShapeError, match="maps live on different bundles"):
         bundles.compose_maps(f, bundles.identity_map(other))
 
 
@@ -145,8 +147,8 @@ def test_to_gauge_composition_orientation():
     all_maps = list(bundles.enumerate_maps(b))
     for f1, f2 in itertools.product(all_maps, repeat=2):
         lhs = bundles.to_gauge(bundles.compose_maps(f1, f2))
-        rhs = bundles.to_gauge(f1).compose(bundles.to_gauge(f2))
-        assert lhs == rhs
+        rhs = bundles.to_gauge(f1).values[bundles.to_gauge(f2).values]
+        assert np.array_equal(lhs.values, rhs)
 
 
 def test_to_gauge_injective():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,17 @@ def test_homogeneous_from_group_file(tmp_path, capsys):
     assert obj["size"] == 3
 
 
+def test_homogeneous_reads_a_catalog_name_that_a_path_shadows(tmp_path, monkeypatch, capsys):
+    golden = json.loads((Path(__file__).parent / "golden" / "expected.json").read_text())
+    case = golden["homogeneous-s3-human"]
+    (tmp_path / case["argv"][1]).mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(case["argv"]) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+    assert cli.main(["homogeneous", "S9", "--subgroup", "0", "--element", "0"]) == 2
+    assert "unknown catalog group 'S9'" in capsys.readouterr().err
+
+
 def test_lie_check(tmp_path, capsys):
     config = write(
         tmp_path,
@@ -195,6 +207,20 @@ def test_lie_check_json_and_overrides(tmp_path, capsys):
 def test_lie_check_unknown_model_exits_2(tmp_path):
     config = write(tmp_path, "sweep.json", {"model": "E8", "seed": 1})
     assert cli.main(["lie-check", config]) == 2
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"t_range": [-1e100, 1e100]}, "matrix exponential overflows at argument norm"),
+    ],
+)
+def test_lie_check_input_error_is_one_stderr_line(tmp_path, capsys, override, message):
+    config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1, **override})
+    assert cli.main(["lie-check", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_lie_check_requires_a_seed(tmp_path):

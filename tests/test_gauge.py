@@ -86,6 +86,21 @@ def test_build_preserves_base():
             assert b.base(q.table.op[p1, p2]) == b.base(p1)
 
 
+def test_build_validates_one_gauge_transformation(monkeypatch):
+    # phi_f^-1 is read as phi_{f^-1}, so no second permutation is built and checked.
+    made = []
+    init = bundles.GaugeTransformation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bundles.GaugeTransformation, "__init__", counting_init)
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 2)
+    gauge.build(bundles.EquivariantMap(b, (TRANSPOSITION, THREE_CYCLE)))
+    assert len(made) == 1
+
+
 def test_build_over_point_equals_generalized_alexander():
     for name in ("Z4", "S3", "Q8"):
         G, b = over_a_point(name)
@@ -236,20 +251,22 @@ def test_homogeneous_matches_reduce_for_normal_subgroup():
 def test_census_s3_over_point():
     G, b = over_a_point("S3")
     classes = gauge.isomorphism_census(b)
-    assert sum(c.size for c in classes) == 6
-    assert sorted(c.size for c in classes) == [1, 2, 3]
+    assert sorted(map(len, classes)) == [1, 2, 3]
+    # Members are section-value tuples, each class in enumeration order.
+    assert sorted(m for c in classes for m in c) == [(g,) for g in range(6)]
+    assert all(list(c) == sorted(c) for c in classes) and classes[0][0] == (0,)
 
 
 def test_census_abelian_over_point_single_class():
     G, b = over_a_point("Z6")
     classes = gauge.isomorphism_census(b)
-    assert len(classes) == 1 and classes[0].size == 6
+    assert len(classes) == 1 and len(classes[0]) == 6
 
 
 def test_census_trivial_group():
     b = bundles.DiscreteBundle(groups.catalog("Z1"), 4)
     classes = gauge.isomorphism_census(b)
-    assert len(classes) == 1 and classes[0].size == 1
+    assert len(classes) == 1 and len(classes[0]) == 1
 
 
 def test_gauge_quandle_provenance_json():

@@ -3,6 +3,7 @@ import pytest
 
 from gaugequandles import groups
 from gaugequandles.errors import AxiomViolation, CapExceeded, ShapeError
+from test_loop_references import ref_compose_permutations
 
 S3_PERMS = groups.symmetric_group_elements(3)
 
@@ -139,8 +140,8 @@ def test_s3_conjugation_against_permutation_composition():
     a = s3_index((1, 0, 2))   # swap 0,1
     g = s3_index((2, 1, 0))   # swap 0,2
     ginv = S3_PERMS[G.inverses[g]]
-    expected = groups.compose_permutations(
-        groups.compose_permutations(ginv, S3_PERMS[a]), S3_PERMS[g]
+    expected = ref_compose_permutations(
+        ref_compose_permutations(ginv, S3_PERMS[a]), S3_PERMS[g]
     )
     assert G.conj[a, g] == s3_index(expected)
     assert s3_index(expected) == s3_index((0, 2, 1))  # swap 1,2
@@ -150,7 +151,7 @@ def test_catalog_table_matches_permutation_composition():
     G = groups.catalog("S3")
     for i, a in enumerate(S3_PERMS):
         for j, b in enumerate(S3_PERMS):
-            assert G.table[i, j] == s3_index(groups.compose_permutations(a, b))
+            assert G.table[i, j] == s3_index(ref_compose_permutations(a, b))
 
 
 @pytest.mark.parametrize("name", [n for n in groups.catalog_names() if groups.catalog(n).order <= 24])

@@ -92,6 +92,11 @@ def test_mat_exp_complex():
 def test_mat_exp_rejects_non_finite():
     with pytest.raises(NonFinite):
         lie.mat_exp(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    # Finite input whose result overflows (1e100) or whose norm already does (1e200).
+    with pytest.raises(NonFinite, match="overflows at argument norm 1.41e"):
+        lie.mat_exp(1e100 * lie._SO3_BASIS[2])
+    with pytest.raises(NonFinite, match="overflows at argument norm inf"):
+        lie.mat_exp(np.stack([lie._SO3_BASIS[2], 1e200 * lie._SO3_BASIS[2]]))
     with pytest.raises(ShapeError):
         lie.mat_exp(np.zeros((2, 3)))
 
@@ -121,7 +126,7 @@ def test_random_group_elements_are_members():
     for name in ("SO3", "SU2"):
         model = lie.get_model(name)
         for _ in range(25):
-            g = lie.random_group_element(model, rng)
+            g = lie.mat_exp(lie.random_algebra(model, rng))
             assert lie.membership_residual(model, g) < 1e-12
 
 
@@ -429,6 +434,7 @@ def test_sweep_is_deterministic():
         ("seed", np.True_),
         ("base_points", "3"),
         ("samples", None),
+        ("seed", -1),
     ],
 )
 def test_sweep_config_rejects_uncheckable_runs(field, value):

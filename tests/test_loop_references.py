@@ -4,8 +4,11 @@ Each reference below is the loop the library used before its tables became
 array expressions: one element, pair or point at a time, in the order the
 witnesses are reported. Hypothesis runs them against the library on catalog
 groups relabeled by random permutations that move the identity off index 0,
-on random element subsets, and on random total-value arrays.
+on random element subsets, and on random total-value arrays. The catalog
+tables are checked against products of the elements they stand for.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 # ---------------------------------------------------------------------------
 
 def ref_group_from_table(t):
-    """Identity, inverses and relabel, one element at a time.
+    """Identity, associativity, inverses and relabel, one element at a time.
 
     Returns (table, inverses) with the identity at 0, or raises the
-    AxiomViolation for the first missing identity or inverse.
+    AxiomViolation for the first missing identity, associative triple
+    (a, b, c) in lexicographic order, or inverse, checked in that order.
     """
     t = np.asarray(t, dtype=np.int64)
     n = len(t)
@@ -38,6 +42,9 @@ def ref_group_from_table(t):
             break
     if identity is None:
         raise AxiomViolation("identity", None, "no two-sided identity element")
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a, b], c] != t[a, t[b, c]]:
+            raise AxiomViolation("associativity", (a, b, c))
     inverses = np.full(n, -1, dtype=np.int64)
     for a in range(n):
         for b in np.flatnonzero(t[a] == identity):
@@ -54,6 +61,59 @@ def ref_group_from_table(t):
     for a in range(n):
         new_t[relabel[a], relabel] = relabel[t[a]]
     return new_t, relabel[inverses[np.argsort(relabel)]]
+
+
+def ref_table_from_elements(elements, compose):
+    """The Cayley table of `elements` under `compose`, one pair at a time."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    t = np.empty((n, n), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            t[i, j] = index[compose(a, b)]
+    return t
+
+
+def ref_compose_permutations(a, b):
+    """(a*b)(i) = a(b(i)): apply b first, then a."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+# Quaternion units 1, i, j, k: u1 * u2 = sign * unit.
+QUATERNION_RULES = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
+}
+
+
+def ref_catalog_table(name):
+    """A catalog group's table from its elements, in catalog order.
+
+    Z_n: residues k under addition mod n. D_n: r^k s^e as (k, e), rotations
+    first, (k1, e1)(k2, e2) = (k1 + (-1)^e1 k2 mod n, e1 xor e2). S_n:
+    permutations in lexicographic order. Q8: +1, -1, +i, -i, +j, -j, +k, -k.
+    """
+    kind, n = name[0], int(name[1:])
+    if kind == "Z":
+        return ref_table_from_elements(list(range(n)), lambda a, b: (a + b) % n)
+    if kind == "D":
+        def dihedral(x, y):
+            (k1, e1), (k2, e2) = x, y
+            return ((k1 - k2) % n if e1 else (k1 + k2) % n, e1 ^ e2)
+
+        return ref_table_from_elements([(k, e) for e in (0, 1) for k in range(n)], dihedral)
+    if kind == "S":
+        return ref_table_from_elements(sorted(itertools.permutations(range(n))), ref_compose_permutations)
+
+    def quaternion(x, y):
+        (s1, u1), (s2, u2) = x, y
+        s3, u3 = QUATERNION_RULES[(u1, u2)]
+        return (s1 * s2 * s3, u3)
+
+    return ref_table_from_elements([(s, u) for u in "1ijk" for s in (1, -1)], quaternion)
 
 
 def ref_conj(t, inverses):
@@ -190,6 +250,31 @@ def relabeled_groups(draw, names=NAMES):
 
 
 @st.composite
+def corrupted_tables(draw):
+    """A relabeled catalog table with one entry changed, either anywhere or
+    where a*b was the identity, so that a loses its inverse."""
+    t = draw(relabeled_tables()).copy()
+    n = len(t)
+    e = int(np.flatnonzero((t == np.arange(n)).all(axis=1))[0])
+    a = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        b = int(np.flatnonzero(t[a] == e)[0])
+        t[a, b] = (e + draw(st.integers(1, max(1, n - 1)))) % n
+    else:
+        b = draw(st.integers(0, n - 1))
+        t[a, b] = draw(st.integers(0, n - 1))
+    return t
+
+
+@st.composite
+def relabeled_monoids(draw):
+    """a*b mod n for n >= 2, relabeled: associative with identity 1, but 0 has no inverse."""
+    n = draw(st.integers(2, 12))
+    idx = np.arange(n)
+    return relabel(idx[:, None] * idx[None, :] % n, draw(st.permutations(range(n))))
+
+
+@st.composite
 def groups_with_subsets(draw):
     G = draw(relabeled_groups())
     subset = draw(st.sets(st.integers(0, G.order - 1), max_size=G.order))
@@ -218,32 +303,24 @@ def test_group_from_table_and_conj_match_loops(t):
     assert all(not arr.flags.writeable for arr in (G.table, G.inverses, G.conj))
 
 
-@settings(max_examples=80, deadline=None)
-@given(relabeled_tables(), st.data())
-def test_group_from_table_failures_match_loops(t, data):
-    # One corrupted entry, either anywhere or where a*b was the identity (so
-    # that a loses its inverse); associativity is skipped so that the
-    # identity and inverse checks see the broken table.
-    n = len(t)
-    e = int(np.flatnonzero((t == np.arange(n)).all(axis=1))[0])
-    t = t.copy()
-    a = data.draw(st.integers(0, n - 1))
-    if data.draw(st.booleans()):
-        b = int(np.flatnonzero(t[a] == e)[0])
-        t[a, b] = (e + data.draw(st.integers(1, max(1, n - 1)))) % n
-    else:
-        b = data.draw(st.integers(0, n - 1))
-        t[a, b] = data.draw(st.integers(0, n - 1))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(corrupted_tables(), relabeled_monoids()))
+def test_group_from_table_failures_match_loops(t):
     try:
         expected = ref_group_from_table(t)
     except AxiomViolation as exc:
         with pytest.raises(AxiomViolation) as got:
-            groups.group_from_table(t, verify_associativity=False)
+            groups.group_from_table(t)
         assert (got.value.axiom, got.value.witness, str(got.value)) == (exc.axiom, exc.witness, str(exc))
         assert got.value.witness is None or all(type(w) is int for w in got.value.witness)
         return
-    G = groups.group_from_table(t, verify_associativity=False)
+    G = groups.group_from_table(t)
     assert np.array_equal(G.table, expected[0]) and np.array_equal(G.inverses, expected[1])
+
+
+@pytest.mark.parametrize("name", groups.catalog_names())
+def test_catalog_table_matches_element_loop(name):
+    assert np.array_equal(groups.catalog(name).table, ref_catalog_table(name))
 
 
 @settings(max_examples=150, deadline=None)

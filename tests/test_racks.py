@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from gaugequandles.errors import AutomorphismRequired, NotARack, ShapeError, SizeMismatch
+from gaugequandles.errors import AutomorphismRequired, NotARack, ShapeError
+from test_loop_references import ref_compose_permutations
 
 S3_PERMS = groups.symmetric_group_elements(3)
 
@@ -105,9 +106,9 @@ def test_generalized_alexander_s3_spot_entries():
         # Independent oracle: compose the permutations by hand
         p1, p2 = S3_PERMS[g1], S3_PERMS[g2]
         p2inv = tuple(sorted(range(3), key=lambda i: p2[i]))
-        prod = groups.compose_permutations(p1, p2inv)
-        sig = groups.compose_permutations(groups.compose_permutations(cinv, prod), cperm)
-        expected = groups.compose_permutations(sig, p2)
+        prod = ref_compose_permutations(p1, p2inv)
+        sig = ref_compose_permutations(ref_compose_permutations(cinv, prod), cperm)
+        expected = ref_compose_permutations(sig, p2)
         assert m.op[g1, g2] == S3_PERMS.index(expected)
 
 
@@ -198,7 +199,7 @@ def test_find_isomorphism_rules_out_conjugation_vs_trivial():
 
 
 def test_find_isomorphism_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ShapeError, match="sizes differ: 2 != 3"):
         racks.find_isomorphism(racks.trivial_quandle(2), racks.trivial_quandle(3))
 
 
@@ -394,7 +395,7 @@ def test_census_of_relabeled_s4_over_a_point(seed):
     t = groups.catalog("S4").table
     G = groups.group_from_table(relabel_table(t, np.random.default_rng(seed).permutation(len(t))))
     classes = gauge.isomorphism_census(bundles.DiscreteBundle(G, 1))
-    assert sorted(c.size for c in classes) == [1, 3, 6, 6, 8]
+    assert sorted(map(len, classes)) == [1, 3, 6, 6, 8]
 
 
 def test_magma_json_round_trip():
