@@ -35,6 +35,7 @@ from .racks import (
     MagmaTable,
     find_isomorphism,
     generalized_alexander,
+    is_morphism,
     magma_from_table,
     magma_to_json,
     verify_rack,
@@ -203,22 +204,57 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
 
     Each class is the tuple of its members' section values in enumeration
     order, which is lexicographic, so its first member is its representative.
-    Every table is built with its quandle axioms verified. Classes appear in
-    order of their first member, so output is deterministic.
+    Classes appear in order of their first member, so output is deterministic.
+
+    Three changes of the section s give an isomorphic table with an explicit
+    isomorphism: shifting by a central z (z*s has the same table as s),
+    conjugating each value, s'(m) = h_m^-1 s(m) h_m, and permuting the base
+    points. So each map is keyed by the sorted multiset of the conjugacy
+    classes of its values, least over the central shifts. A map whose key
+    was seen before joins that key's class through the witness
+    phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and h_m
+    conjugates z*s(m) onto the key representative's shifted value at pi(m).
+    Each witness is checked with is_morphism (AlgebraError if it fails).
+    Only the first map of each key is searched with find_isomorphism, against
+    the earlier class representatives with equal element invariants. Every
+    table is still built, with its quandle axioms verified.
     """
+    G = b.group
+    idx = np.arange(G.order)
+    cls = G.conj.min(axis=1)  # each element's conjugacy class, named by its smallest member
+    conjugator = (G.conj[cls] == idx[:, None]).argmax(axis=1)  # conj[cls[a], conjugator[a]] == a
+    centre = np.flatnonzero((G.conj == idx[:, None]).all(axis=1))
+
+    # key -> (its first quandle, that map's least central shift, its class's members)
+    keys: dict[tuple, tuple[GaugeQuandle, np.ndarray, list[tuple[int, ...]]]] = {}
     buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
-    ordered: list[tuple[GaugeQuandle, list[tuple[int, ...]]]] = []
+    classes: list[list[tuple[int, ...]]] = []
     for f in enumerate_maps(b):
         q = build(f)
-        key = tuple(sorted(q.table.invariants))
-        entry = None
-        for rep, members in buckets.setdefault(key, []):
-            if find_isomorphism(q.table, rep.table) is not None:
-                entry = (rep, members)
-                break
-        if entry is None:
-            entry = (q, [])
-            buckets[key].append(entry)
-            ordered.append(entry)
-        entry[1].append(f.section_values)
-    return [tuple(members) for _, members in ordered]
+        shifts = G.table[np.ix_(centre, f.section_values)]  # row i: centre[i] * s
+        rows = np.sort(cls[shifts], axis=1).tolist()
+        key, least = min((tuple(row), i) for i, row in enumerate(rows))
+        zs = shifts[least]
+        if key in keys:
+            rep, rep_zs, members = keys[key]
+            pi = np.empty(b.base_size, dtype=np.int64)
+            pi[np.argsort(cls[zs], kind="stable")] = np.argsort(cls[rep_zs], kind="stable")
+            h = G.table[G.inverses[conjugator[zs]], conjugator[rep_zs[pi]]]
+            phi = b.point(pi[:, None], G.table[G.inverses[h]]).ravel()
+            if not is_morphism(phi, q.table, rep.table):
+                raise AlgebraError(
+                    f"census witness from {f.section_values} to "
+                    f"{rep.map.section_values} is not an isomorphism"
+                )
+        else:
+            bucket = buckets.setdefault(tuple(sorted(q.table.invariants)), [])
+            members = next(
+                (ms for r, ms in bucket if find_isomorphism(q.table, r.table) is not None), None
+            )
+            if members is None:
+                members = []
+                bucket.append((q, members))
+                classes.append(members)
+            keys[key] = (q, zs, members)
+        members.append(f.section_values)
+    return [tuple(members) for members in classes]

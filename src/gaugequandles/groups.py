@@ -174,7 +174,7 @@ def cosets(H: Subgroup, side: str = "left") -> list[tuple[int, ...]]:
     Blocks are sorted internally and ordered by their smallest element.
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ShapeError(f"side must be 'left' or 'right', got {side!r}")
     G, hs = H.group, list(H.elements)
     rows = G.table[:, hs] if side == "left" else G.table[hs, :].T  # row g: gH or Hg
     # Cosets are disjoint, so sorting the sorted rows orders them by smallest element.

@@ -17,7 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AutomorphismRequired, NotARack, ShapeError, index_array, json_int, read_array
+from .errors import (
+    AlgebraError,
+    AutomorphismRequired,
+    NotARack,
+    ShapeError,
+    index_array,
+    json_int,
+    read_array,
+)
 from .groups import FiniteGroup
 
 # Chunk the n^3 self-distributivity scan to bound peak memory.
@@ -228,11 +236,19 @@ def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
 def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     """Search for a bijection f with f(x <| y) = f(x) <| f(y).
 
-    Backtracking over images with forced-image propagation: once f(x) and
-    f(u) are set, f(x <| u) and f(u <| x) are forced. Only elements that no
-    assignment forces are branched on, most constrained first, and every
-    image must match its element's invariants. Returns the witness as a
-    list, or None after exhaustion; tables of different sizes raise ShapeError.
+    Individualization-refinement over both tables at once. Elements start
+    coloured by their invariants, and a colour splits by the colours an
+    element meets as left operand, as right operand and, when every right
+    translation is a bijection, as z <| y for each y; a colour names the same
+    class in both tables. If some colour has different counts in the two
+    tables, no isomorphism extends the choices made. Otherwise the first
+    element of a's smallest split colour gets a fresh colour together with
+    each element of that colour in b in turn. Once every colour is a single
+    element and none splits, x <| y has the same colour in both tables for
+    every pair of colours, so the one bijection that keeps colours is an
+    isomorphism; it is checked with is_morphism all the same (AlgebraError if
+    it fails). Returns the witness as a list, or None after exhaustion;
+    tables of different sizes raise ShapeError.
     """
     if a.size != b.size:
         raise ShapeError(f"sizes differ: {a.size} != {b.size}")
@@ -241,52 +257,48 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     if sorted(inv_a) != sorted(inv_b):
         return None
 
-    candidates = [[w for w in range(n) if inv_b[w] == inv_a[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    op_a, op_b = a.op.tolist(), b.op.tolist()
-    f = [-1] * n
-    used = [False] * n
-    trail: list[int] = []  # mapped elements, in the order they were mapped
+    ops = np.stack([a.op, b.op])
+    # [t, x, y]: the element x meets with y, as x <| y, as y <| x and as the z with
+    # z <| y == x. Equal invariants give b bijective columns exactly when a has them.
+    roles = [ops, ops.transpose(0, 2, 1)]
+    if (np.sort(a.op, axis=0) == np.arange(n)[:, None]).all():
+        roles.append(np.argsort(ops, axis=1))
+    side = np.arange(2)[:, None, None]
 
-    def assign(x: int, w: int) -> bool:
-        # Set f(x) = w and everything it forces; False on a contradiction.
-        queue = [(x, w)]
-        while queue:
-            x, w = queue.pop()
-            if f[x] >= 0:
-                if f[x] != w:
-                    return False
-                continue
-            if used[w] or inv_a[x] != inv_b[w]:
-                return False
-            f[x] = w
-            used[w] = True
-            trail.append(x)
-            for u in trail:
-                fu = f[u]
-                queue.append((op_a[x][u], op_b[w][fu]))
-                queue.append((op_a[u][x], op_b[fu][w]))
-        return True
+    def refine(c: np.ndarray) -> np.ndarray:
+        # c[t, x]: the colour of x in table t; split colours until none splits.
+        while True:
+            k = int(c.max()) + 1
+            met = [np.sort(c[:, None, :] * k + c[side, t], axis=2) for t in roles]
+            sig = np.concatenate([c[..., None], *met], axis=2).reshape(2 * n, -1)
+            split = np.unique(sig, axis=0, return_inverse=True)[1].reshape(2, n)
+            if split.max() == c.max():
+                return split
+            c = split
 
-    def search(pos: int) -> bool:
-        while pos < n and f[order[pos]] >= 0:
-            pos += 1
-        if pos == n:
-            return True
-        x = order[pos]
-        mark = len(trail)
-        for w in candidates[x]:
-            if assign(x, w) and search(pos + 1):
-                return True
-            while len(trail) > mark:
-                used[f[trail[-1]]] = False
-                f[trail.pop()] = -1
-        return False
+    def search(c: np.ndarray) -> list[int] | None:
+        c = refine(c)
+        k = int(c.max()) + 1
+        counts = np.bincount(c[0], minlength=k)
+        if not np.array_equal(counts, np.bincount(c[1], minlength=k)):
+            return None
+        if counts.max() == 1:
+            f = np.argsort(c[1])[c[0]]
+            if not is_morphism(f, a, b):
+                raise AlgebraError(f"search witness {f.tolist()} is not an isomorphism")
+            return f.tolist()
+        colour = min(np.flatnonzero(counts > 1), key=lambda col: (counts[col], col))
+        x = np.flatnonzero(c[0] == colour)[0]
+        for w in np.flatnonzero(c[1] == colour):
+            chosen = c.copy()
+            chosen[0, x] = chosen[1, w] = k
+            f = search(chosen)
+            if f is not None:
+                return f
+        return None
 
-    if search(0):
-        assert is_morphism(f, a, b)
-        return f
-    return None
+    ids = {v: i for i, v in enumerate(sorted(set(inv_a)))}
+    return search(np.array([[ids[v] for v in inv_a], [ids[v] for v in inv_b]]))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ def _cases() -> dict[str, list[str]]:
         "census-s3x2": ["census", i("s3x2")],
         "census-s3-relabeled": ["census", i("s3r_x2")],
         "census-d4x1": ["census", i("d4x1")],
+        "census-d4x3": ["census", i("d4x3")],
         "census-q8x2": ["census", i("q8x2")],
         "census-s4x1": ["census", i("s4x1")],
         "fiber-s3x2-base0": ["fiber", i("s3x2"), i("map_s3"), "--base", "0"],

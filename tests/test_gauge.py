@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
 from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation, ShapeError
+from test_loop_references import relabel
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -267,6 +268,99 @@ def test_census_trivial_group():
     b = bundles.DiscreteBundle(groups.catalog("Z1"), 4)
     classes = gauge.isomorphism_census(b)
     assert len(classes) == 1 and len(classes[0]) == 1
+
+
+def relabeled_group(name, seed):
+    t = groups.catalog(name).table
+    return groups.group_from_table(relabel(t, np.random.default_rng(seed).permutation(len(t))))
+
+
+def count_searches(monkeypatch):
+    """Record, for each search the census makes, whether it found a witness."""
+    found = []
+
+    def counted(a, b):
+        f = racks.find_isomorphism(a, b)
+        found.append(f is not None)
+        return f
+
+    monkeypatch.setattr(gauge, "find_isomorphism", counted)
+    return found
+
+
+@pytest.mark.parametrize("name, base", [("S3", 3), ("S4", 1)])
+def test_census_keys_are_the_classes_for_s3_and_s4(name, base, monkeypatch):
+    # Every conjugacy class is its own Aut-orbit, so no two keys are isomorphic
+    # and the invariants tell the key representatives apart: nothing is searched.
+    searches = count_searches(monkeypatch)
+    for seed in range(3):
+        gauge.isomorphism_census(bundles.DiscreteBundle(relabeled_group(name, seed), base))
+    assert searches == []
+
+
+@pytest.mark.parametrize(
+    "name, base, sizes",
+    [
+        ("D4", 2, [2, 8, 8, 14, 16, 16]),
+        ("Q8", 2, [2, 14, 24, 24]),
+        ("D4", 3, [2, 6, 12, 12, 24, 24, 24, 24, 48, 48, 48, 48, 96, 96]),
+    ],
+)
+def test_census_merges_that_no_key_explains_come_from_the_search(name, base, sizes, monkeypatch):
+    # Outer automorphisms of D4 and Q8 join keys that no central shift,
+    # conjugation or base permutation relates; only the search can merge them.
+    searches = count_searches(monkeypatch)
+    classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
+    assert sorted(map(len, classes)) == sizes
+    assert any(searches)
+
+
+def test_census_raises_when_a_witness_fails(monkeypatch):
+    monkeypatch.setattr(gauge, "is_morphism", lambda f, src, dst: False)
+    with pytest.raises(AlgebraError, match=r"census witness from \(0, 2\) to \(0, 1\)"):
+        gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("S3"), 2))
+
+
+@st.composite
+def section_maps(draw, names=("Z1", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4")):
+    G = groups.catalog(draw(st.sampled_from(names)))
+    base = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
+    return bundles.EquivariantMap(bundles.DiscreteBundle(G, base), values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(section_maps(names=("D4", "Q8", "Z6")))
+def test_central_shift_gives_the_same_table(f):
+    G, b = f.bundle.group, f.bundle
+    centre = [z for z in range(G.order) if (G.conj[z] == z).all()]
+    assert len(centre) > 1
+    table = gauge.build(f).table
+    for z in centre:
+        assert gauge.build(bundles.EquivariantMap(b, G.table[z, f.section_values])).table == table
+
+
+@settings(max_examples=40, deadline=None)
+@given(section_maps(), st.data())
+def test_gauge_conjugation_witness_is_an_isomorphism(f, data):
+    # s'(m) = h_m^-1 s(m) h_m, and phi(m, g) = (m, h_m^-1 g) carries <|_s onto <|_s'.
+    G, b = f.bundle.group, f.bundle
+    h = np.array(data.draw(st.lists(st.integers(0, G.order - 1), min_size=b.base_size, max_size=b.base_size)))
+    conjugated = bundles.EquivariantMap(b, G.conj[f.section_values, h])
+    phi = b.point(np.arange(b.base_size)[:, None], G.table[G.inverses[h]]).ravel()
+    assert racks.is_morphism(phi, gauge.build(f).table, gauge.build(conjugated).table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(section_maps(), st.data())
+def test_base_permutation_witness_is_an_isomorphism(f, data):
+    # s'(pi(m)) = s(m), and phi(m, g) = (pi(m), g) carries <|_s onto <|_s'.
+    G, b = f.bundle.group, f.bundle
+    pi = np.array(data.draw(st.permutations(range(b.base_size))))
+    values = np.empty(b.base_size, dtype=np.int64)
+    values[pi] = f.section_values
+    phi = b.point(pi[:, None], np.arange(G.order)).ravel()
+    assert racks.is_morphism(phi, gauge.build(f).table, gauge.build(bundles.EquivariantMap(b, values)).table)
 
 
 def test_gauge_quandle_provenance_json():

@@ -219,6 +219,13 @@ def test_cosets_examples():
     assert groups.cosets(trivial, "right") == [(a,) for a in range(G.order)]
 
 
+@pytest.mark.parametrize("side", ["middle", "Left", ""])
+def test_cosets_rejects_an_unknown_side(side):
+    H = groups.subgroup(groups.catalog("S3"), [0])
+    with pytest.raises(ShapeError, match="side must be 'left' or 'right'"):
+        groups.cosets(H, side)
+
+
 def _cyclic_subgroups(G):
     seen = set()
     out = []

@@ -5,7 +5,8 @@ array expressions: one element, pair or point at a time, in the order the
 witnesses are reported. Hypothesis runs them against the library on catalog
 groups relabeled by random permutations that move the identity off index 0,
 on random element subsets, and on random total-value arrays. The catalog
-tables are checked against products of the elements they stand for.
+tables are checked against products of the elements they stand for, and the
+census against one isomorphism search per map on seeded relabelings.
 """
 
 import itertools
@@ -214,6 +215,25 @@ def ref_rack_iota(m):
     return iota
 
 
+def ref_isomorphism_census(b):
+    """One search per map: each table against every earlier class
+    representative with the same sorted invariants, in enumeration order."""
+    buckets = {}
+    classes = []
+    for f in bundles.enumerate_maps(b):
+        q = gauge.build(f)
+        bucket = buckets.setdefault(tuple(sorted(q.table.invariants)), [])
+        for rep, members in bucket:
+            if racks.find_isomorphism(q.table, rep.table) is not None:
+                break
+        else:
+            members = []
+            bucket.append((q, members))
+            classes.append(members)
+        members.append(f.section_values)
+    return [tuple(members) for members in classes]
+
+
 def ref_generalized_alexander(G, s):
     t = G.table
     op = np.empty((G.order, G.order), dtype=np.int64)
@@ -398,3 +418,15 @@ def test_generalized_alexander_matches_loop(G, data):
     sigma = G.inner_automorphism(c)
     assert np.array_equal(racks.generalized_alexander(G, sigma).op, ref_generalized_alexander(G, sigma))
     assert np.array_equal(racks.conjugation_quandle(G).op, ref_conj(G.table, G.inverses))
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "name, base",
+    [("S3", 2), ("S3", 3), ("D4", 2), ("Q8", 2), ("Z4", 3), ("Z6", 2), ("D6", 2), ("S4", 1)],
+)
+def test_isomorphism_census_matches_per_map_search(name, base, seed):
+    t = groups.catalog(name).table
+    G = groups.group_from_table(relabel(t, np.random.default_rng(seed).permutation(len(t))))
+    b = bundles.DiscreteBundle(G, base)
+    assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)

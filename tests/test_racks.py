@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from gaugequandles.errors import AutomorphismRequired, NotARack, ShapeError
+from gaugequandles.errors import AlgebraError, AutomorphismRequired, NotARack, ShapeError
 from test_loop_references import ref_compose_permutations
 
 S3_PERMS = groups.symmetric_group_elements(3)
@@ -196,6 +196,15 @@ def test_find_isomorphism_trivial_quandles():
 def test_find_isomorphism_rules_out_conjugation_vs_trivial():
     m = racks.conjugation_quandle(groups.catalog("S3"))
     assert racks.find_isomorphism(m, racks.trivial_quandle(6)) is None
+
+
+def test_find_isomorphism_raises_on_a_witness_its_check_rejects(monkeypatch):
+    # A raised error, not an assert that python -O strips.
+    m = racks.conjugation_quandle(groups.catalog("S3"))
+    assert racks.find_isomorphism(m, m) is not None
+    monkeypatch.setattr(racks, "is_morphism", lambda f, src, dst: False)
+    with pytest.raises(AlgebraError, match="search witness .* is not an isomorphism"):
+        racks.find_isomorphism(m, m)
 
 
 def test_find_isomorphism_size_mismatch():
