@@ -30,12 +30,22 @@ INPUTS = HERE / "inputs"
 # A3 = {0, 2, 4} and the transpositions are 1, 3 and 5.
 RELABEL = np.array([3, 0, 5, 1, 4, 2])
 
+# A seeded random 9-element table: 617 self-distributivity witnesses, 9
+# non-bijective columns and 8 idempotency witnesses, so the goldens pin a
+# long witness list in --json.
+RANDOM_SIZE, RANDOM_SEED = 9, 0
+
 
 def _relabeled_s3() -> dict:
     t = groups.catalog("S3").table
     new = np.empty_like(t)
     new[np.ix_(RELABEL, RELABEL)] = RELABEL[t]
     return {"name": "S3-relabeled", "order": 6, "table": new.tolist()}
+
+
+def _random_table() -> dict:
+    rng = np.random.default_rng(RANDOM_SEED)
+    return {"op": rng.integers(0, RANDOM_SIZE, size=(RANDOM_SIZE, RANDOM_SIZE)).tolist()}
 
 
 def _inputs() -> dict[str, object]:
@@ -46,6 +56,7 @@ def _inputs() -> dict[str, object]:
         "trivial3": racks.magma_to_json(racks.trivial_quandle(3)),
         "conj_s3_bad": bad,
         "shift_rack": {"size": 2, "op": [[1, 1], [0, 0]]},
+        "random9": _random_table(),
         "s3_relabeled": s3r,
         "no_identity": {"table": [[0, 0], [0, 0]]},
         "s3x2": {"group": "S3", "base_size": 2},
@@ -76,6 +87,8 @@ def _cases() -> dict[str, list[str]]:
         "verify-corrupted": ["verify", i("conj_s3_bad")],
         "verify-rack-mode": ["verify", i("shift_rack"), "--rack"],
         "verify-rack-as-quandle": ["verify", i("shift_rack")],
+        "verify-random9": ["verify", i("random9")],
+        "verify-random9-rack-mode": ["verify", i("random9"), "--rack"],
         "build-s3x2": ["build", i("s3x2"), i("map_s3")],
         "build-s3-relabeled": ["build", i("s3r_x2"), i("map_s3r")],
         "build-q8x2": ["build", i("q8x2"), i("map_q8")],
@@ -83,6 +96,8 @@ def _cases() -> dict[str, list[str]]:
         "rack-s3x2": ["rack", i("s3x2"), i("map_s3")],
         "rack-s3-relabeled": ["rack", i("s3r_x2"), i("map_s3r")],
         "rack-d4x3": ["rack", i("d4x3"), i("map_d4x3")],
+        # No section value is the unit, so all 16 points are idempotency witnesses.
+        "rack-q8x2": ["rack", i("q8x2"), i("map_q8")],
         "census-s3x2": ["census", i("s3x2")],
         "census-s3-relabeled": ["census", i("s3r_x2")],
         "census-d4x1": ["census", i("d4x1")],
