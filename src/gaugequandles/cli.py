@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -19,13 +20,74 @@ from .errors import AlgebraError
 MAX_PRINTED_TABLE = 12
 
 
+def _json_text(obj) -> str:
+    """The --json text of obj: what json.dumps gives with indent 2, byte for byte.
+
+    Any indent sends json.dumps to its pure-Python encoder, which spends a
+    few microseconds on every int of a table or witness list. Here a list
+    of ints is joined in one call, and a list of equal-length int rows is
+    one row template repeated and filled by one %. Dicts with str keys and
+    other lists are walked, their keys quoted by json's own encoder. Every
+    other value, including bools, floats, strings, None, empty containers
+    and any type json rejects, goes to json.dumps itself, so stdlib json
+    still decides its text or raises its TypeError.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _int_rows(v: list | tuple) -> tuple | None:
+    """The entries of v, row after row, if v is non-empty rows of ints of one non-zero length."""
+    if not set(map(type, v)) <= {list, tuple} or len(set(map(len, v))) != 1 or not v[0]:
+        return None
+    flat = tuple(itertools.chain.from_iterable(v))
+    # type(...) is int, not isinstance: a bool must print true, and a numpy
+    # integer must raise TypeError as json.dumps does, not pass through %d.
+    return flat if set(map(type, flat)) == {int} else None
+
+
+def _write_json(v, nl: str, parts: list[str]) -> None:
+    """Append the text of v, whose lines start with nl, to parts."""
+    inner = nl + "  "
+    if type(v) is dict and v and set(map(type, v)) == {str}:
+        sep = "{"
+        for key, value in v.items():
+            parts += (sep, inner, json.encoder.encode_basestring_ascii(key), ": ")
+            _write_json(value, inner, parts)
+            sep = ","
+        parts += (nl, "}")
+    elif type(v) in (list, tuple) and v:
+        if set(map(type, v)) == {int}:
+            parts += ("[", inner, ("," + inner).join(map(str, v)), nl, "]")
+        elif (flat := _int_rows(v)) is not None:
+            cell = nl + "    "
+            row = "[" + cell + ("," + cell).join(["%d"] * len(v[0])) + inner + "]"
+            parts += ("[", inner, ("," + inner).join([row] * len(v)) % flat, nl, "]")
+        else:
+            sep = "["
+            for item in v:
+                parts += (sep, inner)
+                _write_json(item, inner, parts)
+                sep = ","
+            parts += (nl, "]")
+    elif isinstance(v, (dict, list, tuple)):
+        # json.dumps never writes a raw newline inside a value, so each of
+        # its newlines starts a line and takes this value's indent.
+        parts.append(json.dumps(v, indent=2).replace("\n", nl))
+    else:
+        # indent lays out containers only; without it json.dumps reuses
+        # its C encoder instead of building a pure-Python one.
+        parts.append(json.dumps(v))
+
+
 def _emit(args, obj: dict, human: str) -> None:
     """Write obj to --out (if given) and print it (--json) or the human text.
 
     The JSON text is made once and shared by the file and stdout.
     """
     out = getattr(args, "out", None)
-    text = json.dumps(obj, indent=2) if args.json or out else ""
+    text = _json_text(obj) if args.json or out else ""
     if out:
         Path(out).write_text(text + "\n")
     print(text if args.json else human)
@@ -273,7 +335,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (AlgebraError, KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

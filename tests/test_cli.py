@@ -329,9 +329,36 @@ def test_lie_check_bad_tolerance_override_exits_2(tmp_path, tolerance):
 
 def test_out_file_holds_the_printed_json(tmp_path, capsys, s3_point):
     bundle, fmap = s3_point
-    out = tmp_path / "quandle.json"
-    assert cli.main(["build", bundle, fmap, "--out", str(out), "--json"]) == 0
-    assert out.read_text() == capsys.readouterr().out
+    config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1})
+    sub = ",".join(map(str, groups.generated_subgroup(groups.catalog("S3"), [THREE_CYCLE]).elements))
+    runs = [
+        ["build", bundle, fmap],
+        ["rack", bundle, fmap],
+        ["census", bundle],
+        ["fiber", bundle, fmap, "--base", "0"],
+        ["reduce", bundle, fmap, "--subgroup", sub],
+        ["homogeneous", "S3", "--subgroup", sub, "--element", str(THREE_CYCLE)],
+        ["lie-check", config],
+    ]
+    for argv in runs:
+        out = tmp_path / f"{argv[0]}.json"
+        code = cli.main([*argv, "--out", str(out), "--json"])
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed, argv[0]
+        out.unlink()
+        assert cli.main([*argv, "--out", str(out)]) == code
+        assert out.read_bytes() == printed.encode(), argv[0]
+        assert capsys.readouterr().out != printed
+
+
+def test_key_error_prints_its_message_without_quotes(tmp_path, capsys):
+    line = f"error: unknown catalog group 'S9'; available: {groups.catalog_names()}\n"
+    assert cli.main(["homogeneous", "S9", "--subgroup", "0", "--element", "0"]) == 2
+    assert capsys.readouterr() == ("", line)
+    bundle = write(tmp_path, "bundle.json", {"group": "S9", "base_size": 1})
+    fmap = write(tmp_path, "map.json", {"section_values": [0]})
+    assert cli.main(["build", bundle, fmap]) == 2
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize(

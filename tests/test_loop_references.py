@@ -6,17 +6,20 @@ witnesses are reported. Hypothesis runs them against the library on catalog
 groups relabeled by random permutations that move the identity off index 0,
 on random element subsets, and on random total-value arrays. The catalog
 tables are checked against products of the elements they stand for, and the
-census against one isomorphism search per map on seeded relabelings.
+census against one isomorphism search per map on seeded relabelings. The
+CLI's --json writer is checked against json.dumps(obj, indent=2), the call
+it replaced, on generated JSON trees.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugequandles import bundles, gauge, groups, racks
+from gaugequandles import bundles, cli, gauge, groups, racks
 from gaugequandles.errors import AxiomViolation
 
 NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -294,6 +297,48 @@ def relabeled_monoids(draw):
     return relabel(idx[:, None] * idx[None, :] % n, draw(st.permutations(range(n))))
 
 
+# Leaves whose text json.dumps decides: ints past 64 bits, negative ints,
+# bools, None, special floats, and strings with quotes, backslashes,
+# control characters and non-ASCII; numpy integers, which it rejects.
+JSON_INTS = st.integers(-(2**80), 2**80)
+JSON_STRINGS = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\u2028😀'), max_size=4) | st.text(max_size=4)
+JSON_LEAVES = st.one_of(
+    JSON_INTS,
+    st.booleans(),
+    st.none(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300]),
+    st.floats(),
+    JSON_STRINGS,
+    JSON_INTS.filter(lambda v: -(2**63) <= v < 2**63).map(np.int64),
+)
+# Int cells with now and then a bool or a numpy integer among them.
+INT_CELLS = st.one_of(JSON_INTS, JSON_INTS, JSON_INTS, st.booleans(), st.integers(0, 9).map(np.int64))
+
+
+def _lists_or_tuples(elements, **kw):
+    return st.one_of(st.lists(elements, **kw), st.lists(elements, **kw).map(tuple))
+
+
+@st.composite
+def int_rows(draw):
+    """Equal-length int rows (tables, witness triples), ragged rows, or empty rows."""
+    width = draw(st.integers(0, 4))
+    cells = INT_CELLS if draw(st.booleans()) else JSON_INTS
+    equal = _lists_or_tuples(_lists_or_tuples(cells, min_size=width, max_size=width), max_size=5)
+    return draw(st.one_of(equal, _lists_or_tuples(_lists_or_tuples(cells, max_size=4), max_size=5)))
+
+
+JSON_TREES = st.recursive(
+    st.one_of(JSON_LEAVES, _lists_or_tuples(JSON_INTS), _lists_or_tuples(INT_CELLS), int_rows()),
+    lambda children: st.one_of(
+        _lists_or_tuples(children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+        st.dictionaries(st.one_of(JSON_STRINGS, JSON_INTS, st.booleans(), st.none()), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
 @st.composite
 def groups_with_subsets(draw):
     G = draw(relabeled_groups())
@@ -430,3 +475,37 @@ def test_isomorphism_census_matches_per_map_search(name, base, seed):
     G = groups.group_from_table(relabel(t, np.random.default_rng(seed).permutation(len(t))))
     b = bundles.DiscreteBundle(G, base)
     assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
+
+
+def _json_text_matches_json_dumps(obj):
+    try:
+        expected = json.dumps(obj, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+    else:
+        assert cli._json_text(obj) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_json_text_matches_json_dumps(obj):
+    _json_text_matches_json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1, 2, 3], [4, 5, np.int64(6)]],
+        [1, np.int64(2)],
+        {"op": [[0, 1], [1, 0]], "size": np.int64(2)},
+        {"a": {1, 2}},
+        {(1, 2): 3},
+        [[True, 1], [0, 1]],
+        [[1, 2], (3, 4)],
+        [[], []],
+        {"": {}, "x": [[]], "y": [{}]},
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(obj):
+    _json_text_matches_json_dumps(obj)
