@@ -14,14 +14,13 @@ f(m, g) = g^-1 * f(s(m)) * g.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, CapExceeded, ShapeError, index_array, int_field, json_int
+from .errors import AlgebraError, CapExceeded, ShapeError, index_array, int_field, json_int, load_json
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 # enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
@@ -190,7 +189,7 @@ def bundle_from_json(obj) -> DiscreteBundle:
 
 
 def load_bundle(path: str | Path) -> DiscreteBundle:
-    return bundle_from_json(json.loads(Path(path).read_text()))
+    return bundle_from_json(load_json(path))
 
 
 def map_to_json(f: EquivariantMap) -> dict:
@@ -206,4 +205,4 @@ def map_from_json(b: DiscreteBundle, obj) -> EquivariantMap:
 
 
 def load_map(b: DiscreteBundle, path: str | Path) -> EquivariantMap:
-    return map_from_json(b, json.loads(Path(path).read_text()))
+    return map_from_json(b, load_json(path))

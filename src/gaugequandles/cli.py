@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bundles, gauge, groups, lie, racks
-from .errors import AlgebraError
+from .errors import AlgebraError, ShapeError, load_json
 
 MAX_PRINTED_TABLE = 12
 
@@ -113,30 +113,14 @@ def _maybe_table(m: racks.MagmaTable) -> str:
     return f"(table {m.size}x{m.size} omitted; write it with --out)"
 
 
-def _report_lines(report: racks.RackReport) -> str:
-    lines = [
-        f"rack:    {'yes' if report.is_rack else 'NO'}",
-        f"quandle: {'yes' if report.is_quandle else 'NO'}",
-        f"self-distributivity violations: {len(report.sd_violations)}",
-        f"non-bijective right translations: {len(report.bijectivity_violations)}",
-        f"idempotency violations: {len(report.idem_violations)}",
-    ]
-    if report.sd_violations:
-        lines.append(f"  first sd witness (x, y, z): {report.sd_violations[0]}")
-    if report.bijectivity_violations:
-        lines.append(f"  first non-bijective column y: {report.bijectivity_violations[0]}")
-    if report.idem_violations:
-        lines.append(f"  first idempotency witness x: {report.idem_violations[0]}")
-    return "\n".join(lines)
-
-
 def _parse_subgroup(G: groups.FiniteGroup, text: str) -> groups.Subgroup:
-    elems = [int(tok) for tok in text.replace(",", " ").split()]
+    elems = []
+    for tok in text.replace(",", " ").split():
+        try:
+            elems.append(int(tok))
+        except ValueError:
+            raise ShapeError(f"--subgroup takes comma-separated element indices, got {tok!r}") from None
     return groups.subgroup(G, elems)
-
-
-def _load_json(path: str):
-    return json.loads(Path(path).read_text())
 
 
 def _load_map(args) -> bundles.EquivariantMap:
@@ -151,7 +135,7 @@ def cmd_verify(args) -> int:
     m = racks.load_magma(args.quandle)
     report = racks.verify_rack(m)
     ok = report.is_rack if args.rack else report.is_quandle
-    _emit(args, {"size": m.size, **report.to_json()}, _report_lines(report))
+    _emit(args, {"size": m.size, **report.to_json()}, "\n".join(report.lines()))
     return 0 if ok else 1
 
 
@@ -169,8 +153,7 @@ def cmd_rack(args) -> int:
     m = gauge.rack_from_map(_load_map(args))
     report = racks.verify_rack(m)
     obj = {**racks.magma_to_json(m), "report": report.to_json()}
-    human = f"augmented-rack table on {m.size} points\n" + _maybe_table(m)
-    human += "\n" + _report_lines(report)
+    human = "\n".join([f"augmented-rack table on {m.size} points", _maybe_table(m), *report.lines()])
     _emit(args, obj, human)
     return 0 if report.is_rack else 1
 
@@ -232,7 +215,7 @@ def cmd_reduce(args) -> int:
 def cmd_homogeneous(args) -> int:
     spec = args.group
     from_file = spec not in groups.catalog_names() and Path(spec).exists()
-    G = groups.group_from_json(_load_json(spec)) if from_file else groups.catalog(spec)
+    G = groups.group_from_json(load_json(spec)) if from_file else groups.catalog(spec)
     H = _parse_subgroup(G, args.subgroup)
     table = gauge.homogeneous_quandle(H, args.element)
     obj = {**racks.magma_to_json(table), "subgroup": list(H.elements), "element": args.element}
@@ -242,7 +225,7 @@ def cmd_homogeneous(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    raw = _load_json(args.config)
+    raw = load_json(args.config)
     if args.seed is None and not (isinstance(raw, dict) and "seed" in raw):
         raise ValueError("randomized runs need a seed: set one in the config or pass --seed")
     config = lie.SweepConfig.from_json(raw)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 
@@ -76,6 +79,14 @@ class CentralizerViolation(AlgebraError):
 
 class NonFinite(AlgebraError):
     """A numerical input contains NaN or infinity."""
+
+
+def load_json(path: str | Path):
+    """The JSON value in a file; nesting too deep for the parser is a ShapeError, not a RecursionError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ShapeError(f"JSON in {path} nests too deeply to read") from None
 
 
 def int_field(value, what: str) -> int:

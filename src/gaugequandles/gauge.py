@@ -21,6 +21,7 @@ from .bundles import (
     bundle_to_json,
     enumerate_maps,
     invert_map,
+    map_to_json,
     to_gauge,
 )
 from .errors import (
@@ -74,7 +75,7 @@ def build(f: EquivariantMap) -> GaugeQuandle:
     table = magma_from_table(op)
     report = verify_rack(table)
     if not report.is_quandle:
-        raise AlgebraError(f"constructed table fails quandle axioms: {report.to_json()}")
+        raise AlgebraError(f"constructed table fails quandle axioms: {report}")
     return GaugeQuandle(map=f, table=table)
 
 
@@ -121,7 +122,7 @@ def quotient(op, class_of, labels: Sequence[str] | None = None) -> MagmaTable:
     m = magma_from_table(table, labels=labels)
     report = verify_rack(m)
     if not report.is_quandle:
-        raise AlgebraError(f"quotient table fails quandle axioms: {report.to_json()}")
+        raise AlgebraError(f"quotient table fails quandle axioms: {report}")
     return m
 
 
@@ -192,10 +193,7 @@ def homogeneous_quandle(H: Subgroup, c: int) -> MagmaTable:
 def gauge_quandle_to_json(q: GaugeQuandle) -> dict:
     """Quandle file format plus a provenance block recording the inputs."""
     obj = magma_to_json(q.table)
-    obj["provenance"] = {
-        "bundle": bundle_to_json(q.bundle),
-        "section_values": list(q.map.section_values),
-    }
+    obj["provenance"] = {"bundle": bundle_to_json(q.bundle), **map_to_json(q.map)}
     return obj
 
 

@@ -67,8 +67,9 @@ def _as_index_table(table) -> np.ndarray:
         raise ShapeError(f"Cayley table must be square, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError("Cayley table must be non-empty")
-    if np.issubdtype(arr.dtype, np.floating) and np.all(arr == arr.astype(np.int64)):
-        arr = arr.astype(np.int64)  # integral floats such as 2.0 are accepted
+    # Integral floats such as 2.0 pass; NaN, inf and values past int64 stay floats and fail below.
+    if np.issubdtype(arr.dtype, np.floating) and np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
+        arr = arr.astype(np.int64)
     # No bound: group_from_table reports an out-of-range entry as a closure witness.
     return index_array(arr, None, "Cayley table entries")
 

@@ -481,29 +481,14 @@ class NoetherSweepReport:
     samples: int
     seed: int
     disagreements: int
+    all_agree: bool
     equal_pair_max_residual: float
     equal_pairs_all_fix: bool
     tolerance: float
-
-    @property
-    def all_agree(self) -> bool:
-        return self.disagreements == 0
-
-    @property
-    def passed(self) -> bool:
-        return self.all_agree and self.equal_pairs_all_fix
+    passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "disagreements": self.disagreements,
-            "all_agree": self.all_agree,
-            "equal_pair_max_residual": self.equal_pair_max_residual,
-            "equal_pairs_all_fix": self.equal_pairs_all_fix,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -> tuple[Point, Point]:
@@ -526,13 +511,17 @@ def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     q1, q2 = equal_section_pair(X, rng, n)
     random_pairs = check_noether(X, p1, p2, ts, config.tolerance)
     equal_pairs = check_noether(X, q1, q2, ts, config.tolerance)
+    disagreements = int(np.sum(~random_pairs.agree) + np.sum(~equal_pairs.agree))
+    all_fix = bool(np.all(equal_pairs.fixes_forward & equal_pairs.fixes_backward))
     return NoetherSweepReport(
         samples=n,
         seed=config.seed,
-        disagreements=int(np.sum(~random_pairs.agree) + np.sum(~equal_pairs.agree)),
+        disagreements=disagreements,
+        all_agree=disagreements == 0,
         equal_pair_max_residual=float(np.max([equal_pairs.forward_residual, equal_pairs.backward_residual])),
-        equal_pairs_all_fix=bool(np.all(equal_pairs.fixes_forward & equal_pairs.fixes_backward)),
+        equal_pairs_all_fix=all_fix,
         tolerance=config.tolerance,
+        passed=disagreements == 0 and all_fix,
     )
 
 

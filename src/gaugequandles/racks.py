@@ -10,7 +10,6 @@ satisfies x <| x == x. Tables store op[x, y] = x <| y.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +23,7 @@ from .errors import (
     ShapeError,
     index_array,
     json_int,
+    load_json,
     read_array,
 )
 from .groups import FiniteGroup
@@ -66,13 +66,29 @@ class RackReport:
     idem_violations: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "is_rack": self.is_rack,
-            "is_quandle": self.is_quandle,
-            "sd_violations": [list(w) for w in self.sd_violations],
-            "bijectivity_violations": list(self.bijectivity_violations),
-            "idem_violations": list(self.idem_violations),
-        }
+        """The fields in order, each witness tuple as a list holding the stored witnesses."""
+        return {name: list(v) if type(v) is tuple else v for name, v in vars(self).items()}
+
+    def lines(self) -> list[str]:
+        """The text form: verdicts, witness counts and the first witness of each kind."""
+        lines = [
+            f"rack:    {'yes' if self.is_rack else 'NO'}",
+            f"quandle: {'yes' if self.is_quandle else 'NO'}",
+            f"self-distributivity violations: {len(self.sd_violations)}",
+            f"non-bijective right translations: {len(self.bijectivity_violations)}",
+            f"idempotency violations: {len(self.idem_violations)}",
+        ]
+        if self.sd_violations:
+            lines.append(f"  first sd witness (x, y, z): {self.sd_violations[0]}")
+        if self.bijectivity_violations:
+            lines.append(f"  first non-bijective column y: {self.bijectivity_violations[0]}")
+        if self.idem_violations:
+            lines.append(f"  first idempotency witness x: {self.idem_violations[0]}")
+        return lines
+
+    def __str__(self) -> str:
+        """The text form on one line, for error messages: its size does not grow with the witnesses."""
+        return "; ".join(" ".join(line.split()) for line in self.lines())
 
 
 def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
@@ -169,7 +185,7 @@ def rack_iota(m: MagmaTable) -> np.ndarray:
     """
     report = verify_rack(m)
     if not report.is_rack:
-        raise NotARack(f"table fails rack axioms: {report.to_json()}")
+        raise NotARack(f"table fails rack axioms: {report}")
     return (m.op == np.arange(m.size)).argmax(axis=0)
 
 
@@ -325,4 +341,4 @@ def magma_from_json(obj) -> MagmaTable:
 
 
 def load_magma(path: str | Path) -> MagmaTable:
-    return magma_from_json(json.loads(Path(path).read_text()))
+    return magma_from_json(load_json(path))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -377,3 +378,48 @@ def test_bundle_over_total_points_cap_exits_2(tmp_path, capsys, bundle):
 def test_bundle_at_total_points_cap_constructs(tmp_path):
     path = write(tmp_path, "bundle.json", {"group": "Q8", "base_size": bundles.TOTAL_POINTS_CAP // 8})
     assert bundles.load_bundle(path).total_size == bundles.TOTAL_POINTS_CAP
+
+
+# One file of each kind every reader takes, and a command that reads it.
+INPUT_FILES = {
+    "quandle": ({"op": [[0]]}, lambda f: ["verify", f["quandle"]]),
+    "bundle": ({"group": "S3", "base_size": 1}, lambda f: ["build", f["bundle"], f["map"]]),
+    "map": ({"section_values": [0]}, lambda f: ["build", f["bundle"], f["map"]]),
+    "config": ({"model": "SO3", "samples": 5, "seed": 1}, lambda f: ["lie-check", f["config"]]),
+    "group": ({"table": [[0]]}, lambda f: ["homogeneous", f["group"], "--subgroup", "0", "--element", "0"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_FILES))
+def test_json_nested_too_deeply_is_one_line_input_error(tmp_path, capsys, kind):
+    files = {name: write(tmp_path, f"{name}.json", obj) for name, (obj, _) in INPUT_FILES.items()}
+    argv = INPUT_FILES[kind][1](files)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    Path(files[kind]).write_text('{"op": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: JSON in {files[kind]} nests too deeply to read\n")
+
+
+@pytest.mark.parametrize("entry", [float("nan"), 1e300])
+@pytest.mark.parametrize("command", ["build", "homogeneous"])
+def test_group_table_of_non_int64_floats_is_one_line_input_error(tmp_path, capsys, entry, command):
+    group = {"table": [[0, 1], [1, entry]]}
+    if command == "build":
+        argv = ["build", write(tmp_path, "b.json", {"group": group, "base_size": 1}),
+                write(tmp_path, "m.json", {"section_values": [0]})]
+    else:
+        argv = ["homogeneous", write(tmp_path, "g.json", group), "--subgroup", "0", "--element", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: Cayley table entries must be integers, got dtype float64\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "homogeneous"])
+@pytest.mark.parametrize("text, token", [("0,1.5", "1.5"), ("0 x", "x")])
+def test_bad_subgroup_token_names_the_flag(tmp_path, capsys, s3_point, command, text, token):
+    argv = ["reduce", *s3_point] if command == "reduce" else ["homogeneous", "S3", "--element", "3"]
+    assert cli.main([*argv, "--subgroup", text]) == 2
+    line = f"error: --subgroup takes comma-separated element indices, got '{token}'\n"
+    assert capsys.readouterr() == ("", line)

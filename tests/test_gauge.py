@@ -507,3 +507,16 @@ def test_element_arguments_accept_numpy_integers():
     assert gauge.homogeneous_quandle(trivial, np.int64(2)) == gauge.homogeneous_quandle(trivial, 2)
     op = racks.conjugation_quandle(G).op
     assert gauge.quotient(op, np.zeros(6, dtype=np.int32)).size == 1
+
+
+def test_axiom_guard_messages_are_one_short_line():
+    # 60 elements drawn at random: thousands of self-distributivity witnesses.
+    op = np.random.default_rng(0).integers(0, 60, (60, 60))
+    m = racks.magma_from_table(op)
+    first = racks.verify_rack(m).sd_violations[0]
+    for guarded in (lambda: gauge.quotient(op, np.arange(60)), lambda: racks.associated_quandle(m)):
+        with pytest.raises(AlgebraError) as info:
+            guarded()
+        message = str(info.value)
+        assert "\n" not in message and len(message.encode()) < 1000
+        assert f"first sd witness (x, y, z): {first}" in message

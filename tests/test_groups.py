@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,11 @@ def test_q8_structure():
     for a in range(G.order):
         if a not in (0, minus_one):
             assert G.table[a, a] == minus_one
+
+
+@pytest.mark.parametrize("entry", [float("nan"), 1e300, float("inf")])
+def test_float_table_entries_that_are_no_int64_fail_without_warnings(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match="Cayley table entries must be integers, got dtype float64"):
+            groups.group_from_table([[0.0, 1.0], [1.0, entry]])

@@ -442,3 +442,16 @@ def test_sweep_config_rejects_uncheckable_runs(field, value):
         lie.SweepConfig(model="SO3", **{field: value})
     with pytest.raises(ShapeError, match=field):
         dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})
+
+
+def test_noether_sweep_report_json_keeps_its_key_order():
+    config = lie.SweepConfig(samples=10, seed=3)
+    report = lie.noether_sweep(_setup("SO3", 3), config)
+    obj = report.to_json()
+    assert list(obj) == [
+        "samples", "seed", "disagreements", "all_agree",
+        "equal_pair_max_residual", "equal_pairs_all_fix", "tolerance", "passed",
+    ]
+    assert obj["all_agree"] is (report.disagreements == 0)
+    assert obj["passed"] is (obj["all_agree"] and report.equal_pairs_all_fix)
+    assert obj["samples"] == 10 and obj["seed"] == 3 and obj["tolerance"] == config.tolerance

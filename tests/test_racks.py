@@ -479,3 +479,29 @@ def test_tables_are_stored_c_contiguous_copies():
     assert op.flags.writeable
     op[0, 0] = 1  # the caller's array is neither frozen nor shared
     assert m.op[0, 0] == 0
+
+
+def test_report_json_holds_the_stored_witnesses_without_copies():
+    report = racks.verify_rack(racks.magma_from_table(np.random.default_rng(2).integers(0, 5, (5, 5))))
+    assert report.sd_violations and report.bijectivity_violations and report.idem_violations
+    obj = report.to_json()
+    for key in ("sd_violations", "bijectivity_violations", "idem_violations"):
+        assert type(obj[key]) is list and obj[key] == list(getattr(report, key))
+    assert all(w is s for w, s in zip(obj["sd_violations"], report.sd_violations, strict=True))
+
+
+def test_report_text_is_its_lines_and_one_line_for_errors():
+    op = np.array([[1, 1], [0, 0]])  # a rack; x <| x != x for both elements
+    report = racks.verify_rack(racks.magma_from_table(op))
+    assert report.lines() == [
+        "rack:    yes",
+        "quandle: NO",
+        "self-distributivity violations: 0",
+        "non-bijective right translations: 0",
+        "idempotency violations: 2",
+        "  first idempotency witness x: 0",
+    ]
+    assert str(report) == (
+        "rack: yes; quandle: NO; self-distributivity violations: 0; "
+        "non-bijective right translations: 0; idempotency violations: 2; first idempotency witness x: 0"
+    )
