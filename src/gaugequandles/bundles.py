@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlgebraError, CapExceeded, ShapeError, index_array, int_field, json_int, load_json
+from .errors import AlgebraError, CapExceeded, ShapeError, excerpt, index_array, int_field, json_int, load_json
 from .groups import FiniteGroup, group_from_json, group_to_json
 
 # enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
@@ -49,7 +49,7 @@ class DiscreteBundle:
             raise ShapeError("base must have at least one point")
         if self.total_size > TOTAL_POINTS_CAP:
             raise CapExceeded(
-                f"{self.base_size} base points x group order {self.group.order} exceed "
+                f"{excerpt(self.base_size)} base points x group order {self.group.order} exceed "
                 f"the total points cap {TOTAL_POINTS_CAP}"
             )
 

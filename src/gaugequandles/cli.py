@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bundles, gauge, groups, lie, racks
-from .errors import AlgebraError, ShapeError, load_json
+from .errors import AlgebraError, ShapeError, excerpt, load_json
 
 MAX_PRINTED_TABLE = 12
 
@@ -119,7 +119,7 @@ def _parse_subgroup(G: groups.FiniteGroup, text: str) -> groups.Subgroup:
         try:
             elems.append(int(tok))
         except ValueError:
-            raise ShapeError(f"--subgroup takes comma-separated element indices, got {tok!r}") from None
+            raise ShapeError(f"--subgroup takes comma-separated element indices, got {excerpt(tok)}") from None
     return groups.subgroup(G, elems)
 
 

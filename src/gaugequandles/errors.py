@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +90,16 @@ def load_json(path: str | Path):
         raise ShapeError(f"JSON in {path} nests too deeply to read") from None
 
 
+def excerpt(value) -> str:
+    """repr(value) cut to at most 60 characters, so an error message stays short whatever the input."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def int_field(value, what: str) -> int:
     """A Python or numpy integer as int; bools (np.bool_ too), floats, strings and the rest fail."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ShapeError(f"{what} must be an integer, got {value!r}")
+        raise ShapeError(f"{what} must be an integer, got {excerpt(value)}")
     return int(value)
 
 
@@ -106,7 +113,7 @@ def json_int(value, what: str) -> int:
 def json_real(value, what: str) -> float:
     """A real number read from JSON; bools, strings and null fail."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ShapeError(f"{what} must be a number, got {value!r}")
+        raise ShapeError(f"{what} must be a number, got {excerpt(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -129,7 +136,8 @@ def _holds_bool(values) -> bool:
 
 
 def read_array(values, what: str) -> np.ndarray:
-    """np.asarray, but a bool in a list (numpy reads [0, True] as int64) or ragged rows raise ShapeError.
+    """np.asarray, but a bool in a list (numpy reads [0, True] as int64), ragged rows or nesting
+    deeper than numpy's dimension limit raise ShapeError.
 
     Only list and tuple input is scanned, so arrays the library builds pay nothing.
     """
@@ -137,8 +145,10 @@ def read_array(values, what: str) -> np.ndarray:
         raise ShapeError(f"{what} must be integers, got a bool")
     try:
         return np.asarray(values)
-    except ValueError:
-        raise ShapeError(f"{what} must form a rectangular array, got ragged rows") from None
+    except ValueError as err:
+        # numpy raises ValueError both for ragged rows and for nesting past its dimension limit.
+        got = "nesting past numpy's dimension limit" if "maximum number of dimension" in str(err) else "ragged rows"
+        raise ShapeError(f"{what} must form a rectangular array, got {got}") from None
 
 
 def index_array(values, bound: int | None, what: str) -> np.ndarray:

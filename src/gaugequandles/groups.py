@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AxiomViolation, CapExceeded, ShapeError, index_array, json_int, read_array
+from .errors import AxiomViolation, CapExceeded, ShapeError, excerpt, index_array, json_int, read_array
 
 # Exhaustive O(n^3) associativity validation is capped here.
 ASSOCIATIVITY_CAP = 256
@@ -260,7 +260,7 @@ def catalog_names() -> list[str]:
 def catalog(name: str) -> FiniteGroup:
     """Look up a built-in group by name ("Z4", "S3", "D4", "Q8", ...)."""
     if name not in _CATALOG_TABLES:
-        raise KeyError(f"unknown catalog group {name!r}; available: {catalog_names()}")
+        raise KeyError(f"unknown catalog group {excerpt(name)}; available: {catalog_names()}")
     if name not in _CATALOG_CACHE:
         _CATALOG_CACHE[name] = group_from_table(_CATALOG_TABLES[name], name=name)
     return _CATALOG_CACHE[name]
@@ -282,7 +282,7 @@ def group_from_json(obj) -> FiniteGroup:
         if "table" in obj:
             G = group_from_table(obj["table"], name=str(obj.get("name", "")))
             if "order" in obj and json_int(obj["order"], "order") != G.order:
-                raise ShapeError(f"declared order {obj['order']} != table size {G.order}")
+                raise ShapeError(f"declared order {excerpt(obj['order'])} != table size {G.order}")
             return G
         if "name" in obj:
             return catalog(str(obj["name"]))

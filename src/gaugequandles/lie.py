@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NonFinite, ShapeError, int_field, json_int, json_real
+from .errors import CapExceeded, NonFinite, ShapeError, excerpt, int_field, json_int, json_real
 
 # Truncation order for the scaled Taylor series; at argument norm <= 0.5 the
 # remainder is far below double precision.
@@ -188,11 +188,11 @@ def get_model(name: str) -> MatrixGroupModel:
     gl = _GL_NAME.fullmatch(name)
     if gl is None:
         raise ShapeError(
-            f"unknown matrix group model {name!r}; expected SO3, SU2 or GL<n> with n a positive integer"
+            f"unknown matrix group model {excerpt(name)}; expected SO3, SU2 or GL<n> with n a positive integer"
         )
     digits = gl[1]
     if len(digits) > len(str(GL_DIM_CAP)) or int(digits) > GL_DIM_CAP:
-        raise CapExceeded(f"model {name!r} exceeds the GL<n> size cap n <= {GL_DIM_CAP}")
+        raise CapExceeded(f"model {excerpt(name)} exceeds the GL<n> size cap n <= {GL_DIM_CAP}")
     n = int(digits)
     return MatrixGroupModel(f"GL{n}", n, tuple(np.eye(n * n).reshape(n * n, n, n)))
 
@@ -292,13 +292,13 @@ class SweepConfig:
     def __post_init__(self):
         # Runs on construction and on every dataclasses.replace override.
         if not isinstance(self.model, str):
-            raise ShapeError(f"model must be a string, got {self.model!r}")
+            raise ShapeError(f"model must be a string, got {excerpt(self.model)}")
         for name in ("base_points", "samples", "seed"):
             object.__setattr__(self, name, int_field(getattr(self, name), name))
         if self.samples < 1 or self.base_points < 1:
             raise ShapeError("a sweep needs samples >= 1 and base_points >= 1")
         if self.seed < 0:
-            raise ShapeError(f"seed must be >= 0, got {self.seed}")
+            raise ShapeError(f"seed must be >= 0, got {excerpt(self.seed)}")
         if self.samples > SAMPLES_CAP or self.base_points > BASE_POINTS_CAP:
             raise CapExceeded(f"a sweep takes at most {SAMPLES_CAP} samples and {BASE_POINTS_CAP} base points")
         lo, hi = self.t_range
@@ -317,7 +317,7 @@ class SweepConfig:
         keys = [f.name for f in fields(SweepConfig)]
         unknown = sorted(set(obj) - set(keys))
         if unknown:
-            raise ShapeError(f"unknown sweep config key {unknown[0]!r}; expected only {', '.join(keys)}")
+            raise ShapeError(f"unknown sweep config key {excerpt(unknown[0])}; expected only {', '.join(keys)}")
         # Only the keys present, read in field order; the dataclass supplies every
         # default, and __post_init__ checks the model.
         read = {"model": lambda value, _: value, "t_range": _json_range, "tolerance": json_real}
@@ -326,7 +326,7 @@ class SweepConfig:
 
 def _json_range(value, what: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
-        raise ShapeError(f"{what} must be a list [lo, hi], got {value!r}")
+        raise ShapeError(f"{what} must be a list [lo, hi], got {excerpt(value)}")
     return tuple(json_real(v, what) for v in value)
 
 

@@ -423,3 +423,80 @@ def test_bad_subgroup_token_names_the_flag(tmp_path, capsys, s3_point, command, 
     assert cli.main([*argv, "--subgroup", text]) == 2
     line = f"error: --subgroup takes comma-separated element indices, got '{token}'\n"
     assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize("command", ["verify", "rack", "build", "reduce", "homogeneous"])
+def test_scan_cap_exits_2_on_every_verifying_command(tmp_path, capsys, monkeypatch, s3_point, command):
+    quandle = write(tmp_path, "q.json", racks.magma_to_json(racks.conjugation_quandle(groups.catalog("S3"))))
+    argv = {
+        "verify": ["verify", quandle],
+        "rack": ["rack", *s3_point],
+        "build": ["build", *s3_point],
+        "reduce": ["reduce", *s3_point, "--subgroup", "0"],
+        "homogeneous": ["homogeneous", "S3", "--subgroup", "0", "--element", "3"],
+    }[command]
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    monkeypatch.setattr(racks, "SD_SCAN_CAP", 0)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: a table of 6 elements with ") and "distinct columns" in err
+
+
+LONG = list(range(100_000))
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        ("config", {"model": "SO3", "seed": 1, "samples": LONG}),
+        ("config", {"model": "SO3", "seed": 1, "tolerance": LONG}),
+        ("config", {"model": LONG, "seed": 1}),
+        ("config", {"model": "SO3", "seed": 1, "t_range": LONG}),
+        ("config", {"model": "GL" + "9" * 100_000, "seed": 1}),
+        ("config", {"model": "x" * 100_000, "seed": 1}),
+        ("config", {"model": "SO3", "seed": 1, "x" * 100_000: 1}),
+        ("quandle", {"op": [[0]], "labels": ["a"] * 100_000 + [0]}),
+        ("quandle", {"op": [[0]], "size": LONG}),
+        ("bundle", {"group": "S3", "base_size": LONG}),
+        ("map", {"section_values": [LONG]}),
+        ("config", {"model": "SO3", "seed": -int("9" * 4000)}),
+        ("bundle", {"group": "S3", "base_size": int("9" * 4000)}),
+        ("bundle", {"group": "x" * 100_000, "base_size": 1}),
+        ("group", {"order": int("9" * 4000), "table": [[0]]}),
+    ],
+    ids=["samples", "tolerance", "model", "t_range", "GL-digits", "model-name", "key", "labels", "size",
+         "base_size", "section_values", "seed-digits", "base_size-digits", "group-name", "order-digits"],
+)
+def test_long_bad_value_gives_a_short_error_line(tmp_path, capsys, kind, obj):
+    files = {name: write(tmp_path, f"{name}.json", default) for name, (default, _) in INPUT_FILES.items()}
+    write(tmp_path, f"{kind}.json", obj)
+    assert cli.main(INPUT_FILES[kind][1](files)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
+def test_long_subgroup_token_gives_a_short_error_line(capsys, s3_point):
+    assert cli.main(["reduce", *s3_point, "--subgroup", "x" * 100_000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --subgroup takes") and len(err.encode()) < 300
+
+
+def _nested(depth):
+    v = 0
+    for _ in range(depth):
+        v = [v]
+    return v
+
+
+@pytest.mark.parametrize(
+    "op, got",
+    [(_nested(200), "nesting past numpy's dimension limit"), ([[0, 1], [1]], "ragged rows")],
+)
+def test_non_rectangular_table_names_its_cause(tmp_path, capsys, op, got):
+    path = write(tmp_path, "quandle.json", {"op": op})
+    assert cli.main(["verify", path]) == 2
+    line = f"error: operation table entries must form a rectangular array, got {got}\n"
+    assert capsys.readouterr() == ("", line)

@@ -6,13 +6,15 @@ witnesses are reported. Hypothesis runs them against the library on catalog
 groups relabeled by random permutations that move the identity off index 0,
 on random element subsets, and on random total-value arrays. The catalog
 tables are checked against products of the elements they stand for, and the
-census against one isomorphism search per map on seeded relabelings. The
+census against one isomorphism search per map on seeded relabelings, and
+verify_rack against the full n^3 scan on gauge, rack and random tables. The
 CLI's --json writer is checked against json.dumps(obj, indent=2), the call
 it replaced, on generated JSON trees.
 """
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,6 +220,30 @@ def ref_rack_iota(m):
     return iota
 
 
+def ref_verify_rack(m):
+    """The n^3 self-distributivity scan, one x at a time: every triple (x, y, z)
+    in lexicographic order, with no grouping of equal columns. Bijectivity and
+    idempotency are read off the whole table."""
+    op = m.op
+    n = m.size
+    idx = np.arange(n)
+    bij = tuple(int(y) for y in np.flatnonzero(~(np.sort(op, axis=0) == idx[:, None]).all(axis=0)))
+    idem = tuple(int(x) for x in np.flatnonzero(np.diagonal(op) != idx))
+    sd = []
+    for x in range(n):
+        lhs = op[op[x]]                 # [y, z] = (x <| y) <| z
+        rhs = op[op[x][None, :], op]    # [y, z] = (x <| z) <| (y <| z)
+        sd.extend((x, y, z) for y, z in np.argwhere(lhs != rhs).tolist())
+    is_rack = not sd and not bij
+    return racks.RackReport(
+        is_rack=is_rack,
+        is_quandle=is_rack and not idem,
+        sd_violations=tuple(sd),
+        bijectivity_violations=bij,
+        idem_violations=idem,
+    )
+
+
 def ref_isomorphism_census(b):
     """One search per map: each table against every earlier class
     representative with the same sorted invariants, in enumeration order."""
@@ -295,6 +321,45 @@ def relabeled_monoids(draw):
     n = draw(st.integers(2, 12))
     idx = np.arange(n)
     return relabel(idx[:, None] * idx[None, :] % n, draw(st.permutations(range(n))))
+
+
+def _gauge_inputs(draw, names):
+    G = draw(relabeled_groups(names))
+    base = draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
+    return bundles.EquivariantMap(bundles.DiscreteBundle(G, base), values)
+
+
+@st.composite
+def swapped_gauge_tables(draw):
+    """A gauge quandle over a relabeled group, its points relabeled too, with up to three pairs of entries swapped."""
+    f = _gauge_inputs(draw, ["Z4", "D3", "D4", "Q8", "S3", "S4"])
+    op = relabel(gauge.build(f).table.op, draw(st.permutations(range(f.bundle.total_size)))).ravel()
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, op.size - 1)), draw(st.integers(0, op.size - 1))
+        op[a], op[b] = op[b], op[a]
+    return op.reshape(f.bundle.total_size, -1)
+
+
+@st.composite
+def repeated_column_tables(draw):
+    """An n x n table whose columns are drawn from at most four random columns."""
+    n = draw(st.integers(1, 16))
+    column = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    cols = draw(st.lists(column, min_size=1, max_size=4))
+    return np.array(cols)[draw(st.lists(st.integers(0, len(cols) - 1), min_size=n, max_size=n))].T
+
+
+@st.composite
+def augmented_rack_tables(draw):
+    return gauge.rack_from_map(_gauge_inputs(draw, ["Z4", "D3", "D4", "Q8", "S3"])).op
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 9))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 # Leaves whose text json.dumps decides: ints past 64 bits, negative ints,
@@ -454,6 +519,29 @@ def test_rack_iota_matches_loop(G, base, data):
     values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
     m = gauge.rack_from_map(bundles.EquivariantMap(b, values))
     assert np.array_equal(racks.rack_iota(m), ref_rack_iota(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(swapped_gauge_tables(), repeated_column_tables(), augmented_rack_tables(), random_tables()),
+    st.sampled_from([1, 50, 400, racks._SD_CHUNK_ELEMENTS]),
+)
+def test_verify_rack_matches_the_full_scan(op, chunk_elements):
+    m = racks.magma_from_table(op)
+    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
+        got = racks.verify_rack(m)
+    assert got == ref_verify_rack(m)
+    assert all(type(v) is int for w in got.sd_violations for v in w)
+
+
+def test_verify_rack_tells_apart_columns_that_agree_mod_256():
+    # The trivial quandle on 257 elements with 0 <| 1 = 256: column 1 agrees
+    # with the others modulo 256, so grouping columns by a byte would merge it.
+    op = np.broadcast_to(np.arange(257)[:, None], (257, 257)).copy()
+    op[0, 1] = 256
+    m = racks.magma_from_table(op)
+    got = racks.verify_rack(m)
+    assert got.bijectivity_violations == (1,) and got == ref_verify_rack(m)
 
 
 @settings(max_examples=60, deadline=None)

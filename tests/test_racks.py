@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from gaugequandles.errors import AlgebraError, AutomorphismRequired, NotARack, ShapeError
+from gaugequandles.errors import AlgebraError, AutomorphismRequired, CapExceeded, NotARack, ShapeError
 from test_loop_references import ref_compose_permutations
 
 S3_PERMS = groups.symmetric_group_elements(3)
@@ -505,3 +505,34 @@ def test_report_text_is_its_lines_and_one_line_for_errors():
         "rack: yes; quandle: NO; self-distributivity violations: 0; "
         "non-bijective right translations: 0; idempotency violations: 2; first idempotency witness x: 0"
     )
+
+
+def test_sd_scan_cap_admits_every_gauge_quandle():
+    # A gauge table reads p2 only through f(p2), so it has at most |G| distinct columns.
+    assert racks.SD_SCAN_CAP == groups.ASSOCIATIVITY_CAP * bundles.TOTAL_POINTS_CAP**2
+
+
+def test_sd_scan_cap_counts_distinct_columns_times_n_squared(monkeypatch):
+    m = racks.conjugation_quandle(groups.catalog("S3"))  # 6 distinct columns: S3 has a trivial centre
+    monkeypatch.setattr(racks, "SD_SCAN_CAP", 6 * 6**2)
+    assert racks.verify_rack(m).is_quandle
+    monkeypatch.setattr(racks, "SD_SCAN_CAP", 6 * 6**2 - 1)
+    with pytest.raises(CapExceeded, match="a table of 6 elements with 6 distinct columns"):
+        racks.verify_rack(m)
+
+
+def test_scan_cap_guards_quotient_and_rack_iota(monkeypatch):
+    m = racks.conjugation_quandle(groups.catalog("S3"))
+    monkeypatch.setattr(racks, "SD_SCAN_CAP", 0)
+    with pytest.raises(CapExceeded, match="6 elements with 6 distinct columns"):
+        gauge.quotient(m.op, np.arange(6))
+    with pytest.raises(CapExceeded, match="6 elements with 6 distinct columns"):
+        racks.rack_iota(m)
+
+
+def test_verify_rack_refuses_4096_distinct_columns():
+    n = 4096
+    idx = np.arange(n, dtype=np.int16)
+    m = racks.magma_from_table((idx[:, None] + idx) % n)  # column y shifts by y: all distinct
+    with pytest.raises(CapExceeded, match="a table of 4096 elements with 4096 distinct columns"):
+        racks.verify_rack(m)
