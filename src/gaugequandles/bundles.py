@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded, ShapeError, excerpt, index_array, int_field, json_int, load_json
-from .groups import FiniteGroup, group_from_json, group_to_json
+from .groups import FiniteGroup, catalog, catalog_names, group_from_json, group_to_json
 
 # enumerate_maps refuses a bundle with more than this many maps |G|^|M|.
 ENUMERATION_CAP = 10**6
@@ -177,8 +177,10 @@ def enumerate_maps(b: DiscreteBundle) -> Iterator[EquivariantMap]:
 # ---------------------------------------------------------------------------
 
 def bundle_to_json(b: DiscreteBundle) -> dict:
-    group: object = b.group.name if b.group.name else group_to_json(b.group)
-    return {"group": group, "base_size": b.base_size}
+    """The group by catalog name when it is that catalog group, else as a group object."""
+    G = b.group
+    in_catalog = G.name in catalog_names() and G == catalog(G.name)
+    return {"group": G.name if in_catalog else group_to_json(G), "base_size": b.base_size}
 
 
 def bundle_from_json(obj) -> DiscreteBundle:

@@ -2,6 +2,7 @@
 
 Subcommands: verify, build, rack, census, fiber, reduce, homogeneous,
 lie-check. Human output is aligned tables; pass --json for machine output.
+The JSON object is built only when --json or --out asks for it.
 Exit codes: 0 pass, 1 verification failure, 2 input error.
 """
 
@@ -81,16 +82,23 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
         parts.append(json.dumps(v))
 
 
-def _emit(args, obj: dict, human: str) -> None:
-    """Write obj to --out (if given) and print it (--json) or the human text.
+def _emit(args, code: int, text: str, obj) -> int:
+    """Print text, or the JSON of obj() for --json, also writing that JSON to --out if given; return code.
 
-    The JSON text is made once and shared by the file and stdout.
+    obj is called only when --json or --out asks for JSON.
     """
     out = getattr(args, "out", None)
-    text = _json_text(obj) if args.json or out else ""
+    json_text = _json_text(obj()) if args.json or out else ""
     if out:
-        Path(out).write_text(text + "\n")
-    print(text if args.json else human)
+        Path(out).write_text(json_text + "\n")
+    print(json_text if args.json else text)
+    return code
+
+
+def _emit_table(args, code: int, header: str, m: racks.MagmaTable, tail=(), extra=dict) -> int:
+    """_emit for a table: the text is header, the table (if small) and tail; the JSON is m's, then extra()."""
+    text = "\n".join([header, _maybe_table(m), *tail])
+    return _emit(args, code, text, lambda: {**racks.magma_to_json(m), **extra()})
 
 
 def format_table(m: racks.MagmaTable) -> str:
@@ -135,42 +143,35 @@ def cmd_verify(args) -> int:
     m = racks.load_magma(args.quandle)
     report = racks.verify_rack(m)
     ok = report.is_rack if args.rack else report.is_quandle
-    _emit(args, {"size": m.size, **report.to_json()}, "\n".join(report.lines()))
-    return 0 if ok else 1
+    return _emit(args, 0 if ok else 1, "\n".join(report.lines()), lambda: {"size": m.size, **report.to_json()})
 
 
 def cmd_build(args) -> int:
     q = gauge.build(_load_map(args))
-    obj = gauge.gauge_quandle_to_json(q)
     b = q.bundle
-    human = f"gauge quandle on {q.table.size} points (base {b.base_size}, group order {b.group.order})\n"
-    human += _maybe_table(q.table)
-    _emit(args, obj, human)
-    return 0
+    header = f"gauge quandle on {q.table.size} points (base {b.base_size}, group order {b.group.order})"
+    return _emit(args, 0, "\n".join([header, _maybe_table(q.table)]), lambda: gauge.gauge_quandle_to_json(q))
 
 
 def cmd_rack(args) -> int:
     m = gauge.rack_from_map(_load_map(args))
     report = racks.verify_rack(m)
-    obj = {**racks.magma_to_json(m), "report": report.to_json()}
-    human = "\n".join([f"augmented-rack table on {m.size} points", _maybe_table(m), *report.lines()])
-    _emit(args, obj, human)
-    return 0 if report.is_rack else 1
+    header = f"augmented-rack table on {m.size} points"
+    code = 0 if report.is_rack else 1
+    return _emit_table(args, code, header, m, report.lines(), lambda: {"report": report.to_json()})
 
 
 def cmd_census(args) -> int:
     b = bundles.load_bundle(args.bundle)
     classes = gauge.isomorphism_census(b)
     total = sum(len(c) for c in classes)
-    obj = {
-        "maps": total,
-        "classes": [{"representative": list(c[0]), "size": len(c)} for c in classes],
-    }
     lines = [f"{total} equivariant maps fall into {len(classes)} isomorphism classes"]
     for i, c in enumerate(classes):
         lines.append(f"  class {i}: size {len(c)}, representative section values {list(c[0])}")
-    _emit(args, obj, "\n".join(lines))
-    return 0
+    return _emit(args, 0, "\n".join(lines), lambda: {
+        "maps": total,
+        "classes": [{"representative": list(c[0]), "size": len(c)} for c in classes],
+    })
 
 
 def cmd_fiber(args) -> int:
@@ -181,18 +182,14 @@ def cmd_fiber(args) -> int:
     G = f.bundle.group
     expected = racks.generalized_alexander(G, G.inner_automorphism(c))
     matches = transported == expected
-    obj = {
-        **racks.magma_to_json(transported),
+    header = f"fiber quandle at base {args.base}, transported to the group"
+    tail = [f"matches generalized Alexander table for section value {c}: {'yes' if matches else 'NO'}"]
+    return _emit_table(args, 0 if matches else 1, header, transported, tail, lambda: {
         "base": args.base,
         "chart": list(range(G.order)),
         "matches_generalized_alexander": matches,
         "section_value": c,
-    }
-    human = f"fiber quandle at base {args.base}, transported to the group\n"
-    human += _maybe_table(transported)
-    human += f"\nmatches generalized Alexander table for section value {c}: {'yes' if matches else 'NO'}"
-    _emit(args, obj, human)
-    return 0 if matches else 1
+    })
 
 
 def cmd_reduce(args) -> int:
@@ -200,16 +197,12 @@ def cmd_reduce(args) -> int:
     H = _parse_subgroup(q.bundle.group, args.subgroup)
     reduced = gauge.reduce(q, H)
     classes = reduced.classes
-    obj = {
-        **racks.magma_to_json(reduced.table),
+    header = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})"
+    tail = ["classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)]
+    return _emit_table(args, 0, header, reduced.table, tail, lambda: {
         "classes": [list(c) for c in classes],
         "subgroup": list(H.elements),
-    }
-    human = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})\n"
-    human += _maybe_table(reduced.table)
-    human += "\nclasses: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
-    _emit(args, obj, human)
-    return 0
+    })
 
 
 def cmd_homogeneous(args) -> int:
@@ -218,10 +211,8 @@ def cmd_homogeneous(args) -> int:
     G = groups.group_from_json(load_json(spec)) if from_file else groups.catalog(spec)
     H = _parse_subgroup(G, args.subgroup)
     table = gauge.homogeneous_quandle(H, args.element)
-    obj = {**racks.magma_to_json(table), "subgroup": list(H.elements), "element": args.element}
-    human = f"homogeneous quandle on {table.size} right cosets\n" + _maybe_table(table)
-    _emit(args, obj, human)
-    return 0
+    header = f"homogeneous quandle on {table.size} right cosets"
+    return _emit_table(args, 0, header, table, extra=lambda: {"subgroup": list(H.elements), "element": args.element})
 
 
 def cmd_lie_check(args) -> int:
@@ -234,20 +225,7 @@ def cmd_lie_check(args) -> int:
     if args.tolerance is not None:
         config = dataclasses.replace(config, tolerance=args.tolerance)
     report = lie.run_sweep(config)
-    obj = report.to_json()
-    lines = [f"model {config.model}, seed {config.seed}, {config.samples} samples, tolerance {config.tolerance:g}"]
-    for name, rep in {**report.axioms, "section_equivariance": report.section_equivariance}.items():
-        status = "PASS" if rep.passed else "FAIL"
-        lines.append(f"  {name:<22} max residual {rep.max_residual:.3e}  (tol {rep.tolerance:g})  {status}")
-    noe = report.noether
-    lines.append(
-        f"  {'noether_agreement':<22} disagreements {noe.disagreements}, "
-        f"equal-pair residual {noe.equal_pair_max_residual:.3e}  "
-        f"{'PASS' if noe.passed else 'FAIL'}"
-    )
-    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    _emit(args, obj, "\n".join(lines))
-    return 0 if report.passed else 1
+    return _emit(args, 0 if report.passed else 1, "\n".join(report.lines()), report.to_json)
 
 
 # ---------------------------------------------------------------------------

@@ -279,11 +279,14 @@ def group_from_json(obj) -> FiniteGroup:
     if isinstance(obj, str):
         return catalog(obj)
     if isinstance(obj, dict):
+        name = obj.get("name", "")
+        if not isinstance(name, str):
+            raise ShapeError(f"group name must be a string, got {excerpt(name)}")
         if "table" in obj:
-            G = group_from_table(obj["table"], name=str(obj.get("name", "")))
+            G = group_from_table(obj["table"], name=name)
             if "order" in obj and json_int(obj["order"], "order") != G.order:
                 raise ShapeError(f"declared order {excerpt(obj['order'])} != table size {G.order}")
             return G
         if "name" in obj:
-            return catalog(str(obj["name"]))
+            return catalog(name)
     raise ShapeError("group JSON must be a catalog name or carry a 'table'")

@@ -555,6 +555,22 @@ class SweepReport:
             "passed": self.passed,
         }
 
+    def lines(self) -> list[str]:
+        """The text form: the config, one line per check with its residual and verdict, the overall verdict."""
+        c = self.config
+        lines = [f"model {c.model}, seed {c.seed}, {c.samples} samples, tolerance {c.tolerance:g}"]
+        for name, rep in {**self.axioms, "section_equivariance": self.section_equivariance}.items():
+            status = "PASS" if rep.passed else "FAIL"
+            lines.append(f"  {name:<22} max residual {rep.max_residual:.3e}  (tol {rep.tolerance:g})  {status}")
+        noe = self.noether
+        lines.append(
+            f"  {'noether_agreement':<22} disagreements {noe.disagreements}, "
+            f"equal-pair residual {noe.equal_pair_max_residual:.3e}  "
+            f"{'PASS' if noe.passed else 'FAIL'}"
+        )
+        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
+        return lines
+
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Build a seeded random section over the requested model and run every check."""

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,19 +214,26 @@ def test_bundle_json_round_trip(tmp_path):
     mobj = bundles.map_to_json(f)
     assert bundles.map_from_json(b, mobj) == f
 
-    import json
-
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(obj))
     assert bundles.load_bundle(path) == b
 
 
 def test_inline_group_bundle_json():
-    G = groups.group_from_table([[0, 1], [1, 0]])
-    b = bundles.DiscreteBundle(G, 2)
-    obj = bundles.bundle_to_json(b)
-    assert isinstance(obj["group"], dict)
-    assert bundles.bundle_from_json(obj) == b
+    # A table group is named in the file only when it is that catalog group;
+    # the golden S3-relabeled table carries its own name and, renamed "S3",
+    # a catalog name that is not its table.
+    relabeled = json.loads((Path(__file__).parent / "golden" / "inputs" / "s3_relabeled.json").read_text())
+    for G in [
+        groups.group_from_table([[0, 1], [1, 0]]),
+        groups.group_from_json(relabeled),
+        groups.group_from_json({**relabeled, "name": "S3"}),
+    ]:
+        b = bundles.DiscreteBundle(G, 2)
+        obj = bundles.bundle_to_json(b)
+        assert isinstance(obj["group"], dict)
+        back = bundles.bundle_from_json(obj)
+        assert back == b and back.group.name == G.name
 
 
 @pytest.mark.parametrize("name", groups.catalog_names())

@@ -500,3 +500,68 @@ def test_non_rectangular_table_names_its_cause(tmp_path, capsys, op, got):
     assert cli.main(["verify", path]) == 2
     line = f"error: operation table entries must form a rectangular array, got {got}\n"
     assert capsys.readouterr() == ("", line)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "S3x2", "big_values"], "section values must lie in 0..5, got 10000"),
+        (["verify", "big_op"], "operation table entries must lie in 0..1, got 10000"),
+        (["fiber", "S3x2", "small_values", "--base", str(10**29)], "base index must lie in 0..1, got 10000"),
+        (["homogeneous", "S3", "--subgroup", "0", "--element", str(10**26)], "element must lie in 0..5, got 10000"),
+        (["reduce", "S3x2", "small_values", "--subgroup", f"0,{10**23}"], "subgroup elements must lie in 0..5"),
+    ],
+    ids=["section-values", "op", "base", "element", "subgroup"],
+)
+def test_integers_past_int64_are_out_of_range(tmp_path, capsys, argv, message):
+    files = {
+        "S3x2": {"group": "S3", "base_size": 2},
+        "big_values": {"section_values": [1, 10**30]},
+        "small_values": {"section_values": [1, 2]},
+        "big_op": {"op": [[0, 10**23], [1, 1]]},
+    }
+    argv = [write(tmp_path, f"{a}.json", files[a]) if a in files else a for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_build_rebuilt_from_its_provenance_gives_the_same_table(tmp_path, capsys):
+    # The golden relabeled S3 renamed "S3": a catalog name that is not its table.
+    relabeled = json.loads((Path(__file__).parent / "golden" / "inputs" / "s3_relabeled.json").read_text())
+    group = {**relabeled, "name": "S3"}
+    bundle = write(tmp_path, "bundle.json", {"group": group, "base_size": 2})
+    assert cli.main(["build", bundle, write(tmp_path, "map.json", {"section_values": [2, 3]}), "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    provenance = first["provenance"]
+    assert groups.group_from_json(provenance["bundle"]["group"]) == groups.group_from_json(group)
+    rebuilt = [
+        "build",
+        write(tmp_path, "bundle2.json", provenance["bundle"]),
+        write(tmp_path, "map2.json", {"section_values": provenance["section_values"]}),
+        "--json",
+    ]
+    assert cli.main(rebuilt) == 0
+    assert json.loads(capsys.readouterr().out)["op"] == first["op"]
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("human mode built JSON")
+
+
+def test_human_mode_builds_no_json(tmp_path, monkeypatch, capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    expected = json.loads((golden / "expected.json").read_text())
+    commands = {"verify", "build", "rack", "fiber", "reduce", "homogeneous"}
+    cases = [c for name, c in expected.items() if name.endswith("-human") and c["argv"][0] in commands]
+    assert {c["argv"][0] for c in cases} == commands
+    config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5, "seed": 1})
+    for target, name in [(racks, "magma_to_json"), (gauge, "gauge_quandle_to_json"),
+                         (racks.RackReport, "to_json"), (lie.SweepReport, "to_json")]:
+        monkeypatch.setattr(target, name, _raise)
+    assert cli.main(["lie-check", config]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+    monkeypatch.chdir(golden / "inputs")
+    for case in cases:
+        assert cli.main(case["argv"]) == case["code"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

@@ -39,6 +39,11 @@ def test_index_array_reads_scalars_and_empty_input():
         ([[0, 1], [2, (0, False)]], "integers, got a bool"),
         ([[0, 1], [2]], "rectangular"),
         ([np.array([0, 1]), np.array([True, True])], "integers, got a bool"),
+        ([1, 10**30], r"0\.\.2, got 1000000000000000000000000000000$"),
+        ([[0, 10**23], [1, 1]], r"0\.\.2, got 100000000000000000000000$"),
+        (10**29, r"0\.\.2, got 100000000000000000000000000000$"),
+        ([0, -(10**26)], r"0\.\.2, got -100000000000000000000000000$"),
+        ([0, 10**23, None], "integers, got dtype object"),
     ],
 )
 def test_index_array_rejects_non_integers_and_out_of_range_entries(values, message):
@@ -50,3 +55,5 @@ def test_index_array_without_a_bound_checks_only_the_dtype():
     assert index_array([-5, 99], None, "entries").tolist() == [-5, 99]
     with pytest.raises(ShapeError, match="integers"):
         index_array([0.5], None, "entries")
+    with pytest.raises(ShapeError, match="integers, got dtype object"):
+        index_array([0, 10**30], None, "entries")

@@ -282,6 +282,13 @@ def test_group_json_round_trip():
     assert groups.group_from_json("Q8") == groups.catalog("Q8")
 
 
+@pytest.mark.parametrize("name", [5, None, ["S3"], True])
+def test_group_json_name_must_be_a_string(name):
+    for obj in ({"name": name, "table": [[0, 1], [1, 0]]}, {"name": name}):
+        with pytest.raises(ShapeError, match="group name must be a string"):
+            groups.group_from_json(obj)
+
+
 def test_q8_structure():
     G = groups.catalog("Q8")
     # -1 is the unique element of order 2 and it is central
