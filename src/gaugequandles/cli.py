@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -230,7 +231,9 @@ def cmd_lie_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gaugequandles",
         description="Construct and verify quandles from gauge transformations of discrete principal bundles.",

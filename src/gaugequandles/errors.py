@@ -158,13 +158,16 @@ def index_array(values, bound: int | None, what: str) -> np.ndarray:
     in a list and ragged rows), as does an entry outside 0..bound-1
     (bound=None skips the range check, for a caller that reports a bad entry
     with its own witness). Python ints too large for int64, which numpy reads
-    as objects, fail as out of range when there is a bound. Empty input
-    passes whatever its dtype, since np.asarray([]) is float.
+    as objects or floats, fail as out of range when there is a bound. Empty
+    input passes whatever its dtype, since np.asarray([]) is float.
     """
     arr = read_array(values, what)
     if arr.size and arr.dtype.kind not in "iu":  # signed or unsigned integers
-        ints = bound is not None and arr.dtype == object and all(type(v) is int for v in arr.flat)
-        bad = next((v for v in arr.flat if not 0 <= v < bound), None) if ints else None
+        # numpy reads some lists of Python ints as float64, such as [1, 2**63] and [-1, 2**63].
+        listed = arr.dtype.kind == "f" and isinstance(values, (list, tuple))
+        leaves = np.array(values, dtype=object) if listed else arr
+        ints = bound is not None and leaves.dtype == object and all(type(v) is int for v in leaves.flat)
+        bad = next((v for v in leaves.flat if not 0 <= v < bound), None) if ints else None
         if bad is not None:
             raise ShapeError(f"{what} must lie in 0..{bound - 1}, got {excerpt(bad)}")
         raise ShapeError(f"{what} must be integers, got dtype {arr.dtype}")

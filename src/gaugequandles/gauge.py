@@ -31,16 +31,19 @@ from .errors import (
     ShapeError,
     index_array,
 )
-from .groups import Subgroup, cosets, normalizer
+from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
     find_isomorphism,
     generalized_alexander,
-    is_morphism,
     magma_from_table,
     magma_to_json,
     verify_rack,
 )
+
+# The census computes keys and checks member witnesses in chunks of at most
+# this many entries: maps x |G| x |M| for the keys, maps x |P|^2 for the witnesses.
+_CENSUS_CHUNK_ELEMENTS = 1_000_000
 
 
 def rack_from_map(f: EquivariantMap) -> MagmaTable:
@@ -198,6 +201,61 @@ def gauge_quandle_to_json(q: GaugeQuandle) -> dict:
     return obj
 
 
+def _class_conjugators(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """cls[a], a's conjugacy class named by its smallest member, and a conjugator[a] onto a from it.
+
+    conj[cls[a], conjugator[a]] == a for every element a.
+    """
+    idx = np.arange(G.order)
+    cls = G.conj.min(axis=1)
+    return cls, (G.conj[cls] == idx[:, None]).argmax(axis=1)
+
+
+def _census_keys(G: FiniteGroup, cls: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's key as a base-|G| integer and its least central shift z*s, stacked (r,) and (r, k).
+
+    The key is the sorted conjugacy classes of z*s, least over the central z,
+    the first such z on ties.
+    """
+    idx = np.arange(G.order)
+    centre = np.flatnonzero((G.conj == idx[:, None]).all(axis=1))
+    shifts = G.table[centre[:, None, None], values]  # [i, j]: centre[i] * values[j]
+    k = values.shape[1]
+    codes = np.sort(cls[shifts], axis=2) @ G.order ** np.arange(k - 1, -1, -1)
+    least = codes.argmin(axis=0)
+    rows = np.arange(len(values))
+    return codes[least, rows], shifts[least, rows]
+
+
+def _member_tables(b: DiscreteBundle, values: np.ndarray) -> np.ndarray:
+    """The gauge tables of the maps with section values values[i], stacked (r, |P|, |P|), unverified.
+
+    build's formula act[phi_f^-1(p1), f(p2)], with phi_f^-1(p) = p * f^-1(p),
+    for every row at once.
+    """
+    G = b.group
+    act = b.action_table()
+    r, n = len(values), b.total_size
+    fvals = G.conj[values].reshape(r, n)  # f(p), in total_values order
+    phi_inv = act[np.arange(n), G.conj[G.inverses[values]].reshape(r, n)]
+    return act[phi_inv[:, :, None], fvals[:, None, :]]
+
+
+def _census_witnesses(b: DiscreteBundle, zs: np.ndarray, rep_zs: np.ndarray) -> np.ndarray:
+    """phi(m, g) = (pi(m), h_m^-1 g) for each row of least shifts zs onto rep_zs, stacked (r, |P|).
+
+    pi matches base points by class and h_m conjugates zs[i, m] onto
+    rep_zs[pi(m)], so phi carries the table of zs[i] onto that of rep_zs.
+    """
+    G = b.group
+    cls, conjugator = _class_conjugators(G)
+    pi = np.empty_like(zs)
+    targets = np.argsort(cls[rep_zs], kind="stable")
+    np.put_along_axis(pi, np.argsort(cls[zs], axis=1, kind="stable"), targets, axis=1)
+    h = G.table[G.inverses[conjugator[zs]], conjugator[rep_zs[pi]]]
+    return b.point(pi[..., None], G.table[G.inverses[h]]).reshape(len(zs), b.total_size)
+
+
 def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     """Group all |G|^|M| gauge quandles on b into isomorphism classes.
 
@@ -209,51 +267,55 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     isomorphism: shifting by a central z (z*s has the same table as s),
     conjugating each value, s'(m) = h_m^-1 s(m) h_m, and permuting the base
     points. So each map is keyed by the sorted multiset of the conjugacy
-    classes of its values, least over the central shifts. A map whose key
-    was seen before joins that key's class through the witness
-    phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and h_m
-    conjugates z*s(m) onto the key representative's shifted value at pi(m).
-    Each witness is checked with is_morphism (AlgebraError if it fails).
-    Only the first map of each key is searched with find_isomorphism, against
-    the earlier class representatives with equal element invariants. Every
-    table is still built, with its quandle axioms verified.
+    classes of its values, least over the central shifts. Only the first map
+    of each key is built, with its quandle axioms verified, and searched with
+    find_isomorphism against the earlier class representatives with equal
+    element invariants. Every other map joins its key's class through the
+    witness phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and
+    h_m conjugates z*s(m) onto the key's first map's shifted value at pi(m).
+    Each witness must be a permutation and a morphism from the map's table
+    onto the verified one (AlgebraError if not), which carries every quandle
+    axiom back to the map's table. The witnesses are checked in stacked
+    chunks of at most _CENSUS_CHUNK_ELEMENTS table entries.
     """
     G = b.group
-    idx = np.arange(G.order)
-    cls = G.conj.min(axis=1)  # each element's conjugacy class, named by its smallest member
-    conjugator = (G.conj[cls] == idx[:, None]).argmax(axis=1)  # conj[cls[a], conjugator[a]] == a
-    centre = np.flatnonzero((G.conj == idx[:, None]).all(axis=1))
+    n = b.total_size
+    members = [f.section_values for f in enumerate_maps(b)]
+    values = np.array(members)
+    cls = _class_conjugators(G)[0]
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // (G.order * b.base_size))
+    keyed = [_census_keys(G, cls, values[start:start + step]) for start in range(0, len(values), step)]
+    codes, zs = (np.concatenate(parts) for parts in zip(*keyed))
+    _, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
+    maps_of_key = np.split(np.argsort(key_of, kind="stable"), np.cumsum(np.bincount(key_of))[:-1])
 
-    # key -> (its first quandle, that map's least central shift, its class's members)
-    keys: dict[tuple, tuple[GaugeQuandle, np.ndarray, list[tuple[int, ...]]]] = {}
-    buckets: dict[tuple, list[tuple[GaugeQuandle, list[tuple[int, ...]]]]] = {}
-    classes: list[list[tuple[int, ...]]] = []
-    for f in enumerate_maps(b):
-        q = build(f)
-        shifts = G.table[np.ix_(centre, f.section_values)]  # row i: centre[i] * s
-        rows = np.sort(cls[shifts], axis=1).tolist()
-        key, least = min((tuple(row), i) for i, row in enumerate(rows))
-        zs = shifts[least]
-        if key in keys:
-            rep, rep_zs, members = keys[key]
-            pi = np.empty(b.base_size, dtype=np.int64)
-            pi[np.argsort(cls[zs], kind="stable")] = np.argsort(cls[rep_zs], kind="stable")
-            h = G.table[G.inverses[conjugator[zs]], conjugator[rep_zs[pi]]]
-            phi = b.point(pi[:, None], G.table[G.inverses[h]]).ravel()
-            if not is_morphism(phi, q.table, rep.table):
+    # key -> its class; a bucket holds (representative table, class) for equal sorted invariants
+    class_of_key = np.empty(len(first), dtype=np.int64)
+    buckets: dict[tuple, list[tuple[MagmaTable, int]]] = {}
+    classes = 0
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
+    for key in np.argsort(first):
+        head, rest = maps_of_key[key][0], maps_of_key[key][1:]
+        table = build(EquivariantMap(b, members[head])).table
+        bucket = buckets.setdefault(tuple(sorted(table.invariants)), [])
+        found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
+        if found is None:
+            found, classes = classes, classes + 1
+            bucket.append((table, found))
+        class_of_key[key] = found
+        for start in range(0, len(rest), step):
+            chunk = rest[start:start + step]
+            tables = _member_tables(b, values[chunk]).reshape(len(chunk), -1)
+            phi = _census_witnesses(b, zs[chunk], zs[head])
+            images = np.take_along_axis(phi, tables, axis=1)  # phi(x <| y)
+            products = table.op[phi[:, :, None], phi[:, None, :]].reshape(len(chunk), -1)  # phi(x) <| phi(y)
+            ok = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1) & (images == products).all(axis=1)
+            if not ok.all():
                 raise AlgebraError(
-                    f"census witness from {f.section_values} to "
-                    f"{rep.map.section_values} is not an isomorphism"
+                    f"census witness from {members[chunk[ok.argmin()]]} to "
+                    f"{members[head]} is not an isomorphism"
                 )
-        else:
-            bucket = buckets.setdefault(tuple(sorted(q.table.invariants)), [])
-            members = next(
-                (ms for r, ms in bucket if find_isomorphism(q.table, r.table) is not None), None
-            )
-            if members is None:
-                members = []
-                bucket.append((q, members))
-                classes.append(members)
-            keys[key] = (q, zs, members)
-        members.append(f.section_values)
-    return [tuple(members) for members in classes]
+
+    class_of = class_of_key[key_of]
+    parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
+    return [tuple(members[i] for i in part.tolist()) for part in parts]

@@ -44,6 +44,11 @@ def test_index_array_reads_scalars_and_empty_input():
         (10**29, r"0\.\.2, got 100000000000000000000000000000$"),
         ([0, -(10**26)], r"0\.\.2, got -100000000000000000000000000$"),
         ([0, 10**23, None], "integers, got dtype object"),
+        # numpy reads these lists of Python ints as float64, not as objects.
+        ([-1, 2**63], r"0\.\.2, got -1$"),
+        ([1, 2**63], r"0\.\.2, got 9223372036854775808$"),
+        ([[2**63, 0], [-1, 1]], r"0\.\.2, got 9223372036854775808$"),
+        ([-1, 1.0, 2**63], "integers, got dtype float64"),
     ],
 )
 def test_index_array_rejects_non_integers_and_out_of_range_entries(values, message):

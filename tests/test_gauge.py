@@ -315,10 +315,48 @@ def test_census_merges_that_no_key_explains_come_from_the_search(name, base, siz
     assert any(searches)
 
 
+def member_rows(values, member):
+    """The rows of a stacked (r, k) section-value array that hold member."""
+    return np.flatnonzero((values == member).all(axis=1))
+
+
 def test_census_raises_when_a_witness_fails(monkeypatch):
-    monkeypatch.setattr(gauge, "is_morphism", lambda f, src, dst: False)
-    with pytest.raises(AlgebraError, match=r"census witness from \(0, 2\) to \(0, 1\)"):
+    # One entry of the member (2, 0)'s stacked table is changed. Its key's
+    # first map is (0, 1), whose table build verifies; the witness between
+    # them is still a permutation, but no longer a morphism.
+    member_tables = gauge._member_tables
+    changed = []
+
+    def one_entry_changed(b, values):
+        tables = member_tables(b, values).copy()
+        for i in member_rows(values, (2, 0)):
+            tables[i, 3, 4] = (tables[i, 3, 4] + 1) % b.total_size
+            changed.append(i)
+        return tables
+
+    monkeypatch.setattr(gauge, "_member_tables", one_entry_changed)
+    with pytest.raises(AlgebraError, match=r"^census witness from \(2, 0\) to \(0, 1\) is not an isomorphism$"):
         gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("S3"), 2))
+    assert changed
+
+
+def test_census_raises_when_a_witness_is_not_a_permutation(monkeypatch):
+    # A constant map is a morphism into any quandle, since x <| x = x, so only
+    # the permutation check can reject it.
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 2)
+    witnesses = gauge._census_witnesses
+
+    def constant_for_member(b, zs, rep_zs):
+        phi = witnesses(b, zs, rep_zs)
+        phi[member_rows(zs, (2, 0))] = 5  # S3's centre is trivial: zs holds the section values
+        return phi
+
+    source = gauge.build(bundles.EquivariantMap(b, (2, 0))).table
+    target = gauge.build(bundles.EquivariantMap(b, (0, 1))).table
+    assert racks.is_morphism(np.full(b.total_size, 5), source, target)
+    monkeypatch.setattr(gauge, "_census_witnesses", constant_for_member)
+    with pytest.raises(AlgebraError, match=r"^census witness from \(2, 0\) to \(0, 1\) is not an isomorphism$"):
+        gauge.isomorphism_census(b)
 
 
 @st.composite

@@ -41,3 +41,18 @@ def test_goldens_cover_every_finite_subcommand_and_error():
         assert text in stderr
     table = json.loads((GOLDEN / "inputs" / "s3_relabeled.json").read_text())["table"]
     assert table[0] != list(range(6))  # identity off index 0: the relabel path runs
+
+
+def test_a_failed_parse_leaves_the_shared_parser_as_it_was(monkeypatch, capsys):
+    # build_parser is built once per process. A parse that exits 2 after
+    # reading --json and --rack must not change what the next command prints.
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(GOLDEN / "inputs")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "shift_rack.json", "--json", "--rack", "--no-such-option"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    case = EXPECTED["verify-rack-as-quandle-human"]
+    code = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])

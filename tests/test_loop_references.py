@@ -565,6 +565,27 @@ def test_isomorphism_census_matches_per_map_search(name, base, seed):
     assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
 
 
+@pytest.mark.parametrize("chunk_elements", [1, 10**9])
+@pytest.mark.parametrize("name, base", [("S3", 3), ("D4", 2), ("Q8", 2)])
+def test_isomorphism_census_matches_per_map_search_in_any_chunking(name, base, chunk_elements):
+    # A budget of 1 puts one map in each chunk, 10**9 every map in one.
+    t = groups.catalog(name).table
+    G = groups.group_from_table(relabel(t, np.random.default_rng(7).permutation(len(t))))
+    b = bundles.DiscreteBundle(G, base)
+    with mock.patch.object(gauge, "_CENSUS_CHUNK_ELEMENTS", chunk_elements):
+        assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
+
+
+@pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2)])
+def test_member_tables_are_the_built_tables(name, base):
+    b = bundles.DiscreteBundle(groups.catalog(name), base)
+    maps = list(bundles.enumerate_maps(b))
+    tables = gauge._member_tables(b, np.array([f.section_values for f in maps]))
+    assert tables.shape == (len(maps), b.total_size, b.total_size)
+    for f, op in zip(maps, tables):
+        assert np.array_equal(op, gauge.build(f).table.op)
+
+
 def _json_text_matches_json_dumps(obj):
     try:
         expected = json.dumps(obj, indent=2)
