@@ -224,6 +224,15 @@ def test_lie_check_input_error_is_one_stderr_line(tmp_path, capsys, override, me
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model", ["SO3", "SU2"])
+def test_lie_check_passes_at_large_finite_t(tmp_path, capsys, model):
+    # Rodrigues' formula keeps every digit the angle has up to |t| = 1e5; only
+    # past double precision (the +-1e100 case above) does the sweep exit 2.
+    config = write(tmp_path, "sweep.json", {"model": model, "samples": 5, "seed": 1, "t_range": [-1e5, 1e5]})
+    assert cli.main(["lie-check", config]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_lie_check_requires_a_seed(tmp_path):
     config = write(tmp_path, "sweep.json", {"model": "SO3", "samples": 5})
     assert cli.main(["lie-check", config]) == 2

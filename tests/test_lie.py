@@ -101,6 +101,82 @@ def test_mat_exp_rejects_non_finite():
         lie.mat_exp(np.zeros((2, 3)))
 
 
+def _algebra_at_angle(model, rng, lead, theta):
+    """Random algebra matrices of leading shape `lead`, each scaled to rotation angle theta = ||A||_F / sqrt(2)."""
+    A = lie.random_algebra(model, rng, lead if lead else None)
+    return A * (theta * math.sqrt(2) / lie._fro(A))[..., None, None]
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+@pytest.mark.parametrize("lead", [(), (4,), (4, 5)])
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, 1.0, math.pi - 1e-9, math.pi, 2 * math.pi, 50.0])
+def test_model_exp_closed_form_matches_expm_and_mat_exp(name, lead, theta):
+    model = lie.get_model(name)
+    A = _algebra_at_angle(model, np.random.default_rng(5), lead, theta)
+    E = model.exp(A)
+    assert E.shape == A.shape
+    tol = 1e-13 * max(1.0, theta)
+    assert np.max(lie._fro(E - lie.mat_exp(A))) <= tol
+    flat_A, flat_E = A.reshape(-1, model.dim, model.dim), E.reshape(-1, model.dim, model.dim)
+    for a, e in zip(flat_A, flat_E):
+        assert np.linalg.norm(e - scipy.linalg.expm(a)) <= tol
+    assert np.max(lie.membership_residual(model, E)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["GL2", "GL4"])
+def test_model_exp_on_gl_is_the_taylor_series(name):
+    model = lie.get_model(name)
+    A = 3.0 * lie.random_algebra(model, np.random.default_rng(6), (4, 5))
+    assert np.array_equal(model.exp(A), lie.mat_exp(A))
+    assert np.array_equal(model.exp(A[0, 0]), lie.mat_exp(A[0, 0]))
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_model_exp_rejects_non_finite(name):
+    model = lie.get_model(name)
+    for bad in (np.nan, np.inf):
+        A = np.array(model.algebra_basis)
+        A[1, 0, 1] = bad
+        with pytest.raises(NonFinite, match="non-finite"):
+            model.exp(A)
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_model_exp_refuses_angles_past_double_precision(name):
+    model = lie.get_model(name)
+    bound = lie.MODEL_TOLERANCE * 2.0**53
+    below = _algebra_at_angle(model, np.random.default_rng(7), (3,), 0.99 * bound)
+    assert np.max(lie.membership_residual(model, model.exp(below))) <= 1e-14
+    above = below * (1.01 / 0.99)
+    with pytest.raises(NonFinite, match=r"^matrix exponential overflows at argument norm 1\.2[0-9]e\+07"):
+        model.exp(above)
+    with pytest.raises(NonFinite, match="overflows at argument norm inf"):
+        model.exp(np.stack([model.algebra_basis[0], 1e300 * model.algebra_basis[0]]))
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2", "GL2"])
+def test_model_with_a_sign_slipped_exp_is_refused(monkeypatch, name):
+    exp = lie.MatrixGroupModel.exp
+    monkeypatch.setattr(lie.MatrixGroupModel, "exp", lambda self, A: exp(self, -np.asarray(A)))
+    with pytest.raises(ShapeError, match="exp disagrees with the Taylor series"):
+        lie.get_model(name)
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_compact_sweeps_call_the_taylor_series_only_on_the_basis(monkeypatch, name):
+    d = lie.get_model(name).dim
+    calls = []
+    taylor = lie.mat_exp
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return taylor(a)
+
+    monkeypatch.setattr(lie, "mat_exp", counting)
+    assert lie.run_sweep(lie.SweepConfig(model=name, samples=10, seed=1)).passed
+    assert calls == [(3, d, d)]
+
+
 def test_models_validate():
     so3 = lie.get_model("SO3")
     su2 = lie.get_model("SU2")
