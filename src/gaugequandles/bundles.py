@@ -13,10 +13,8 @@ f(m, g) = g^-1 * f(s(m)) * g.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -161,13 +159,17 @@ def invert_map(f: EquivariantMap) -> EquivariantMap:
     return EquivariantMap(f.bundle, f.bundle.group.inverses[list(f.section_values)])
 
 
-def enumerate_maps(b: DiscreteBundle) -> Iterator[EquivariantMap]:
-    """All |G|^|M| equivariant maps, one per section-value assignment."""
-    total = b.group.order ** b.base_size
-    if total > ENUMERATION_CAP:
-        raise CapExceeded(f"{total} maps exceed the cap {ENUMERATION_CAP}")
-    for vals in itertools.product(range(b.group.order), repeat=b.base_size):
-        yield EquivariantMap(b, vals)
+def enumerate_maps(b: DiscreteBundle) -> np.ndarray:
+    """The section values of all |G|^|M| maps, one read-only int64 row each, row i being i in base |G|.
+
+    So the rows are in lexicographic order; EquivariantMap(b, row) builds one row's map.
+    """
+    n, k = b.group.order, b.base_size
+    if n**k > ENUMERATION_CAP:
+        raise CapExceeded(f"{n**k} maps exceed the cap {ENUMERATION_CAP}")
+    rows = np.arange(n**k)[:, None] // n ** np.arange(k - 1, -1, -1) % n
+    rows.setflags(write=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------

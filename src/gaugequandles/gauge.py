@@ -241,14 +241,16 @@ def _member_tables(b: DiscreteBundle, values: np.ndarray) -> np.ndarray:
     return act[phi_inv[:, :, None], fvals[:, None, :]]
 
 
-def _census_witnesses(b: DiscreteBundle, zs: np.ndarray, rep_zs: np.ndarray) -> np.ndarray:
+def _census_witnesses(
+    b: DiscreteBundle, cls: np.ndarray, conjugator: np.ndarray, zs: np.ndarray, rep_zs: np.ndarray
+) -> np.ndarray:
     """phi(m, g) = (pi(m), h_m^-1 g) for each row of least shifts zs onto rep_zs, stacked (r, |P|).
 
     pi matches base points by class and h_m conjugates zs[i, m] onto
-    rep_zs[pi(m)], so phi carries the table of zs[i] onto that of rep_zs.
+    rep_zs[pi(m)], so phi carries the table of zs[i] onto that of rep_zs;
+    cls and conjugator are _class_conjugators(b.group).
     """
     G = b.group
-    cls, conjugator = _class_conjugators(G)
     pi = np.empty_like(zs)
     targets = np.argsort(cls[rep_zs], kind="stable")
     np.put_along_axis(pi, np.argsort(cls[zs], axis=1, kind="stable"), targets, axis=1)
@@ -280,12 +282,11 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     """
     G = b.group
     n = b.total_size
-    members = [f.section_values for f in enumerate_maps(b)]
-    values = np.array(members)
-    cls = _class_conjugators(G)[0]
+    values = enumerate_maps(b)
+    cls, conjugator = _class_conjugators(G)
     step = max(1, _CENSUS_CHUNK_ELEMENTS // (G.order * b.base_size))
-    keyed = [_census_keys(G, cls, values[start:start + step]) for start in range(0, len(values), step)]
-    codes, zs = (np.concatenate(parts) for parts in zip(*keyed))
+    starts = range(0, len(values), step)
+    codes, zs = map(np.concatenate, zip(*[_census_keys(G, cls, values[i:i + step]) for i in starts]))
     _, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
     maps_of_key = np.split(np.argsort(key_of, kind="stable"), np.cumsum(np.bincount(key_of))[:-1])
 
@@ -296,7 +297,7 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
     for key in np.argsort(first):
         head, rest = maps_of_key[key][0], maps_of_key[key][1:]
-        table = build(EquivariantMap(b, members[head])).table
+        table = build(EquivariantMap(b, values[head])).table
         bucket = buckets.setdefault(tuple(sorted(table.invariants)), [])
         found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
         if found is None:
@@ -306,16 +307,16 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
         for start in range(0, len(rest), step):
             chunk = rest[start:start + step]
             tables = _member_tables(b, values[chunk]).reshape(len(chunk), -1)
-            phi = _census_witnesses(b, zs[chunk], zs[head])
+            phi = _census_witnesses(b, cls, conjugator, zs[chunk], zs[head])
             images = np.take_along_axis(phi, tables, axis=1)  # phi(x <| y)
             products = table.op[phi[:, :, None], phi[:, None, :]].reshape(len(chunk), -1)  # phi(x) <| phi(y)
             ok = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1) & (images == products).all(axis=1)
             if not ok.all():
                 raise AlgebraError(
-                    f"census witness from {members[chunk[ok.argmin()]]} to "
-                    f"{members[head]} is not an isomorphism"
+                    f"census witness from {tuple(values[chunk[ok.argmin()]].tolist())} to "
+                    f"{tuple(values[head].tolist())} is not an isomorphism"
                 )
 
     class_of = class_of_key[key_of]
     parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
-    return [tuple(members[i] for i in part.tolist()) for part in parts]
+    return [tuple(map(tuple, values[part].tolist())) for part in parts]

@@ -275,7 +275,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def group_from_json(obj) -> FiniteGroup:
-    """Accepts the group file format, a bare catalog name, or an inline table."""
+    """Accepts a bare catalog name, or the group file format: an object carrying a 'table'."""
     if isinstance(obj, str):
         return catalog(obj)
     if isinstance(obj, dict):
@@ -287,6 +287,4 @@ def group_from_json(obj) -> FiniteGroup:
             if "order" in obj and json_int(obj["order"], "order") != G.order:
                 raise ShapeError(f"declared order {excerpt(obj['order'])} != table size {G.order}")
             return G
-        if "name" in obj:
-            return catalog(name)
     raise ShapeError("group JSON must be a catalog name or carry a 'table'")

@@ -269,6 +269,8 @@ class AdjointSection:
             raise ShapeError("need at least one base point")
         if values.shape[1:] != (d, d):
             raise ShapeError(f"section values must be a (base_points, {d}, {d}) stack, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise NonFinite("section values must be finite")
         r = np.max(algebra_residual(self.model, values))
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
@@ -333,6 +335,10 @@ class SweepConfig:
             raise ShapeError(f"seed must be >= 0, got {excerpt(self.seed)}")
         if self.samples > SAMPLES_CAP or self.base_points > BASE_POINTS_CAP:
             raise CapExceeded(f"a sweep takes at most {SAMPLES_CAP} samples and {BASE_POINTS_CAP} base points")
+        if not isinstance(self.t_range, (list, tuple)) or len(self.t_range) != 2:
+            raise ShapeError(f"t_range must be a list [lo, hi], got {excerpt(self.t_range)}")
+        object.__setattr__(self, "t_range", tuple(json_real(v, "t_range") for v in self.t_range))
+        object.__setattr__(self, "tolerance", json_real(self.tolerance, "tolerance"))
         lo, hi = self.t_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ShapeError(f"t_range must be finite with lo <= hi, got {list(self.t_range)}")
@@ -350,16 +356,9 @@ class SweepConfig:
         unknown = sorted(set(obj) - set(keys))
         if unknown:
             raise ShapeError(f"unknown sweep config key {excerpt(unknown[0])}; expected only {', '.join(keys)}")
-        # Only the keys present, read in field order; the dataclass supplies every
-        # default, and __post_init__ checks the model.
-        read = {"model": lambda value, _: value, "t_range": _json_range, "tolerance": json_real}
-        return SweepConfig(**{key: read.get(key, json_int)(obj[key], key) for key in keys if key in obj})
-
-
-def _json_range(value, what: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ShapeError(f"{what} must be a list [lo, hi], got {excerpt(value)}")
-    return tuple(json_real(v, what) for v in value)
+        # Only the keys present, in field order; counts take integral floats such as 2.0.
+        counts = ("base_points", "samples", "seed")
+        return SweepConfig(**{k: json_int(obj[k], k) if k in counts else obj[k] for k in keys if k in obj})
 
 
 # ---------------------------------------------------------------------------

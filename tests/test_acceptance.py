@@ -10,6 +10,7 @@ import pytest
 
 from gaugequandles import bundles, gauge, groups, lie, racks
 from gaugequandles.errors import CentralizerViolation, NormalizerViolation
+from conftest import every_map
 
 ACCEPT_SEED = 20250809
 
@@ -34,7 +35,7 @@ def instances():
         G = groups.catalog(name)
         for base_size in BASE_SIZES:
             b = bundles.DiscreteBundle(G, base_size)
-            for f in bundles.enumerate_maps(b):
+            for f in every_map(b):
                 out.append((b, f, gauge.build(f)))
     return out
 
@@ -74,7 +75,7 @@ def test_criterion_03_over_a_point_generalized_alexander():
         if G.order > 24:
             continue
         b = bundles.DiscreteBundle(G, 1)
-        for f in bundles.enumerate_maps(b):
+        for f in every_map(b):
             expected = racks.generalized_alexander(
                 G, G.inner_automorphism(f.section_values[0])
             )
@@ -101,7 +102,7 @@ def test_criterion_05_reduced_quandles():
     norm = set(groups.normalizer(H).elements)
     right_cosets = groups.cosets(H, "right")
     ok = True
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         q = gauge.build(f)
         if any(int(v) not in norm for v in f.total_values()):
             continue  # outside the criterion's scope (never happens: H is normal)
@@ -133,7 +134,7 @@ def test_criterion_06_gauge_group_isomorphism():
             if G.order**base_size > 256:
                 continue
             b = bundles.DiscreteBundle(G, base_size)
-            maps = list(bundles.enumerate_maps(b))
+            maps = every_map(b)
             perms = {f.section_values: bundles.to_gauge(f).values for f in maps}
             # injective
             ok = ok and len({tuple(v.tolist()) for v in perms.values()}) == len(maps)

@@ -7,6 +7,7 @@ import pytest
 
 from gaugequandles import bundles, groups
 from gaugequandles.errors import AlgebraError, CapExceeded, ShapeError
+from conftest import every_map
 from test_loop_references import ref_act, ref_eval
 
 
@@ -73,7 +74,7 @@ def test_check_equivariance_holds_for_all_enumerated_maps():
     for name, base_size in (("S3", 1), ("D3", 2), ("Z4", 3)):
         G = groups.catalog(name)
         b = bundles.DiscreteBundle(G, base_size)
-        for f in bundles.enumerate_maps(b):
+        for f in every_map(b):
             assert bundles.equivariance_witnesses(b, f.total_values()) == []
             for p in range(b.total_size):
                 assert all(ref_eval(f, ref_act(b, p, g)) == G.conj[ref_eval(f, p), g] for g in range(G.order))
@@ -122,7 +123,7 @@ def test_gauge_inverse_law():
 def test_gauge_transformations_preserve_fibers_and_act_by_left_multiplication():
     G = groups.catalog("D4")
     b = bundles.DiscreteBundle(G, 2)
-    for f in itertools.islice(bundles.enumerate_maps(b), 10):
+    for f in every_map(b)[:10]:
         phi = bundles.to_gauge(f)
         for m in range(b.base_size):
             c = f.section_values[m]
@@ -146,7 +147,7 @@ def test_to_gauge_composition_orientation():
     # phi_{f1 f2} = phi_{f1} after phi_{f2}: a homomorphism, not an anti-one.
     G = groups.catalog("S3")
     b = bundles.DiscreteBundle(G, 1)
-    all_maps = list(bundles.enumerate_maps(b))
+    all_maps = every_map(b)
     for f1, f2 in itertools.product(all_maps, repeat=2):
         lhs = bundles.to_gauge(bundles.compose_maps(f1, f2))
         rhs = bundles.to_gauge(f1).values[bundles.to_gauge(f2).values]
@@ -157,17 +158,17 @@ def test_to_gauge_injective():
     G = groups.catalog("Z2")
     b = bundles.DiscreteBundle(G, 3)
     images = set()
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         images.add(tuple(bundles.to_gauge(f).values.tolist()))
     assert len(images) == 2**3
 
 
 def test_enumerate_counts():
-    assert len(list(bundles.enumerate_maps(bundles.DiscreteBundle(groups.catalog("Z1"), 5)))) == 1
+    assert len(bundles.enumerate_maps(bundles.DiscreteBundle(groups.catalog("Z1"), 5))) == 1
     G = groups.catalog("S3")
-    assert len(list(bundles.enumerate_maps(bundles.DiscreteBundle(G, 1)))) == 6
+    assert len(bundles.enumerate_maps(bundles.DiscreteBundle(G, 1))) == 6
     Z2 = groups.catalog("Z2")
-    maps = list(bundles.enumerate_maps(bundles.DiscreteBundle(Z2, 2)))
+    maps = every_map(bundles.DiscreteBundle(Z2, 2))
     assert len(maps) == 4
     assert len(set(maps)) == 4
 
@@ -176,7 +177,21 @@ def test_enumerate_cap():
     G = groups.catalog("Z12")
     b = bundles.DiscreteBundle(G, 6)  # 12^6 = 2,985,984 maps
     with pytest.raises(CapExceeded, match=f"2985984 maps exceed the cap {bundles.ENUMERATION_CAP}"):
-        list(bundles.enumerate_maps(b))
+        bundles.enumerate_maps(b)
+
+
+@pytest.mark.parametrize("name, base", [("S3", 2), ("Z2", 19), ("Z1", 4096)])
+def test_enumerate_maps_rows_come_in_product_order(name, base):
+    # Z2 x 19 (524,288 maps) is the widest enumeration under the cap; Z1 x 4096
+    # is one row wider than numpy's 64 dimensions.
+    G = groups.catalog(name)
+    rows = bundles.enumerate_maps(bundles.DiscreteBundle(G, base))
+    expected = np.fromiter(
+        itertools.chain.from_iterable(itertools.product(range(G.order), repeat=base)), dtype=np.int64
+    )
+    assert rows.shape == (G.order**base, base)
+    assert rows.dtype.kind == "i" and rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.array_equal(rows.ravel(), expected)
 
 
 def test_map_validation():
@@ -201,6 +216,18 @@ def test_equivariance_witnesses_reject_values_outside_the_group(last):
     b = bundles.DiscreteBundle(groups.catalog("S3"), 1)
     with pytest.raises(ShapeError):
         bundles.equivariance_witnesses(b, [0, 1, 2, 3, 4, last])
+
+
+def test_equivariance_witnesses_need_one_value_per_total_point():
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 1)
+    with pytest.raises(ShapeError, match="need one value per total point"):
+        bundles.equivariance_witnesses(b, [0, 1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("obj", [{"group": "S3"}, {"base_size": 2}, ["S3", 2]])
+def test_bundle_json_needs_group_and_base_size(obj):
+    with pytest.raises(ShapeError, match="bundle JSON must carry 'group' and 'base_size'"):
+        bundles.bundle_from_json(obj)
 
 
 def test_bundle_json_round_trip(tmp_path):

@@ -121,6 +121,13 @@ def test_census_cap_exceeded_exits_2(tmp_path, capsys):
     assert "7962624 maps exceed the cap 1000000" in capsys.readouterr().err
 
 
+def test_group_object_without_a_table_exits_2(tmp_path, capsys):
+    # The catalog group is named by the bare string "S3", not by {"name": "S3"}.
+    bundle = write(tmp_path, "bundle.json", {"group": {"name": "S3"}, "base_size": 1})
+    assert cli.main(["census", bundle]) == 2
+    assert "group JSON must be a catalog name or carry a 'table'" in capsys.readouterr().err
+
+
 def test_build_over_group_above_associativity_cap_exits_2(tmp_path, capsys):
     n = groups.ASSOCIATIVITY_CAP + 1
     table = [[(a + b) % n for b in range(n)] for a in range(n)]

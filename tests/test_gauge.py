@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
 from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation, ShapeError
+from conftest import every_map
 from test_loop_references import relabel
 
 S3_PERMS = groups.symmetric_group_elements(3)
@@ -35,14 +36,14 @@ def test_rack_from_map_z2_hand_table():
 def test_rack_always_verifies_quandle_sometimes():
     G = groups.catalog("D3")
     b = bundles.DiscreteBundle(G, 2)
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         assert racks.verify_rack(gauge.rack_from_map(f)).is_rack
 
 
 def test_associated_quandle_of_rack_equals_build():
     G = groups.catalog("D4")
     b = bundles.DiscreteBundle(G, 2)
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         rack = gauge.rack_from_map(f)
         q = gauge.build(f)
         assert racks.associated_quandle(rack) == q.table
@@ -105,7 +106,7 @@ def test_build_validates_one_gauge_transformation(monkeypatch):
 def test_build_over_point_equals_generalized_alexander():
     for name in ("Z4", "S3", "Q8"):
         G, b = over_a_point(name)
-        for f in bundles.enumerate_maps(b):
+        for f in every_map(b):
             c = f.section_values[0]
             expected = racks.generalized_alexander(G, G.inner_automorphism(c))
             assert gauge.build(f).table == expected
@@ -207,6 +208,19 @@ def test_reduce_normalizer_violation_witness():
     v = f.total_values()[p]
     assert h in H.elements
     assert G.conj[h, v] not in H.elements
+
+
+def test_reduce_refuses_a_subgroup_of_another_group():
+    G, b = over_a_point("S3")
+    q = gauge.build(bundles.identity_map(b))
+    H = groups.generated_subgroup(groups.catalog("Z6"), [3])
+    with pytest.raises(ShapeError, match="subgroup belongs to a different group"):
+        gauge.reduce(q, H)
+
+
+def test_quotient_needs_class_indices_without_gaps():
+    with pytest.raises(ShapeError, match=r"class index 0\.\.k-1"):
+        gauge.quotient(racks.trivial_quandle(3).op, [0, 2, 2])
 
 
 def test_homogeneous_with_trivial_subgroup_is_generalized_alexander():
@@ -346,8 +360,8 @@ def test_census_raises_when_a_witness_is_not_a_permutation(monkeypatch):
     b = bundles.DiscreteBundle(groups.catalog("S3"), 2)
     witnesses = gauge._census_witnesses
 
-    def constant_for_member(b, zs, rep_zs):
-        phi = witnesses(b, zs, rep_zs)
+    def constant_for_member(b, cls, conjugator, zs, rep_zs):
+        phi = witnesses(b, cls, conjugator, zs, rep_zs)
         phi[member_rows(zs, (2, 0))] = 5  # S3's centre is trivial: zs holds the section values
         return phi
 
@@ -357,6 +371,30 @@ def test_census_raises_when_a_witness_is_not_a_permutation(monkeypatch):
     monkeypatch.setattr(gauge, "_census_witnesses", constant_for_member)
     with pytest.raises(AlgebraError, match=r"^census witness from \(2, 0\) to \(0, 1\) is not an isomorphism$"):
         gauge.isomorphism_census(b)
+
+
+@pytest.mark.parametrize("name, base, made", [("S3", 3, 20), ("Q8", 2, 22)])
+def test_census_makes_map_objects_only_for_each_key_head(name, base, made, monkeypatch):
+    # Each key's head, and its inverse inside build; the members stay rows of
+    # one array (236 and 86 objects when every map was one).
+    maps = []
+    post_init = bundles.EquivariantMap.__post_init__
+
+    def counting_post_init(self):
+        maps.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(bundles.EquivariantMap, "__post_init__", counting_post_init)
+    classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
+    assert len(maps) == made and sum(map(len, classes)) == groups.catalog(name).order ** base
+
+
+def test_census_members_are_tuples_of_python_ints():
+    # The --json writer raises TypeError on numpy integers.
+    classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("D4"), 2))
+    members = [m for c in classes for m in c]
+    assert len(members) == 64
+    assert all(type(m) is tuple and all(type(v) is int for v in m) for m in members)
 
 
 @st.composite
@@ -441,7 +479,7 @@ def quotient_by_loop(op, class_of):
 @pytest.mark.parametrize("name", ["S3", "D4"])
 def test_gauge_table_forms_agree_on_every_map(name):
     b = bundles.DiscreteBundle(groups.catalog(name), 2)
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         q = gauge.build(f)
         assert np.array_equal(q.table.op, gauge_table_by_shift(b, f))
 

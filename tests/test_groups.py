@@ -69,6 +69,17 @@ def test_non_square_raises():
         groups.group_from_table([[0, 1], [1, 0], [0, 1]])
 
 
+def test_empty_table_raises():
+    with pytest.raises(ShapeError, match="Cayley table must be non-empty"):
+        groups.group_from_table(np.zeros((0, 0), dtype=np.int64))
+
+
+def test_integral_float_table_is_accepted():
+    # The README's one exception to integer entries: [[0.0, 1.0], [1.0, 0.0]] is Z2.
+    G = groups.group_from_table([[0.0, 1.0], [1.0, 0.0]])
+    assert G == groups.catalog("Z2") and G.table.dtype == np.int64
+
+
 def test_associativity_cap_raises_cap_exceeded():
     n = groups.ASSOCIATIVITY_CAP + 1
     cyclic = (np.arange(n)[:, None] + np.arange(n)) % n
@@ -287,6 +298,13 @@ def test_group_json_name_must_be_a_string(name):
     for obj in ({"name": name, "table": [[0, 1], [1, 0]]}, {"name": name}):
         with pytest.raises(ShapeError, match="group name must be a string"):
             groups.group_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [5, None, ["S3"], {"name": "S3"}, {"order": 2}])
+def test_group_json_is_a_catalog_name_or_carries_a_table(obj):
+    # A bare object {"name": "S3"} is no third spelling of the catalog group.
+    with pytest.raises(ShapeError, match="group JSON must be a catalog name or carry a 'table'"):
+        groups.group_from_json(obj)
 
 
 def test_q8_structure():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,29 @@ def test_adjoint_section_rejects_a_bare_matrix():
         lie.AdjointSection(lie.get_model("SO3"), lie._SO3_BASIS[0])
     with pytest.raises(ShapeError, match=r"\(base_points, 2, 2\) stack"):
         lie.AdjointSection(lie.get_model("SU2"), [np.zeros((3, 3))])
+
+
+def test_adjoint_section_values_must_lie_in_the_algebra():
+    with pytest.raises(ShapeError, match="section value violates algebra constraints"):
+        lie.AdjointSection(lie.get_model("SO3"), [np.eye(3)])
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_adjoint_section_values_must_be_finite(entry):
+    # A NaN residual compares False against the tolerance, and inf - inf warns.
+    values = np.zeros((2, 3, 3))
+    values[1, 0, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="section values must be finite"):
+            lie.AdjointSection(lie.get_model("SO3"), values)
+        with pytest.raises(NonFinite):
+            lie.AdjointSection(lie.get_model("SO3"), np.full((2, 3, 3), entry))
+
+
+def test_model_basis_must_lie_in_the_algebra():
+    with pytest.raises(ShapeError, match="basis matrix violates algebra constraints"):
+        lie.MatrixGroupModel("SU2", 2, (np.eye(2),), unitary=True)
 
 
 def test_model_basis_must_be_a_stack_of_matrices():
@@ -518,6 +542,34 @@ def test_sweep_config_rejects_uncheckable_runs(field, value):
         lie.SweepConfig(model="SO3", **{field: value})
     with pytest.raises(ShapeError, match=field):
         dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tolerance", True, "tolerance must be a number"),
+        ("tolerance", "a", "tolerance must be a number"),
+        ("tolerance", 10**400, "tolerance is too large for a float"),
+        ("t_range", (True, 2.0), "t_range must be a number"),
+        ("t_range", (0, "x"), "t_range must be a number"),
+        ("t_range", (0,), r"t_range must be a list \[lo, hi\]"),
+        ("t_range", np.array([-1.0, 1.0]), r"t_range must be a list \[lo, hi\]"),
+    ],
+    ids=["tolerance-bool", "tolerance-str", "tolerance-huge", "t_range-bool", "t_range-str", "t_range-short",
+         "t_range-ndarray"],
+)
+def test_sweep_config_reads_its_real_fields_as_json_numbers(field, value, message):
+    with pytest.raises(ShapeError, match=message):
+        lie.SweepConfig(model="SO3", **{field: value})
+    with pytest.raises(ShapeError, match=message):
+        dataclasses.replace(lie.SweepConfig(model="SO3"), **{field: value})
+
+
+def test_sweep_config_stores_its_real_fields_as_floats():
+    config = lie.SweepConfig(model="SO3", t_range=[-1, np.float64(2)], tolerance=1)
+    assert config == lie.SweepConfig(model="SO3", t_range=(-1.0, 2.0), tolerance=1.0)
+    assert all(type(v) is float for v in (*config.t_range, config.tolerance))
+    assert config.to_json()["t_range"] == [-1.0, 2.0]
 
 
 def test_noether_sweep_report_json_keeps_its_key_order():

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from gaugequandles import bundles, cli, gauge, groups, racks
 from gaugequandles.errors import AxiomViolation
+from conftest import every_map
 
 NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 
@@ -249,7 +250,7 @@ def ref_isomorphism_census(b):
     representative with the same sorted invariants, in enumeration order."""
     buckets = {}
     classes = []
-    for f in bundles.enumerate_maps(b):
+    for f in every_map(b):
         q = gauge.build(f)
         bucket = buckets.setdefault(tuple(sorted(q.table.invariants)), [])
         for rep, members in bucket:
@@ -579,8 +580,8 @@ def test_isomorphism_census_matches_per_map_search_in_any_chunking(name, base, c
 @pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2)])
 def test_member_tables_are_the_built_tables(name, base):
     b = bundles.DiscreteBundle(groups.catalog(name), base)
-    maps = list(bundles.enumerate_maps(b))
-    tables = gauge._member_tables(b, np.array([f.section_values for f in maps]))
+    maps = every_map(b)
+    tables = gauge._member_tables(b, bundles.enumerate_maps(b))
     assert tables.shape == (len(maps), b.total_size, b.total_size)
     for f, op in zip(maps, tables):
         assert np.array_equal(op, gauge.build(f).table.op)

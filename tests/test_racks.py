@@ -447,6 +447,39 @@ def test_bad_table_shapes():
             groups.group_from_table(mixed_or_ragged)
 
 
+def test_labels_must_name_every_element():
+    with pytest.raises(ShapeError, match="got 1 labels for 2 elements"):
+        racks.magma_from_table([[0, 0], [1, 1]], labels=["a"])
+
+
+def test_trivial_quandle_needs_an_element():
+    with pytest.raises(ShapeError, match="trivial quandle needs at least one element"):
+        racks.trivial_quandle(0)
+
+
+@pytest.mark.parametrize("sigma", [[0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4]])
+def test_automorphism_must_be_a_permutation(sigma):
+    with pytest.raises(ShapeError, match=r"sigma must be a permutation of 0\.\.5"):
+        racks.check_automorphism(groups.catalog("S3"), sigma)
+
+
+def test_morphism_must_assign_every_source_element():
+    m = racks.trivial_quandle(3)
+    with pytest.raises(ShapeError, match="map must assign all 3 source elements"):
+        racks.morphism_witnesses([0, 1], m, m)
+
+
+@pytest.mark.parametrize("obj", [{"size": 1}, [[0]], {"table": [[0]]}])
+def test_quandle_json_must_carry_op(obj):
+    with pytest.raises(ShapeError, match="quandle JSON must carry an 'op' table"):
+        racks.magma_from_json(obj)
+
+
+def test_quandle_json_size_must_match_its_table():
+    with pytest.raises(ShapeError, match=r"declared size 3 != table size 2"):
+        racks.magma_from_json({"size": 3, "op": [[0, 0], [1, 1]]})
+
+
 @pytest.mark.parametrize(
     "call",
     [
