@@ -15,6 +15,9 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from . import bundles, gauge, groups, lie, racks
 from .errors import AlgebraError, ShapeError, excerpt, load_json
@@ -28,15 +31,33 @@ def _json_text(obj) -> str:
     Any indent sends json.dumps to its pure-Python encoder, which spends a
     few microseconds on every int of a table or witness list. Here a list
     of ints is joined in one call, and a list of equal-length int rows is
-    one row template repeated and filled by one %. Dicts with str keys and
-    other lists are walked, their keys quoted by json's own encoder. Every
-    other value, including bools, floats, strings, None, empty containers
-    and any type json rejects, goes to json.dumps itself, so stdlib json
-    still decides its text or raises its TypeError.
+    one row template repeated and filled by one %. A 1-D or 2-D numpy array
+    of non-negative ints is written as the text of its tolist(), its digits
+    gathered from a table into a byte template (_write_int_array). Dicts
+    with str keys and other lists are walked, their keys quoted by json's
+    own encoder, and the scalars of each container are written by one
+    json.dumps call. Every other value, including empty containers, other
+    arrays and any type json rejects, goes to json.dumps itself, so stdlib
+    json still decides its text or raises its TypeError.
     """
     parts: list[str] = []
     _write_json(obj, "\n", parts)
     return "".join(parts)
+
+
+# What _write_json walks; every other value is a scalar written by json.dumps.
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+# json.dumps(values, separators=("\n", ":")), with its encoder built once:
+# json.dumps builds a new one for every call that passes separators.
+_scalar_list_text = json.JSONEncoder(separators=("\n", ":")).encode
+
+# _write_int_array builds a digit table of max + 1 words; an array with a
+# larger value is written from its tolist().
+_DIGIT_TABLE_CAP = 1 << 20
+
+# _write_int_array fills its byte template this many bytes at a time.
+_ARRAY_CHUNK_BYTES = 1 << 18
 
 
 def _int_rows(v: list | tuple) -> tuple | None:
@@ -49,14 +70,28 @@ def _int_rows(v: list | tuple) -> tuple | None:
     return flat if set(map(type, flat)) == {int} else None
 
 
+def _scalar_texts(values) -> Iterator[str]:
+    """The json.dumps text of each value among values that is not in _CONTAINERS, in order, from one call.
+
+    No JSON scalar text holds a newline, so with a newline between items
+    the texts are the lines of the list's text inside its brackets.
+    """
+    scalars = [x for x in values if not isinstance(x, _CONTAINERS)]
+    return iter(_scalar_list_text(scalars)[1:-1].split("\n") if scalars else ())
+
+
 def _write_json(v, nl: str, parts: list[str]) -> None:
     """Append the text of v, whose lines start with nl, to parts."""
     inner = nl + "  "
     if type(v) is dict and v and set(map(type, v)) == {str}:
+        scalars = _scalar_texts(v.values())
         sep = "{"
         for key, value in v.items():
             parts += (sep, inner, json.encoder.encode_basestring_ascii(key), ": ")
-            _write_json(value, inner, parts)
+            if isinstance(value, _CONTAINERS):
+                _write_json(value, inner, parts)
+            else:
+                parts.append(next(scalars))
             sep = ","
         parts += (nl, "}")
     elif type(v) in (list, tuple) and v:
@@ -67,12 +102,21 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
             row = "[" + cell + ("," + cell).join(["%d"] * len(v[0])) + inner + "]"
             parts += ("[", inner, ("," + inner).join([row] * len(v)) % flat, nl, "]")
         else:
+            scalars = _scalar_texts(v)
             sep = "["
             for item in v:
                 parts += (sep, inner)
-                _write_json(item, inner, parts)
+                if isinstance(item, _CONTAINERS):
+                    _write_json(item, inner, parts)
+                else:
+                    parts.append(next(scalars))
                 sep = ","
             parts += (nl, "]")
+    elif type(v) is np.ndarray and v.dtype.kind in "iu" and v.ndim in (1, 2) and not (v.size and v.min() < 0):
+        if v.size and v.max() < _DIGIT_TABLE_CAP:
+            _write_int_array(v, nl, parts)
+        else:
+            _write_json(v.tolist(), nl, parts)
     elif isinstance(v, (dict, list, tuple)):
         # json.dumps never writes a raw newline inside a value, so each of
         # its newlines starts a line and takes this value's indent.
@@ -81,6 +125,51 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
         # indent lays out containers only; without it json.dumps reuses
         # its C encoder instead of building a pure-Python one.
         parts.append(json.dumps(v))
+
+
+def _write_int_array(a: np.ndarray, nl: str, parts: list[str]) -> None:
+    """Append the text of json.dumps(a.tolist(), indent=2), whose lines start with nl, to parts.
+
+    a is a non-empty 1-D or 2-D array of ints in 0.._DIGIT_TABLE_CAP - 1.
+    Each value takes one word of width bytes, its digits right-aligned after
+    zero bytes: a row of the output is a byte template whose word-aligned
+    holes are filled by one gather from a digit table for 0..max, and the
+    zero bytes (the digits' padding and the holes' alignment) are dropped
+    by one mask. Rows are filled _ARRAY_CHUNK_BYTES at a time, so the
+    buffers stay small whatever the size of a.
+    """
+    inner = nl + "  "
+    top = int(a.max())
+    width = 1 << (len(str(top)) - 1).bit_length()   # 1, 2, 4 or 8 bytes
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    quotients = np.arange(top + 1)[:, None] // powers
+    # A digit is kept where the value has it; 0 keeps its last digit.
+    digits = np.where((quotients > 0) | (powers == 1), quotients % 10 + ord("0"), 0).astype(np.uint8)
+    table = digits.view(f"<u{width}")[:, 0]
+    # Each row of a 2-D array is its own list; a 1-D array is one value per row.
+    if a.ndim == 2:
+        cell = inner + "  "
+        seps, tail = ["[" + cell] + ["," + cell] * (a.shape[1] - 1), inner + "]," + inner
+    else:
+        a, seps, tail = a[:, None], [""], "," + inner
+    template, holes = "", []
+    for sep in seps:
+        template += "\0" * (-(len(template) + len(sep)) % width) + sep
+        holes.append(len(template) // width)
+        template += "\0" * width
+    template += tail + "\0" * (-(len(template) + len(tail)) % width)
+    row = np.frombuffer(template.encode(), dtype=np.uint8)
+    step = max(1, _ARRAY_CHUNK_BYTES // len(row))
+    parts.append("[" + inner)
+    for start in range(0, len(a), step):
+        block = a[start:start + step]
+        buf = np.tile(row, (len(block), 1))
+        buf.view(table.dtype)[:, holes] = table[block]
+        text = buf[buf != 0]
+        if start + step >= len(a):
+            text = text[:len(text) - len(inner) - 1]   # the last row's "," + inner
+        parts.append(text.tobytes().decode("ascii"))
+    parts.append(nl + "]")
 
 
 def _emit(args, code: int, text: str, obj) -> int:

@@ -63,19 +63,29 @@ class MagmaTable:
         return f"MagmaTable(size={self.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RackReport:
-    """Outcome of a rack/quandle axiom scan, with sorted witness lists."""
+    """Outcome of a rack/quandle axiom scan, with sorted witness arrays.
+
+    The witnesses are read-only integer arrays: sd_violations of shape
+    (N, 3), one (x, y, z) per row, and bijectivity_violations and
+    idem_violations of shape (N,). Reports compare by np.array_equal.
+    """
 
     is_rack: bool
     is_quandle: bool
-    sd_violations: tuple[tuple[int, int, int], ...]
-    bijectivity_violations: tuple[int, ...]
-    idem_violations: tuple[int, ...]
+    sd_violations: np.ndarray
+    bijectivity_violations: np.ndarray
+    idem_violations: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RackReport):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
 
     def to_json(self) -> dict:
-        """The fields in order, each witness tuple as a list holding the stored witnesses."""
-        return {name: list(v) if type(v) is tuple else v for name, v in vars(self).items()}
+        """The fields in order; the witness entries are the stored arrays themselves, not copies."""
+        return dict(vars(self))
 
     def lines(self) -> list[str]:
         """The text form: verdicts, witness counts and the first witness of each kind."""
@@ -86,11 +96,11 @@ class RackReport:
             f"non-bijective right translations: {len(self.bijectivity_violations)}",
             f"idempotency violations: {len(self.idem_violations)}",
         ]
-        if self.sd_violations:
-            lines.append(f"  first sd witness (x, y, z): {self.sd_violations[0]}")
-        if self.bijectivity_violations:
+        if len(self.sd_violations):
+            lines.append(f"  first sd witness (x, y, z): {tuple(self.sd_violations[0].tolist())}")
+        if len(self.bijectivity_violations):
             lines.append(f"  first non-bijective column y: {self.bijectivity_violations[0]}")
-        if self.idem_violations:
+        if len(self.idem_violations):
             lines.append(f"  first idempotency witness x: {self.idem_violations[0]}")
         return lines
 
@@ -147,11 +157,11 @@ def verify_rack(m: MagmaTable) -> RackReport:
     cls = np.searchsorted(reps, rep)  # reps[cls[z]] == rep[z]
     A = op[:, reps]                   # [x, j] = x <| reps[j]
 
-    bij = tuple(int(y) for y in np.flatnonzero(~(np.sort(A, axis=0) == idx[:, None]).all(axis=0)[cls]))
+    bij = np.flatnonzero(~(np.sort(A, axis=0) == idx[:, None]).all(axis=0)[cls])
 
-    idem = tuple(int(x) for x in np.flatnonzero(np.diagonal(op) != idx))
+    idem = np.flatnonzero(np.diagonal(op) != idx)
 
-    sd: list[tuple[int, int, int]] = []
+    blocks = [np.empty((0, 3), dtype=np.intp)]
     # Chunks of x are sized by n^2, not k*n, to bound the spread mask bad[..., cls] too.
     chunk = max(1, _SD_CHUNK_ELEMENTS // (n * n))
     for start in range(0, n, chunk):
@@ -160,13 +170,18 @@ def verify_rack(m: MagmaTable) -> RackReport:
         bad = A[op[start:start + chunk]] != op[ax[:, None, :], A[None, :, :]]
         if bad.any():
             # Each violation at (x, y, j) holds at every z of class j, in (x, y, z) order.
-            sd.extend(map(tuple, (np.argwhere(bad[..., cls]) + (start, 0, 0)).tolist()))
+            block = np.argwhere(bad[..., cls])
+            block[:, 0] += start
+            blocks.append(block)
+    sd = np.concatenate(blocks)
 
-    is_rack = not sd and not bij
+    for witnesses in (sd, bij, idem):
+        witnesses.flags.writeable = False
+    is_rack = not len(sd) and not len(bij)
     return RackReport(
         is_rack=is_rack,
-        is_quandle=is_rack and not idem,
-        sd_violations=tuple(sd),
+        is_quandle=is_rack and not len(idem),
+        sd_violations=sd,
         bijectivity_violations=bij,
         idem_violations=idem,
     )

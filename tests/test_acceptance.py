@@ -204,7 +204,7 @@ def test_criterion_10_negative_controls():
     report = racks.verify_rack(mutated)
     ok = ok and not report.is_quandle
     ok = ok and bool(
-        report.sd_violations or report.bijectivity_violations or report.idem_violations
+        len(report.sd_violations) or len(report.bijectivity_violations) or len(report.idem_violations)
     )
     for x, y, z in report.sd_violations:
         ok = ok and op[op[x, y], z] != op[op[x, z], op[y, z]]

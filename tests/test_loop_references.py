@@ -9,7 +9,8 @@ tables are checked against products of the elements they stand for, and the
 census against one isomorphism search per map on seeded relabelings, and
 verify_rack against the full n^3 scan on gauge, rack and random tables. The
 CLI's --json writer is checked against json.dumps(obj, indent=2), the call
-it replaced, on generated JSON trees.
+it replaced, on generated JSON trees, and on trees holding integer arrays
+against json.dumps of the same trees with each array as its tolist().
 """
 
 import itertools
@@ -245,6 +246,15 @@ def ref_verify_rack(m):
     )
 
 
+def plain_report(report):
+    """A report's fields as Python values, the witnesses as nested lists of ints.
+
+    verify_rack stores its witnesses as arrays and ref_verify_rack as tuples;
+    both sides go through this before they are compared.
+    """
+    return {name: np.asarray(v).tolist() for name, v in vars(report).items()}
+
+
 def ref_isomorphism_census(b):
     """One search per map: each table against every earlier class
     representative with the same sorted invariants, in enumeration order."""
@@ -405,6 +415,53 @@ JSON_TREES = st.recursive(
 )
 
 
+# Array values at the digit-width edges, up to and past the writer's digit table.
+ARRAY_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**7 - 1, 10**7,
+               cli._DIGIT_TABLE_CAP - 1, cli._DIGIT_TABLE_CAP, 2**63 - 1, 2**64 - 1]
+
+
+def _array_shapes(max_rows=12):
+    return st.one_of(st.tuples(st.integers(0, max_rows)), st.tuples(st.integers(0, max_rows), st.integers(0, 4)))
+
+
+@st.composite
+def int_arrays(draw):
+    """A 1-D or 2-D array of non-negative ints in one of five dtypes; empty and (N, 0) shapes included."""
+    dtype = np.dtype(draw(st.sampled_from(["int64", "int32", "uint8", "uint16", "uint64"])))
+    shape = draw(_array_shapes())
+    top = int(np.iinfo(dtype).max)
+    value = st.one_of(st.sampled_from([v for v in ARRAY_EDGES if v <= top]), st.integers(0, min(top, 2000)))
+    values = draw(st.lists(value, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def other_arrays(draw):
+    """Arrays json.dumps rejects and the int-array writer must not take: bool, float, negative or not 1-D/2-D."""
+    other_ndims = st.one_of(st.just(()), st.tuples(*[st.integers(0, 3)] * 3))
+    kind = draw(st.sampled_from(["bool", "float", "negative", "int"]))
+    if kind == "negative":
+        shape = draw(st.one_of(st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 6), st.integers(1, 4))))
+    else:
+        shape = draw(other_ndims if kind == "int" else st.one_of(_array_shapes(6), other_ndims))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 20, shape)
+    if kind == "negative":
+        values.flat[draw(st.integers(0, values.size - 1))] = -1
+    return values > 9 if kind == "bool" else values.astype(float) if kind == "float" else values
+
+
+@st.composite
+def nested(draw, leaf):
+    """leaf in a dict of a list, depth 0 to 3, beside a scalar now and then, with the same nesting of leaf.tolist()."""
+    obj, plain = leaf, leaf.tolist()
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            obj, plain = {"k": [obj]}, {"k": [plain]}
+        else:
+            obj, plain = {"n": 1, "k": [obj, "s"]}, {"n": 1, "k": [plain, "s"]}
+    return obj, plain
+
+
 @st.composite
 def groups_with_subsets(draw):
     G = draw(relabeled_groups())
@@ -531,8 +588,12 @@ def test_verify_rack_matches_the_full_scan(op, chunk_elements):
     m = racks.magma_from_table(op)
     with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
         got = racks.verify_rack(m)
-    assert got == ref_verify_rack(m)
-    assert all(type(v) is int for w in got.sd_violations for v in w)
+    ref = ref_verify_rack(m)
+    assert plain_report(got) == plain_report(ref)
+    assert got.sd_violations.shape == (len(ref.sd_violations), 3)
+    for witnesses in (got.sd_violations, got.bijectivity_violations, got.idem_violations):
+        assert witnesses.dtype.kind in "iu" and not witnesses.flags.writeable
+    assert cli._json_text(got.to_json()) == json.dumps(ref.to_json(), indent=2)
 
 
 def test_verify_rack_tells_apart_columns_that_agree_mod_256():
@@ -542,7 +603,7 @@ def test_verify_rack_tells_apart_columns_that_agree_mod_256():
     op[0, 1] = 256
     m = racks.magma_from_table(op)
     got = racks.verify_rack(m)
-    assert got.bijectivity_violations == (1,) and got == ref_verify_rack(m)
+    assert got.bijectivity_violations.tolist() == [1] and plain_report(got) == plain_report(ref_verify_rack(m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -619,3 +680,44 @@ def test_json_text_matches_json_dumps(obj):
 )
 def test_json_text_matches_json_dumps_on_edge_cases(obj):
     _json_text_matches_json_dumps(obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_arrays().flatmap(nested), st.sampled_from([1, 64, cli._ARRAY_CHUNK_BYTES]))
+def test_json_text_writes_an_int_array_as_its_list(trees, chunk_bytes):
+    obj, plain = trees
+    with mock.patch.object(cli, "_ARRAY_CHUNK_BYTES", chunk_bytes):
+        assert cli._json_text(obj) == json.dumps(plain, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(other_arrays().flatmap(nested))
+def test_json_text_leaves_other_arrays_to_json_dumps(trees):
+    _json_text_matches_json_dumps(trees[0])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([9, 10, 0]),
+        np.array([[99, 100, 5], [0, 1, 2]]),
+        np.array([[999, 1000]], dtype=np.uint16),
+        np.array([[7], [10], [0]], dtype=np.int32),
+        np.array([1000]),
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int64),
+        np.array([cli._DIGIT_TABLE_CAP, 3]),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ],
+)
+def test_json_text_writes_int_arrays_by_the_digit_table(a):
+    # Non-empty arrays inside the digit table take the vectorized writer;
+    # empty ones and larger values are written from a.tolist().
+    for depth in range(3):
+        obj, plain = a, a.tolist()
+        for _ in range(depth):
+            obj, plain = {"k": [obj]}, {"k": [plain]}
+        with mock.patch.object(cli, "_write_int_array", wraps=cli._write_int_array) as writer:
+            assert cli._json_text(obj) == json.dumps(plain, indent=2)
+        assert writer.called == bool(a.size and a.max() < cli._DIGIT_TABLE_CAP)
