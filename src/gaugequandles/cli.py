@@ -74,9 +74,12 @@ def _scalar_texts(values) -> Iterator[str]:
     """The json.dumps text of each value among values that is not in _CONTAINERS, in order, from one call.
 
     No JSON scalar text holds a newline, so with a newline between items
-    the texts are the lines of the list's text inside its brackets.
+    the texts are the lines of the list's text inside its brackets. A single
+    scalar, as in each census class dict, is written by json.dumps alone.
     """
     scalars = [x for x in values if not isinstance(x, _CONTAINERS)]
+    if len(scalars) == 1:
+        return iter((json.dumps(scalars[0]),))
     return iter(_scalar_list_text(scalars)[1:-1].split("\n") if scalars else ())
 
 

@@ -10,6 +10,8 @@ in its own right, and quotients by suitable subgroups inherit the structure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +46,11 @@ from .racks import (
 # The census computes keys and checks member witnesses in chunks of at most
 # this many entries: maps x |G| x |M| for the keys, maps x |P|^2 for the witnesses.
 _CENSUS_CHUNK_ELEMENTS = 1_000_000
+
+# The census enumerates Aut(G) only when at most this many tuples of
+# candidate generator images remain; past it every key is its own orbit, and
+# keys merge by search alone.
+_AUTOMORPHISM_NODES = 4096
 
 
 def rack_from_map(f: EquivariantMap) -> MagmaTable:
@@ -258,6 +265,122 @@ def _census_witnesses(
     return b.point(pi[..., None], G.table[G.inverses[h]]).reshape(len(zs), b.total_size)
 
 
+def _word_tree(G: FiniteGroup, gens: list[int]) -> tuple[list, np.ndarray]:
+    """The subgroup <gens> as a mask, and its breadth-first levels (xs, ys, js) from e with xs = ys * gens[js]."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    levels, frontier = [], np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        ys = np.repeat(frontier, len(gens))
+        js = np.tile(np.arange(len(gens)), len(frontier))
+        xs, pos = np.unique(G.table[ys, np.array(gens, dtype=np.int64)[js]], return_index=True)
+        new = ~reached[xs]
+        xs, ys, js = xs[new], ys[pos[new]], js[pos[new]]
+        reached[xs] = True
+        levels.append((xs, ys, js))
+        frontier = xs
+    return levels, reached
+
+
+def _automorphisms(G: FiniteGroup, cls: np.ndarray) -> np.ndarray:
+    """Every automorphism of G as a row of images, stacked (|Aut(G)|, |G|); only the identity past the budget.
+
+    An automorphism is fixed by its images of a generating set, and sends
+    each generator to an element of the same order and conjugacy class
+    size. Each generator is the element outside the subgroup so far with
+    the fewest such candidates. When the candidate tuples number more than
+    _AUTOMORPHISM_NODES, only the identity is returned. Otherwise each
+    tuple is extended along the generators' word tree, and kept when it
+    gives a permutation that is a homomorphism on the whole table. cls is
+    _class_conjugators(G)[0].
+    """
+    n = G.order
+    idx = np.arange(n)
+    order, power = np.zeros(n, dtype=np.int64), idx
+    for k in range(1, n + 1):
+        order[(power == 0) & (order == 0)] = k
+        if order.all():
+            break
+        power = G.table[power, idx]
+    kind = order * (n + 1) + np.bincount(cls)[cls]
+    rivals = np.bincount(kind)[kind]
+    gens: list[int] = []
+    levels, reached = _word_tree(G, gens)
+    while not reached.all():
+        outside = np.flatnonzero(~reached)
+        gens.append(int(outside[rivals[outside].argmin()]))
+        levels, reached = _word_tree(G, gens)
+    candidates = [np.flatnonzero(kind == kind[g]) for g in gens]
+    if math.prod(map(len, candidates)) > _AUTOMORPHISM_NODES:
+        return idx[None]
+    images = np.array(list(itertools.product(*candidates)), dtype=np.int64)  # (tuples, generators)
+    alpha = np.zeros((len(images), n), dtype=np.int64)
+    for xs, ys, js in levels:
+        alpha[:, xs] = G.table[alpha[:, ys], images[:, js]]
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
+    keep = [
+        (np.sort(a, axis=1) == idx).all(axis=1)
+        & (a[:, G.table] == G.table[a[:, :, None], a[:, None, :]]).all(axis=(1, 2))  # a(x y) == a(x) a(y)
+        for a in np.split(alpha, range(step, len(alpha), step))
+    ]
+    return alpha[np.concatenate(keep)]
+
+
+def _key_orbits(
+    G: FiniteGroup, cls: np.ndarray, autos: np.ndarray, heads: np.ndarray, key_codes: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's orbit root under autos, and the index in autos of an automorphism carrying its head there.
+
+    heads[K] are key K's first section values and first[K] their row in
+    enumeration order; the root of an orbit is its key with the least first.
+    An automorphism alpha carries a key onto the key of alpha o heads[K],
+    looked up among the sorted key_codes.
+    """
+    keys, k = heads.shape
+    root_of, via = np.arange(keys), np.zeros(keys, dtype=np.int64)
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // (keys * G.order * k))
+    for start in range(0, len(autos), step):
+        codes = _census_keys(G, cls, autos[start:start + step][:, heads].reshape(-1, k))[0]
+        image = np.searchsorted(key_codes, codes).reshape(-1, keys)  # [a, K]: the key of alpha_a o heads[K]
+        best = first[image].argmin(axis=0)
+        reached = image[best, np.arange(keys)]
+        closer = first[reached] < first[root_of]
+        root_of[closer], via[closer] = reached[closer], start + best[closer]
+    return root_of, via
+
+
+def _orbit_witness(
+    b: DiscreteBundle, cls: np.ndarray, conjugator: np.ndarray, alpha: np.ndarray, head: np.ndarray,
+    rep_zs: np.ndarray,
+) -> np.ndarray:
+    """psi o phi_alpha: from the table of the section values head onto that of rep_zs's key head, shape (1, |P|).
+
+    phi_alpha(m, g) = (m, alpha(g)) carries the table of head onto that of
+    alpha o head, since the gauge operation reads G only through its
+    product, and psi, the _census_witnesses map, carries that onto the
+    table of the key head whose least central shift is rep_zs.
+    """
+    zs = _census_keys(b.group, cls, alpha[head][None])[1]
+    psi = _census_witnesses(b, cls, conjugator, zs, rep_zs)
+    return psi[:, b.point(np.arange(b.base_size)[:, None], alpha).ravel()]
+
+
+def _check_witnesses(phi: np.ndarray, tables: np.ndarray, target: MagmaTable, sources: np.ndarray, head) -> None:
+    """Raise AlgebraError unless each row of phi is a permutation and a morphism from tables[i] onto target.
+
+    phi is stacked (r, |P|) and tables (r, |P|^2); sources[i] are the
+    section values of tables[i], and head those of target, for the message.
+    """
+    images = np.take_along_axis(phi, tables, axis=1)  # phi(x <| y)
+    products = target.op[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)  # phi(x) <| phi(y)
+    ok = (np.sort(phi, axis=1) == np.arange(target.size)).all(axis=1) & (images == products).all(axis=1)
+    if not ok.all():
+        raise AlgebraError(
+            f"census witness from {tuple(sources[ok.argmin()].tolist())} to "
+            f"{tuple(head.tolist())} is not an isomorphism"
+        )
+
+
 def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     """Group all |G|^|M| gauge quandles on b into isomorphism classes.
 
@@ -270,15 +393,27 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     conjugating each value, s'(m) = h_m^-1 s(m) h_m, and permuting the base
     points. So each map is keyed by the sorted multiset of the conjugacy
     classes of its values, least over the central shifts. Only the first map
-    of each key is built, with its quandle axioms verified, and searched with
-    find_isomorphism against the earlier class representatives with equal
-    element invariants. Every other map joins its key's class through the
-    witness phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and
-    h_m conjugates z*s(m) onto the key's first map's shifted value at pi(m).
-    Each witness must be a permutation and a morphism from the map's table
-    onto the verified one (AlgebraError if not), which carries every quandle
-    axiom back to the map's table. The witnesses are checked in stacked
-    chunks of at most _CENSUS_CHUNK_ELEMENTS table entries.
+    of each key, its head, is built, with its quandle axioms verified. Every
+    other map joins its key's class through the witness
+    phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and h_m
+    conjugates z*s(m) onto the head's shifted value at pi(m).
+
+    An automorphism alpha of G carries the table of s onto that of alpha o s
+    by (m, g) -> (m, alpha(g)), so Aut(G) acts on the keys. The first time a
+    head meets earlier class representatives with equal element invariants,
+    Aut(G) is enumerated (_automorphisms) and every key is given its orbit
+    root, the orbit's key whose head comes first. Every other key joins its
+    root's class through psi o phi_alpha (_orbit_witness), where alpha
+    carries the key's head into the root's key and psi is the witness above.
+    A root is searched with find_isomorphism against the earlier roots of
+    equal invariants, so past the automorphism budget, where every key is
+    its own root, the census searches as it did without Aut(G). A census of
+    one key computes no invariants.
+
+    Each witness must be a permutation and a morphism onto a verified table
+    (AlgebraError if not), which carries every quandle axiom back along it.
+    Member witnesses are checked in stacked chunks of at most
+    _CENSUS_CHUNK_ELEMENTS table entries.
     """
     G = b.group
     n = b.total_size
@@ -287,35 +422,42 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     step = max(1, _CENSUS_CHUNK_ELEMENTS // (G.order * b.base_size))
     starts = range(0, len(values), step)
     codes, zs = map(np.concatenate, zip(*[_census_keys(G, cls, values[i:i + step]) for i in starts]))
-    _, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
+    key_codes, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
     maps_of_key = np.split(np.argsort(key_of, kind="stable"), np.cumsum(np.bincount(key_of))[:-1])
 
-    # key -> its class; a bucket holds (representative table, class) for equal sorted invariants
+    # key -> its class; a bucket holds (root table, class) for equal sorted invariants.
+    # Every key is its own orbit root until Aut(G) is enumerated.
     class_of_key = np.empty(len(first), dtype=np.int64)
+    root_of, autos, via = np.arange(len(first)), None, None
+    roots: dict[int, MagmaTable] = {}  # root key -> its head's verified table
     buckets: dict[tuple, list[tuple[MagmaTable, int]]] = {}
     classes = 0
     step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
     for key in np.argsort(first):
         head, rest = maps_of_key[key][0], maps_of_key[key][1:]
         table = build(EquivariantMap(b, values[head])).table
-        bucket = buckets.setdefault(tuple(sorted(table.invariants)), [])
-        found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
-        if found is None:
-            found, classes = classes, classes + 1
-            bucket.append((table, found))
-        class_of_key[key] = found
+        if root_of[key] == key:
+            # A census of one key compares nothing, so it needs no invariants.
+            bucket = buckets.setdefault(tuple(sorted(table.invariants)), []) if len(first) > 1 else []
+            if bucket and autos is None:
+                autos = _automorphisms(G, cls)
+                root_of, via = _key_orbits(G, cls, autos, values[first], key_codes, first)
+        root = root_of[key]
+        if root == key:
+            found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
+            if found is None:
+                found, classes = classes, classes + 1
+                bucket.append((table, found))
+            class_of_key[key], roots[key] = found, table
+        else:
+            class_of_key[key] = class_of_key[root]
+            phi = _orbit_witness(b, cls, conjugator, autos[via[key]], values[head], zs[first[root]])
+            _check_witnesses(phi, table.op.reshape(1, -1), roots[root], values[head][None], values[first[root]])
         for start in range(0, len(rest), step):
             chunk = rest[start:start + step]
             tables = _member_tables(b, values[chunk]).reshape(len(chunk), -1)
             phi = _census_witnesses(b, cls, conjugator, zs[chunk], zs[head])
-            images = np.take_along_axis(phi, tables, axis=1)  # phi(x <| y)
-            products = table.op[phi[:, :, None], phi[:, None, :]].reshape(len(chunk), -1)  # phi(x) <| phi(y)
-            ok = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1) & (images == products).all(axis=1)
-            if not ok.all():
-                raise AlgebraError(
-                    f"census witness from {tuple(values[chunk[ok.argmin()]].tolist())} to "
-                    f"{tuple(values[head].tolist())} is not an isomorphism"
-                )
+            _check_witnesses(phi, tables, table, values[chunk], values[head])
 
     class_of = class_of_key[key_of]
     parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])

@@ -285,10 +285,9 @@ def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
         cycles[(cur == idx[:, None]) & (cycles == 0)] = k
         if cycles.all():
             break
-    col_counts = np.zeros((n, n), dtype=np.int64)   # [v, x] = #{p : p <| x == v}
-    np.add.at(col_counts, (op, idx), 1)
-    row_counts = np.zeros((n, n), dtype=np.int64)   # [x, v] = #{y : x <| y == v}
-    np.add.at(row_counts, (idx[:, None], op), 1)
+    # col_counts[v, x] = #{p : p <| x == v} and row_counts[x, v] = #{y : x <| y == v}
+    col_counts = np.bincount((op * n + idx).ravel(), minlength=n * n).reshape(n, n)
+    row_counts = np.bincount((idx[:, None] * n + op).ravel(), minlength=n * n).reshape(n, n)
     flat = np.concatenate([
         np.sort(cycles, axis=0).T,
         np.sort(col_counts, axis=0).T,
@@ -299,6 +298,16 @@ def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
     return [tuple(row) for row in flat.tolist()]
 
 
+def _row_ids(sig: np.ndarray) -> np.ndarray:
+    """np.unique(sig, axis=0, return_inverse=True)[1] for rows of non-negative ints, by one 1-D unique.
+
+    Each row is one np.void item of its big-endian int64 bytes, so the
+    bytewise order of the items is the numeric order of the rows.
+    """
+    rows = np.ascontiguousarray(sig, dtype=">i8").view(np.dtype((np.void, 8 * sig.shape[1])))
+    return np.unique(rows.ravel(), return_inverse=True)[1]
+
+
 def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     """Search for a bijection f with f(x <| y) = f(x) <| f(y).
 
@@ -306,8 +315,11 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     coloured by their invariants, and a colour splits by the colours an
     element meets as left operand, as right operand and, when every right
     translation is a bijection, as z <| y for each y; a colour names the same
-    class in both tables. If some colour has different counts in the two
-    tables, no isomorphism extends the choices made. Otherwise the first
+    class in both tables. Each round numbers the elements' signature rows in
+    numeric order by one 1-D np.unique over their bytes (_row_ids), so a
+    colour keeps the id that np.unique(..., axis=0) would give it. If some
+    colour has different counts in the two tables, no isomorphism extends
+    the choices made. Otherwise the first
     element of a's smallest split colour gets a fresh colour together with
     each element of that colour in b in turn. Once every colour is a single
     element and none splits, x <| y has the same colour in both tables for
@@ -337,7 +349,7 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
             k = int(c.max()) + 1
             met = [np.sort(c[:, None, :] * k + c[side, t], axis=2) for t in roles]
             sig = np.concatenate([c[..., None], *met], axis=2).reshape(2 * n, -1)
-            split = np.unique(sig, axis=0, return_inverse=True)[1].reshape(2, n)
+            split = _row_ids(sig).reshape(2, n)
             if split.max() == c.max():
                 return split
             c = split

@@ -322,7 +322,8 @@ def test_census_keys_are_the_classes_for_s3_and_s4(name, base, monkeypatch):
 )
 def test_census_merges_that_no_key_explains_come_from_the_search(name, base, sizes, monkeypatch):
     # Outer automorphisms of D4 and Q8 join keys that no central shift,
-    # conjugation or base permutation relates; only the search can merge them.
+    # conjugation or base permutation relates, and some isomorphic keys lie
+    # in different Aut(G) orbits; only the search can merge those.
     searches = count_searches(monkeypatch)
     classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
     assert sorted(map(len, classes)) == sizes
@@ -397,6 +398,122 @@ def test_census_members_are_tuples_of_python_ints():
     assert all(type(m) is tuple and all(type(v) is int for v in m) for m in members)
 
 
+def test_census_raises_when_an_orbit_witness_is_not_a_morphism(monkeypatch):
+    # Q8 over a point: the key of (4,) joins the class of (2,) through an
+    # automorphism. Two points of its witness are swapped, so it stays a
+    # permutation but is no longer a morphism.
+    witness = gauge._orbit_witness
+    swapped = []
+
+    def two_points_swapped(*args):
+        phi = witness(*args).copy()
+        phi[:, [1, 2]] = phi[:, [2, 1]]
+        swapped.append(phi)
+        return phi
+
+    monkeypatch.setattr(gauge, "_orbit_witness", two_points_swapped)
+    b = bundles.DiscreteBundle(groups.catalog("Q8"), 1)
+    with pytest.raises(AlgebraError, match=r"^census witness from \(4,\) to \(2,\) is not an isomorphism$"):
+        gauge.isomorphism_census(b)
+    assert [sorted(phi[0].tolist()) for phi in swapped] == [list(range(8))]
+
+
+def test_census_raises_when_an_orbit_witness_is_not_a_permutation(monkeypatch):
+    # A constant map is a morphism into any quandle, since x <| x = x, so only
+    # the permutation check can reject it.
+    b = bundles.DiscreteBundle(groups.catalog("Q8"), 1)
+    monkeypatch.setattr(gauge, "_orbit_witness", lambda *args: np.full((1, 8), 5))
+    source = gauge.build(bundles.EquivariantMap(b, (4,))).table
+    target = gauge.build(bundles.EquivariantMap(b, (2,))).table
+    assert racks.is_morphism(np.full(8, 5), source, target)
+    with pytest.raises(AlgebraError, match=r"^census witness from \(4,\) to \(2,\) is not an isomorphism$"):
+        gauge.isomorphism_census(b)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of each call to module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, base, searches", [("Q8", 2, [True]), ("D4", 2, [True, True]), ("Q8", 5, [])])
+def test_census_searches_only_between_orbit_roots(name, base, searches, monkeypatch):
+    # 7, 5 and 55 searches, every one of them finding a witness, when the
+    # census merged keys by search alone.
+    found = count_searches(monkeypatch)
+    gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
+    assert found == searches
+
+
+@pytest.mark.parametrize("name, base, searches", [("Q8", 2, 7), ("D4", 2, 5), ("D4", 3, 16)])
+def test_census_without_automorphisms_searches_as_before(name, base, searches, monkeypatch):
+    # A node budget of 0 leaves only the identity, so every key is its own
+    # orbit root: the same classes, through the searches the census made
+    # before it used Aut(G).
+    G = relabeled_group(name, 3)
+    classes = gauge.isomorphism_census(bundles.DiscreteBundle(G, base))
+    monkeypatch.setattr(gauge, "_AUTOMORPHISM_NODES", 0)
+    assert gauge._automorphisms(G, gauge._class_conjugators(G)[0]).tolist() == [list(range(G.order))]
+    found = count_searches(monkeypatch)
+    assert gauge.isomorphism_census(bundles.DiscreteBundle(G, base)) == classes
+    assert len(found) == searches
+
+
+@pytest.mark.parametrize("name, base, computed", [("S3", 3, 0), ("S4", 1, 0), ("D4", 2, 1), ("Q8", 3, 1)])
+def test_census_enumerates_automorphisms_only_when_a_bucket_is_shared(name, base, computed, monkeypatch):
+    # S3 and S4 keys each meet an empty bucket, so those censuses pay nothing for Aut(G).
+    calls = count_calls(monkeypatch, gauge, "_automorphisms")
+    gauge.isomorphism_census(bundles.DiscreteBundle(relabeled_group(name, 1), base))
+    assert len(calls) == computed
+
+
+@pytest.mark.parametrize("name, base, keys", [("Z1", 4, 1), ("Z3", 1, 1), ("S3", 1, 3)])
+def test_census_of_one_key_computes_no_invariants(name, base, keys, monkeypatch):
+    # A key's invariants serve only to compare it with another key; each of
+    # S3's three keys over a point needs them.
+    calls = count_calls(monkeypatch, racks, "element_invariants")
+    classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
+    assert len(classes) == keys and len(calls) == (keys if keys > 1 else 0)
+
+
+def elementary_abelian(k):
+    """Z2^k as the xor table on 0..2^k - 1."""
+    idx = np.arange(2**k)
+    return groups.group_from_table(idx[:, None] ^ idx)
+
+
+@pytest.mark.parametrize(
+    "G, size",
+    [
+        *[(groups.catalog(name), size) for name, size in
+          [("Z1", 1), ("Z2", 1), ("Z4", 2), ("Z8", 4), ("Z12", 4), ("S3", 6), ("D4", 8), ("Q8", 24),
+           ("D5", 20), ("D6", 12), ("S4", 24)]],
+        (elementary_abelian(2), 6),
+        (elementary_abelian(3), 168),
+    ],
+    ids=repr,
+)
+def test_automorphisms_are_the_whole_group(G, size):
+    autos = gauge._automorphisms(G, gauge._class_conjugators(G)[0])
+    assert autos.shape == (size, G.order) and len(np.unique(autos, axis=0)) == size
+    assert list(range(G.order)) in autos.tolist()
+    for alpha in autos:
+        assert racks.check_automorphism(G, alpha) is not None
+
+
+def test_automorphisms_past_the_budget_are_the_identity():
+    # Z2^4 has |GL(4, 2)| = 20160 automorphisms among 15^4 candidate tuples.
+    G = elementary_abelian(4)
+    assert gauge._automorphisms(G, gauge._class_conjugators(G)[0]).tolist() == [list(range(16))]
+
+
 @st.composite
 def section_maps(draw, names=("Z1", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4")):
     G = groups.catalog(draw(st.sampled_from(names)))
@@ -438,6 +555,18 @@ def test_base_permutation_witness_is_an_isomorphism(f, data):
     phi = b.point(pi[:, None], np.arange(G.order)).ravel()
     assert racks.is_morphism(phi, gauge.build(f).table, gauge.build(bundles.EquivariantMap(b, values)).table)
 
+
+@settings(max_examples=40, deadline=None)
+@given(section_maps(names=("Z4", "D4", "D5", "Q8", "S3")), st.data())
+def test_automorphism_witness_is_an_isomorphism(f, data):
+    # phi(m, g) = (m, alpha(g)) carries <|_s onto <|_(alpha o s): the gauge
+    # operation reads G only through its product.
+    G, b = f.bundle.group, f.bundle
+    autos = gauge._automorphisms(G, gauge._class_conjugators(G)[0])
+    alpha = autos[data.draw(st.integers(0, len(autos) - 1))]
+    image = bundles.EquivariantMap(b, alpha[np.asarray(f.section_values)])
+    phi = b.point(np.arange(b.base_size)[:, None], alpha).ravel()
+    assert racks.is_morphism(phi, gauge.build(f).table, gauge.build(image).table)
 
 def test_gauge_quandle_provenance_json():
     G, b = over_a_point("Z4")

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaugequandles import bundles, cli, gauge, groups, racks
 from gaugequandles.errors import AxiomViolation
@@ -637,6 +638,60 @@ def test_isomorphism_census_matches_per_map_search_in_any_chunking(name, base, c
     with mock.patch.object(gauge, "_CENSUS_CHUNK_ELEMENTS", chunk_elements):
         assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
 
+
+def ref_automorphisms(G):
+    """Every permutation of G that fixes e and is a homomorphism, one permutation at a time."""
+    found = []
+    for rest in itertools.permutations(range(1, G.order)):
+        alpha = np.array((0, *rest))
+        if (alpha[G.table] == G.table[np.ix_(alpha, alpha)]).all():
+            found.append(alpha.tolist())
+    return found
+
+
+def elementary_abelian_table(k):
+    """Z2^k as the xor table on 0..2^k - 1."""
+    idx = np.arange(2**k)
+    return idx[:, None] ^ idx
+
+
+AUT_TABLES = {
+    **{name: groups.catalog(name).table for name in ("Z4", "Z6", "Z8", "S3", "D4", "Q8")},
+    **{f"Z2^{k}": elementary_abelian_table(k) for k in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z6", "Z8", "S3", "D4", "Q8", "Z2^2", "Z2^3"])
+def test_automorphisms_match_every_permutation_checked(name):
+    G = groups.group_from_table(relabel(AUT_TABLES[name], np.random.default_rng(4).permutation(len(AUT_TABLES[name]))))
+    got = gauge._automorphisms(G, gauge._class_conjugators(G)[0])
+    assert sorted(got.tolist()) == ref_automorphisms(G)
+
+
+@pytest.mark.parametrize(
+    "name, base",
+    [("D4", 1), ("D4", 3), ("Q8", 1), ("Q8", 3), ("Z4", 2), ("Z2^2", 1), ("Z2^2", 3), ("Z2^3", 2), ("Z2^3", 3),
+     ("Z2^4", 1), ("Z2^4", 2)],
+)
+def test_isomorphism_census_with_automorphisms_matches_per_map_search(name, base):
+    # The Z2^k groups have large Aut(G); Z2^4's candidates exceed the node
+    # budget, so its keys merge by search alone.
+    t = AUT_TABLES[name]
+    G = groups.group_from_table(relabel(t, np.random.default_rng(5).permutation(len(t))))
+    b = bundles.DiscreteBundle(G, base)
+    assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([256, 65536, 2**40]), st.data())
+def test_row_ids_number_rows_as_unique_along_axis_0(floor, data):
+    # Entries a * floor + c tie in their low bytes and differ in higher ones,
+    # so only a byte order that reads the high bytes first numbers them right.
+    shape = (data.draw(st.integers(1, 30)), data.draw(st.integers(1, 5)))
+    high = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3)))
+    low = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)))
+    sig = high * floor + low
+    assert np.array_equal(racks._row_ids(sig), np.unique(sig, axis=0, return_inverse=True)[1].ravel())
 
 @pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2)])
 def test_member_tables_are_the_built_tables(name, base):
