@@ -10,13 +10,15 @@ report max Frobenius-norm residuals against a tolerance.
 
 Everything broadcasts over leading axes: a point (m, g) is one base index
 with one (d, d) matrix, or an int array of shape (...) with a (..., d, d)
-stack. Each check draws all of its samples as one stack.
+stack. A sweep draws its sample stacks once: the six checks share the same
+points x, y, z and parameters t, s, and the Noether sweep draws its own.
 
 All randomness is seeded; every report carries its seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import asdict, dataclass, fields
@@ -58,6 +60,21 @@ def _col(t) -> np.ndarray:
 def _adjoint(M) -> np.ndarray:
     """Conjugate transpose of each matrix."""
     return np.swapaxes(M, -1, -2).conj()
+
+
+def _mul(A, B) -> np.ndarray:
+    """A @ B over the last two axes, broadcasting the leading ones.
+
+    numpy's @ costs about 0.4 us per matrix on small complex stacks, so a
+    complex product is summed from d outer products instead. Real stacks,
+    where @ is fast, keep it.
+    """
+    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
+        return A @ B
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k, None] * B[..., None, k, :]
+    return out
 
 
 def mat_exp(a) -> np.ndarray:
@@ -137,31 +154,50 @@ class MatrixGroupModel:
     def exp(self, A) -> np.ndarray:
         """Exponential of one algebra matrix or a (..., dim, dim) stack of them.
 
-        su(2) and so(3) (and so(2)) satisfy A^3 = -theta^2 A with
-        theta = ||A||_F / sqrt(2), so Rodrigues' formula
-        exp(A) = I + sin(theta)/theta A + (1 - cos(theta))/theta^2 A^2 is exact
-        there. Past theta * 2^-53 > MODEL_TOLERANCE a double keeps no digit of
-        the angle, and that argument raises NonFinite. Other models use mat_exp.
+        so(3) satisfies A^3 = -theta^2 A with theta = ||A||_F / sqrt(2), so
+        Rodrigues' formula exp(A) = I + sin(theta)/theta A
+        + (1 - cos(theta))/theta^2 A^2 is exact there. On a traceless
+        anti-Hermitian 2 x 2 matrix (su(2), so(2)) Cayley-Hamilton gives
+        A^2 = -det(A) I = -theta^2 I, so exp(A) = cos(theta) I + sin(theta)/theta A,
+        with no matrix product. Past theta * 2^-53 > MODEL_TOLERANCE a double
+        keeps no digit of the angle, and that argument raises NonFinite, as a
+        NaN or infinite entry does. Other models use mat_exp.
         """
         if not (self.unitary and (self.dim == 2 or (self.dim == 3 and self.real))):
             return mat_exp(A)
         A = np.asarray(A)
-        if not np.all(np.isfinite(A)):
-            raise NonFinite("matrix exponential of a non-finite matrix")
-        with np.errstate(over="ignore"):
-            norms = _fro(A)
-        theta = norms / math.sqrt(2)
-        if np.any(theta * 2.0**-53 > MODEL_TOLERANCE):
+        square = np.einsum("...ij,...ij->...", A.real, A.real)
+        if np.iscomplexobj(A):
+            square = square + np.einsum("...ij,...ij->...", A.imag, A.imag)
+        # Where A is 0, or too small to square, a floor far below any angle
+        # that matters gives both ratios their limits 1 and 1/2.
+        theta = np.maximum(np.sqrt(0.5 * square), 1e-300)
+        # False for a NaN or infinite theta too, so one test guards both.
+        if not (theta <= MODEL_TOLERANCE * 2.0**53).all():
+            if not np.isfinite(A).all():
+                raise NonFinite("matrix exponential of a non-finite matrix")
+            with np.errstate(over="ignore"):
+                norm = np.max(_fro(A))
             raise NonFinite(
-                f"matrix exponential overflows at argument norm {np.max(norms):.3g}: "
+                f"matrix exponential overflows at argument norm {norm:.3g}: "
                 "no digit of its rotation angle survives in double precision"
             )
-        sin_term = _col(np.sinc(theta / np.pi))
-        cos_term = _col(0.5 * np.sinc(theta / (2 * np.pi)) ** 2)
-        return np.eye(self.dim) + sin_term * A + cos_term * (A @ A)
+        inverse = 1.0 / theta
+        sin_term = (np.sin(theta) * inverse)[..., None, None]
+        if self.dim == 2:
+            return np.cos(theta)[..., None, None] * np.eye(2) + sin_term * A
+        half = np.sin(0.5 * theta) * inverse
+        return np.eye(3) + sin_term * A + (2.0 * half * half)[..., None, None] * (A @ A)
 
     def inverse(self, M) -> np.ndarray:
-        return _adjoint(M) if self.unitary else np.linalg.inv(M)
+        if self.unitary:
+            return _adjoint(M)
+        try:
+            return np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise NonFinite(
+                f"a sampled {self.name} element is numerically singular and has no inverse; narrow t_range"
+            ) from None
 
 
 def _imag_residual(A) -> np.ndarray:
@@ -188,7 +224,7 @@ def membership_residual(model: MatrixGroupModel, M):
     M = np.where(finite[..., None, None], M, 0)
     det = np.linalg.det(M)
     if model.unitary:
-        r = np.maximum(_fro(_adjoint(M) @ M - np.eye(model.dim)), np.abs(det - 1.0))
+        r = np.maximum(_fro(_mul(_adjoint(M), M) - np.eye(model.dim)), np.abs(det - 1.0))
     else:
         r = np.where(np.abs(det) > 1e-12, 0.0, np.inf)
     if model.real:
@@ -283,7 +319,7 @@ class AdjointSection:
 
     def eval(self, p: Point) -> np.ndarray:
         m, g = p
-        return self.model.inverse(g) @ self.section_algebra_values[m] @ g
+        return _mul(_mul(self.model.inverse(g), self.section_algebra_values[m]), g)
 
 
 def random_point(X: AdjointSection, rng: np.random.Generator, size=None) -> Point:
@@ -300,7 +336,7 @@ def op_t(X: AdjointSection, p1: Point, p2: Point, t) -> Point:
     if not np.all(np.isfinite(t)):
         raise NonFinite("parameter t must be finite")
     m1, g1 = p1
-    return (m1, g1 @ X.model.exp(-t * X.eval(p1)) @ X.model.exp(t * X.eval(p2)))
+    return (m1, _mul(_mul(g1, X.model.exp(-t * X.eval(p1))), X.model.exp(t * X.eval(p2))))
 
 
 def _gap(p: Point, q: Point) -> np.ndarray:
@@ -375,7 +411,12 @@ class ResidualReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "max_residual": _json_residual(self.max_residual)}
+
+
+def _json_residual(r: float) -> float | None:
+    """r, or None (JSON null) where r is not finite, as a GL membership residual of inf is: JSON has no inf or NaN."""
+    return r if math.isfinite(r) else None
 
 
 def _report(check: str, config: SweepConfig, residuals, tolerance: float | None = None) -> ResidualReport:
@@ -391,22 +432,30 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
     )
 
 
-def _draw(X: AdjointSection, config: SweepConfig, points: int, params: int) -> list:
-    """`points` stacks of sample points, then `params` stacks of t values, from the config's seed."""
+@functools.lru_cache(maxsize=1)
+def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
+    """Point stacks x, y, z, then parameter stacks t, s, from the config's seed; every array read-only.
+
+    The checks of one sweep share these stacks, so they are drawn once per
+    (X, config): X hashes by identity and the frozen config by value.
+    """
     rng = np.random.default_rng(config.seed)
-    stacks = [random_point(X, rng, config.samples) for _ in range(points)]
-    return [*stacks, *rng.uniform(*config.t_range, size=(params, config.samples))]
+    x, y, z = (random_point(X, rng, config.samples) for _ in range(3))
+    t, s = rng.uniform(*config.t_range, size=(2, config.samples))
+    for a in (*x, *y, *z, t, s):
+        a.setflags(write=False)
+    return x, y, z, t, s
 
 
 def check_idempotency(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """x <|_s x == x."""
-    x, s = _draw(X, config, 1, 1)
+    x, _, _, _, s = _draw(X, config)
     return _report("idempotency", config, _gap(op_t(X, x, x, s), x))
 
 
 def check_self_action(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s y == x <|_{s+t} y."""
-    x, y, t, s = _draw(X, config, 2, 2)
+    x, y, _, t, s = _draw(X, config)
     lhs = op_t(X, op_t(X, x, y, t), y, s)
     rhs = op_t(X, x, y, s + t)
     return _report("self_action", config, _gap(lhs, rhs))
@@ -414,7 +463,7 @@ def check_self_action(X: AdjointSection, config: SweepConfig) -> ResidualReport:
 
 def check_self_distributivity(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s z == (x <|_s z) <|_t (y <|_s z)."""
-    x, y, z, t, s = _draw(X, config, 3, 2)
+    x, y, z, t, s = _draw(X, config)
     lhs = op_t(X, op_t(X, x, y, t), z, s)
     rhs = op_t(X, op_t(X, x, z, s), op_t(X, y, z, s), t)
     return _report("self_distributivity", config, _gap(lhs, rhs))
@@ -425,26 +474,26 @@ def check_key_identity(X: AdjointSection, config: SweepConfig) -> ResidualReport
 
     The conjugation identity that makes the other axioms work.
     """
-    p1, p2, t, s = _draw(X, config, 2, 2)
+    p1, p2, _, t, s = _draw(X, config)
     t, s = _col(t), _col(s)
     exp = X.model.exp
     h = exp(s * X.eval(p2))
-    lhs = exp(t * X.eval((p1[0], p1[1] @ h)))
-    rhs = exp(-s * X.eval(p2)) @ exp(t * X.eval(p1)) @ h
+    lhs = exp(t * X.eval((p1[0], _mul(p1[1], h))))
+    rhs = _mul(_mul(exp(-s * X.eval(p2)), exp(t * X.eval(p1))), h)
     return _report("key_identity", config, _fro(lhs - rhs))
 
 
 def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """Operation results stay in the group (chart residual)."""
-    x, y, t = _draw(X, config, 2, 1)
+    x, y, _, t, _ = _draw(X, config)
     return _report("membership", config, membership_residual(X.model, op_t(X, x, y, t)[1]))
 
 
 def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """X(p * g) == g^-1 X(p) g, g the fiber coordinate of a second point; held to PRIMITIVE_TOLERANCE."""
-    (m, h), (_, g) = _draw(X, config, 2, 0)
-    moved = X.eval((m, h @ g))
-    conjugated = X.model.inverse(g) @ X.eval((m, h)) @ g
+    (m, h), (_, g), _, _, _ = _draw(X, config)
+    moved = X.eval((m, _mul(h, g)))
+    conjugated = _mul(_mul(X.model.inverse(g), X.eval((m, h))), g)
     return _report("section_equivariance", config, _fro(moved - conjugated), PRIMITIVE_TOLERANCE)
 
 
@@ -521,7 +570,7 @@ class NoetherSweepReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "equal_pair_max_residual": _json_residual(self.equal_pair_max_residual)}
 
 
 def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -> tuple[Point, Point]:
@@ -532,7 +581,7 @@ def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -
     """
     m, g = random_point(X, rng, size)
     a = rng.uniform(0.5, 1.5, size=size)
-    return (m, g), (m, X.model.exp(_col(a) * X.section_algebra_values[m]) @ g)
+    return (m, g), (m, _mul(X.model.exp(_col(a) * X.section_algebra_values[m]), g))
 
 
 def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:

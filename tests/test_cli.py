@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -238,6 +239,29 @@ def test_lie_check_passes_at_large_finite_t(tmp_path, capsys, model):
     config = write(tmp_path, "sweep.json", {"model": model, "samples": 5, "seed": 1, "t_range": [-1e5, 1e5]})
     assert cli.main(["lie-check", config]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_lie_check_json_writes_an_infinite_gl_residual_as_null(tmp_path, capsys):
+    # A GL membership residual is 0 or inf; past its range the sweep fails (exit 1) with strict JSON.
+    config = write(tmp_path, "sweep.json", {"model": "GL2", "samples": 200, "seed": 3, "t_range": [-20, 20]})
+    assert cli.main(["lie-check", config, "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    membership = obj["axioms"]["membership"]
+    assert membership["max_residual"] is None and membership["passed"] is False
+    assert cli.main(["lie-check", config]) == 1
+    assert re.search(r"membership +max residual inf .* FAIL", capsys.readouterr().out)
+
+
+def test_lie_check_singular_gl_element_exits_2(tmp_path, capsys):
+    config = write(tmp_path, "sweep.json", {"model": "GL3", "samples": 200, "seed": 3, "t_range": [-50, 50]})
+    assert cli.main(["lie-check", config, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a sampled GL3 element is numerically singular and has no inverse; narrow t_range\n"
 
 
 def test_lie_check_requires_a_seed(tmp_path):

@@ -178,6 +178,21 @@ def test_compact_sweeps_call_the_taylor_series_only_on_the_basis(monkeypatch, na
     assert calls == [(3, d, d)]
 
 
+def test_gl_inverse_of_a_singular_element_names_the_model():
+    with pytest.raises(NonFinite, match=r"^a sampled GL3 element is numerically singular .*narrow t_range"):
+        lie.get_model("GL3").inverse(np.ones((2, 3, 3)))
+    assert np.array_equal(lie.get_model("GL2").inverse(2 * np.eye(2)), 0.5 * np.eye(2))
+
+
+def test_reports_write_non_finite_residuals_as_null():
+    rep = lie.ResidualReport("membership", 5, 1, math.inf, 1e-8, False)
+    assert rep.to_json()["max_residual"] is None and rep.max_residual == math.inf
+    assert list(rep.to_json()) == ["check", "samples", "seed", "max_residual", "tolerance", "passed"]
+    assert lie.ResidualReport("membership", 5, 1, 0.5, 1e-8, False).to_json()["max_residual"] == 0.5
+    noe = lie.NoetherSweepReport(5, 1, 0, True, math.nan, False, 1e-8, False)
+    assert noe.to_json()["equal_pair_max_residual"] is None
+
+
 def test_models_validate():
     so3 = lie.get_model("SO3")
     su2 = lie.get_model("SU2")
@@ -491,6 +506,34 @@ def test_every_sweep_draw_takes_the_config_sample_count(monkeypatch):
     report = lie.run_sweep(lie.SweepConfig(samples=7, seed=1))
     assert report.passed and report.section_equivariance.samples == 7
     assert sizes and all(size == 7 for size in sizes)
+
+
+def test_a_sweep_draws_its_points_once(monkeypatch):
+    # Three stacks shared by the six checks, and three for the Noether sweep.
+    calls = []
+    draw = lie.random_point
+
+    def counting(X, rng, size=None):
+        calls.append(size)
+        return draw(X, rng, size)
+
+    monkeypatch.setattr(lie, "random_point", counting)
+    config = lie.SweepConfig(model="SU2", samples=9, seed=2)
+    assert lie.run_sweep(config).passed
+    assert len(calls) == 6
+    assert lie.run_sweep(config).to_json() == lie.run_sweep(config).to_json()
+    assert len(calls) == 18
+
+
+def test_drawn_stacks_are_read_only():
+    X = _setup("SO3", 5)
+    config = lie.SweepConfig(samples=4, seed=5)
+    (m, g), y, z, t, s = lie._draw(X, config)
+    assert lie._draw(X, config)[0][1] is g
+    for a in (m, g, *y, *z, t, s):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert lie.check_idempotency(X, config).passed
 
 
 @pytest.mark.parametrize("field, cap", [("samples", lie.SAMPLES_CAP), ("base_points", lie.BASE_POINTS_CAP)])

@@ -10,7 +10,10 @@ census against one isomorphism search per map on seeded relabelings, and
 verify_rack against the full n^3 scan on gauge, rack and random tables. The
 CLI's --json writer is checked against json.dumps(obj, indent=2), the call
 it replaced, on generated JSON trees, and on trees holding integer arrays
-against json.dumps of the same trees with each array as its tolist().
+against json.dumps of the same trees with each array as its tolist(). The
+Lie closed forms are checked against the forms they replaced: the SO3 and
+SU2 exponential against Rodrigues' formula written with np.sinc and A @ A,
+and the summed complex product against numpy's @.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gaugequandles import bundles, cli, gauge, groups, racks
+from gaugequandles import bundles, cli, gauge, groups, lie, racks
 from gaugequandles.errors import AxiomViolation
 from conftest import every_map
 
@@ -776,3 +779,77 @@ def test_json_text_writes_int_arrays_by_the_digit_table(a):
         with mock.patch.object(cli, "_write_int_array", wraps=cli._write_int_array) as writer:
             assert cli._json_text(obj) == json.dumps(plain, indent=2)
         assert writer.called == bool(a.size and a.max() < cli._DIGIT_TABLE_CAP)
+
+
+# ---------------------------------------------------------------------------
+# Lie closed forms
+# ---------------------------------------------------------------------------
+
+def ref_model_exp(model, A):
+    """Rodrigues' formula as MatrixGroupModel.exp first wrote it: np.sinc terms and A @ A on every model."""
+    theta = np.linalg.norm(A, axis=(-2, -1)) / np.sqrt(2)
+    sin_term = np.sinc(theta / np.pi)[..., None, None]
+    cos_term = (0.5 * np.sinc(theta / (2 * np.pi)) ** 2)[..., None, None]
+    return np.eye(model.dim) + sin_term * A + cos_term * (A @ A)
+
+
+ANGLE_CAP = lie.MODEL_TOLERANCE * 2.0**53
+
+# The limits and turning points of the two ratios, angles just under the cap
+# (the cap itself can round past it once scaled into a matrix), and any
+# angle up to them.
+NEAR_CAP = ANGLE_CAP * (1 - 1e-9)
+ANGLES = st.sampled_from([0.0, 1e-9, np.pi, 2 * np.pi, ANGLE_CAP * (1 - 1e-6), NEAR_CAP]) | st.floats(0, NEAR_CAP)
+
+
+@st.composite
+def algebra_stacks(draw):
+    """(model, A, theta): SO3 or SU2 algebra matrices of leading shape (), (4,), (n, 1) or (n, 5), each at its angle."""
+    model = lie.get_model(draw(st.sampled_from(["SO3", "SU2"])))
+    n = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (4,), (n, 1), (n, 5)]))
+    theta = draw(hnp.arrays(float, lead, elements=ANGLES))
+    coeffs = draw(hnp.arrays(float, (*lead, 3), elements=st.floats(-1, 1)))
+    coeffs[np.linalg.norm(coeffs, axis=-1) < 1e-3] = (1.0, 0.0, 0.0)
+    unit = coeffs / np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    # theta = ||A||_F / sqrt(2), and each basis matrix has ||B||_F = sqrt(2) (SO3) or 1/sqrt(2) (SU2).
+    scale = np.sqrt(2) / np.linalg.norm(model.algebra_basis[0])
+    A = np.einsum("...k,kij->...ij", unit * (scale * theta)[..., None], np.asarray(model.algebra_basis))
+    return model, A, np.linalg.norm(A, axis=(-2, -1)) / np.sqrt(2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_stacks())
+def test_model_exp_matches_the_sinc_form(case):
+    model, A, theta = case
+    E = model.exp(A)
+    assert E.shape == A.shape
+    gap = np.linalg.norm(E - ref_model_exp(model, A), axis=(-2, -1))
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, theta))
+
+
+@st.composite
+def product_stacks(draw):
+    """Two real or complex d x d stacks with mutually broadcastable leading shapes."""
+    d = draw(st.integers(1, 4))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4)).input_shapes
+    parts = st.floats(-1e3, 1e3, allow_subnormal=False)
+    stacks = []
+    for shape, dtype in zip(shapes, draw(st.tuples(*[st.sampled_from([float, complex])] * 2))):
+        M = draw(hnp.arrays(float, (*shape, d, d), elements=parts))
+        if dtype is complex:
+            M = M + 1j * draw(hnp.arrays(float, (*shape, d, d), elements=parts))
+        stacks.append(M)
+    return stacks
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_stacks())
+def test_mul_matches_matmul(stacks):
+    A, B = stacks
+    product = A @ B
+    got = lie._mul(A, B)
+    assert got.shape == product.shape and got.dtype == product.dtype
+    # Relative to ||A|| ||B||, the size of the sum that each entry rounds.
+    scale = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+    assert np.all(np.linalg.norm(got - product, axis=(-2, -1)) <= 1e-15 * scale)
