@@ -66,8 +66,8 @@ def _mul(A, B) -> np.ndarray:
     """A @ B over the last two axes, broadcasting the leading ones.
 
     numpy's @ costs about 0.4 us per matrix on small complex stacks, so a
-    complex product is summed from d outer products instead. Real stacks,
-    where @ is fast, keep it.
+    complex product is summed from d outer products instead. Real stacks
+    keep @: summed, an SO3 sweep of 8 to 80 samples takes 40-60% longer.
     """
     if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
         return A @ B

@@ -256,8 +256,18 @@ def test_lie_check_json_writes_an_infinite_gl_residual_as_null(tmp_path, capsys)
     assert re.search(r"membership +max residual inf .* FAIL", capsys.readouterr().out)
 
 
-def test_lie_check_singular_gl_element_exits_2(tmp_path, capsys):
-    config = write(tmp_path, "sweep.json", {"model": "GL3", "samples": 200, "seed": 3, "t_range": [-50, 50]})
+def test_lie_check_singular_gl_element_exits_2(tmp_path, monkeypatch, capsys):
+    # No sampled element is singular in exact arithmetic (det exp(A) = e^tr(A)), so
+    # every fiber gets a zero row here: singular however the LU factorization rounds.
+    random_point = lie.random_point
+
+    def singular_point(X, rng, size=None):
+        m, g = random_point(X, rng, size)
+        g[..., 0, :] = 0
+        return m, g
+
+    monkeypatch.setattr(lie, "random_point", singular_point)
+    config = write(tmp_path, "sweep.json", {"model": "GL3", "samples": 20, "seed": 3})
     assert cli.main(["lie-check", config, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
