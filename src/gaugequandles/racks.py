@@ -138,7 +138,9 @@ def verify_rack(m: MagmaTable) -> RackReport:
     that column: elements with equal columns share their violating (x, y)
     pairs. Every triple is decided by one n^2 scan per distinct column, and
     each violation is reported for every z with that column, in (x, y, z)
-    order. A table whose scan, (distinct columns) x n^2, exceeds
+    order. The scan gathers from copies of the table in the narrowest dtype
+    that holds an element, and spreads over the columns of a class only the
+    (x, y) rows that fail. A table whose scan, (distinct columns) x n^2, exceeds
     SD_SCAN_CAP raises CapExceeded before the scan. Bijectivity is a
     permutation test per distinct column; idempotency is also scanned so
     the report can state is_quandle.
@@ -161,19 +163,38 @@ def verify_rack(m: MagmaTable) -> RackReport:
 
     idem = np.flatnonzero(np.diagonal(op) != idx)
 
-    blocks = [np.empty((0, 3), dtype=np.intp)]
-    # Chunks of x are sized by n^2, not k*n, to bound the spread mask bad[..., cls] too.
+    # The scan gathers from copies in the narrowest dtype that holds an
+    # element (uint8 up to 256 elements); the witness blocks use it too. Its
+    # flat indices are int32, which are faster to form than intp ones,
+    # whenever they hold n^2 - 1.
+    narrow = np.min_scalar_type(n - 1)
+    A_narrow = A.astype(narrow)
+    op_flat = op.astype(narrow).ravel()
+    A_index = A.astype(np.int32 if n * n <= 2**31 else np.intp)
+    offsets = A_index * n  # [x, j] = where the row x <| reps[j] starts in op_flat
+    blocks = [np.empty((0, 3), dtype=narrow)]
+    # Chunks of x are sized by n^2, not k*n, to bound the rows spread over the classes too.
     chunk = max(1, _SD_CHUNK_ELEMENTS // (n * n))
     for start in range(0, n, chunk):
-        ax = A[start:start + chunk]
+        rows = slice(start, start + chunk)
         # [i, y, j]: (x <| y) <| z against (x <| z) <| (y <| z), for x = start + i and z = reps[j]
-        bad = A[op[start:start + chunk]] != op[ax[:, None, :], A[None, :, :]]
-        if bad.any():
-            # Each violation at (x, y, j) holds at every z of class j, in (x, y, z) order.
-            block = np.argwhere(bad[..., cls])
-            block[:, 0] += start
-            blocks.append(block)
-    sd = np.concatenate(blocks)
+        bad = np.take(A_narrow, op[rows], axis=0) != np.take(op_flat, offsets[rows, None, :] + A_index)
+        if not bad.any():
+            continue
+        if k == n:  # cls is the identity
+            x, y, z = np.nonzero(bad)
+        else:
+            # A violation at (x, y, j) holds at every z of class j: spread
+            # only the failing (x, y) rows over the classes. Row-major
+            # nonzero keeps the (x, y, z) order.
+            xs, ys = np.nonzero(bad.any(axis=2))
+            r, z = np.nonzero(bad[xs, ys][:, cls])
+            x, y = xs[r], ys[r]
+        block = np.empty((len(z), 3), dtype=narrow)
+        block[:, 0], block[:, 1], block[:, 2] = x, y, z
+        block[:, 0] += start
+        blocks.append(block)
+    sd = np.concatenate(blocks, dtype=np.intp)
 
     for witnesses in (sd, bij, idem):
         witnesses.flags.writeable = False

@@ -4,11 +4,13 @@ bench/run.py lists, per workload, the spans a traced run must see
 (`must_call`) and must not see (`must_skip`); bench/tracing.py wraps the
 public layer functions and a few class methods under those names. Without
 this test a renamed library function shows up only as a failed traced
-benchmark run. Nothing here runs a workload.
+benchmark run. The last test runs one traced pass of each BENCHMARK.json
+workload, as `run.py --trace 1` does.
 """
 
 import importlib.util
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -64,3 +66,27 @@ def test_every_skipped_span_names_wrapped_spans(bench_run, wrapped):
         if not any(span == skip or (skip.endswith(".") and span.startswith(skip)) for span in wrapped)
     ]
     assert not missing
+
+
+def test_one_traced_pass_of_each_workload_sees_its_spans_and_passes_its_oracles(bench_run, tmp_path):
+    # A traced benchmark run fails when a must_call span is never called or a
+    # must_skip span is; every job's output also goes through the benchmark's
+    # own oracles, which do not use the library.
+    from gaugequandles import cli
+
+    tracing = bench_run.tracing
+    previous = signal.signal(signal.SIGALRM, bench_run._on_alarm)  # run_job's per-job deadline
+    try:
+        for spec in bench_run.load_spec()["workloads"]:
+            wl = bench_run.WORKLOADS[spec["name"]]
+            recorder = tracing.Recorder()
+            patches = tracing.install(recorder)
+            try:
+                results, passes = bench_run.run_passes(cli, wl, 1, tmp_path / spec["name"], 1, recorder=recorder)
+            finally:
+                tracing.uninstall(patches)
+            assert passes == 1 and results
+            assert bench_run.coverage_problems(wl, recorder.summary()) == []
+            assert [(r.kind, r.size, r.problem) for r in results if r.failed] == []
+    finally:
+        signal.signal(signal.SIGALRM, previous)

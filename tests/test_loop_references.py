@@ -610,6 +610,66 @@ def test_verify_rack_tells_apart_columns_that_agree_mod_256():
     assert got.bijectivity_violations.tolist() == [1] and plain_report(got) == plain_report(ref_verify_rack(m))
 
 
+def assert_witness_arrays(report, n):
+    """Witnesses are read-only intp arrays and the sd triples come in strict (x, y, z) order."""
+    for witnesses in (report.sd_violations, report.bijectivity_violations, report.idem_violations):
+        assert witnesses.dtype == np.intp and not witnesses.flags.writeable
+    x, y, z = report.sd_violations.T
+    assert (np.diff((x * n + y) * n + z) > 0).all()
+
+
+def boundary_table(n):
+    """The dihedral quandle x <| y = 2y - x mod n with rows n - 2 and n - 1 of
+    column n - 1 swapped, so that column reads n - 1 and 0 there.
+
+    Its columns all differ for odd n and pair up for even n, so n = 255 and
+    257 take the scan with every column distinct and n = 256 the spread."""
+    idx = np.arange(n)
+    op = (2 * idx[None, :] - idx[:, None]) % n
+    op[[n - 2, n - 1], n - 1] = op[[n - 1, n - 2], n - 1]
+    return op
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_verify_rack_at_the_narrow_dtype_boundary(n):
+    # uint8 holds the elements up to n = 256; at 257 a wrapped entry would read the wrong row.
+    m = racks.magma_from_table(boundary_table(n))
+    got = racks.verify_rack(m)
+    assert plain_report(got) == plain_report(ref_verify_rack(m))
+    assert (got.sd_violations == n - 1).any()
+    assert_witness_arrays(got, n)
+
+
+def seeded_tables():
+    """Each table with its count of distinct columns: a swapped S4x6 gauge
+    table (144 points, 24 distinct columns before three swaps split some), a
+    random table whose columns all differ and one with n - 1 distinct columns."""
+    rng = np.random.default_rng(7)
+    b = bundles.DiscreteBundle(groups.catalog("S4"), 6)
+    swapped = gauge.build(bundles.EquivariantMap(b, rng.integers(0, 24, 6).tolist())).table.op.flatten()
+    for _ in range(3):
+        i, j = rng.integers(0, swapped.size, 2)
+        swapped[[i, j]] = swapped[[j, i]]
+    distinct = rng.integers(0, 12, (12, 12))
+    one_repeat = distinct.copy()
+    one_repeat[:, 11] = one_repeat[:, 3]
+    return {"swapped S4x6": (swapped.reshape(144, 144), 29), "distinct": (distinct, 12), "one repeat": (one_repeat, 11)}
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 50, racks._SD_CHUNK_ELEMENTS])
+@pytest.mark.parametrize("name", ["swapped S4x6", "distinct", "one repeat"])
+def test_verify_rack_with_repeated_and_distinct_columns(name, chunk_elements):
+    op, distinct_columns = seeded_tables()[name]
+    n = len(op)
+    m = racks.magma_from_table(op)
+    assert np.unique(op, axis=1).shape[1] == distinct_columns
+    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
+        got = racks.verify_rack(m)
+    assert len(got.sd_violations)
+    assert plain_report(got) == plain_report(ref_verify_rack(m))
+    assert_witness_arrays(got, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(relabeled_groups(), st.data())
 def test_generalized_alexander_matches_loop(G, data):
