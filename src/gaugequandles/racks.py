@@ -165,13 +165,13 @@ def verify_rack(m: MagmaTable) -> RackReport:
 
     # The scan gathers from copies in the narrowest dtype that holds an
     # element (uint8 up to 256 elements); the witness blocks use it too. Its
-    # flat indices are int32, which are faster to form than intp ones,
-    # whenever they hold n^2 - 1.
+    # flat indices are uint32, which are faster to form than intp ones: the
+    # cap above admits only k * n^2 <= SD_SCAN_CAP = 2^32, so n^2 - 1 fits.
     narrow = np.min_scalar_type(n - 1)
     A_narrow = A.astype(narrow)
     op_flat = op.astype(narrow).ravel()
-    A_index = A.astype(np.int32 if n * n <= 2**31 else np.intp)
-    offsets = A_index * n  # [x, j] = where the row x <| reps[j] starts in op_flat
+    A_index = A.astype(np.uint32)
+    offsets = A_index * np.uint32(n)  # [x, j] = where the row x <| reps[j] starts in op_flat
     blocks = [np.empty((0, 3), dtype=narrow)]
     # Chunks of x are sized by n^2, not k*n, to bound the rows spread over the classes too.
     chunk = max(1, _SD_CHUNK_ELEMENTS // (n * n))
@@ -181,15 +181,12 @@ def verify_rack(m: MagmaTable) -> RackReport:
         bad = np.take(A_narrow, op[rows], axis=0) != np.take(op_flat, offsets[rows, None, :] + A_index)
         if not bad.any():
             continue
-        if k == n:  # cls is the identity
-            x, y, z = np.nonzero(bad)
-        else:
-            # A violation at (x, y, j) holds at every z of class j: spread
-            # only the failing (x, y) rows over the classes. Row-major
-            # nonzero keeps the (x, y, z) order.
-            xs, ys = np.nonzero(bad.any(axis=2))
-            r, z = np.nonzero(bad[xs, ys][:, cls])
-            x, y = xs[r], ys[r]
+        # A violation at (x, y, j) holds at every z of class j: spread
+        # only the failing (x, y) rows over the classes. Row-major
+        # nonzero keeps the (x, y, z) order.
+        xs, ys = np.nonzero(bad.any(axis=2))
+        r, z = np.nonzero(bad[xs, ys][:, cls])
+        x, y = xs[r], ys[r]
         block = np.empty((len(z), 3), dtype=narrow)
         block[:, 0], block[:, 1], block[:, 2] = x, y, z
         block[:, 0] += start
