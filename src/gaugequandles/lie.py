@@ -12,6 +12,10 @@ Everything broadcasts over leading axes: a point (m, g) is one base index
 with one (d, d) matrix, or an int array of shape (...) with a (..., d, d)
 stack. A sweep draws its sample stacks once: the six checks share the same
 points x, y, z and parameters t, s, and the Noether sweep draws its own.
+The six checks read one evaluation plan, which builds each value of X and
+each exponential that two checks share once, in stacked rounds, and keeps
+only the residuals. The Noether sweep runs its random and equal-X pairs, in
+both directions, through one op_t call. Both are chunked to bound memory.
 
 All randomness is seeded; every report carries its seed.
 """
@@ -41,6 +45,10 @@ MODEL_TOLERANCE = 1e-9
 # Largest samples and base_points a sweep accepts, checked before any draw.
 SAMPLES_CAP = 10_000
 BASE_POINTS_CAP = 10_000
+
+# Chunk a sweep's stacked samples and pairs to bound peak memory: at most
+# about this many matrix entries in each stack the checks build.
+_SWEEP_CHUNK_ELEMENTS = 1 << 17
 
 # Largest n accepted in a "GL<n>" model name. The basis alone holds n^2 dense
 # n x n matrices (n^4 floats), and each is exponentiated before any check runs.
@@ -447,54 +455,88 @@ def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
     return x, y, z, t, s
 
 
+_PLANNED_CHECKS = (
+    "idempotency", "self_action", "self_distributivity", "key_identity", "section_equivariance", "membership",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(X: AdjointSection, config: SweepConfig) -> dict[str, np.ndarray]:
+    """Per-sample residuals of the six sweep checks, keyed by check name.
+
+    The checks of one sweep read these, so like _draw they are computed once
+    per (X, config); only the residuals are kept. The samples are taken in
+    chunks that bound each stacked array.
+    """
+    x, y, z, t, s = _draw(X, config)
+    # The widest stack, the first round of exponentials, holds ten matrices a sample.
+    chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (10 * X.model.dim**2))
+    parts = [
+        _plan_rows(X, *(a[start:start + chunk] for a in (*x, *y, *z, t, s)))
+        for start in range(0, config.samples, chunk)
+    ]
+    return dict(zip(_PLANNED_CHECKS, np.concatenate(parts, axis=1)))
+
+
+def _plan_rows(X: AdjointSection, mx, gx, my, gy, mz, gz, t, s) -> np.ndarray:
+    """Residuals of the six checks, in _PLANNED_CHECKS order, on stacked samples: shape (6, samples).
+
+    Every value two checks share is built once, in stacked rounds: X at x, y,
+    z and ten exponentials of those values; the points w = x <|_t y,
+    x <|_s z, y <|_s z, x * exp(s X(y)) and x * y; X at those five and four
+    exponentials of them; the products each side of each check reads.
+    """
+    exp = X.model.exp
+    V = X.eval((np.stack([mx, my, mz]), np.stack([gx, gy, gz])))
+    # Named by coefficient and point: msx = exp(-s X(x)), sty = exp((s+t) X(y)).
+    msx, sx, mtx, tx, mstx, ty, sy, msy, sty, sz = exp(
+        _col(np.stack([-s, s, -t, t, -(s + t), t, s, -s, s + t, s])) * V[[0, 0, 0, 0, 0, 1, 1, 1, 1, 2]]
+    )
+    # x * exp(-t X(x)), x * exp(-s X(x)), y * exp(-s X(y)), the key point, the
+    # equivariance point x * y, and y^-1 X(x) as the head of its conjugation.
+    head = _mul(np.stack([gx, gx, gy, gx, gx, X.model.inverse(gy)]), np.stack([mtx, msx, msy, sy, gy, V[0]]))
+    w, u, v, conjugated = _mul(head[[0, 1, 2, 5]], np.stack([ty, sz, sz, gy]))
+    W = X.eval((np.stack([mx, mx, my, mx, mx]), np.stack([w, u, v, head[3], head[4]])))
+    msw, mtu, tv, t_key = exp(_col(np.stack([-s, -t, t, t])) * W[:4])
+    left = _mul(np.stack([gx, w, gx, u, msy]), np.stack([msx, msw, mstx, mtu, tx]))
+    idem, sa_lhs, sd_lhs, sa_rhs, sd_rhs, key_rhs = _mul(
+        left[[0, 1, 1, 2, 3, 4]], np.stack([sx, sy, sz, sty, tv, sy])
+    )
+    gaps = _fro(np.stack([idem - gx, sa_lhs - sa_rhs, sd_lhs - sd_rhs, t_key - key_rhs, W[4] - conjugated]))
+    return np.vstack([gaps, membership_residual(X.model, w)])
+
+
 def check_idempotency(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """x <|_s x == x."""
-    x, _, _, _, s = _draw(X, config)
-    return _report("idempotency", config, _gap(op_t(X, x, x, s), x))
+    return _report("idempotency", config, _plan(X, config)["idempotency"])
 
 
 def check_self_action(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s y == x <|_{s+t} y."""
-    x, y, _, t, s = _draw(X, config)
-    lhs = op_t(X, op_t(X, x, y, t), y, s)
-    rhs = op_t(X, x, y, s + t)
-    return _report("self_action", config, _gap(lhs, rhs))
+    return _report("self_action", config, _plan(X, config)["self_action"])
 
 
 def check_self_distributivity(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     """(x <|_t y) <|_s z == (x <|_s z) <|_t (y <|_s z)."""
-    x, y, z, t, s = _draw(X, config)
-    lhs = op_t(X, op_t(X, x, y, t), z, s)
-    rhs = op_t(X, op_t(X, x, z, s), op_t(X, y, z, s), t)
-    return _report("self_distributivity", config, _gap(lhs, rhs))
+    return _report("self_distributivity", config, _plan(X, config)["self_distributivity"])
 
 
 def check_key_identity(X: AdjointSection, config: SweepConfig) -> ResidualReport:
-    """exp(t X(p1 * exp(s X(p2)))) == exp(-s X(p2)) exp(t X(p1)) exp(s X(p2)).
+    """exp(t X(x * exp(s X(y)))) == exp(-s X(y)) exp(t X(x)) exp(s X(y)).
 
     The conjugation identity that makes the other axioms work.
     """
-    p1, p2, _, t, s = _draw(X, config)
-    t, s = _col(t), _col(s)
-    exp = X.model.exp
-    h = exp(s * X.eval(p2))
-    lhs = exp(t * X.eval((p1[0], _mul(p1[1], h))))
-    rhs = _mul(_mul(exp(-s * X.eval(p2)), exp(t * X.eval(p1))), h)
-    return _report("key_identity", config, _fro(lhs - rhs))
+    return _report("key_identity", config, _plan(X, config)["key_identity"])
 
 
 def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
-    """Operation results stay in the group (chart residual)."""
-    x, y, _, t, _ = _draw(X, config)
-    return _report("membership", config, membership_residual(X.model, op_t(X, x, y, t)[1]))
+    """Operation results x <|_t y stay in the group (chart residual)."""
+    return _report("membership", config, _plan(X, config)["membership"])
 
 
 def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> ResidualReport:
-    """X(p * g) == g^-1 X(p) g, g the fiber coordinate of a second point; held to PRIMITIVE_TOLERANCE."""
-    (m, h), (_, g), _, _, _ = _draw(X, config)
-    moved = X.eval((m, _mul(h, g)))
-    conjugated = _mul(_mul(X.model.inverse(g), X.eval((m, h))), g)
-    return _report("section_equivariance", config, _fro(moved - conjugated), PRIMITIVE_TOLERANCE)
+    """X(x * g) == g^-1 X(x) g, g the fiber coordinate of y; held to PRIMITIVE_TOLERANCE."""
+    return _report("section_equivariance", config, _plan(X, config)["section_equivariance"], PRIMITIVE_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +588,16 @@ def check_noether(
     ts = np.asarray(t_samples, dtype=float)
     if ts.ndim == 0 or ts.shape[-1] == 0:
         raise ShapeError("need at least one t sample")
-    fwd = _fixing_residual(X, p1, p2, ts)
-    bwd = _fixing_residual(X, p2, p1, ts)
+    # Both directions as one stack: [p1, p2] acted on by [p2, p1].
+    m, g = (np.stack(np.broadcast_arrays(a, b)) for a, b in zip(p1, p2))
+    fwd, bwd = _fixing_residual(X, (m, g), (m[::-1], g[::-1]), ts)
+    values = X.eval((m, g))
     return NoetherReport(
         fixes_forward=fwd <= tolerance,
         fixes_backward=bwd <= tolerance,
         forward_residual=fwd,
         backward_residual=bwd,
-        algebra_gap=_fro(X.eval(p1) - X.eval(p2)),
+        algebra_gap=_fro(values[0] - values[1]),
         tolerance=tolerance,
     )
 
@@ -591,16 +635,26 @@ def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
     p1, p2 = random_point(X, rng, n), random_point(X, rng, n)
     q1, q2 = equal_section_pair(X, rng, n)
-    random_pairs = check_noether(X, p1, p2, ts, config.tolerance)
-    equal_pairs = check_noether(X, q1, q2, ts, config.tolerance)
-    disagreements = int(np.sum(~random_pairs.agree) + np.sum(~equal_pairs.agree))
-    all_fix = bool(np.all(equal_pairs.fixes_forward & equal_pairs.fixes_backward))
+    # The random pairs, then the equal-X pairs, as one stack of 2n rows.
+    a, b = ((np.concatenate([p[0], q[0]]), np.concatenate([p[1], q[1]])) for p, q in ((p1, q1), (p2, q2)))
+    ts = np.concatenate([ts, ts])
+    # Rows per check_noether call: each row is acted on in 2 directions at every t.
+    chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (2 * ts.shape[1] * X.model.dim**2))
+    agree, fix, worst = (np.empty(2 * n, dtype=d) for d in (bool, bool, float))
+    for start in range(0, 2 * n, chunk):
+        rows = slice(start, start + chunk)
+        rep = check_noether(X, (a[0][rows], a[1][rows]), (b[0][rows], b[1][rows]), ts[rows], config.tolerance)
+        agree[rows] = rep.agree
+        fix[rows] = rep.fixes_forward & rep.fixes_backward
+        worst[rows] = np.maximum(rep.forward_residual, rep.backward_residual)
+    disagreements = int(np.sum(~agree))
+    all_fix = bool(np.all(fix[n:]))
     return NoetherSweepReport(
         samples=n,
         seed=config.seed,
         disagreements=disagreements,
         all_agree=disagreements == 0,
-        equal_pair_max_residual=float(np.max([equal_pairs.forward_residual, equal_pairs.backward_residual])),
+        equal_pair_max_residual=float(np.max(worst[n:])),
         equal_pairs_all_fix=all_fix,
         tolerance=config.tolerance,
         passed=disagreements == 0 and all_fix,

@@ -525,6 +525,65 @@ def test_a_sweep_draws_its_points_once(monkeypatch):
     assert len(calls) == 18
 
 
+@pytest.mark.parametrize("name", ["SO3", "SU2", "GL2"])
+@pytest.mark.parametrize("samples", [8, 80])
+def test_sweep_work_counts(monkeypatch, name, samples):
+    # exp: 1 on the model's basis, 6 point draws and 1 equal-X pair, 2 plan
+    # rounds, and op_t's 2. eval: 2 plan rounds, and the Noether sweep's one
+    # check_noether (op_t's 2 and the algebra gap).
+    counts = {"exp": 0, "eval": 0, "op_t": 0}
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args):
+            counts[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(lie.MatrixGroupModel, "exp")
+    counting(lie.AdjointSection, "eval")
+    counting(lie, "op_t")
+    assert lie.run_sweep(lie.SweepConfig(model=name, samples=samples, seed=2)).passed
+    assert counts == {"exp": 12, "eval": 5, "op_t": 1}
+
+
+def _failing_checks(report):
+    checks = {**report.axioms, "section_equivariance": report.section_equivariance}
+    failing = {name for name, rep in checks.items() if not rep.passed}
+    return failing if report.noether.passed else failing | {"noether"}
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_every_check_can_fail(monkeypatch, name):
+    config = lie.SweepConfig(model=name, samples=20, seed=4)
+    with monkeypatch.context() as m:
+        # X(m, g) = Xs(m): the section value is never conjugated.
+        m.setattr(lie.AdjointSection, "eval", lambda self, p: self.section_algebra_values[p[0]])
+        assert _failing_checks(lie.run_sweep(config)) == {
+            "self_action", "self_distributivity", "key_identity", "section_equivariance",
+        }
+    model = lie.get_model(name)
+    exp = lie.MatrixGroupModel.exp
+    monkeypatch.setattr(lie, "get_model", lambda _: model)
+    monkeypatch.setattr(lie.MatrixGroupModel, "exp", lambda self, A: 1.001 * exp(self, A))
+    assert _failing_checks(lie.run_sweep(config)) == {
+        "idempotency", "self_action", "self_distributivity", "key_identity", "membership", "noether",
+    }
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2", "GL2"])
+def test_sweep_reports_do_not_depend_on_the_chunking(monkeypatch, name):
+    config = lie.SweepConfig(model=name, samples=23, seed=6)
+    whole = lie.run_sweep(config).to_json()
+    # One sample, then one pair, a chunk: 23 plan chunks and 46 check_noether calls.
+    monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 1)
+    assert lie.run_sweep(config).to_json() == whole
+    monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 7 * 10 * lie.get_model(name).dim ** 2)
+    assert lie.run_sweep(config).to_json() == whole
+
+
 def test_drawn_stacks_are_read_only():
     X = _setup("SO3", 5)
     config = lie.SweepConfig(samples=4, seed=5)

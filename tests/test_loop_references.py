@@ -13,7 +13,10 @@ it replaced, on generated JSON trees, and on trees holding integer arrays
 against json.dumps of the same trees with each array as its tolist(). The
 Lie closed forms are checked against the forms they replaced: the SO3 and
 SU2 exponential against Rodrigues' formula written with np.sinc and A @ A,
-and the summed complex product against numpy's @.
+and the summed complex product against numpy's @. The sweep's shared
+evaluation plan is checked against each check composed from its own op_t
+calls on the same draw, and the one-call Noether sweep against its four-call
+form.
 """
 
 import itertools
@@ -913,3 +916,108 @@ def test_mul_matches_matmul(stacks):
     # Relative to ||A|| ||B||, the size of the sum that each entry rounds.
     scale = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
     assert np.all(np.linalg.norm(got - product, axis=(-2, -1)) <= 1e-15 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Lie sweep plan
+# ---------------------------------------------------------------------------
+
+def ref_check_idempotency(X, config):
+    """x <|_s x against x."""
+    x, _, _, _, s = lie._draw(X, config)
+    return lie._gap(lie.op_t(X, x, x, s), x)
+
+
+def ref_check_self_action(X, config):
+    """(x <|_t y) <|_s y against x <|_{s+t} y."""
+    x, y, _, t, s = lie._draw(X, config)
+    lhs = lie.op_t(X, lie.op_t(X, x, y, t), y, s)
+    rhs = lie.op_t(X, x, y, s + t)
+    return lie._gap(lhs, rhs)
+
+
+def ref_check_self_distributivity(X, config):
+    """(x <|_t y) <|_s z against (x <|_s z) <|_t (y <|_s z)."""
+    x, y, z, t, s = lie._draw(X, config)
+    lhs = lie.op_t(X, lie.op_t(X, x, y, t), z, s)
+    rhs = lie.op_t(X, lie.op_t(X, x, z, s), lie.op_t(X, y, z, s), t)
+    return lie._gap(lhs, rhs)
+
+
+def ref_check_key_identity(X, config):
+    """exp(t X(p1 * exp(s X(p2)))) against exp(-s X(p2)) exp(t X(p1)) exp(s X(p2))."""
+    p1, p2, _, t, s = lie._draw(X, config)
+    t, s = lie._col(t), lie._col(s)
+    exp = X.model.exp
+    h = exp(s * X.eval(p2))
+    lhs = exp(t * X.eval((p1[0], p1[1] @ h)))
+    rhs = exp(-s * X.eval(p2)) @ exp(t * X.eval(p1)) @ h
+    return lie._fro(lhs - rhs)
+
+
+def ref_check_membership(X, config):
+    """Membership residual of x <|_t y."""
+    x, y, _, t, _ = lie._draw(X, config)
+    return lie.membership_residual(X.model, lie.op_t(X, x, y, t)[1])
+
+
+def ref_check_section_equivariance(X, config):
+    """X(p * g) against g^-1 X(p) g, g the fiber coordinate of a second point."""
+    (m, h), (_, g), _, _, _ = lie._draw(X, config)
+    moved = X.eval((m, h @ g))
+    conjugated = X.model.inverse(g) @ X.eval((m, h)) @ g
+    return lie._fro(moved - conjugated)
+
+
+REF_CHECKS = {
+    "idempotency": ref_check_idempotency,
+    "self_action": ref_check_self_action,
+    "self_distributivity": ref_check_self_distributivity,
+    "key_identity": ref_check_key_identity,
+    "membership": ref_check_membership,
+    "section_equivariance": ref_check_section_equivariance,
+}
+
+
+def ref_fixing_residual(X, p, q, ts):
+    """Max over the t samples of the distance from p <|_t q to p, for stacked pairs."""
+    p = (p[0][:, None], p[1][:, None])
+    q = (q[0][:, None], q[1][:, None])
+    return lie._gap(lie.op_t(X, p, q, ts), p).max(axis=-1)
+
+
+def ref_noether_sweep(X, config):
+    """(disagreements, equal_pairs_all_fix, equal-pair max residual), from four op_t calls:
+    the random pairs and the equal-X pairs, each in both directions."""
+    rng = np.random.default_rng(config.seed)
+    n = config.samples
+    ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
+    p1, p2 = lie.random_point(X, rng, n), lie.random_point(X, rng, n)
+    q1, q2 = lie.equal_section_pair(X, rng, n)
+    fixes = [ref_fixing_residual(X, a, b, ts) <= config.tolerance for a, b in ((p1, p2), (p2, p1))]
+    equal = [ref_fixing_residual(X, a, b, ts) for a, b in ((q1, q2), (q2, q1))]
+    equal_fixes = [r <= config.tolerance for r in equal]
+    disagreements = int(np.sum(fixes[0] != fixes[1]) + np.sum(equal_fixes[0] != equal_fixes[1]))
+    return disagreements, bool(np.all(equal_fixes[0] & equal_fixes[1])), float(np.max(equal))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["SO3", "SU2", "GL2"]), st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4))
+def test_sweep_plan_matches_the_op_t_compositions(name, seed, samples, base_points):
+    config = lie.SweepConfig(model=name, samples=samples, seed=seed, base_points=base_points)
+    model = lie.get_model(name)
+    X = lie.AdjointSection(model, lie.random_algebra(model, np.random.default_rng(seed), size=base_points))
+    plan = lie._plan(X, config)
+    assert set(plan) == set(REF_CHECKS)
+    for check, ref in REF_CHECKS.items():
+        expected = ref(X, config)
+        got = plan[check]
+        assert got.shape == (samples,)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        report = getattr(lie, f"check_{check}")(X, config)
+        assert report.passed == (np.max(expected) <= report.tolerance)
+        assert report.max_residual == np.max(got)
+    disagreements, all_fix, worst = ref_noether_sweep(X, config)
+    noether = lie.noether_sweep(X, config)
+    assert (noether.disagreements, noether.equal_pairs_all_fix) == (disagreements, all_fix)
+    assert abs(noether.equal_pair_max_residual - worst) <= 1e-12 * max(1.0, worst)
