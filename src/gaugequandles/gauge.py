@@ -36,15 +36,18 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
+    _row_ids,
     find_isomorphism,
     generalized_alexander,
     magma_from_table,
     magma_to_json,
+    stacked_invariants,
     verify_rack,
 )
 
-# The census computes keys and checks member witnesses in chunks of at most
-# this many entries: maps x |G| x |M| for the keys, maps x |P|^2 for the witnesses.
+# The census works in chunks of at most this many entries: maps x |G| x |M|
+# for the keys, heads x |P|^2 for the heads' invariants, and maps x |P| x |G|
+# for the witnesses, which are checked on the augmented form.
 _CENSUS_CHUNK_ELEMENTS = 1_000_000
 
 # The census enumerates Aut(G) only when at most this many tuples of
@@ -234,34 +237,34 @@ def _census_keys(G: FiniteGroup, cls: np.ndarray, values: np.ndarray) -> tuple[n
     return codes[least, rows], shifts[least, rows]
 
 
-def _member_tables(b: DiscreteBundle, values: np.ndarray) -> np.ndarray:
-    """The gauge tables of the maps with section values values[i], stacked (r, |P|, |P|), unverified.
+def _augmented(b: DiscreteBundle, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented form aug[i, x, g] = act[phi_f^-1(x), g] and f(x) of the maps with section values values[i].
 
-    build's formula act[phi_f^-1(p1), f(p2)], with phi_f^-1(p) = p * f^-1(p),
-    for every row at once.
+    Stacked (r, |P|, |G|) and (r, |P|), with phi_f^-1(x) = x * f(x)^-1: the
+    gauge table of row i, build's act[phi_f^-1(p1), f(p2)], is aug[i][:, f[i]].
+    aug is in the narrowest unsigned dtype that holds a point, f in int64.
     """
     G = b.group
-    act = b.action_table()
     r, n = len(values), b.total_size
-    fvals = G.conj[values].reshape(r, n)  # f(p), in total_values order
-    phi_inv = act[np.arange(n), G.conj[G.inverses[values]].reshape(r, n)]
-    return act[phi_inv[:, :, None], fvals[:, None, :]]
+    act = b.action_table().astype(np.min_scalar_type(n - 1))
+    f = G.conj[values].reshape(r, n)  # f(x), in total_values order
+    return act[act[np.arange(n), G.inverses[f]]], f
 
 
 def _census_witnesses(
     b: DiscreteBundle, cls: np.ndarray, conjugator: np.ndarray, zs: np.ndarray, rep_zs: np.ndarray
 ) -> np.ndarray:
-    """phi(m, g) = (pi(m), h_m^-1 g) for each row of least shifts zs onto rep_zs, stacked (r, |P|).
+    """phi(m, g) = (pi(m), h_m^-1 g) for each row of least shifts zs onto the row rep_zs[i], stacked (r, |P|).
 
     pi matches base points by class and h_m conjugates zs[i, m] onto
-    rep_zs[pi(m)], so phi carries the table of zs[i] onto that of rep_zs;
-    cls and conjugator are _class_conjugators(b.group).
+    rep_zs[i, pi(m)], so phi carries the table of zs[i] onto that of
+    rep_zs[i]; cls and conjugator are _class_conjugators(b.group).
     """
     G = b.group
     pi = np.empty_like(zs)
-    targets = np.argsort(cls[rep_zs], kind="stable")
+    targets = np.argsort(cls[rep_zs], axis=1, kind="stable")
     np.put_along_axis(pi, np.argsort(cls[zs], axis=1, kind="stable"), targets, axis=1)
-    h = G.table[G.inverses[conjugator[zs]], conjugator[rep_zs[pi]]]
+    h = G.table[G.inverses[conjugator[zs]], conjugator[np.take_along_axis(rep_zs, pi, axis=1)]]
     return b.point(pi[..., None], G.table[G.inverses[h]]).reshape(len(zs), b.total_size)
 
 
@@ -350,35 +353,82 @@ def _key_orbits(
 
 
 def _orbit_witness(
-    b: DiscreteBundle, cls: np.ndarray, conjugator: np.ndarray, alpha: np.ndarray, head: np.ndarray,
+    b: DiscreteBundle, cls: np.ndarray, conjugator: np.ndarray, alphas: np.ndarray, heads: np.ndarray,
     rep_zs: np.ndarray,
 ) -> np.ndarray:
-    """psi o phi_alpha: from the table of the section values head onto that of rep_zs's key head, shape (1, |P|).
+    """psi o phi_alpha for each row: from the table of heads[i] onto that of rep_zs[i]'s key head, stacked (r, |P|).
 
-    phi_alpha(m, g) = (m, alpha(g)) carries the table of head onto that of
-    alpha o head, since the gauge operation reads G only through its
-    product, and psi, the _census_witnesses map, carries that onto the
-    table of the key head whose least central shift is rep_zs.
+    phi_alpha(m, g) = (m, alpha(g)), alpha = alphas[i], carries the table of
+    heads[i] onto that of alpha o heads[i], since the gauge operation reads
+    G only through its product, and psi, the _census_witnesses map, carries
+    that onto the table of the key head whose least central shift is rep_zs[i].
     """
-    zs = _census_keys(b.group, cls, alpha[head][None])[1]
+    zs = _census_keys(b.group, cls, np.take_along_axis(alphas, heads, axis=1))[1]
     psi = _census_witnesses(b, cls, conjugator, zs, rep_zs)
-    return psi[:, b.point(np.arange(b.base_size)[:, None], alpha).ravel()]
+    phi_alpha = b.point(np.arange(b.base_size)[:, None], alphas[:, None, :]).reshape(len(alphas), -1)
+    return np.take_along_axis(psi, phi_alpha, axis=1)
 
 
-def _check_witnesses(phi: np.ndarray, tables: np.ndarray, target: MagmaTable, sources: np.ndarray, head) -> None:
-    """Raise AlgebraError unless each row of phi is a permutation and a morphism from tables[i] onto target.
+def _check_witnesses(
+    b: DiscreteBundle, phi: np.ndarray, values: np.ndarray, target: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray, heads: np.ndarray,
+) -> None:
+    """Raise AlgebraError unless each phi[i] is a bijective morphism from values[i]'s table onto heads[rows[i]]'s.
 
-    phi is stacked (r, |P|) and tables (r, |P|^2); sources[i] are the
-    section values of tables[i], and head those of target, for the message.
+    target is _augmented(b, heads), and phi is stacked (r, |P|). The table
+    of s reads p2 only through f_s(p2), and G acts freely, so two columns are
+    equal exactly when their f values are. So a permutation phi is a morphism
+    from the table of s onto that of t exactly when (i) f_t o phi is constant,
+    c(g), on each fiber f_s^-1(g), and (ii) phi(aug_s[x, g]) ==
+    aug_t[phi(x), c(g)] for every x and every g in Im f_s: |P| x |G| entries
+    where the tables have |P|^2. Here c(g) is f_t o phi at some point of the
+    fiber, and (ii) implies (i): both tables are idempotent, aug[y, f(y)] = y,
+    so (ii) at x = y, g = f_s(y) reads phi(y) = phi(y) * f_t(phi(y))^-1 c(g),
+    which is f_t(phi(y)) = c(g) since the action is free.
     """
-    images = np.take_along_axis(phi, tables, axis=1)  # phi(x <| y)
-    products = target.op[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)  # phi(x) <| phi(y)
-    ok = (np.sort(phi, axis=1) == np.arange(target.size)).all(axis=1) & (images == products).all(axis=1)
+    aug, f = _augmented(b, values)
+    target_aug, target_f = target
+    (r, n), order = phi.shape, b.group.order
+    each = np.arange(r)[:, None]
+    c = np.zeros((r, order), dtype=np.int64)
+    c[each, f] = target_f[rows[:, None], phi]  # f_t(phi(y)) at g = f_s(y)
+    image = np.zeros(c.shape, dtype=bool)
+    image[each, f] = True
+    # Flat takes of phi(aug_s[x, g]) and aug_t[phi(x), c(g)], in aug's dtype;
+    # one intp array holds each one's indices in turn.
+    flat = aug + n * each[..., None]
+    images = np.take(phi.astype(aug.dtype), flat)
+    np.add(((rows[:, None] * n + phi) * order)[..., None], c[:, None, :], out=flat)
+    same = images == np.take(target_aug, flat)
+    same |= ~image[:, None, :]
+    ok = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1) & same.all(axis=(1, 2))
     if not ok.all():
+        i = ok.argmin()
         raise AlgebraError(
-            f"census witness from {tuple(sources[ok.argmin()].tolist())} to "
-            f"{tuple(head.tolist())} is not an isomorphism"
+            f"census witness from {tuple(values[i].tolist())} to "
+            f"{tuple(heads[rows[i]].tolist())} is not an isomorphism"
         )
+
+
+def _invariant_buckets(b: DiscreteBundle, heads: np.ndarray) -> np.ndarray:
+    """bucket[i]: a number shared by exactly the rows of heads whose tables have equal sorted element invariants.
+
+    Buckets are numbered 0, 1, ... in order of their first head. The tables
+    are gathered from the augmented form and fingerprinted by
+    stacked_invariants, in chunks of at most _CENSUS_CHUNK_ELEMENTS entries.
+    """
+    n = b.total_size
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
+    seen: dict[bytes, int] = {}
+    bucket = []
+    for start in range(0, len(heads), step):
+        aug, f = _augmented(b, heads[start:start + step])
+        inv = stacked_invariants(np.take_along_axis(aug, f[:, None, :], axis=2))
+        # Each table's rows in numeric order, so equal multisets give equal bytes.
+        order = np.argsort(_row_ids(inv.reshape(-1, inv.shape[2])).reshape(len(f), n), axis=1, kind="stable")
+        for rows in np.take_along_axis(inv, order[..., None], axis=1):
+            bucket.append(seen.setdefault(rows.tobytes(), len(seen)))
+    return np.array(bucket, dtype=np.int64)
 
 
 def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
@@ -392,28 +442,30 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     isomorphism: shifting by a central z (z*s has the same table as s),
     conjugating each value, s'(m) = h_m^-1 s(m) h_m, and permuting the base
     points. So each map is keyed by the sorted multiset of the conjugacy
-    classes of its values, least over the central shifts. Only the first map
-    of each key, its head, is built, with its quandle axioms verified. Every
-    other map joins its key's class through the witness
-    phi(m, g) = (pi(m), h_m^-1 g): pi matches base points by class and h_m
-    conjugates z*s(m) onto the head's shifted value at pi(m).
+    classes of its values, least over the central shifts, and the first map
+    of each key is its head. Every other map m of key K is carried onto K's
+    head by the witness phi_m(m, g) = (pi(m), h_m^-1 g): pi matches base
+    points by class and h_m conjugates z*s(m) onto the head's shifted value
+    at pi(m).
 
     An automorphism alpha of G carries the table of s onto that of alpha o s
-    by (m, g) -> (m, alpha(g)), so Aut(G) acts on the keys. The first time a
-    head meets earlier class representatives with equal element invariants,
-    Aut(G) is enumerated (_automorphisms) and every key is given its orbit
-    root, the orbit's key whose head comes first. Every other key joins its
-    root's class through psi o phi_alpha (_orbit_witness), where alpha
-    carries the key's head into the root's key and psi is the witness above.
-    A root is searched with find_isomorphism against the earlier roots of
-    equal invariants, so past the automorphism budget, where every key is
-    its own root, the census searches as it did without Aut(G). A census of
-    one key computes no invariants.
+    by (m, g) -> (m, alpha(g)), so Aut(G) acts on the keys. The key heads
+    are bucketed by their sorted element invariants, in one stacked call
+    (stacked_invariants) per _CENSUS_CHUNK_ELEMENTS table entries, unless
+    there is only one key. When two heads share a bucket, Aut(G) is
+    enumerated (_automorphisms) and every key is given its orbit root, the
+    orbit's key whose head comes first; otherwise, or past the automorphism
+    budget, every key is its own root. Only the roots' heads are built, with
+    their quandle axioms verified, and each is searched with
+    find_isomorphism against the earlier roots in its bucket.
 
-    Each witness must be a permutation and a morphism onto a verified table
+    Every other map m of a key K joins its root's class through the witness
+    psi_K o phi_m onto the root's verified head, where psi_K (_orbit_witness)
+    carries K's head onto its root's through an automorphism, and is the
+    identity on a root. Each witness must be a permutation and a morphism
     (AlgebraError if not), which carries every quandle axiom back along it.
-    Member witnesses are checked in stacked chunks of at most
-    _CENSUS_CHUNK_ELEMENTS table entries.
+    All are checked in one stacked pass on the |P| x |G| augmented form
+    (_check_witnesses), in chunks of at most _CENSUS_CHUNK_ELEMENTS entries.
     """
     G = b.group
     n = b.total_size
@@ -423,41 +475,47 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     starts = range(0, len(values), step)
     codes, zs = map(np.concatenate, zip(*[_census_keys(G, cls, values[i:i + step]) for i in starts]))
     key_codes, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
-    maps_of_key = np.split(np.argsort(key_of, kind="stable"), np.cumsum(np.bincount(key_of))[:-1])
+    heads, keys = values[first], len(first)
 
-    # key -> its class; a bucket holds (root table, class) for equal sorted invariants.
-    # Every key is its own orbit root until Aut(G) is enumerated.
-    class_of_key = np.empty(len(first), dtype=np.int64)
-    root_of, autos, via = np.arange(len(first)), None, None
-    roots: dict[int, MagmaTable] = {}  # root key -> its head's verified table
-    buckets: dict[tuple, list[tuple[MagmaTable, int]]] = {}
+    # A census of one key compares nothing, so it needs no invariants.
+    bucket_of = _invariant_buckets(b, heads) if keys > 1 else np.zeros(1, dtype=np.int64)
+    root_of = np.arange(keys)
+    psi = np.broadcast_to(np.arange(n), (keys, n)).copy()  # psi[K]: K's head onto its root's
+    if bucket_of.max() + 1 < keys:  # some bucket is shared
+        autos = _automorphisms(G, cls)
+        root_of, via = _key_orbits(G, cls, autos, heads, key_codes, first)
+        moved = np.flatnonzero(root_of != np.arange(keys))
+        if len(moved):  # none past the automorphism budget
+            psi[moved] = _orbit_witness(b, cls, conjugator, autos[via[moved]], heads[moved], zs[first[root_of[moved]]])
+    roots = np.flatnonzero(root_of == np.arange(keys))
+    roots = roots[np.argsort(first[roots])]  # in order of their heads
+
+    # root key -> its class; a bucket holds (root table, class) for equal sorted invariants.
+    class_of_key = np.empty(keys, dtype=np.int64)
+    buckets: dict[int, list[tuple[MagmaTable, int]]] = {}
     classes = 0
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
-    for key in np.argsort(first):
-        head, rest = maps_of_key[key][0], maps_of_key[key][1:]
-        table = build(EquivariantMap(b, values[head])).table
-        if root_of[key] == key:
-            # A census of one key compares nothing, so it needs no invariants.
-            bucket = buckets.setdefault(tuple(sorted(table.invariants)), []) if len(first) > 1 else []
-            if bucket and autos is None:
-                autos = _automorphisms(G, cls)
-                root_of, via = _key_orbits(G, cls, autos, values[first], key_codes, first)
-        root = root_of[key]
-        if root == key:
-            found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
-            if found is None:
-                found, classes = classes, classes + 1
-                bucket.append((table, found))
-            class_of_key[key], roots[key] = found, table
-        else:
-            class_of_key[key] = class_of_key[root]
-            phi = _orbit_witness(b, cls, conjugator, autos[via[key]], values[head], zs[first[root]])
-            _check_witnesses(phi, table.op.reshape(1, -1), roots[root], values[head][None], values[first[root]])
-        for start in range(0, len(rest), step):
-            chunk = rest[start:start + step]
-            tables = _member_tables(b, values[chunk]).reshape(len(chunk), -1)
-            phi = _census_witnesses(b, cls, conjugator, zs[chunk], zs[head])
-            _check_witnesses(phi, tables, table, values[chunk], values[head])
+    for key in roots:
+        table = build(EquivariantMap(b, heads[key])).table
+        bucket = buckets.setdefault(int(bucket_of[key]), [])
+        found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
+        if found is None:
+            found, classes = classes, classes + 1
+            bucket.append((table, found))
+        class_of_key[key] = found
+    class_of_key = class_of_key[root_of]
+
+    # Every map but a root's head, against its root's head: position[K] is K's row in roots.
+    position = np.empty(keys, dtype=np.int64)
+    position[roots] = np.arange(len(roots))
+    target = _augmented(b, heads[roots])
+    rest = np.delete(np.arange(len(values)), first[roots])
+    step = max(1, _CENSUS_CHUNK_ELEMENTS // (n * G.order))
+    for start in range(0, len(rest), step):
+        chunk = rest[start:start + step]
+        key = key_of[chunk]
+        phi = _census_witnesses(b, cls, conjugator, zs[chunk], zs[first[key]])
+        phi = np.take_along_axis(psi[key], phi, axis=1)
+        _check_witnesses(b, phi, values[chunk], target, position[root_of[key]], heads[roots])
 
     class_of = class_of_key[key_of]
     parts = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])

@@ -290,30 +290,40 @@ def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
     For x: the sorted cycle lengths of the points under - <| x (0 for a point
     on no cycle), the sorted in-degree profile of that column, the sorted
     value profile of the row x <| -, the flag x <| x == x, and the number of
-    table entries equal to x. Every column is treated alike, permutation or not.
+    table entries equal to x. Every column is treated alike, permutation or
+    not. The rows of stacked_invariants for the one table m.op.
     """
-    op = m.op
-    n = m.size
+    return [tuple(row) for row in stacked_invariants(m.op[None])[0].tolist()]
+
+
+def stacked_invariants(ops: np.ndarray) -> np.ndarray:
+    """element_invariants of each table of a stack ops, shape (r, n, n), as one int64 array (r, n, 3n + 2).
+
+    Row x of table i is the fingerprint of x in ops[i]; the tables are not validated.
+    """
+    ops = np.asarray(ops, dtype=np.int64)  # the flat indices below reach r * n^2
+    r, n = ops.shape[:2]
     idx = np.arange(n)
-    # cycles[p, x]: least k <= n with (- <| x)^k (p) == p, else 0.
-    cycles = np.zeros((n, n), dtype=np.int64)
-    cur = np.broadcast_to(idx[:, None], (n, n))
+    flat = ops.reshape(-1)
+    tables = np.arange(r)[:, None, None] * (n * n)
+    # cycles[i, p, x]: least k <= n with (- <| x)^k (p) == p in table i, else 0.
+    cycles = np.zeros((r, n, n), dtype=np.int64)
+    cur = np.broadcast_to(idx[:, None], (r, n, n))
     for k in range(1, n + 1):
-        cur = op[cur, idx]
+        cur = np.take(flat, tables + cur * n + idx)
         cycles[(cur == idx[:, None]) & (cycles == 0)] = k
         if cycles.all():
             break
-    # col_counts[v, x] = #{p : p <| x == v} and row_counts[x, v] = #{y : x <| y == v}
-    col_counts = np.bincount((op * n + idx).ravel(), minlength=n * n).reshape(n, n)
-    row_counts = np.bincount((idx[:, None] * n + op).ravel(), minlength=n * n).reshape(n, n)
-    flat = np.concatenate([
-        np.sort(cycles, axis=0).T,
-        np.sort(col_counts, axis=0).T,
-        np.sort(row_counts, axis=1),
-        (op[idx, idx] == idx)[:, None],
-        np.bincount(op.ravel(), minlength=n)[:, None],
-    ], axis=1)
-    return [tuple(row) for row in flat.tolist()]
+    # col_counts[i, v, x] = #{p : p <| x == v} and row_counts[i, x, v] = #{y : x <| y == v}
+    col_counts = np.bincount((tables + ops * n + idx).ravel(), minlength=r * n * n).reshape(r, n, n)
+    row_counts = np.bincount((tables + idx[:, None] * n + ops).ravel(), minlength=r * n * n).reshape(r, n, n)
+    return np.concatenate([
+        np.sort(cycles, axis=1).transpose(0, 2, 1),
+        np.sort(col_counts, axis=1).transpose(0, 2, 1),
+        np.sort(row_counts, axis=2),
+        (ops[:, idx, idx] == idx)[..., None],
+        np.bincount((np.arange(r)[:, None] * n + ops.reshape(r, -1)).ravel(), minlength=r * n).reshape(r, n, 1),
+    ], axis=2)
 
 
 def _row_ids(sig: np.ndarray) -> np.ndarray:

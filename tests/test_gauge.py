@@ -336,20 +336,23 @@ def member_rows(values, member):
 
 
 def test_census_raises_when_a_witness_fails(monkeypatch):
-    # One entry of the member (2, 0)'s stacked table is changed. Its key's
-    # first map is (0, 1), whose table build verifies; the witness between
-    # them is still a permutation, but no longer a morphism.
-    member_tables = gauge._member_tables
+    # One entry of the member (2, 0)'s augmented form is changed, at x = 3 and
+    # g = e, the value of f on the fiber over base point 1, so its table
+    # changes at (3, y) for every y in that fiber. Its key's first map is
+    # (0, 1), whose table build verifies; the witness between them is still
+    # a permutation, but no longer a morphism.
+    augmented = gauge._augmented
     changed = []
 
     def one_entry_changed(b, values):
-        tables = member_tables(b, values).copy()
+        aug, f = augmented(b, values)
+        aug = aug.copy()
         for i in member_rows(values, (2, 0)):
-            tables[i, 3, 4] = (tables[i, 3, 4] + 1) % b.total_size
+            aug[i, 3, 0] = (aug[i, 3, 0] + 1) % b.total_size
             changed.append(i)
-        return tables
+        return aug, f
 
-    monkeypatch.setattr(gauge, "_member_tables", one_entry_changed)
+    monkeypatch.setattr(gauge, "_augmented", one_entry_changed)
     with pytest.raises(AlgebraError, match=r"^census witness from \(2, 0\) to \(0, 1\) is not an isomorphism$"):
         gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("S3"), 2))
     assert changed
@@ -374,10 +377,12 @@ def test_census_raises_when_a_witness_is_not_a_permutation(monkeypatch):
         gauge.isomorphism_census(b)
 
 
-@pytest.mark.parametrize("name, base, made", [("S3", 3, 20), ("Q8", 2, 22)])
+@pytest.mark.parametrize("name, base, made", [("S3", 3, 20), ("Q8", 2, 10)])
 def test_census_makes_map_objects_only_for_each_key_head(name, base, made, monkeypatch):
-    # Each key's head, and its inverse inside build; the members stay rows of
-    # one array (236 and 86 objects when every map was one).
+    # Each orbit root's head, and its inverse inside build; the other heads
+    # and the members stay rows of one array. Every S3 key is its own root;
+    # Q8x2 has 5 roots among its 11 keys (22 objects when every key head was
+    # built, 86 when every map was one).
     maps = []
     post_init = bundles.EquivariantMap.__post_init__
 
@@ -476,11 +481,13 @@ def test_census_enumerates_automorphisms_only_when_a_bucket_is_shared(name, base
 
 @pytest.mark.parametrize("name, base, keys", [("Z1", 4, 1), ("Z3", 1, 1), ("S3", 1, 3)])
 def test_census_of_one_key_computes_no_invariants(name, base, keys, monkeypatch):
-    # A key's invariants serve only to compare it with another key; each of
-    # S3's three keys over a point needs them.
+    # A key's invariants serve only to compare it with another key: S3's
+    # three keys over a point get theirs from one stacked call, and no S3
+    # table is searched.
     calls = count_calls(monkeypatch, racks, "element_invariants")
+    stacked = count_calls(monkeypatch, gauge, "stacked_invariants")
     classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
-    assert len(classes) == keys and len(calls) == (keys if keys > 1 else 0)
+    assert len(classes) == keys and len(calls) == 0 and len(stacked) == (1 if keys > 1 else 0)
 
 
 def elementary_abelian(k):

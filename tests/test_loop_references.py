@@ -6,19 +6,21 @@ witnesses are reported. Hypothesis runs them against the library on catalog
 groups relabeled by random permutations that move the identity off index 0,
 on random element subsets, and on random total-value arrays. The catalog
 tables are checked against products of the elements they stand for, and the
-census against one isomorphism search per map on seeded relabelings, and
-verify_rack against the full n^3 scan on gauge, rack and random tables. The
-CLI's --json writer is checked against json.dumps(obj, indent=2), the call
-it replaced, on generated JSON trees, and on trees holding integer arrays
-against json.dumps of the same trees with each array as its tolist(). The
-Lie closed forms are checked against the forms they replaced: the SO3 and
-SU2 exponential against Rodrigues' formula written with np.sinc and A @ A,
-and the summed complex product against numpy's @. The sweep's shared
-evaluation plan is checked against each check composed from its own op_t
-calls on the same draw, and the one-call Noether sweep against its four-call
-form.
+census against one isomorphism search per map on seeded relabelings, its
+witness check on the augmented form against the full-table check it
+replaced, and verify_rack against the full n^3 scan on gauge, rack and
+random tables. The CLI's --json writer is checked against
+json.dumps(obj, indent=2), the call it replaced, on generated JSON trees,
+and on trees holding integer arrays against json.dumps of the same trees
+with each array as its tolist(). The Lie closed forms are checked against
+the forms they replaced: the SO3 and SU2 exponential against Rodrigues'
+formula written with np.sinc and A @ A, and the summed complex product
+against numpy's @. The sweep's shared evaluation plan is checked against
+each check composed from its own op_t calls on the same draw, and the
+one-call Noether sweep against its four-call form.
 """
 
+import functools
 import itertools
 import json
 from unittest import mock
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaugequandles import bundles, cli, gauge, groups, lie, racks
-from gaugequandles.errors import AxiomViolation
+from gaugequandles.errors import AlgebraError, AxiomViolation
 from conftest import every_map
 
 NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -279,6 +281,28 @@ def ref_isomorphism_census(b):
             classes.append(members)
         members.append(f.section_values)
     return [tuple(members) for members in classes]
+
+
+def ref_member_tables(b, values):
+    """The gauge tables of the maps with section values values[i], stacked (r, |P|, |P|).
+
+    build's formula act[phi_f^-1(p1), f(p2)], with phi_f^-1(p) = p * f^-1(p),
+    for every row at once: the full tables the census checked its witnesses
+    on before it read the augmented form.
+    """
+    G = b.group
+    act = b.action_table()
+    r, n = len(values), b.total_size
+    fvals = G.conj[values].reshape(r, n)  # f(p), in total_values order
+    phi_inv = act[np.arange(n), G.conj[G.inverses[values]].reshape(r, n)]
+    return act[phi_inv[:, :, None], fvals[:, None, :]]
+
+
+def ref_witnesses_hold(phi, tables, target):
+    """Whether each phi[i] is a permutation and a morphism from tables[i] onto target, on all |P|^2 entries."""
+    images = np.take_along_axis(phi, tables.reshape(len(phi), -1), axis=1)  # phi(x <| y)
+    products = target.op[phi[:, :, None], phi[:, None, :]].reshape(len(phi), -1)  # phi(x) <| phi(y)
+    return (np.sort(phi, axis=1) == np.arange(target.size)).all(axis=1) & (images == products).all(axis=1)
 
 
 def ref_generalized_alexander(G, s):
@@ -759,14 +783,71 @@ def test_row_ids_number_rows_as_unique_along_axis_0(floor, data):
     sig = high * floor + low
     assert np.array_equal(racks._row_ids(sig), np.unique(sig, axis=0, return_inverse=True)[1].ravel())
 
-@pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2)])
+@pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2), ("Z1", 300)])
 def test_member_tables_are_the_built_tables(name, base):
+    # The augmented form gathers the same tables: aug[i][:, f[i]]. Z1x300
+    # has more points than uint8 holds.
     b = bundles.DiscreteBundle(groups.catalog(name), base)
     maps = every_map(b)
-    tables = gauge._member_tables(b, bundles.enumerate_maps(b))
+    tables = ref_member_tables(b, bundles.enumerate_maps(b))
     assert tables.shape == (len(maps), b.total_size, b.total_size)
     for f, op in zip(maps, tables):
         assert np.array_equal(op, gauge.build(f).table.op)
+    aug, fvals = gauge._augmented(b, bundles.enumerate_maps(b))
+    assert np.array_equal(np.take_along_axis(aug, fvals[:, None, :], axis=2), tables)
+
+
+@functools.lru_cache(maxsize=None)
+def census_witnesses(name, base, seed):
+    """The bundle, and each witness its census checks with its source and target section values.
+
+    seed None is the catalog group, and an int a relabeling of it. The
+    witnesses are recorded from _check_witnesses during one census, so they
+    include the orbit witnesses composed with member witnesses.
+    """
+    t = groups.catalog(name).table
+    G = groups.group_from_table(t if seed is None else relabel(t, np.random.default_rng(seed).permutation(len(t))))
+    b = bundles.DiscreteBundle(G, base)
+    recorded = []
+    check = gauge._check_witnesses
+
+    def recording(b, phi, values, target, rows, heads):
+        recorded.append((phi, values, heads[rows]))
+        check(b, phi, values, target, rows, heads)
+
+    with mock.patch.object(gauge, "_check_witnesses", recording):
+        gauge.isomorphism_census(b)
+    return (b, *map(np.concatenate, zip(*recorded)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("S3", 2), ("D4", 2), ("Q8", 2), ("S4", 1)]),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from(["census", "swapped", "random"]),
+    st.data(),
+)
+def test_augmented_witness_check_matches_the_full_table_check(bundle, seed, kind, data):
+    # The census's own witnesses, the same with two points swapped, and
+    # random permutations, each against the verified table of its target.
+    b, phis, sources, heads = census_witnesses(*bundle, seed)
+    i = data.draw(st.integers(0, len(phis) - 1))
+    phi = phis[i].copy()
+    if kind == "swapped":
+        p, q = data.draw(st.lists(st.integers(0, b.total_size - 1), min_size=2, max_size=2, unique=True))
+        phi[[p, q]] = phi[[q, p]]
+    elif kind == "random":
+        phi = np.array(data.draw(st.permutations(range(b.total_size))))
+    source, head = sources[i:i + 1], heads[i:i + 1]
+    target = gauge.build(bundles.EquivariantMap(b, head[0])).table
+    expected = ref_witnesses_hold(phi[None], ref_member_tables(b, source), target)[0]
+    try:
+        gauge._check_witnesses(b, phi[None], source, gauge._augmented(b, head), np.zeros(1, dtype=np.int64), head)
+        accepted = True
+    except AlgebraError:
+        accepted = False
+    assert accepted == expected
+    assert accepted or kind != "census"
 
 
 def _json_text_matches_json_dumps(obj):

@@ -383,6 +383,21 @@ def test_element_invariants_match_loop_and_follow_relabeling(case):
     assert all(type(v) is int for row in inv for v in row)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    | st.lists(st.permutations(range(n)), min_size=n, max_size=n).map(lambda cols: np.array(cols).T.tolist()),
+    min_size=1, max_size=4,
+)))
+def test_stacked_invariants_are_each_tables_element_invariants(tables):
+    # Random tables, most with non-bijective columns, stacked with tables
+    # whose columns are all permutations.
+    stacked = racks.stacked_invariants(np.array(tables))
+    assert stacked.shape == (len(tables), len(tables[0]), 3 * len(tables[0]) + 2)
+    for op, rows in zip(tables, stacked):
+        assert list(map(tuple, rows.tolist())) == racks.element_invariants(racks.magma_from_table(op))
+
+
 @st.composite
 def relabeled_gauge_quandles(draw):
     name = draw(st.sampled_from(["Z4", "S3", "D4", "Q8"]))
