@@ -9,9 +9,9 @@ Exit codes: 0 pass, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -26,23 +26,44 @@ MAX_PRINTED_TABLE = 12
 
 
 def _json_text(obj) -> str:
-    """The --json text of obj: what json.dumps gives with indent 2, byte for byte.
+    """The --json text of obj, the join of _stream_json's chunks: what json.dumps gives with indent 2, byte for byte.
 
     Any indent sends json.dumps to its pure-Python encoder, which spends a
     few microseconds on every int of a table or witness list. Here a list
-    of ints is joined in one call, and a list of equal-length int rows is
-    one row template repeated and filled by one %. A 1-D or 2-D numpy array
-    of non-negative ints is written as the text of its tolist(), its digits
-    gathered from a table into a byte template (_write_int_array). Dicts
-    with str keys and other lists are walked, their keys quoted by json's
-    own encoder, and the scalars of each container are written by one
-    json.dumps call. Every other value, including empty containers, other
-    arrays and any type json rejects, goes to json.dumps itself, so stdlib
-    json still decides its text or raises its TypeError.
+    of ints is joined in one call. A 1-D or 2-D numpy array of non-negative
+    ints, such as an op table or a witness array, is written as the text of
+    its tolist(), its digits gathered from a table into a byte template
+    (_write_int_array). Dicts with str keys and other lists are walked,
+    their keys quoted by json's own encoder, and the scalars of each
+    container are written by one json.dumps call. Every other value,
+    including empty containers, other arrays and any type json rejects, goes
+    to json.dumps itself, so stdlib json still decides its text or raises
+    its TypeError.
+    """
+    chunks: list[str] = []
+    _stream_json(obj, [chunks.append])
+    return "".join(chunks)
+
+
+def _stream_json(obj, writes: list) -> None:
+    """Pass the --json text of obj, chunk after chunk, to each function in writes.
+
+    The small pieces (keys, scalars, short lists) collect in one list, which
+    is joined and written only at the chunk boundaries of _write_int_array
+    and at the end: a document without a large array is one write, and one
+    with an array is never held whole.
     """
     parts: list[str] = []
-    _write_json(obj, "\n", parts)
-    return "".join(parts)
+    _write_json(obj, "\n", parts, writes)
+    _flush(parts, writes)
+
+
+def _flush(parts: list[str], writes: list) -> None:
+    """Write the join of parts to each function in writes, and empty parts."""
+    chunk = "".join(parts)
+    parts.clear()
+    for write in writes:
+        write(chunk)
 
 
 # What _write_json walks; every other value is a scalar written by json.dumps.
@@ -60,16 +81,6 @@ _DIGIT_TABLE_CAP = 1 << 20
 _ARRAY_CHUNK_BYTES = 1 << 18
 
 
-def _int_rows(v: list | tuple) -> tuple | None:
-    """The entries of v, row after row, if v is non-empty rows of ints of one non-zero length."""
-    if not set(map(type, v)) <= {list, tuple} or len(set(map(len, v))) != 1 or not v[0]:
-        return None
-    flat = tuple(itertools.chain.from_iterable(v))
-    # type(...) is int, not isinstance: a bool must print true, and a numpy
-    # integer must raise TypeError as json.dumps does, not pass through %d.
-    return flat if set(map(type, flat)) == {int} else None
-
-
 def _scalar_texts(values) -> Iterator[str]:
     """The json.dumps text of each value among values that is not in _CONTAINERS, in order, from one call.
 
@@ -83,8 +94,8 @@ def _scalar_texts(values) -> Iterator[str]:
     return iter(_scalar_list_text(scalars)[1:-1].split("\n") if scalars else ())
 
 
-def _write_json(v, nl: str, parts: list[str]) -> None:
-    """Append the text of v, whose lines start with nl, to parts."""
+def _write_json(v, nl: str, parts: list[str], writes: list) -> None:
+    """Append the text of v, whose lines start with nl, to parts; an int array flushes its chunks to writes."""
     inner = nl + "  "
     if type(v) is dict and v and set(map(type, v)) == {str}:
         scalars = _scalar_texts(v.values())
@@ -92,7 +103,7 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
         for key, value in v.items():
             parts += (sep, inner, json.encoder.encode_basestring_ascii(key), ": ")
             if isinstance(value, _CONTAINERS):
-                _write_json(value, inner, parts)
+                _write_json(value, inner, parts, writes)
             else:
                 parts.append(next(scalars))
             sep = ","
@@ -100,26 +111,23 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
     elif type(v) in (list, tuple) and v:
         if set(map(type, v)) == {int}:
             parts += ("[", inner, ("," + inner).join(map(str, v)), nl, "]")
-        elif (flat := _int_rows(v)) is not None:
-            cell = nl + "    "
-            row = "[" + cell + ("," + cell).join(["%d"] * len(v[0])) + inner + "]"
-            parts += ("[", inner, ("," + inner).join([row] * len(v)) % flat, nl, "]")
         else:
             scalars = _scalar_texts(v)
             sep = "["
             for item in v:
                 parts += (sep, inner)
                 if isinstance(item, _CONTAINERS):
-                    _write_json(item, inner, parts)
+                    _write_json(item, inner, parts, writes)
                 else:
                     parts.append(next(scalars))
                 sep = ","
             parts += (nl, "]")
     elif type(v) is np.ndarray and v.dtype.kind in "iu" and v.ndim in (1, 2) and not (v.size and v.min() < 0):
-        if v.size and v.max() < _DIGIT_TABLE_CAP:
-            _write_int_array(v, nl, parts)
+        top = int(v.max()) if v.size else _DIGIT_TABLE_CAP
+        if top < _DIGIT_TABLE_CAP:
+            _write_int_array(v, top, nl, parts, writes)
         else:
-            _write_json(v.tolist(), nl, parts)
+            _write_json(v.tolist(), nl, parts, writes)
     elif isinstance(v, (dict, list, tuple)):
         # json.dumps never writes a raw newline inside a value, so each of
         # its newlines starts a line and takes this value's indent.
@@ -130,19 +138,22 @@ def _write_json(v, nl: str, parts: list[str]) -> None:
         parts.append(json.dumps(v))
 
 
-def _write_int_array(a: np.ndarray, nl: str, parts: list[str]) -> None:
-    """Append the text of json.dumps(a.tolist(), indent=2), whose lines start with nl, to parts.
+def _write_int_array(a: np.ndarray, top: int, nl: str, parts: list[str], writes: list) -> None:
+    """Write the text of json.dumps(a.tolist(), indent=2), whose lines start with nl, through parts to writes.
 
-    a is a non-empty 1-D or 2-D array of ints in 0.._DIGIT_TABLE_CAP - 1.
+    a is a non-empty 1-D or 2-D array of ints in 0..top, top = a.max() <
+    _DIGIT_TABLE_CAP.
     Each value takes one word of width bytes, its digits right-aligned after
     zero bytes: a row of the output is a byte template whose word-aligned
     holes are filled by one gather from a digit table for 0..max, and the
     zero bytes (the digits' padding and the holes' alignment) are dropped
-    by one mask. Rows are filled _ARRAY_CHUNK_BYTES at a time, so the
-    buffers stay small whatever the size of a.
+    by bytes.replace. One buffer of template rows, about _ARRAY_CHUNK_BYTES
+    long, is made per call and refilled for each chunk of rows; each chunk's
+    text is flushed to writes with the pieces before it, and the closing
+    bracket is left in parts. So the buffers stay small whatever the size of
+    a, and its text is never held whole.
     """
     inner = nl + "  "
-    top = int(a.max())
     width = 1 << (len(str(top)) - 1).bit_length()   # 1, 2, 4 or 8 bytes
     powers = 10 ** np.arange(width - 1, -1, -1)
     quotients = np.arange(top + 1)[:, None] // powers
@@ -163,28 +174,38 @@ def _write_int_array(a: np.ndarray, nl: str, parts: list[str]) -> None:
     template += tail + "\0" * (-(len(template) + len(tail)) % width)
     row = np.frombuffer(template.encode(), dtype=np.uint8)
     step = max(1, _ARRAY_CHUNK_BYTES // len(row))
+    buf = np.tile(row, (min(step, len(a)), 1))
+    words = buf.view(table.dtype)
     parts.append("[" + inner)
     for start in range(0, len(a), step):
         block = a[start:start + step]
-        buf = np.tile(row, (len(block), 1))
-        buf.view(table.dtype)[:, holes] = table[block]
-        text = buf[buf != 0]
+        words[:len(block), holes] = table[block]
+        text = buf[:len(block)].tobytes().replace(b"\0", b"").decode("ascii")
         if start + step >= len(a):
             text = text[:len(text) - len(inner) - 1]   # the last row's "," + inner
-        parts.append(text.tobytes().decode("ascii"))
+        parts.append(text)
+        _flush(parts, writes)
     parts.append(nl + "]")
 
 
 def _emit(args, code: int, text: str, obj) -> int:
-    """Print text, or the JSON of obj() for --json, also writing that JSON to --out if given; return code.
+    """Print text, or stream the JSON text of obj() for --json, also writing it to --out if given; return code.
 
-    obj is called only when --json or --out asks for JSON.
+    obj is called only when --json or --out asks for JSON, and before --out
+    is opened, so an error in it leaves no file. Each chunk of the text goes
+    to stdout and to --out as soon as it is made (_stream_json), so the text
+    is never held whole. If a write fails part-way, stdout and --out each
+    hold a prefix of the text, and main reports the error with exit 2.
     """
     out = getattr(args, "out", None)
-    json_text = _json_text(obj()) if args.json or out else ""
-    if out:
-        Path(out).write_text(json_text + "\n")
-    print(json_text if args.json else text)
+    if args.json or out:
+        value = obj()
+        with open(out, "w") if out else contextlib.nullcontext() as file:
+            writes = ([file.write] if out else []) + ([sys.stdout.write] if args.json else [])
+            _stream_json(value, writes)
+            _flush(["\n"], writes)
+    if not args.json:
+        print(text)
     return code
 
 
@@ -293,7 +314,7 @@ def cmd_reduce(args) -> int:
     header = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})"
     tail = ["classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)]
     return _emit_table(args, 0, header, reduced.table, tail, lambda: {
-        "classes": [list(c) for c in classes],
+        "classes": np.array(classes),
         "subgroup": list(H.elements),
     })
 

@@ -271,7 +271,8 @@ def catalog(name: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def group_to_json(G: FiniteGroup) -> dict:
-    return {"name": G.name, "order": G.order, "table": G.table.tolist()}
+    """The group file object; "table" is the read-only G.table itself, which json.dumps takes as G.table.tolist()."""
+    return {"name": G.name, "order": G.order, "table": G.table}
 
 
 def group_from_json(obj) -> FiniteGroup:

@@ -412,7 +412,8 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 def magma_to_json(m: MagmaTable) -> dict:
-    obj: dict = {"size": m.size, "op": m.op.tolist()}
+    """The table file object; "op" is the read-only m.op itself, which json.dumps takes as m.op.tolist()."""
+    obj: dict = {"size": m.size, "op": m.op}
     if m.labels is not None:
         obj["labels"] = list(m.labels)
     return obj

@@ -50,6 +50,7 @@ def _random_table() -> dict:
 
 def _inputs() -> dict[str, object]:
     bad = racks.magma_to_json(racks.conjugation_quandle(groups.catalog("S3")))
+    bad["op"] = bad["op"].tolist()
     bad["op"][0][1] = (bad["op"][0][1] + 1) % 6
     s3r = _relabeled_s3()
     return {
@@ -150,7 +151,7 @@ def run_case(argv: list[str]) -> dict:
 def main() -> None:
     INPUTS.mkdir(exist_ok=True)
     for name, obj in _inputs().items():
-        (INPUTS / f"{name}.json").write_text(json.dumps(obj) + "\n")
+        (INPUTS / f"{name}.json").write_text(json.dumps(obj, default=np.ndarray.tolist) + "\n")
     os.chdir(INPUTS)
     expected = {name: run_case(argv) for name, argv in _cases().items()}
     (HERE / "expected.json").write_text(json.dumps(expected, indent=1) + "\n")

@@ -1,8 +1,11 @@
+import io
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaugequandles import bundles, cli, gauge, groups, lie, racks
@@ -13,8 +16,9 @@ THREE_CYCLE = S3_PERMS.index((1, 2, 0))
 
 
 def write(tmp_path, name, obj):
+    # magma_to_json and group_to_json hand over their tables as arrays.
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj, default=np.ndarray.tolist))
     return str(path)
 
 
@@ -34,6 +38,7 @@ def test_verify_passes_on_trivial_quandle(tmp_path, capsys):
 
 def test_verify_fails_with_witness_on_corrupted_table(tmp_path, capsys):
     obj = racks.magma_to_json(racks.conjugation_quandle(groups.catalog("S3")))
+    obj["op"] = obj["op"].tolist()
     obj["op"][0][1] = (obj["op"][0][1] + 1) % 6
     path = write(tmp_path, "bad.json", obj)
     assert cli.main(["verify", path]) == 1
@@ -400,6 +405,63 @@ def test_out_file_holds_the_printed_json(tmp_path, capsys, s3_point):
         assert cli.main([*argv, "--out", str(out)]) == code
         assert out.read_bytes() == printed.encode(), argv[0]
         assert capsys.readouterr().out != printed
+
+
+class _WriteRecorder(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 64, cli._ARRAY_CHUNK_BYTES])
+def test_json_streams_the_text_of_the_object(tmp_path, monkeypatch, chunk_bytes):
+    op = np.random.default_rng(40).integers(0, 40, (40, 40))
+    f = bundles.EquivariantMap(bundles.DiscreteBundle(groups.catalog("S4"), 2), (1, 5))
+    objs = {
+        "verify": {"size": 40, **racks.verify_rack(racks.magma_from_table(op)).to_json()},
+        "build": gauge.gauge_quandle_to_json(gauge.build(f)),
+    }
+    expected = {name: json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n" for name, obj in objs.items()}
+    quandle = write(tmp_path, "random40.json", {"op": op.tolist()})
+    bundle = write(tmp_path, "bundle.json", {"group": "S4", "base_size": 2})
+    fmap = write(tmp_path, "map.json", {"section_values": [1, 5]})
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(cli, "_ARRAY_CHUNK_BYTES", chunk_bytes)
+    stdout = {}
+    for name, argv in [("verify", ["verify", quandle, "--json"]),
+                       ("build", ["build", bundle, fmap, "--json", "--out", str(out)])]:
+        stdout[name] = _WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", stdout[name])
+        assert cli.main(argv) == (1 if name == "verify" else 0)
+        # Compared as a bool: pytest's diff of megabytes of text takes minutes.
+        same = stdout[name].getvalue() == expected[name]
+        assert same, name
+    same = out.read_text() == expected["build"]
+    assert same
+    # verify's 2.5 MB of text reaches stdout in pieces, never whole.
+    assert len(expected["verify"]) > 2_000_000
+    assert max(stdout["verify"].sizes) < len(expected["verify"]) // 4
+
+
+def test_input_error_prints_no_json_and_writes_no_out_file(tmp_path, capsys):
+    bundle = write(tmp_path, "bundle.json", {"group": "S3", "base_size": 2})
+    fmap = write(tmp_path, "map.json", {"section_values": [0, 6]})
+    out = tmp_path / "fresh" / "out.json"
+    out.parent.mkdir()
+    for command in ("build", "rack", "fiber"):
+        extra = ["--base", "0"] if command == "fiber" else []
+        assert cli.main([command, bundle, fmap, *extra, "--json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert "section values must lie in 0..5, got 6" in captured.err, command
+        assert not out.exists(), command
+    assert list(out.parent.iterdir()) == []
 
 
 def test_key_error_prints_its_message_without_quotes(tmp_path, capsys):
