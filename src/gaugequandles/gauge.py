@@ -82,8 +82,10 @@ def build(f: EquivariantMap) -> GaugeQuandle:
 
     This equals p1 * f(p1)^-1 f(p2), since phi_f^-1 = phi_{f^-1} maps p1 to
     p1 * f(p1)^-1. The quandle axioms are decided at every triple by
-    verify_rack, with one |P|^2 scan per distinct column: the table reads p2
-    only through f(p2), so it has at most |G| distinct columns.
+    verify_rack: the table reads p2 only through f(p2), so it has k <= |G|
+    distinct columns, and verify_rack compares ids of their k^2 composites
+    on one |P| x |P| grid, then scans entry by entry only the pairs whose
+    ids differ, none for a quandle.
     """
     op = f.bundle.action_table()[to_gauge(invert_map(f)).values][:, f.total_values()]
     table = magma_from_table(op)

@@ -30,13 +30,18 @@ from .errors import (
 )
 from .groups import FiniteGroup
 
-# Chunk the self-distributivity scan to bound peak memory.
+# verify_rack builds its composites, its n x n grid and its witness pass in
+# chunks of about this many entries, to bound peak memory.
 _SD_CHUNK_ELEMENTS = 1_000_000
 
-# verify_rack refuses a table whose self-distributivity scan, (distinct
-# columns) x n^2 entries, would exceed this. A gauge quandle has at most |G|
-# distinct columns, so with |G| <= ASSOCIATIVITY_CAP (256) and at most
-# TOTAL_POINTS_CAP (4096) points none is refused.
+# verify_rack refuses a table with k distinct columns when k x n^2 exceeds
+# this. That bounds its decision: the k^2 x n composites and the n x n grid
+# are each at most k x n^2 entries, and k^2 stays below 2^32, so class-pair
+# indices fit uint32. The witness pass reads 2n entries for each (y, z) pair
+# the decision finds; each such pair has a witness unless a hash collision
+# split two equal composites (see _composite_ids). A gauge quandle has at
+# most |G| distinct columns, so with |G| <= ASSOCIATIVITY_CAP (256) and at
+# most TOTAL_POINTS_CAP (4096) points none is refused.
 SD_SCAN_CAP = 256 * 4096**2
 
 
@@ -121,77 +126,76 @@ def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
     return MagmaTable(size=n, op=arr, labels=tuple(labels) if labels is not None else None)
 
 
-def _column_representatives(op: np.ndarray) -> np.ndarray:
-    """rep[z]: the least z' whose column op[:, z'] equals op[:, z], by exact byte equality."""
-    n = len(op)
-    cols = np.ascontiguousarray(op.T, dtype=np.min_scalar_type(n - 1)).tobytes()
-    width = len(cols) // n
+def _column_classes(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, cls): the least element of each distinct column, increasing, and
+    the class of each column, reps[cls[z]] being the least z' whose column
+    equals column z by exact byte equality."""
+    cols = np.ascontiguousarray(op.T, dtype=np.min_scalar_type(len(op) - 1))
+    as_bytes = cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize))).ravel().tolist()
     first: dict[bytes, int] = {}
-    return np.array([first.setdefault(cols[z * width:(z + 1) * width], z) for z in range(n)])
+    cls = [first.setdefault(col, len(first)) for col in as_bytes]
+    reps = [0] * len(first)
+    for z in range(len(op) - 1, -1, -1):
+        reps[cls[z]] = z
+    return np.array(reps), np.array(cls, dtype=np.uint32)
 
 
 def verify_rack(m: MagmaTable) -> RackReport:
     """Decide every axiom at every element and report every violation.
 
-    Self-distributivity at (x, y, z) says R_z(x <| y) == R_z(x) <| R_z(y)
-    for the right translation R_z = column z, so it reads z only through
-    that column: elements with equal columns share their violating (x, y)
-    pairs. Every triple is decided by one n^2 scan per distinct column, and
-    each violation is reported for every z with that column, in (x, y, z)
-    order. The scan gathers from copies of the table in the narrowest dtype
-    that holds an element, and spreads over the columns of a class only the
-    (x, y) rows that fail. A table whose scan, (distinct columns) x n^2, exceeds
-    SD_SCAN_CAP raises CapExceeded before the scan. Bijectivity is a
-    permutation test per distinct column; idempotency is also scanned so
-    the report can state is_quandle.
+    Self-distributivity at (x, y, z) reads (x <| y) <| z against
+    (x <| z) <| (y <| z). For all x at once it says R_z R_y == R_{y <| z} R_z
+    as maps, where R_z is the right translation - <| z, the column z. The
+    left side reads y and z, and the right side z and y <| z, only through
+    their columns. So with k distinct columns the k^2 composites of two
+    column classes, k^2 x n entries, each get an id, equal only for equal
+    maps, and one n x n grid of id comparisons finds the (y, z) pairs that
+    may fail. Only those pairs are then scanned entry by entry, and every
+    witness is reported in (x, y, z) order. A table whose columns all differ
+    skips the ids: each of its pairs is scanned. A table with
+    (distinct columns) x n^2 above SD_SCAN_CAP raises CapExceeded first.
+    Bijectivity is a permutation test per distinct column; idempotency is
+    also scanned so the report can state is_quandle.
     """
     op = m.op
     n = m.size
     idx = np.arange(n)
-    rep = _column_representatives(op)
-    reps = np.flatnonzero(rep == idx)
+    reps, cls = _column_classes(op)
     k = len(reps)
     if k * n * n > SD_SCAN_CAP:
         raise CapExceeded(
             f"a table of {n} elements with {k} distinct columns needs {k * n * n} "
             f"self-distributivity checks, above the cap {SD_SCAN_CAP}"
         )
-    cls = np.searchsorted(reps, rep)  # reps[cls[z]] == rep[z]
-    A = op[:, reps]                   # [x, j] = x <| reps[j]
-
-    bij = np.flatnonzero(~(np.sort(A, axis=0) == idx[:, None]).all(axis=0)[cls])
-
-    idem = np.flatnonzero(np.diagonal(op) != idx)
-
-    # The scan gathers from copies in the narrowest dtype that holds an
-    # element (uint8 up to 256 elements); the witness blocks use it too. Its
-    # flat indices are uint32, which are faster to form than intp ones: the
-    # cap above admits only k * n^2 <= SD_SCAN_CAP = 2^32, so n^2 - 1 fits.
+    # The distinct columns as rows, in the narrowest dtype that holds an
+    # element (uint8 up to 256 elements); the witnesses keep that dtype until
+    # the one intp witness array.
     narrow = np.min_scalar_type(n - 1)
-    A_narrow = A.astype(narrow)
-    op_flat = op.astype(narrow).ravel()
-    A_index = A.astype(np.uint32)
-    offsets = A_index * np.uint32(n)  # [x, j] = where the row x <| reps[j] starts in op_flat
-    blocks = [np.empty((0, 3), dtype=narrow)]
-    # Chunks of x are sized by n^2, not k*n, to bound the rows spread over the classes too.
-    chunk = max(1, _SD_CHUNK_ELEMENTS // (n * n))
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        # [i, y, j]: (x <| y) <| z against (x <| z) <| (y <| z), for x = start + i and z = reps[j]
-        bad = np.take(A_narrow, op[rows], axis=0) != np.take(op_flat, offsets[rows, None, :] + A_index)
-        if not bad.any():
-            continue
-        # A violation at (x, y, j) holds at every z of class j: spread
-        # only the failing (x, y) rows over the classes. Row-major
-        # nonzero keeps the (x, y, z) order.
-        xs, ys = np.nonzero(bad.any(axis=2))
-        r, z = np.nonzero(bad[xs, ys][:, cls])
-        x, y = xs[r], ys[r]
-        block = np.empty((len(z), 3), dtype=narrow)
-        block[:, 0], block[:, 1], block[:, 2] = x, y, z
-        block[:, 0] += start
-        blocks.append(block)
-    sd = np.concatenate(blocks, dtype=np.intp)
+    R = np.ascontiguousarray(op[:, reps].T, dtype=narrow)  # [j, x] = x <| reps[j]
+
+    sorted_rows = R.copy()
+    sorted_rows.sort(axis=1)
+    bij = (sorted_rows != idx).any(axis=1)[cls].nonzero()[0]
+
+    idem = (op.diagonal() != idx).nonzero()[0]
+
+    def composites(start: int, stop: int) -> np.ndarray:
+        """[b * k + a, i] = R_{reps[b]} R_{reps[a]} (start + i): composite (a, b), R_a first, at x = start + i."""
+        if whole is not None:
+            return whole[:, start:stop]
+        return R.take(R[:, start:stop], axis=1).reshape(k * k, -1)
+
+    # A table whose composites fit one chunk composes them once.
+    whole = None
+    if n * k * k <= _SD_CHUNK_ELEMENTS:
+        whole = composites(0, n)
+
+    if k < n:
+        ys, zs = _failing_pairs(op, cls, k, _composite_ids(composites, n, k), narrow)
+    else:
+        ys = np.repeat(np.arange(n, dtype=narrow), n)
+        zs = np.tile(np.arange(n, dtype=narrow), n)
+    sd = _sd_witnesses(composites, k, ys, zs, cls, op, narrow)
 
     for witnesses in (sd, bij, idem):
         witnesses.flags.writeable = False
@@ -203,6 +207,103 @@ def verify_rack(m: MagmaTable) -> RackReport:
         bijectivity_violations=bij,
         idem_violations=idem,
     )
+
+
+def _chunks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) ranges that cover 0..n-1 in rows of width entries, at most _SD_CHUNK_ELEMENTS a range, at least one row."""
+    step = max(1, _SD_CHUNK_ELEMENTS // max(1, width))
+    return [(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_weights(n: int) -> np.ndarray:
+    """n fixed pseudo-random uint64 weights."""
+    w = np.random.default_rng(0).integers(0, 2**64, n, dtype=np.uint64)
+    w.flags.writeable = False
+    return w
+
+
+def _composite_ids(composites, n: int, k: int) -> np.ndarray:
+    """ids[b * k + a]: equal for two class pairs only when their composites are equal maps.
+
+    A few composites, whose k^4 x n pairwise comparison fits in 1/32 of a
+    chunk, are compared pair by pair, and each takes the index of the first
+    one equal to it: for tables that small, a few array calls cost more
+    than the entries. More are sorted by a hash, the sum of w[x] times the
+    entry at x modulo 2^64, which equal maps share, and each takes the id of
+    the one before it when every entry agrees, else a new one: a hash
+    collision can only split equal maps, which costs a scan of pairs that do
+    not fail.
+    """
+    if k**4 * n <= _SD_CHUNK_ELEMENTS // 32:
+        T = composites(0, n)
+        return (T[:, None] == T).all(axis=2).argmax(axis=0)
+    chunks = _chunks(n, k * k)
+    w = _hash_weights(n)
+    order = sum(composites(start, stop) @ w[start:stop] for start, stop in chunks).argsort()
+    differs = np.zeros(k * k - 1, dtype=bool)  # [i]: the (i + 1)-th composite by hash differs from the i-th
+    for start, stop in chunks:
+        T = composites(start, stop)[order]
+        differs |= (T[1:] != T[:-1]).any(axis=1)
+    ids = np.empty(k * k, dtype=np.min_scalar_type(k * k - 1))
+    ids[order[0]] = 0
+    ids[order[1:]] = differs.cumsum()
+    return ids
+
+
+def _failing_pairs(op: np.ndarray, cls: np.ndarray, k: int, ids: np.ndarray, narrow) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, z), in order, as narrow arrays, whose composites (cls y, cls z)
+    and (cls z, cls(y <| z)) have different ids: the pairs that may fail."""
+    n = len(op)
+    ck = cls * np.uint32(k)  # k^2 <= k n^2 <= SD_SCAN_CAP = 2^32 fits
+    ys, zs = [], []
+    for start, stop in _chunks(n, n):
+        right = ck.take(op[start:stop])  # [y, z] = cls(y <| z) * k + cls z
+        right += cls
+        fail = ids.take(ck + cls[start:stop, None]) != ids.take(right)
+        if fail.any():
+            y, z = np.nonzero(fail)
+            ys.append((y + start).astype(narrow))
+            zs.append(z.astype(narrow))
+    if not ys:
+        none = np.empty(0, dtype=narrow)
+        return none, none
+    return np.concatenate(ys), np.concatenate(zs)
+
+
+def _sd_witnesses(composites, k: int, ys: np.ndarray, zs: np.ndarray, cls: np.ndarray, op: np.ndarray, narrow) -> np.ndarray:
+    """The (x, y, z) rows, in order, where the composites of the pairs (ys, zs) differ, as one intp array.
+
+    For pair (y, z) the left map is composite (cls y, cls z) and the right
+    one (cls z, cls(y <| z)). Each chunk of x is counted first, and then
+    filled into one preallocated array, x-major.
+    """
+    if not len(ys):
+        return np.empty((0, 3), dtype=np.intp)
+    n = len(op)
+    left = cls[zs] * k + cls[ys]
+    right = cls[op[ys, zs]] * k + cls[zs]
+    chunks = _chunks(n, k * k + len(ys))
+
+    @functools.lru_cache(maxsize=1)  # the last chunk is kept: one chunk is compared once
+    def bad(start: int, stop: int) -> np.ndarray:
+        """[i, p]: the two maps of pair p differ at x = start + i."""
+        T = composites(start, stop)
+        return (T.take(left, axis=0) != T.take(right, axis=0)).T
+
+    counts = [np.count_nonzero(bad(*c)) for c in chunks]
+    sd = np.empty((sum(counts), 3), dtype=np.intp)
+    end = 0
+    for (start, stop), count in zip(chunks, counts):
+        if not count:
+            continue
+        b = bad(start, stop)
+        block = sd[end:end + count]
+        end += count
+        block[:, 0] = np.repeat(np.arange(start, stop, dtype=narrow), b.sum(axis=1))
+        block[:, 1] = np.broadcast_to(ys, b.shape)[b]
+        block[:, 2] = np.broadcast_to(zs, b.shape)[b]
+    return sd
 
 
 # ---------------------------------------------------------------------------
