@@ -262,7 +262,7 @@ def cmd_verify(args) -> int:
 
 def cmd_build(args) -> int:
     q = gauge.build(_load_map(args))
-    b = q.bundle
+    b = q.map.bundle
     header = f"gauge quandle on {q.table.size} points (base {b.base_size}, group order {b.group.order})"
     return _emit(args, 0, "\n".join([header, _maybe_table(q.table)]), lambda: gauge.gauge_quandle_to_json(q))
 
@@ -308,7 +308,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_reduce(args) -> int:
     q = gauge.build(_load_map(args))
-    H = _parse_subgroup(q.bundle.group, args.subgroup)
+    H = _parse_subgroup(q.map.bundle.group, args.subgroup)
     reduced = gauge.reduce(q, H)
     classes = reduced.classes
     header = f"reduced quandle on {reduced.table.size} classes (subgroup {list(H.elements)})"

@@ -36,19 +36,15 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
+    _chunks,
     _row_ids,
+    element_invariants,
     find_isomorphism,
     generalized_alexander,
     magma_from_table,
     magma_to_json,
-    stacked_invariants,
     verify_rack,
 )
-
-# The census works in chunks of at most this many entries: maps x |G| x |M|
-# for the keys, heads x |P|^2 for the heads' invariants, and maps x |P| x |G|
-# for the witnesses, which are checked on the augmented form.
-_CENSUS_CHUNK_ELEMENTS = 1_000_000
 
 # The census enumerates Aut(G) only when at most this many tuples of
 # candidate generator images remain; past it every key is its own orbit, and
@@ -71,10 +67,6 @@ class GaugeQuandle:
 
     map: EquivariantMap
     table: MagmaTable
-
-    @property
-    def bundle(self) -> DiscreteBundle:
-        return self.map.bundle
 
 
 def build(f: EquivariantMap) -> GaugeQuandle:
@@ -104,7 +96,7 @@ def transport_fiber(q: GaugeQuandle, m: int) -> MagmaTable:
     always coincides with the generalized Alexander quandle of G for the
     inner automorphism of f(s(m)).
     """
-    b = q.bundle
+    b = q.map.bundle
     pts = b.point(int(index_array(m, b.base_size, "base index")), np.arange(b.group.order))
     return magma_from_table(b.coord(q.table.op[np.ix_(pts, pts)]))
 
@@ -165,7 +157,7 @@ def reduce(q: GaugeQuandle, H: Subgroup) -> ReducedQuandle:
     taken by `quotient`, which checks well-definedness and the quandle axioms.
     Classes are ordered by their smallest member.
     """
-    b = q.bundle
+    b = q.map.bundle
     if H.group != b.group:
         raise ShapeError("subgroup belongs to a different group")
     fvals = q.map.total_values()
@@ -209,7 +201,7 @@ def homogeneous_quandle(H: Subgroup, c: int) -> MagmaTable:
 def gauge_quandle_to_json(q: GaugeQuandle) -> dict:
     """Quandle file format plus a provenance block recording the inputs."""
     obj = magma_to_json(q.table)
-    obj["provenance"] = {"bundle": bundle_to_json(q.bundle), **map_to_json(q.map)}
+    obj["provenance"] = {"bundle": bundle_to_json(q.map.bundle), **map_to_json(q.map)}
     return obj
 
 
@@ -322,11 +314,10 @@ def _automorphisms(G: FiniteGroup, cls: np.ndarray) -> np.ndarray:
     alpha = np.zeros((len(images), n), dtype=np.int64)
     for xs, ys, js in levels:
         alpha[:, xs] = G.table[alpha[:, ys], images[:, js]]
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
     keep = [
         (np.sort(a, axis=1) == idx).all(axis=1)
         & (a[:, G.table] == G.table[a[:, :, None], a[:, None, :]]).all(axis=(1, 2))  # a(x y) == a(x) a(y)
-        for a in np.split(alpha, range(step, len(alpha), step))
+        for a in (alpha[start:stop] for start, stop in _chunks(len(alpha), n * n))
     ]
     return alpha[np.concatenate(keep)]
 
@@ -343,9 +334,8 @@ def _key_orbits(
     """
     keys, k = heads.shape
     root_of, via = np.arange(keys), np.zeros(keys, dtype=np.int64)
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // (keys * G.order * k))
-    for start in range(0, len(autos), step):
-        codes = _census_keys(G, cls, autos[start:start + step][:, heads].reshape(-1, k))[0]
+    for start, stop in _chunks(len(autos), keys * G.order * k):
+        codes = _census_keys(G, cls, autos[start:stop][:, heads].reshape(-1, k))[0]
         image = np.searchsorted(key_codes, codes).reshape(-1, keys)  # [a, K]: the key of alpha_a o heads[K]
         best = first[image].argmin(axis=0)
         reached = image[best, np.arange(keys)]
@@ -417,15 +407,14 @@ def _invariant_buckets(b: DiscreteBundle, heads: np.ndarray) -> np.ndarray:
 
     Buckets are numbered 0, 1, ... in order of their first head. The tables
     are gathered from the augmented form and fingerprinted by
-    stacked_invariants, in chunks of at most _CENSUS_CHUNK_ELEMENTS entries.
+    element_invariants, in chunks of at most _CHUNK_ELEMENTS entries.
     """
     n = b.total_size
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // n**2)
     seen: dict[bytes, int] = {}
     bucket = []
-    for start in range(0, len(heads), step):
-        aug, f = _augmented(b, heads[start:start + step])
-        inv = stacked_invariants(np.take_along_axis(aug, f[:, None, :], axis=2))
+    for start, stop in _chunks(len(heads), n * n):
+        aug, f = _augmented(b, heads[start:stop])
+        inv = element_invariants(np.take_along_axis(aug, f[:, None, :], axis=2))
         # Each table's rows in numeric order, so equal multisets give equal bytes.
         order = np.argsort(_row_ids(inv.reshape(-1, inv.shape[2])).reshape(len(f), n), axis=1, kind="stable")
         for rows in np.take_along_axis(inv, order[..., None], axis=1):
@@ -453,7 +442,7 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     An automorphism alpha of G carries the table of s onto that of alpha o s
     by (m, g) -> (m, alpha(g)), so Aut(G) acts on the keys. The key heads
     are bucketed by their sorted element invariants, in one stacked call
-    (stacked_invariants) per _CENSUS_CHUNK_ELEMENTS table entries, unless
+    (element_invariants) per _CHUNK_ELEMENTS table entries, unless
     there is only one key. When two heads share a bucket, Aut(G) is
     enumerated (_automorphisms) and every key is given its orbit root, the
     orbit's key whose head comes first; otherwise, or past the automorphism
@@ -467,15 +456,14 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     identity on a root. Each witness must be a permutation and a morphism
     (AlgebraError if not), which carries every quandle axiom back along it.
     All are checked in one stacked pass on the |P| x |G| augmented form
-    (_check_witnesses), in chunks of at most _CENSUS_CHUNK_ELEMENTS entries.
+    (_check_witnesses), in chunks of at most _CHUNK_ELEMENTS entries.
     """
     G = b.group
     n = b.total_size
     values = enumerate_maps(b)
     cls, conjugator = _class_conjugators(G)
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // (G.order * b.base_size))
-    starts = range(0, len(values), step)
-    codes, zs = map(np.concatenate, zip(*[_census_keys(G, cls, values[i:i + step]) for i in starts]))
+    chunks = _chunks(len(values), G.order * b.base_size)
+    codes, zs = map(np.concatenate, zip(*[_census_keys(G, cls, values[start:stop]) for start, stop in chunks]))
     key_codes, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
     heads, keys = values[first], len(first)
 
@@ -511,9 +499,8 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     position[roots] = np.arange(len(roots))
     target = _augmented(b, heads[roots])
     rest = np.delete(np.arange(len(values)), first[roots])
-    step = max(1, _CENSUS_CHUNK_ELEMENTS // (n * G.order))
-    for start in range(0, len(rest), step):
-        chunk = rest[start:start + step]
+    for start, stop in _chunks(len(rest), n * G.order):
+        chunk = rest[start:stop]
         key = key_of[chunk]
         phi = _census_witnesses(b, cls, conjugator, zs[chunk], zs[first[key]])
         phi = np.take_along_axis(psi[key], phi, axis=1)

@@ -30,9 +30,10 @@ from .errors import (
 )
 from .groups import FiniteGroup
 
-# verify_rack builds its composites, its n x n grid and its witness pass in
-# chunks of about this many entries, to bound peak memory.
-_SD_CHUNK_ELEMENTS = 1_000_000
+# Every chunked pass works in chunks of about this many entries, to bound peak
+# memory: verify_rack's composites, n x n grid and witness pass, and the
+# census's keys, invariants, automorphism checks and witness checks.
+_CHUNK_ELEMENTS = 1_000_000
 
 # verify_rack refuses a table with k distinct columns when k x n^2 exceeds
 # this. That bounds its decision: the k^2 x n composites and the n x n grid
@@ -52,11 +53,6 @@ class MagmaTable:
     size: int
     op: np.ndarray
     labels: tuple[str, ...] | None = None
-
-    @functools.cached_property
-    def invariants(self) -> list[tuple[int, ...]]:
-        """element_invariants(self), computed once per table."""
-        return element_invariants(self)
 
     def __eq__(self, other) -> bool:
         # Entrywise table equality; labels are display-only.
@@ -187,7 +183,7 @@ def verify_rack(m: MagmaTable) -> RackReport:
 
     # A table whose composites fit one chunk composes them once.
     whole = None
-    if n * k * k <= _SD_CHUNK_ELEMENTS:
+    if n * k * k <= _CHUNK_ELEMENTS:
         whole = composites(0, n)
 
     if k < n:
@@ -210,8 +206,8 @@ def verify_rack(m: MagmaTable) -> RackReport:
 
 
 def _chunks(n: int, width: int) -> list[tuple[int, int]]:
-    """(start, stop) ranges that cover 0..n-1 in rows of width entries, at most _SD_CHUNK_ELEMENTS a range, at least one row."""
-    step = max(1, _SD_CHUNK_ELEMENTS // max(1, width))
+    """(start, stop) ranges that cover 0..n-1 in rows of width entries, at most _CHUNK_ELEMENTS a range, at least one row."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, width))
     return [(start, min(n, start + step)) for start in range(0, n, step)]
 
 
@@ -235,7 +231,7 @@ def _composite_ids(composites, n: int, k: int) -> np.ndarray:
     collision can only split equal maps, which costs a scan of pairs that do
     not fail.
     """
-    if k**4 * n <= _SD_CHUNK_ELEMENTS // 32:
+    if k**4 * n <= _CHUNK_ELEMENTS // 32:
         T = composites(0, n)
         return (T[:, None] == T).all(axis=2).argmax(axis=0)
     chunks = _chunks(n, k * k)
@@ -385,22 +381,15 @@ def is_morphism(f, src: MagmaTable, dst: MagmaTable) -> bool:
     return not morphism_witnesses(f, src, dst)
 
 
-def element_invariants(m: MagmaTable) -> list[tuple[int, ...]]:
-    """Per-element fingerprints preserved by any isomorphism, one flat int tuple each.
+def element_invariants(ops: np.ndarray) -> np.ndarray:
+    """Per-element fingerprints preserved by any isomorphism, for each table of a stack ops, shape (r, n, n).
 
-    For x: the sorted cycle lengths of the points under - <| x (0 for a point
-    on no cycle), the sorted in-degree profile of that column, the sorted
-    value profile of the row x <| -, the flag x <| x == x, and the number of
-    table entries equal to x. Every column is treated alike, permutation or
-    not. The rows of stacked_invariants for the one table m.op.
-    """
-    return [tuple(row) for row in stacked_invariants(m.op[None])[0].tolist()]
-
-
-def stacked_invariants(ops: np.ndarray) -> np.ndarray:
-    """element_invariants of each table of a stack ops, shape (r, n, n), as one int64 array (r, n, 3n + 2).
-
-    Row x of table i is the fingerprint of x in ops[i]; the tables are not validated.
+    One int64 array (r, n, 3n + 2); row x of table i is the fingerprint of x
+    in ops[i]: the sorted cycle lengths of the points under - <| x (0 for a
+    point on no cycle), the sorted in-degree profile of that column, the
+    sorted value profile of the row x <| -, the flag x <| x == x, and the
+    number of table entries equal to x. Every column is treated alike,
+    permutation or not, and the tables are not validated.
     """
     ops = np.asarray(ops, dtype=np.int64)  # the flat indices below reach r * n^2
     r, n = ops.shape[:2]
@@ -437,18 +426,27 @@ def _row_ids(sig: np.ndarray) -> np.ndarray:
     return np.unique(rows.ravel(), return_inverse=True)[1]
 
 
+def _initial_colours(a: MagmaTable, b: MagmaTable) -> np.ndarray | None:
+    """c[t, x]: the colour of x in table t (a, then b), its element_invariants row numbered over both
+    tables by _row_ids; None when the two tables' sorted colours differ."""
+    n = a.size
+    c = _row_ids(element_invariants(np.stack([a.op, b.op])).reshape(2 * n, -1)).reshape(2, n)
+    return c if np.array_equal(np.sort(c[0]), np.sort(c[1])) else None
+
+
 def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     """Search for a bijection f with f(x <| y) = f(x) <| f(y).
 
     Individualization-refinement over both tables at once. Elements start
-    coloured by their invariants, and a colour splits by the colours an
-    element meets as left operand, as right operand and, when every right
-    translation is a bijection, as z <| y for each y; a colour names the same
-    class in both tables. Each round numbers the elements' signature rows in
-    numeric order by one 1-D np.unique over their bytes (_row_ids), so a
-    colour keeps the id that np.unique(..., axis=0) would give it. If some
-    colour has different counts in the two tables, no isomorphism extends
-    the choices made. Otherwise the first
+    coloured by their element_invariants (_initial_colours), and a colour
+    splits by the colours an element meets as left operand, as right
+    operand and, when every right translation is a bijection, as z <| y for
+    each y; a colour names the same class in both tables. Colours are
+    numbered by the elements' rows in numeric order by one 1-D np.unique
+    over their bytes (_row_ids), so a colour keeps the id that
+    np.unique(..., axis=0) would give it. If some colour has different
+    counts in the two tables, no isomorphism extends the choices made, and
+    when that holds of the invariants there is none. Otherwise the first
     element of a's smallest split colour gets a fresh colour together with
     each element of that colour in b in turn. Once every colour is a single
     element and none splits, x <| y has the same colour in both tables for
@@ -460,10 +458,9 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
     if a.size != b.size:
         raise ShapeError(f"sizes differ: {a.size} != {b.size}")
     n = a.size
-    inv_a, inv_b = a.invariants, b.invariants
-    if sorted(inv_a) != sorted(inv_b):
+    start = _initial_colours(a, b)
+    if start is None:
         return None
-
     ops = np.stack([a.op, b.op])
     # [t, x, y]: the element x meets with y, as x <| y, as y <| x and as the z with
     # z <| y == x. Equal invariants give b bijective columns exactly when a has them.
@@ -504,8 +501,7 @@ def find_isomorphism(a: MagmaTable, b: MagmaTable) -> list[int] | None:
                 return f
         return None
 
-    ids = {v: i for i, v in enumerate(sorted(set(inv_a)))}
-    return search(np.array([[ids[v] for v in inv_a], [ids[v] for v in inv_b]]))
+    return search(start)
 
 
 # ---------------------------------------------------------------------------

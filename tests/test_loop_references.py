@@ -8,8 +8,9 @@ on random element subsets, and on random total-value arrays. The catalog
 tables are checked against products of the elements they stand for, and the
 census against one isomorphism search per map on seeded relabelings, its
 witness check on the augmented form against the full-table check it
-replaced, and verify_rack against the full n^3 scan on gauge, rack and
-random tables. The CLI's --json writer is checked against
+replaced, find_isomorphism's starting colours against the tuple and dict
+colouring they replaced, and verify_rack against the full n^3 scan on gauge,
+rack and random tables. The CLI's --json writer is checked against
 json.dumps(obj, indent=2), the call it replaced, on generated JSON trees,
 and on trees holding integer arrays against json.dumps of the same trees
 with each array as its tolist(). The Lie closed forms are checked against
@@ -271,7 +272,8 @@ def ref_isomorphism_census(b):
     classes = []
     for f in every_map(b):
         q = gauge.build(f)
-        bucket = buckets.setdefault(tuple(sorted(q.table.invariants)), [])
+        inv = racks.element_invariants(q.table.op[None])[0]
+        bucket = buckets.setdefault(tuple(sorted(map(tuple, inv.tolist()))), [])
         for rep, members in bucket:
             if racks.find_isomorphism(q.table, rep.table) is not None:
                 break
@@ -281,6 +283,18 @@ def ref_isomorphism_census(b):
             classes.append(members)
         members.append(f.section_values)
     return [tuple(members) for members in classes]
+
+
+def ref_initial_colours(a, b):
+    """find_isomorphism's starting colours as tuples: each table's
+    element_invariants rows as int tuples, None when the sorted tuples of the
+    two tables differ, else each tuple's index among the sorted distinct ones
+    through a dict, stacked (2, n)."""
+    inv_a, inv_b = ([tuple(row) for row in racks.element_invariants(m.op[None])[0].tolist()] for m in (a, b))
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    ids = {v: i for i, v in enumerate(sorted(set(inv_a)))}
+    return np.array([[ids[v] for v in inv_a], [ids[v] for v in inv_b]])
 
 
 def ref_member_tables(b, values):
@@ -402,6 +416,29 @@ def random_tables(draw):
     n = draw(st.integers(1, 9))
     row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables of one size: a gauge table with a relabeled copy of itself
+    or of another map's table on its bundle, or a random table with a
+    relabeled copy of itself or another random table; half the time the
+    second has one entry changed, so the invariant multisets may differ."""
+    if draw(st.booleans()):
+        f = _gauge_inputs(draw, ["Z4", "D3", "D4", "Q8", "S3"])
+        a = gauge.build(f).table.op
+        values = draw(st.lists(st.integers(0, f.bundle.group.order - 1), min_size=f.bundle.base_size,
+                               max_size=f.bundle.base_size))
+        other = gauge.build(bundles.EquivariantMap(f.bundle, values)).table.op
+    else:
+        a = draw(random_tables())
+        other = np.array(draw(st.lists(st.lists(st.integers(0, len(a) - 1), min_size=len(a), max_size=len(a)),
+                                        min_size=len(a), max_size=len(a))))
+    n = len(a)
+    b = relabel(a if draw(st.booleans()) else other, draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return racks.magma_from_table(a), racks.magma_from_table(b)
 
 
 # Leaves whose text json.dumps decides: ints past 64 bits, negative ints,
@@ -613,11 +650,11 @@ def test_rack_iota_matches_loop(G, base, data):
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(swapped_gauge_tables(), repeated_column_tables(), augmented_rack_tables(), random_tables()),
-    st.sampled_from([1, 50, 400, racks._SD_CHUNK_ELEMENTS]),
+    st.sampled_from([1, 50, 400, racks._CHUNK_ELEMENTS]),
 )
 def test_verify_rack_matches_the_full_scan(op, chunk_elements):
     m = racks.magma_from_table(op)
-    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
         got = racks.verify_rack(m)
     ref = ref_verify_rack(m)
     assert plain_report(got) == plain_report(ref)
@@ -650,7 +687,7 @@ def boundary_table(n):
     column n - 1 swapped, so that column reads n - 1 and 0 there.
 
     Its columns all differ for odd n and pair up for even n, so n = 255 and
-    257 take the scan with every column distinct and n = 256 the spread."""
+    257 compare every pair of columns and n = 256 takes the composite ids."""
     idx = np.arange(n)
     op = (2 * idx[None, :] - idx[:, None]) % n
     op[[n - 2, n - 1], n - 1] = op[[n - 1, n - 2], n - 1]
@@ -683,14 +720,14 @@ def seeded_tables():
     return {"swapped S4x6": (swapped.reshape(144, 144), 29), "distinct": (distinct, 12), "one repeat": (one_repeat, 11)}
 
 
-@pytest.mark.parametrize("chunk_elements", [1, 50, racks._SD_CHUNK_ELEMENTS])
+@pytest.mark.parametrize("chunk_elements", [1, 50, racks._CHUNK_ELEMENTS])
 @pytest.mark.parametrize("name", ["swapped S4x6", "distinct", "one repeat"])
 def test_verify_rack_with_repeated_and_distinct_columns(name, chunk_elements):
     op, distinct_columns = seeded_tables()[name]
     n = len(op)
     m = racks.magma_from_table(op)
     assert np.unique(op, axis=1).shape[1] == distinct_columns
-    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
         got = racks.verify_rack(m)
     assert len(got.sd_violations)
     assert plain_report(got) == plain_report(ref_verify_rack(m))
@@ -725,7 +762,7 @@ def test_isomorphism_census_matches_per_map_search_in_any_chunking(name, base, c
     t = groups.catalog(name).table
     G = groups.group_from_table(relabel(t, np.random.default_rng(7).permutation(len(t))))
     b = bundles.DiscreteBundle(G, base)
-    with mock.patch.object(gauge, "_CENSUS_CHUNK_ELEMENTS", chunk_elements):
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
         assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
 
 
@@ -782,6 +819,21 @@ def test_row_ids_number_rows_as_unique_along_axis_0(floor, data):
     low = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)))
     sig = high * floor + low
     assert np.array_equal(racks._row_ids(sig), np.unique(sig, axis=0, return_inverse=True)[1].ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_pairs())
+def test_initial_colours_match_the_tuple_colouring(pair):
+    # Equal colours, or both refuse the pair; so the search started from the
+    # tuple colouring returns the same witness, or None.
+    a, b = pair
+    got, ref = racks._initial_colours(a, b), ref_initial_colours(a, b)
+    assert (got is None) == (ref is None)
+    assert ref is None or np.array_equal(got, ref)
+    found = racks.find_isomorphism(a, b)
+    with mock.patch.object(racks, "_initial_colours", ref_initial_colours):
+        assert racks.find_isomorphism(a, b) == found
+
 
 @pytest.mark.parametrize("name, base", [("S3", 2), ("D4", 2), ("Q8", 2), ("Z1", 300)])
 def test_member_tables_are_the_built_tables(name, base):

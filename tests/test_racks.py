@@ -276,11 +276,10 @@ def test_found_witnesses_respect_cycle_types():
     b = racks.generalized_alexander(G, G.inner_automorphism(2))
     f = racks.find_isomorphism(a, b)
     assert f is not None
-    inv_a = racks.element_invariants(a)
-    inv_b = racks.element_invariants(b)
+    inv_a, inv_b = racks.element_invariants(np.stack([a.op, b.op]))
     for x in range(a.size):
         # The whole fingerprint, which starts with the sorted cycle lengths of - <| x.
-        assert inv_a[x] == inv_b[f[x]]
+        assert np.array_equal(inv_a[x], inv_b[f[x]])
 
 
 def relabel_table(op, perm):
@@ -336,7 +335,7 @@ def test_find_isomorphism_agrees_with_vf2(name, base):
     G = groups.catalog(name)
     rng = np.random.default_rng(base * 100 + G.order)
     tables = [gauge_quandle(name, base, rng.integers(0, G.order, size=base)) for _ in range(6)]
-    keys = [sorted(racks.element_invariants(t)) for t in tables]
+    keys = [sorted(inv.tolist()) for inv in racks.element_invariants(np.stack([t.op for t in tables]))]
     # Two pairs from one invariant class (the search runs to a witness) and
     # one from two classes; the second table of each pair is relabeled.
     pairs = [(i, j) for i in range(6) for j in range(i, 6) if keys[i] == keys[j]][:2]
@@ -376,11 +375,10 @@ def test_element_invariants_match_loop_and_follow_relabeling(case):
     op, perm = case
     perm = np.array(perm)
     m = racks.magma_from_table(op)
-    inv = racks.element_invariants(m)
-    assert inv == invariants_by_loop(op)
-    inv_relabeled = racks.element_invariants(racks.magma_from_table(relabel_table(m.op, perm)))
-    assert all(inv_relabeled[perm[x]] == inv[x] for x in range(m.size))
-    assert all(type(v) is int for row in inv for v in row)
+    inv, inv_relabeled = racks.element_invariants(np.stack([m.op, relabel_table(m.op, perm)]))
+    assert inv.tolist() == list(map(list, invariants_by_loop(op)))
+    assert np.array_equal(inv_relabeled[perm], inv)
+    assert inv.dtype == np.int64 and inv.shape == (m.size, 3 * m.size + 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -392,10 +390,10 @@ def test_element_invariants_match_loop_and_follow_relabeling(case):
 def test_stacked_invariants_are_each_tables_element_invariants(tables):
     # Random tables, most with non-bijective columns, stacked with tables
     # whose columns are all permutations.
-    stacked = racks.stacked_invariants(np.array(tables))
+    stacked = racks.element_invariants(np.array(tables))
     assert stacked.shape == (len(tables), len(tables[0]), 3 * len(tables[0]) + 2)
     for op, rows in zip(tables, stacked):
-        assert list(map(tuple, rows.tolist())) == racks.element_invariants(racks.magma_from_table(op))
+        assert np.array_equal(rows, racks.element_invariants(racks.magma_from_table(op).op[None])[0])
 
 
 @st.composite

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from gaugequandles import bundles, gauge, groups, racks
 from test_loop_references import assert_witness_arrays, plain_report, ref_verify_rack, relabel, relabeled_groups
 
-CHUNK_SIZES = [1, 50, 400, racks._SD_CHUNK_ELEMENTS]
+CHUNK_SIZES = [1, 50, 400, racks._CHUNK_ELEMENTS]
 
 
 def column_classes(op):
@@ -76,7 +76,7 @@ def class_moving_tables(draw):
 
 def check_against_the_full_scan(op, chunk_elements):
     m = racks.magma_from_table(op)
-    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk_elements):
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
         got = racks.verify_rack(m)
     ref = ref_verify_rack(m)
     assert plain_report(got) == plain_report(ref)
@@ -133,7 +133,7 @@ def test_verify_rack_allocates_one_chunk_beyond_the_table_copies():
     # entries or one chunk of at most chunk entries, none wider than 8 bytes;
     # the grid of one chunk holds about 13 bytes an entry across its arrays.
     bound = 2 * n * n * itemsize + 32 * chunk + (1 << 20)
-    with mock.patch.object(racks, "_SD_CHUNK_ELEMENTS", chunk):
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
