@@ -80,11 +80,16 @@ def build(f: EquivariantMap) -> GaugeQuandle:
     ids differ, none for a quandle.
     """
     op = f.bundle.action_table()[to_gauge(invert_map(f)).values][:, f.total_values()]
+    return GaugeQuandle(map=f, table=_verified(op))
+
+
+def _verified(op) -> MagmaTable:
+    """The table op, after verify_rack finds it a quandle (AlgebraError with its report if not)."""
     table = magma_from_table(op)
     report = verify_rack(table)
     if not report.is_quandle:
         raise AlgebraError(f"constructed table fails quandle axioms: {report}")
-    return GaugeQuandle(map=f, table=table)
+    return table
 
 
 def transport_fiber(q: GaugeQuandle, m: int) -> MagmaTable:
@@ -243,6 +248,49 @@ def _augmented(b: DiscreteBundle, values: np.ndarray) -> tuple[np.ndarray, np.nd
     act = b.action_table().astype(np.min_scalar_type(n - 1))
     f = G.conj[values].reshape(r, n)  # f(x), in total_values order
     return act[act[np.arange(n), G.inverses[f]]], f
+
+
+def _quandle_verdicts(target: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """ok[i]: whether the table op[x, y] = aug[i, x, f[i, y]] is a quandle, for target = (aug, f) from _augmented.
+
+    The table reads y only through f(y), so its axioms are read off the
+    |P| x |G| augmented form: x <| x is aug[x, f(x)]; its columns are the
+    columns aug[:, g] for g in Im f, each of which must be a permutation; and
+    self-distributivity at (x, y, z) says comp[f(y), h](x) ==
+    comp[h, f(aug[y, h])](x) with h = f(z), where comp[g, h](x) =
+    aug[aug[x, g], h]. So each distinct triple (f(y), h, f(aug[y, h])), h in
+    Im f, is compared once as maps: at most |G|^3 of them a table. The rows
+    go in chunks of at most _CHUNK_ELEMENTS pairs (y, h), each chunk's
+    columns copied as rows, and their triples in chunks of at most
+    _CHUNK_ELEMENTS entries; every gathered entry stays in aug's dtype, and
+    every flat index is widened to int64 first.
+    """
+    aug, f = target
+    r, n, order = aug.shape
+    idx = np.arange(n)
+    ok = np.empty(r, dtype=bool)
+    for start, stop in _chunks(r, n * order):
+        fs = f[start:stop]
+        rows = np.arange(stop - start)[:, None]
+        cols = np.ascontiguousarray(aug[start:stop].transpose(0, 2, 1))  # [i, g, x] = aug[x, g]: column g as a row
+        flat = cols.reshape(-1)
+        image = np.zeros((stop - start, order), dtype=bool)
+        image[rows, fs] = True
+        idem = (flat.take((rows * order + fs) * n + idx) == idx).all(axis=1)  # x <| x = aug[x, f(x)]
+        bij = ((np.sort(cols, axis=2) == idx) | ~image[..., None]).all(axis=(1, 2))
+        ok[start:stop] = idem & bij
+        # [i, h, y] for h in Im f: the triple (f(y), h, f(aug[y, h])) as one base-|G| code with its row i.
+        after = fs.reshape(-1).take(rows[..., None] * n + cols)
+        codes = ((rows[..., None] * order + fs[:, None, :]) * order + np.arange(order)[:, None]) * order + after
+        codes = np.unique(codes[image])
+        for lo, hi in _chunks(len(codes), n):
+            t = codes[lo:hi, None]
+            row, g, h, c = t // order**3, t // order**2 % order, t // order % order, t % order
+            g, h, c = ((row * order + v) * n for v in (g, h, c))  # flat index of the column's first entry
+            left = flat.take(h + flat.take(g + idx))
+            right = flat.take(c + flat.take(h + idx))
+            ok[start + row[(left != right).any(axis=1), 0]] = False
+    return ok
 
 
 def _census_witnesses(
@@ -446,9 +494,15 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     there is only one key. When two heads share a bucket, Aut(G) is
     enumerated (_automorphisms) and every key is given its orbit root, the
     orbit's key whose head comes first; otherwise, or past the automorphism
-    budget, every key is its own root. Only the roots' heads are built, with
-    their quandle axioms verified, and each is searched with
-    find_isomorphism against the earlier roots in its bucket.
+    budget, every key is its own root. The roots' heads are gathered from one
+    |P| x |G| augmented form (_augmented), in order of their heads. A root
+    that shares its bucket with another root is built, which verifies its
+    quandle axioms with verify_rack, and is searched with find_isomorphism
+    against the earlier roots in its bucket. Every other root is compared
+    with nothing, so it is not built: its axioms are decided for all such
+    roots at once on the augmented form (_quandle_verdicts). A root that
+    fails, built or decided, raises AlgebraError with verify_rack's report
+    on its table, the first such root in head order.
 
     Every other map m of a key K joins its root's class through the witness
     psi_K o phi_m onto the root's verified head, where psi_K (_orbit_witness)
@@ -480,24 +534,35 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     roots = np.flatnonzero(root_of == np.arange(keys))
     roots = roots[np.argsort(first[roots])]  # in order of their heads
 
+    # A root alone among the roots of its bucket is compared with nothing, so
+    # its axioms are decided on the augmented form; only the others are built.
+    target = _augmented(b, heads[roots])
+    shared = np.bincount(bucket_of[roots])[bucket_of[roots]] > 1
+    ok = np.ones(len(roots), dtype=bool)
+    ok[~shared] = _quandle_verdicts((target[0][~shared], target[1][~shared]))
+
     # root key -> its class; a bucket holds (root table, class) for equal sorted invariants.
     class_of_key = np.empty(keys, dtype=np.int64)
     buckets: dict[int, list[tuple[MagmaTable, int]]] = {}
     classes = 0
-    for key in roots:
-        table = build(EquivariantMap(b, heads[key])).table
-        bucket = buckets.setdefault(int(bucket_of[key]), [])
-        found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
+    for i, key in enumerate(roots):
+        found = None
+        if shared[i]:
+            table = build(EquivariantMap(b, heads[key])).table
+            bucket = buckets.setdefault(int(bucket_of[key]), [])
+            found = next((c for rep, c in bucket if find_isomorphism(table, rep) is not None), None)
+            if found is None:
+                bucket.append((table, classes))
+        elif not ok[i]:
+            _verified(target[0][i][:, target[1][i]])  # raises with the table's report
         if found is None:
             found, classes = classes, classes + 1
-            bucket.append((table, found))
         class_of_key[key] = found
     class_of_key = class_of_key[root_of]
 
     # Every map but a root's head, against its root's head: position[K] is K's row in roots.
     position = np.empty(keys, dtype=np.int64)
     position[roots] = np.arange(len(roots))
-    target = _augmented(b, heads[roots])
     rest = np.delete(np.arange(len(values)), first[roots])
     for start, stop in _chunks(len(rest), n * G.order):
         chunk = rest[start:stop]

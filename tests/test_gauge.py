@@ -377,12 +377,13 @@ def test_census_raises_when_a_witness_is_not_a_permutation(monkeypatch):
         gauge.isomorphism_census(b)
 
 
-@pytest.mark.parametrize("name, base, made", [("S3", 3, 20), ("Q8", 2, 10)])
+@pytest.mark.parametrize("name, base, made", [("S3", 3, 0), ("Q8", 2, 4)])
 def test_census_makes_map_objects_only_for_each_key_head(name, base, made, monkeypatch):
-    # Each orbit root's head, and its inverse inside build; the other heads
-    # and the members stay rows of one array. Every S3 key is its own root;
-    # Q8x2 has 5 roots among its 11 keys (22 objects when every key head was
-    # built, 86 when every map was one).
+    # Map objects only for roots a search compares: each such root's head, and
+    # its inverse inside build; the other heads and the members stay rows of
+    # one array. Every S3 root is alone in its bucket, and 2 of Q8x2's 5 roots
+    # share one (20 and 10 objects when every root was built, 22 for Q8x2 when
+    # every key head was, 86 when every map was one).
     maps = []
     post_init = bundles.EquivariantMap.__post_init__
 
@@ -393,6 +394,43 @@ def test_census_makes_map_objects_only_for_each_key_head(name, base, made, monke
     monkeypatch.setattr(bundles.EquivariantMap, "__post_init__", counting_post_init)
     classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
     assert len(maps) == made and sum(map(len, classes)) == groups.catalog(name).order ** base
+
+
+@pytest.mark.parametrize("name, base, built", [("S3", 2, 0), ("S4", 1, 0), ("D4", 2, 3), ("Q8", 2, 2)])
+def test_census_builds_only_roots_a_search_compares(name, base, built, monkeypatch):
+    # D4x2 and Q8x2 put 3 of 6 and 2 of 5 roots in shared buckets; every other
+    # root's axioms are decided in one stacked pass on the augmented form
+    # (6, 5, 6 and 5 builds when every root was built).
+    builds = count_calls(monkeypatch, gauge, "build")
+    decided = count_calls(monkeypatch, gauge, "_quandle_verdicts")
+    gauge.isomorphism_census(bundles.DiscreteBundle(relabeled_group(name, 2), base))
+    assert len(builds) == built and len(decided) == 1
+
+
+def test_census_reports_a_decided_root_that_fails_with_its_table(monkeypatch):
+    # Every S3x2 root is alone in its bucket, so none is built. One entry of
+    # the root (0, 1)'s augmented form is changed, at x = 3 and g = e, which f
+    # takes on the fiber over base point 0: its table changes at (3, y) for
+    # every y in that fiber, and verify_rack's report on that gathered table
+    # is the census's error.
+    augmented = gauge._augmented
+    tables = []
+
+    def one_entry_changed(b, values):
+        aug, f = augmented(b, values)
+        aug = aug.copy()
+        for i in member_rows(values, (0, 1)):
+            aug[i, 3, 0] = (aug[i, 3, 0] + 1) % b.total_size
+            tables.append(aug[i][:, f[i]])
+        return aug, f
+
+    monkeypatch.setattr(gauge, "_augmented", one_entry_changed)
+    builds = count_calls(monkeypatch, gauge, "build")
+    with pytest.raises(AlgebraError, match=r"^constructed table fails quandle axioms: ") as raised:
+        gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("S3"), 2))
+    report = racks.verify_rack(racks.magma_from_table(tables[-1]))
+    assert not report.is_quandle and str(raised.value) == f"constructed table fails quandle axioms: {report}"
+    assert builds == []
 
 
 def test_census_members_are_tuples_of_python_ints():
