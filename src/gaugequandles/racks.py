@@ -40,10 +40,20 @@ _CHUNK_ELEMENTS = 1_000_000
 # are each at most k x n^2 entries, and k^2 stays below 2^32, so class-pair
 # indices fit uint32. The witness pass reads 2n entries for each (y, z) pair
 # the decision finds; each such pair has a witness unless a hash collision
-# split two equal composites (see _composite_ids). A gauge quandle has at
-# most |G| distinct columns, so with |G| <= ASSOCIATIVITY_CAP (256) and at
-# most TOTAL_POINTS_CAP (4096) points none is refused.
+# split two equal composites (see _composite_ids). That pass counts every
+# witness but keeps only the first WITNESS_CAP, so this cap bounds the work
+# and WITNESS_CAP the witness memory: a table of 1,625 elements whose
+# columns all differ is admitted with about 4.3e9 witnesses, and its report
+# holds the first WITNESS_CAP of them and the total.
+# A gauge quandle has at most |G| distinct columns, so with
+# |G| <= ASSOCIATIVITY_CAP (256) and at most TOTAL_POINTS_CAP (4096) points
+# none is refused.
 SD_SCAN_CAP = 256 * 4096**2
+
+# verify_rack keeps the first WITNESS_CAP witnesses of each kind, in order,
+# and reports the exact total of each: at most WITNESS_CAP x 24 bytes of
+# witnesses a report, whatever the table. No golden lists more than 617.
+WITNESS_CAP = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +76,14 @@ class MagmaTable:
 
 @dataclass(frozen=True, eq=False)
 class RackReport:
-    """Outcome of a rack/quandle axiom scan, with sorted witness arrays.
+    """Outcome of a rack/quandle axiom scan: sorted witness arrays, each cut
+    at WITNESS_CAP, and the exact number of violations of each kind.
 
     The witnesses are read-only integer arrays: sd_violations of shape
     (N, 3), one (x, y, z) per row, and bijectivity_violations and
-    idem_violations of shape (N,). Reports compare by np.array_equal.
+    idem_violations of shape (N,). Each holds the first min(total,
+    WITNESS_CAP) witnesses of its kind, and its *_violation_count the total.
+    Reports compare by np.array_equal, counts included.
     """
 
     is_rack: bool
@@ -78,6 +91,9 @@ class RackReport:
     sd_violations: np.ndarray
     bijectivity_violations: np.ndarray
     idem_violations: np.ndarray
+    sd_violation_count: int
+    bijectivity_violation_count: int
+    idem_violation_count: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RackReport):
@@ -85,17 +101,28 @@ class RackReport:
         return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
 
     def to_json(self) -> dict:
-        """The fields in order; the witness entries are the stored arrays themselves, not copies."""
-        return dict(vars(self))
+        """The verdicts and witness lists in order, the lists being the stored arrays themselves, not copies.
+
+        A list that was cut is followed by its <kind>_violation_count; a
+        list that holds every witness has no count key.
+        """
+        obj = {"is_rack": self.is_rack, "is_quandle": self.is_quandle}
+        for kind in ("sd", "bijectivity", "idem"):
+            listed = getattr(self, f"{kind}_violations")
+            obj[f"{kind}_violations"] = listed
+            count = getattr(self, f"{kind}_violation_count")
+            if count > len(listed):
+                obj[f"{kind}_violation_count"] = count
+        return obj
 
     def lines(self) -> list[str]:
-        """The text form: verdicts, witness counts and the first witness of each kind."""
+        """The text form: verdicts, violation totals and the first witness of each kind."""
         lines = [
             f"rack:    {'yes' if self.is_rack else 'NO'}",
             f"quandle: {'yes' if self.is_quandle else 'NO'}",
-            f"self-distributivity violations: {len(self.sd_violations)}",
-            f"non-bijective right translations: {len(self.bijectivity_violations)}",
-            f"idempotency violations: {len(self.idem_violations)}",
+            f"self-distributivity violations: {self.sd_violation_count}",
+            f"non-bijective right translations: {self.bijectivity_violation_count}",
+            f"idempotency violations: {self.idem_violation_count}",
         ]
         if len(self.sd_violations):
             lines.append(f"  first sd witness (x, y, z): {tuple(self.sd_violations[0].tolist())}")
@@ -146,12 +173,13 @@ def verify_rack(m: MagmaTable) -> RackReport:
     their columns. So with k distinct columns the k^2 composites of two
     column classes, k^2 x n entries, each get an id, equal only for equal
     maps, and one n x n grid of id comparisons finds the (y, z) pairs that
-    may fail. Only those pairs are then scanned entry by entry, and every
-    witness is reported in (x, y, z) order. A table whose columns all differ
-    skips the ids: each of its pairs is scanned. A table with
-    (distinct columns) x n^2 above SD_SCAN_CAP raises CapExceeded first.
-    Bijectivity is a permutation test per distinct column; idempotency is
-    also scanned so the report can state is_quandle.
+    may fail. Only those pairs are then scanned entry by entry: every
+    violation is counted, and the first WITNESS_CAP are kept in (x, y, z)
+    order. A table whose columns all differ skips the ids: each of its pairs
+    is scanned. A table with (distinct columns) x n^2 above SD_SCAN_CAP
+    raises CapExceeded first. Bijectivity is a permutation test per distinct
+    column; idempotency is also scanned so the report can state is_quandle.
+    Each list keeps its first WITNESS_CAP entries and each total is exact.
     """
     op = m.op
     n = m.size
@@ -191,17 +219,23 @@ def verify_rack(m: MagmaTable) -> RackReport:
     else:
         ys = np.repeat(np.arange(n, dtype=narrow), n)
         zs = np.tile(np.arange(n, dtype=narrow), n)
-    sd = _sd_witnesses(composites, k, ys, zs, cls, op, narrow)
+    sd, sd_count = _sd_witnesses(composites, k, ys, zs, cls, op, narrow)
 
+    # A cut list is copied, so that it does not keep the whole list alive.
+    bij_count, idem_count = len(bij), len(idem)
+    bij, idem = (w[:WITNESS_CAP].copy() if len(w) > WITNESS_CAP else w for w in (bij, idem))
     for witnesses in (sd, bij, idem):
         witnesses.flags.writeable = False
-    is_rack = not len(sd) and not len(bij)
+    is_rack = not sd_count and not bij_count
     return RackReport(
         is_rack=is_rack,
-        is_quandle=is_rack and not len(idem),
+        is_quandle=is_rack and not idem_count,
         sd_violations=sd,
         bijectivity_violations=bij,
         idem_violations=idem,
+        sd_violation_count=sd_count,
+        bijectivity_violation_count=bij_count,
+        idem_violation_count=idem_count,
     )
 
 
@@ -267,39 +301,42 @@ def _failing_pairs(op: np.ndarray, cls: np.ndarray, k: int, ids: np.ndarray, nar
     return np.concatenate(ys), np.concatenate(zs)
 
 
-def _sd_witnesses(composites, k: int, ys: np.ndarray, zs: np.ndarray, cls: np.ndarray, op: np.ndarray, narrow) -> np.ndarray:
-    """The (x, y, z) rows, in order, where the composites of the pairs (ys, zs) differ, as one intp array.
+def _sd_witnesses(composites, k: int, ys: np.ndarray, zs: np.ndarray, cls: np.ndarray, op: np.ndarray,
+                  narrow) -> tuple[np.ndarray, int]:
+    """The first WITNESS_CAP (x, y, z) rows, in order, where the composites of
+    the pairs (ys, zs) differ, as one intp array, and the number of such rows.
 
     For pair (y, z) the left map is composite (cls y, cls z) and the right
-    one (cls z, cls(y <| z)). Each chunk of x is counted first, and then
-    filled into one preallocated array, x-major.
+    one (cls z, cls(y <| z)). Each chunk of x is compared once and counted;
+    while fewer than WITNESS_CAP rows are kept, the rows of the chunk up to
+    the cap are kept too, x-major.
     """
     if not len(ys):
-        return np.empty((0, 3), dtype=np.intp)
+        return np.empty((0, 3), dtype=np.intp), 0
     n = len(op)
     left = cls[zs] * k + cls[ys]
     right = cls[op[ys, zs]] * k + cls[zs]
-    chunks = _chunks(n, k * k + len(ys))
-
-    @functools.lru_cache(maxsize=1)  # the last chunk is kept: one chunk is compared once
-    def bad(start: int, stop: int) -> np.ndarray:
-        """[i, p]: the two maps of pair p differ at x = start + i."""
+    total = kept = 0
+    blocks = []
+    for start, stop in _chunks(n, k * k + len(ys)):
         T = composites(start, stop)
-        return (T.take(left, axis=0) != T.take(right, axis=0)).T
-
-    counts = [np.count_nonzero(bad(*c)) for c in chunks]
-    sd = np.empty((sum(counts), 3), dtype=np.intp)
-    end = 0
-    for (start, stop), count in zip(chunks, counts):
-        if not count:
+        b = (T.take(left, axis=0) != T.take(right, axis=0)).T  # [i, p]: pair p fails at x = start + i
+        count = int(np.count_nonzero(b))
+        total += count
+        if not count or kept == WITNESS_CAP:
             continue
-        b = bad(start, stop)
-        block = sd[end:end + count]
-        end += count
-        block[:, 0] = np.repeat(np.arange(start, stop, dtype=narrow), b.sum(axis=1))
+        # Only the rows of x up to the one where the cap is reached are spread.
+        per_x = np.count_nonzero(b, axis=1)
+        rows = int(np.searchsorted(per_x.cumsum(), WITNESS_CAP - kept)) + 1
+        b, per_x = b[:rows], per_x[:rows]
+        block = np.empty((int(per_x.sum()), 3), dtype=narrow)
+        block[:, 0] = np.repeat(np.arange(start, start + len(b), dtype=narrow), per_x)
         block[:, 1] = np.broadcast_to(ys, b.shape)[b]
         block[:, 2] = np.broadcast_to(zs, b.shape)[b]
-    return sd
+        blocks.append(block[:WITNESS_CAP - kept])
+        kept += len(blocks[-1])
+    sd = np.concatenate(blocks, dtype=np.intp) if blocks else np.empty((0, 3), dtype=np.intp)
+    return sd, total
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +405,22 @@ def associated_quandle(m: MagmaTable) -> MagmaTable:
 # Morphisms and isomorphism search
 # ---------------------------------------------------------------------------
 
-def morphism_witnesses(f, src: MagmaTable, dst: MagmaTable) -> list[tuple[int, int]]:
-    """Pairs (x, y) where f(x <| y) != f(x) <| f(y), sorted."""
+def _morphism_mismatch(f, src: MagmaTable, dst: MagmaTable) -> np.ndarray:
+    """[x, y]: f(x <| y) != f(x) <| f(y), for a map f validated against the two tables."""
     fa = index_array(f, dst.size, "map values")
     if fa.shape != (src.size,):
         raise ShapeError(f"map must assign all {src.size} source elements")
-    bad = fa[src.op] != dst.op[np.ix_(fa, fa)]
-    return list(map(tuple, np.argwhere(bad).tolist()))
+    return fa[src.op] != dst.op[np.ix_(fa, fa)]
+
+
+def morphism_witnesses(f, src: MagmaTable, dst: MagmaTable) -> list[tuple[int, int]]:
+    """Pairs (x, y) where f(x <| y) != f(x) <| f(y), sorted."""
+    return list(map(tuple, np.argwhere(_morphism_mismatch(f, src, dst)).tolist()))
 
 
 def is_morphism(f, src: MagmaTable, dst: MagmaTable) -> bool:
-    return not morphism_witnesses(f, src, dst)
+    """f(x <| y) == f(x) <| f(y) for every pair, decided without listing the pairs that fail."""
+    return not _morphism_mismatch(f, src, dst).any()
 
 
 def element_invariants(ops: np.ndarray) -> np.ndarray:

@@ -422,6 +422,8 @@ class _WriteRecorder(io.StringIO):
 @pytest.mark.parametrize("chunk_bytes", [1, 64, cli._ARRAY_CHUNK_BYTES])
 def test_json_streams_the_text_of_the_object(tmp_path, monkeypatch, chunk_bytes):
     op = np.random.default_rng(40).integers(0, 40, (40, 40))
+    # Above the 40^3 triples, so every witness is listed: megabytes of text.
+    monkeypatch.setattr(racks, "WITNESS_CAP", 40**3 + 1)
     f = bundles.EquivariantMap(bundles.DiscreteBundle(groups.catalog("S4"), 2), (1, 5))
     objs = {
         "verify": {"size": 40, **racks.verify_rack(racks.magma_from_table(op)).to_json()},

@@ -253,7 +253,17 @@ def ref_verify_rack(m):
         sd_violations=tuple(sd),
         bijectivity_violations=bij,
         idem_violations=idem,
+        sd_violation_count=len(sd),
+        bijectivity_violation_count=len(bij),
+        idem_violation_count=len(idem),
     )
+
+
+def uncut(ref):
+    """A patch of racks.WITNESS_CAP to one above every count of the report ref,
+    so that verify_rack lists every witness and all of them are compared."""
+    counts = (ref.sd_violation_count, ref.bijectivity_violation_count, ref.idem_violation_count)
+    return mock.patch.object(racks, "WITNESS_CAP", max(counts) + 1)
 
 
 def plain_report(report):
@@ -638,6 +648,30 @@ def test_morphism_witnesses_match_loop(G, data):
     assert all(type(x) is int and type(y) is int for x, y in got)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_tables(), swapped_gauge_tables()), st.data())
+def test_is_morphism_agrees_with_the_witness_list(op, data):
+    # The identity onto the table itself is a morphism, and onto a copy with
+    # one entry changed fails at that pair alone; a constant map is one
+    # exactly when its value is idempotent in the target; a random map onto
+    # a random target is one only by chance.
+    src = racks.magma_from_table(op)
+    kind = data.draw(st.sampled_from(["identity", "one entry changed", "constant", "random"]))
+    if kind == "identity":
+        dst, f = src, list(range(src.size))
+    elif kind == "one entry changed":
+        changed = op.copy()
+        x, y = data.draw(st.integers(0, src.size - 1)), data.draw(st.integers(0, src.size - 1))
+        changed[x, y] = data.draw(st.integers(0, src.size - 1))
+        dst, f = racks.magma_from_table(changed), list(range(src.size))
+    else:
+        dst = racks.magma_from_table(data.draw(random_tables()))
+        value = st.integers(0, dst.size - 1)
+        f = [data.draw(value)] * src.size if kind == "constant" else data.draw(
+            st.lists(value, min_size=src.size, max_size=src.size))
+    assert racks.is_morphism(f, src, dst) is (not racks.morphism_witnesses(f, src, dst))
+
+
 @settings(max_examples=60, deadline=None)
 @given(relabeled_groups(["Z4", "D3", "D4", "Q8", "S3"]), st.integers(1, 2), st.data())
 def test_rack_iota_matches_loop(G, base, data):
@@ -654,9 +688,9 @@ def test_rack_iota_matches_loop(G, base, data):
 )
 def test_verify_rack_matches_the_full_scan(op, chunk_elements):
     m = racks.magma_from_table(op)
-    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
-        got = racks.verify_rack(m)
     ref = ref_verify_rack(m)
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements), uncut(ref):
+        got = racks.verify_rack(m)
     assert plain_report(got) == plain_report(ref)
     assert got.sd_violations.shape == (len(ref.sd_violations), 3)
     for witnesses in (got.sd_violations, got.bijectivity_violations, got.idem_violations):
@@ -670,8 +704,10 @@ def test_verify_rack_tells_apart_columns_that_agree_mod_256():
     op = np.broadcast_to(np.arange(257)[:, None], (257, 257)).copy()
     op[0, 1] = 256
     m = racks.magma_from_table(op)
-    got = racks.verify_rack(m)
-    assert got.bijectivity_violations.tolist() == [1] and plain_report(got) == plain_report(ref_verify_rack(m))
+    ref = ref_verify_rack(m)
+    with uncut(ref):
+        got = racks.verify_rack(m)
+    assert got.bijectivity_violations.tolist() == [1] and plain_report(got) == plain_report(ref)
 
 
 def assert_witness_arrays(report, n):
@@ -698,8 +734,10 @@ def boundary_table(n):
 def test_verify_rack_at_the_narrow_dtype_boundary(n):
     # uint8 holds the elements up to n = 256; at 257 a wrapped entry would read the wrong row.
     m = racks.magma_from_table(boundary_table(n))
-    got = racks.verify_rack(m)
-    assert plain_report(got) == plain_report(ref_verify_rack(m))
+    ref = ref_verify_rack(m)
+    with uncut(ref):
+        got = racks.verify_rack(m)
+    assert plain_report(got) == plain_report(ref)
     assert (got.sd_violations == n - 1).any()
     assert_witness_arrays(got, n)
 
@@ -727,10 +765,11 @@ def test_verify_rack_with_repeated_and_distinct_columns(name, chunk_elements):
     n = len(op)
     m = racks.magma_from_table(op)
     assert np.unique(op, axis=1).shape[1] == distinct_columns
-    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
+    ref = ref_verify_rack(m)
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements), uncut(ref):
         got = racks.verify_rack(m)
     assert len(got.sd_violations)
-    assert plain_report(got) == plain_report(ref_verify_rack(m))
+    assert plain_report(got) == plain_report(ref)
     assert_witness_arrays(got, n)
 
 

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaugequandles import bundles, gauge, groups, racks
-from test_loop_references import assert_witness_arrays, plain_report, ref_verify_rack, relabel, relabeled_groups
+from test_loop_references import assert_witness_arrays, plain_report, ref_verify_rack, relabel, relabeled_groups, uncut
 
 CHUNK_SIZES = [1, 50, 400, racks._CHUNK_ELEMENTS]
 
@@ -76,9 +76,9 @@ def class_moving_tables(draw):
 
 def check_against_the_full_scan(op, chunk_elements):
     m = racks.magma_from_table(op)
-    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
-        got = racks.verify_rack(m)
     ref = ref_verify_rack(m)
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements), uncut(ref):
+        got = racks.verify_rack(m)
     assert plain_report(got) == plain_report(ref)
     assert_witness_arrays(got, m.size)
     return ref
