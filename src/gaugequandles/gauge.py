@@ -450,23 +450,41 @@ def _check_witnesses(
         )
 
 
+def _fiber_sizes(b: DiscreteBundle, heads: np.ndarray) -> np.ndarray:
+    """sizes[i]: the sorted fiber sizes |f^-1(g)|, g in G, of the map with section values heads[i], stacked (r, |G|)."""
+    G = b.group
+    r = len(heads)
+    f = G.conj[heads].reshape(r, -1)  # f(x), in total_values order
+    sizes = np.bincount((np.arange(r)[:, None] * G.order + f).ravel(), minlength=r * G.order)
+    return np.sort(sizes.reshape(r, G.order), axis=1)
+
+
 def _invariant_buckets(b: DiscreteBundle, heads: np.ndarray) -> np.ndarray:
     """bucket[i]: a number shared by exactly the rows of heads whose tables have equal sorted element invariants.
 
-    Buckets are numbered 0, 1, ... in order of their first head. The tables
-    are gathered from the augmented form and fingerprinted by
-    element_invariants, in chunks of at most _CHUNK_ELEMENTS entries.
+    Buckets are numbered 0, 1, ... in order of their first head. The action
+    is free, so p <| y = p * f(p)^-1 f(y) fixes p exactly when f(p) = f(y):
+    column y fixes the points of its fiber f^-1(f(y)), its cycles of length
+    1 in element_invariants. So the sorted fiber sizes of f (_fiber_sizes),
+    read off f with no table, are a function of the sorted invariants. The
+    heads are split by them first, and only heads that share their sizes
+    with another head have their tables gathered from the augmented form
+    and fingerprinted by element_invariants, in chunks of at most
+    _CHUNK_ELEMENTS entries; each of the rest is a bucket of its own.
     """
     n = b.total_size
-    seen: dict[bytes, int] = {}
-    bucket = []
-    for start, stop in _chunks(len(heads), n * n):
-        aug, f = _augmented(b, heads[start:stop])
+    split = _row_ids(_fiber_sizes(b, heads))
+    shared = np.flatnonzero(np.bincount(split)[split] > 1)
+    fingerprint: dict[int, bytes] = {}
+    for start, stop in _chunks(len(shared), n * n):
+        aug, f = _augmented(b, heads[shared[start:stop]])
         inv = element_invariants(np.take_along_axis(aug, f[:, None, :], axis=2))
         # Each table's rows in numeric order, so equal multisets give equal bytes.
         order = np.argsort(_row_ids(inv.reshape(-1, inv.shape[2])).reshape(len(f), n), axis=1, kind="stable")
-        for rows in np.take_along_axis(inv, order[..., None], axis=1):
-            bucket.append(seen.setdefault(rows.tobytes(), len(seen)))
+        for i, rows in zip(shared[start:stop].tolist(), np.take_along_axis(inv, order[..., None], axis=1)):
+            fingerprint[i] = rows.tobytes()
+    seen: dict[tuple[int, bytes | None], int] = {}
+    bucket = [seen.setdefault((s, fingerprint.get(i)), len(seen)) for i, s in enumerate(split.tolist())]
     return np.array(bucket, dtype=np.int64)
 
 
@@ -489,9 +507,13 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
 
     An automorphism alpha of G carries the table of s onto that of alpha o s
     by (m, g) -> (m, alpha(g)), so Aut(G) acts on the keys. The key heads
-    are bucketed by their sorted element invariants, in one stacked call
-    (element_invariants) per _CHUNK_ELEMENTS table entries, unless
-    there is only one key. When two heads share a bucket, Aut(G) is
+    are bucketed by their sorted element invariants (_invariant_buckets).
+    G acts freely, so column y of a gauge table fixes exactly the points
+    of its fiber f^-1(f(y)), and the sorted fiber sizes of f, read off f
+    alone, are a function of those invariants. So the heads are split by
+    their fiber sizes first, and only heads that share them with another
+    head are fingerprinted, in one stacked call (element_invariants) per
+    _CHUNK_ELEMENTS table entries. When two heads share a bucket, Aut(G) is
     enumerated (_automorphisms) and every key is given its orbit root, the
     orbit's key whose head comes first; otherwise, or past the automorphism
     budget, every key is its own root. The roots' heads are gathered from one
@@ -521,8 +543,7 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     key_codes, first, key_of = np.unique(codes, return_index=True, return_inverse=True)
     heads, keys = values[first], len(first)
 
-    # A census of one key compares nothing, so it needs no invariants.
-    bucket_of = _invariant_buckets(b, heads) if keys > 1 else np.zeros(1, dtype=np.int64)
+    bucket_of = _invariant_buckets(b, heads)
     root_of = np.arange(keys)
     psi = np.broadcast_to(np.arange(n), (keys, n)).copy()  # psi[K]: K's head onto its root's
     if bucket_of.max() + 1 < keys:  # some bucket is shared

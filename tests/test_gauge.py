@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,15 +519,59 @@ def test_census_enumerates_automorphisms_only_when_a_bucket_is_shared(name, base
     assert len(calls) == computed
 
 
-@pytest.mark.parametrize("name, base, keys", [("Z1", 4, 1), ("Z3", 1, 1), ("S3", 1, 3)])
+@pytest.mark.parametrize("name, base, keys", [("Z1", 4, 1), ("Z3", 1, 1), ("S3", 1, 3), ("S3", 2, 6)])
 def test_census_of_one_key_computes_no_invariants(name, base, keys, monkeypatch):
-    # A key's invariants serve only to compare it with another key: S3's
-    # three keys over a point get theirs from one stacked call, and no S3
-    # table is searched.
+    # A key's invariants serve only to compare it with another key whose
+    # fiber sizes are the same: one key has no such key, and no two of S3's
+    # keys over one or two points have the same sizes, so none of these
+    # censuses fingerprints a table or searches one.
     stacked = count_calls(monkeypatch, gauge, "element_invariants")
     searches = count_calls(monkeypatch, gauge, "find_isomorphism")
     classes = gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog(name), base))
-    assert len(classes) == keys and len(searches) == 0 and len(stacked) == (1 if keys > 1 else 0)
+    assert len(classes) == keys and len(searches) == 0 and len(stacked) == 0
+
+
+@pytest.mark.parametrize("name, base, keys, fingerprinted", [("S3", 3, 10, [5, 6]), ("S4", 1, 5, [1, 4])])
+def test_census_fingerprints_only_heads_that_share_fiber_sizes(name, base, keys, fingerprinted, monkeypatch):
+    # Of S3x3's ten heads and S4x1's five, only two share their fiber sizes;
+    # their invariants still tell them apart, so nothing is searched.
+    b = bundles.DiscreteBundle(groups.catalog(name), base)
+    stacked = count_calls(monkeypatch, gauge, "element_invariants")
+    searches = count_calls(monkeypatch, gauge, "find_isomorphism")
+    assert len(gauge.isomorphism_census(b)) == keys and len(searches) == 0
+    values = bundles.enumerate_maps(b)
+    heads = values[np.unique(gauge._census_keys(b.group, gauge._class_conjugators(b.group)[0], values)[0],
+                             return_index=True)[1]]
+    [(ops,)] = stacked
+    tables = [gauge.build(bundles.EquivariantMap(b, heads[i])).table.op for i in fingerprinted]
+    assert ops.shape == (2, b.total_size, b.total_size) and np.array_equal(ops, tables)
+
+
+def test_census_allocates_a_few_chunks_beyond_the_maps():
+    # S3 over 5 base points: 7,776 maps of 30 points, whose witnesses
+    # (_check_witnesses) span 1.4 million augmented entries.
+    b = bundles.DiscreteBundle(groups.catalog("S3"), 5)
+    values_bytes = bundles.enumerate_maps(b).nbytes
+    chunk = 1 << 14
+    gauge.isomorphism_census(bundles.DiscreteBundle(groups.catalog("S3"), 2))  # first-call imports
+    # The map-sized arrays (the section values, their least shifts, key
+    # numbers) and the returned tuples take about 6 times the section
+    # values' bytes; beyond them a few arrays of one chunk each, none
+    # wider than 8 bytes an entry.
+    bound = 8 * values_bytes + 64 * chunk + (1 << 20)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(racks, "_CHUNK_ELEMENTS", chunk)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            classes = gauge.isomorphism_census(b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert len(classes) == 21 and sum(map(len, classes)) == 7_776
+    # Checking every witness in one stack, unchunked, peaks at about 23 MB.
+    assert peak <= bound, f"the census peaked at {peak} bytes, above {bound}"
 
 
 def elementary_abelian(k):

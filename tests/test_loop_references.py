@@ -7,9 +7,10 @@ groups relabeled by random permutations that move the identity off index 0,
 on random element subsets, and on random total-value arrays. The catalog
 tables are checked against products of the elements they stand for, and the
 census against one isomorphism search per map on seeded relabelings, its
-witness check on the augmented form against the full-table check it
-replaced, find_isomorphism's starting colours against the tuple and dict
-colouring they replaced, and verify_rack against the full n^3 scan on gauge,
+key-head buckets against fingerprinting every head, its witness check on
+the augmented form against the full-table check it replaced,
+find_isomorphism's starting colours against the tuple and dict colouring
+they replaced, and verify_rack against the full n^3 scan on gauge,
 rack and random tables. The CLI's --json writer is checked against
 json.dumps(obj, indent=2), the call it replaced, on generated JSON trees,
 and on trees holding integer arrays against json.dumps of the same trees
@@ -295,6 +296,24 @@ def ref_isomorphism_census(b):
     return [tuple(members) for members in classes]
 
 
+def ref_invariant_buckets(b, heads):
+    """bucket[i]: a number shared by exactly the rows of heads whose tables
+    have equal sorted element invariants, numbered in order of their first
+    head: every head's table gathered from the augmented form and
+    fingerprinted, in chunks of at most _CHUNK_ELEMENTS entries, before the
+    census split the heads by their fiber sizes."""
+    n = b.total_size
+    seen = {}
+    bucket = []
+    for start, stop in racks._chunks(len(heads), n * n):
+        aug, f = gauge._augmented(b, heads[start:stop])
+        inv = racks.element_invariants(np.take_along_axis(aug, f[:, None, :], axis=2))
+        order = np.argsort(racks._row_ids(inv.reshape(-1, inv.shape[2])).reshape(len(f), n), axis=1, kind="stable")
+        for rows in np.take_along_axis(inv, order[..., None], axis=1):
+            bucket.append(seen.setdefault(rows.tobytes(), len(seen)))
+    return np.array(bucket, dtype=np.int64)
+
+
 def ref_initial_colours(a, b):
     """find_isomorphism's starting colours as tuples: each table's
     element_invariants rows as int tuples, None when the sorted tuples of the
@@ -554,6 +573,18 @@ def groups_with_subgroups(draw):
     return G, groups.generated_subgroup(G, gens)
 
 
+@st.composite
+def head_stacks(draw):
+    """A bundle over a relabeled group and a stack of one to eight section-value rows, some of them repeated."""
+    G = draw(relabeled_groups(["S3", "D4", "Q8", "S4", "D5", "D6", "Z4"]))
+    base = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+    return bundles.DiscreteBundle(G, base), np.array(rows, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -803,6 +834,28 @@ def test_isomorphism_census_matches_per_map_search_in_any_chunking(name, base, c
     b = bundles.DiscreteBundle(G, base)
     with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
         assert gauge.isomorphism_census(b) == ref_isomorphism_census(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(head_stacks(), st.sampled_from([1, 500, racks._CHUNK_ELEMENTS]))
+def test_invariant_buckets_match_fingerprinting_every_head(stack, chunk_elements):
+    b, heads = stack
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
+        assert np.array_equal(gauge._invariant_buckets(b, heads), ref_invariant_buckets(b, heads))
+
+
+@settings(max_examples=100, deadline=None)
+@given(head_stacks())
+def test_fiber_sizes_are_read_off_the_fixed_points_of_the_table(stack):
+    # Column y of a gauge table fixes the points of its fiber, so each
+    # fiber of size c gives c columns that fix c points each.
+    b, heads = stack
+    sizes = gauge._fiber_sizes(b, heads)
+    assert sizes.shape == (len(heads), b.group.order)
+    for row, head in zip(sizes, heads):
+        op = gauge.build(bundles.EquivariantMap(b, head)).table.op
+        fixed = (op == np.arange(b.total_size)[:, None]).sum(axis=0)
+        assert np.array_equal(np.repeat(row, row), np.sort(fixed))
 
 
 def ref_automorphisms(G):
