@@ -138,6 +138,18 @@ def _write_json(v, nl: str, parts: list[str], writes: list) -> None:
         parts.append(json.dumps(v))
 
 
+# bytes.translate drops zero bytes at about 1.5 ns a byte of text and
+# bytes.replace at about 20 ns a dropped byte, so translate is the faster
+# above about one zero byte in 13. Each frees a chunk's raw bytes on return,
+# so that the next chunk's reuse their memory.
+def _strip_dense_zeros(raw: bytes) -> bytes:
+    return raw.translate(None, b"\0")
+
+
+def _strip_sparse_zeros(raw: bytes) -> bytes:
+    return raw.replace(b"\0", b"")
+
+
 def _write_int_array(a: np.ndarray, top: int, nl: str, parts: list[str], writes: list) -> None:
     """Write the text of json.dumps(a.tolist(), indent=2), whose lines start with nl, through parts to writes.
 
@@ -147,8 +159,10 @@ def _write_int_array(a: np.ndarray, top: int, nl: str, parts: list[str], writes:
     zero bytes: a row of the output is a byte template whose word-aligned
     holes are filled by one gather from a digit table for 0..max, and the
     zero bytes (the digits' padding and the holes' alignment) are dropped
-    by bytes.replace. One buffer of template rows, about _ARRAY_CHUNK_BYTES
-    long, is made per call and refilled for each chunk of rows; each chunk's
+    by bytes.translate where they are dense, as in a table of values from
+    100 up, and by bytes.replace where they are sparse, as in values below
+    10. One buffer of template rows, about _ARRAY_CHUNK_BYTES long, is made
+    per call and refilled for each chunk of rows; each chunk's
     text is flushed to writes with the pieces before it, and the closing
     bracket is left in parts. So the buffers stay small whatever the size of
     a, and its text is never held whole.
@@ -173,6 +187,10 @@ def _write_int_array(a: np.ndarray, top: int, nl: str, parts: list[str], writes:
         template += "\0" * width
     template += tail + "\0" * (-(len(template) + len(tail)) % width)
     row = np.frombuffer(template.encode(), dtype=np.uint8)
+    # The zero bytes of a row whose values spread evenly over 0..top: the
+    # template's, less the digits that fill its holes.
+    zeros = np.count_nonzero(row == 0) - len(holes) * np.count_nonzero(digits) / len(digits)
+    strip = _strip_dense_zeros if 13 * zeros > len(row) else _strip_sparse_zeros
     step = max(1, _ARRAY_CHUNK_BYTES // len(row))
     buf = np.tile(row, (min(step, len(a)), 1))
     words = buf.view(table.dtype)
@@ -180,7 +198,7 @@ def _write_int_array(a: np.ndarray, top: int, nl: str, parts: list[str], writes:
     for start in range(0, len(a), step):
         block = a[start:start + step]
         words[:len(block), holes] = table[block]
-        text = buf[:len(block)].tobytes().replace(b"\0", b"").decode("ascii")
+        text = strip(buf[:len(block)].tobytes()).decode("ascii")
         if start + step >= len(a):
             text = text[:len(text) - len(inner) - 1]   # the last row's "," + inner
         parts.append(text)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import reprlib
 from pathlib import Path
 
@@ -126,29 +128,54 @@ def _holds_bool(values) -> bool:
     while stack:
         level = stack.pop()
         kinds = set(map(type, level))
-        if bool in kinds or np.bool_ in kinds:
-            return True
-        if np.ndarray in kinds and any(v.dtype == bool for v in level if isinstance(v, np.ndarray)):
+        if _any_bool(level, kinds):
             return True
         if any(issubclass(k, (list, tuple)) for k in kinds):
             stack.extend(v for v in level if isinstance(v, (list, tuple)))
     return False
 
 
+def _any_bool(items, kinds: set) -> bool:
+    """Whether items, whose types are kinds, holds a bool, a numpy bool or a bool array (of any shape) itself."""
+    if bool in kinds or np.bool_ in kinds:
+        return True
+    return np.ndarray in kinds and any(v.dtype == bool for v in items if isinstance(v, np.ndarray))
+
+
+def _bool_among_bits(values, arr: np.ndarray) -> bool:
+    """Whether the non-empty integer array arr = np.asarray(values) was read from a bool in values.
+
+    numpy reads a bool among ints, or an entry of a bool array among int
+    rows, as 0 or 1. So only the entries of arr equal to 0 or 1 are looked
+    up in values, each by its index, and their types checked in one call.
+    """
+    # Read as unsigned, a negative entry is large.
+    hits = (h.tolist() for h in np.nonzero(arr.view(f"u{arr.itemsize}") < 2))
+    items = [functools.reduce(operator.getitem, index, values) for index in zip(*hits)]
+    return _any_bool(items, set(map(type, items)))
+
+
 def read_array(values, what: str) -> np.ndarray:
     """np.asarray, but a bool in a list (numpy reads [0, True] as int64), ragged rows or nesting
     deeper than numpy's dimension limit raise ShapeError.
 
-    Only list and tuple input is scanned, so arrays the library builds pay nothing.
+    Only list and tuple input is scanned, so arrays the library builds pay
+    nothing. When numpy reads the list as a non-empty integer array, only the
+    entries it read as 0 or 1 are inspected; every other result is walked
+    level by level.
     """
-    if isinstance(values, (list, tuple)) and _holds_bool(values):
-        raise ShapeError(f"{what} must be integers, got a bool")
+    listed = isinstance(values, (list, tuple))
     try:
-        return np.asarray(values)
+        arr = np.asarray(values)
     except ValueError as err:
+        if listed and _holds_bool(values):
+            raise ShapeError(f"{what} must be integers, got a bool") from None
         # numpy raises ValueError both for ragged rows and for nesting past its dimension limit.
         got = "nesting past numpy's dimension limit" if "maximum number of dimension" in str(err) else "ragged rows"
         raise ShapeError(f"{what} must form a rectangular array, got {got}") from None
+    if listed and (_bool_among_bits(values, arr) if arr.size and arr.dtype.kind in "iu" else _holds_bool(values)):
+        raise ShapeError(f"{what} must be integers, got a bool")
+    return arr
 
 
 def index_array(values, bound: int | None, what: str) -> np.ndarray:
@@ -159,13 +186,14 @@ def index_array(values, bound: int | None, what: str) -> np.ndarray:
     (bound=None skips the range check, for a caller that reports a bad entry
     with its own witness). Python ints too large for int64, which numpy reads
     as objects or floats, fail as out of range when there is a bound. Empty
-    input passes whatever its dtype, since np.asarray([]) is float.
+    input passes whatever its dtype, since np.asarray([]) is float. A list or
+    tuple is read into a new array, which is frozen in place, not copied again.
     """
     arr = read_array(values, what)
+    listed = isinstance(values, (list, tuple))
     if arr.size and arr.dtype.kind not in "iu":  # signed or unsigned integers
         # numpy reads some lists of Python ints as float64, such as [1, 2**63] and [-1, 2**63].
-        listed = arr.dtype.kind == "f" and isinstance(values, (list, tuple))
-        leaves = np.array(values, dtype=object) if listed else arr
+        leaves = np.array(values, dtype=object) if listed and arr.dtype.kind == "f" else arr
         ints = bound is not None and leaves.dtype == object and all(type(v) is int for v in leaves.flat)
         bad = next((v for v in leaves.flat if not 0 <= v < bound), None) if ints else None
         if bad is not None:
@@ -174,6 +202,6 @@ def index_array(values, bound: int | None, what: str) -> np.ndarray:
     if bound is not None and arr.size and (arr.min() < 0 or arr.max() >= bound):
         bad = arr[(arr < 0) | (arr >= bound)][0]
         raise ShapeError(f"{what} must lie in 0..{bound - 1}, got {bad}")
-    out = np.array(arr, dtype=np.int64, order="C")
+    out = (np.asarray if listed else np.array)(arr, dtype=np.int64, order="C")
     out.setflags(write=False)
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -390,7 +390,7 @@ class SweepConfig:
             raise ShapeError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
     def to_json(self) -> dict:
-        return {**asdict(self), "t_range": list(self.t_range)}
+        return {**vars(self), "t_range": list(self.t_range)}
 
     @staticmethod
     def from_json(obj) -> "SweepConfig":
@@ -419,7 +419,7 @@ class ResidualReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "max_residual": _json_residual(self.max_residual)}
+        return {**vars(self), "max_residual": _json_residual(self.max_residual)}
 
 
 def _json_residual(r: float) -> float | None:
@@ -614,7 +614,7 @@ class NoetherSweepReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "equal_pair_max_residual": _json_residual(self.equal_pair_max_residual)}
+        return {**vars(self), "equal_pair_max_residual": _json_residual(self.equal_pair_max_residual)}
 
 
 def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -> tuple[Point, Point]:
@@ -635,26 +635,25 @@ def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
     p1, p2 = random_point(X, rng, n), random_point(X, rng, n)
     q1, q2 = equal_section_pair(X, rng, n)
-    # The random pairs, then the equal-X pairs, as one stack of 2n rows.
-    a, b = ((np.concatenate([p[0], q[0]]), np.concatenate([p[1], q[1]])) for p, q in ((p1, q1), (p2, q2)))
+    # The random pairs, then the equal-X pairs, as one stack of 2n rows, and
+    # both directions as check_noether stacks them: [p1, p2] acted on by [p2, p1].
+    m, g = (np.stack([np.concatenate([p[i], q[i]]) for p, q in ((p1, q1), (p2, q2))]) for i in (0, 1))
     ts = np.concatenate([ts, ts])
-    # Rows per check_noether call: each row is acted on in 2 directions at every t.
+    # Rows per op_t call: each row is acted on in 2 directions at every t.
     chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (2 * ts.shape[1] * X.model.dim**2))
-    agree, fix, worst = (np.empty(2 * n, dtype=d) for d in (bool, bool, float))
+    fwd, bwd = np.empty((2, 2 * n))
     for start in range(0, 2 * n, chunk):
         rows = slice(start, start + chunk)
-        rep = check_noether(X, (a[0][rows], a[1][rows]), (b[0][rows], b[1][rows]), ts[rows], config.tolerance)
-        agree[rows] = rep.agree
-        fix[rows] = rep.fixes_forward & rep.fixes_backward
-        worst[rows] = np.maximum(rep.forward_residual, rep.backward_residual)
-    disagreements = int(np.sum(~agree))
-    all_fix = bool(np.all(fix[n:]))
+        fwd[rows], bwd[rows] = _fixing_residual(X, (m[:, rows], g[:, rows]), (m[::-1, rows], g[::-1, rows]), ts[rows])
+    fix_fwd, fix_bwd = fwd <= config.tolerance, bwd <= config.tolerance
+    disagreements = int(np.sum(fix_fwd != fix_bwd))
+    all_fix = bool(np.all((fix_fwd & fix_bwd)[n:]))
     return NoetherSweepReport(
         samples=n,
         seed=config.seed,
         disagreements=disagreements,
         all_agree=disagreements == 0,
-        equal_pair_max_residual=float(np.max(worst[n:])),
+        equal_pair_max_residual=float(np.max(np.maximum(fwd, bwd)[n:])),
         equal_pairs_all_fix=all_fix,
         tolerance=config.tolerance,
         passed=disagreements == 0 and all_fix,

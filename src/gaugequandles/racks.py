@@ -308,8 +308,9 @@ def _sd_witnesses(composites, k: int, ys: np.ndarray, zs: np.ndarray, cls: np.nd
 
     For pair (y, z) the left map is composite (cls y, cls z) and the right
     one (cls z, cls(y <| z)). Each chunk of x is compared once and counted;
-    while fewer than WITNESS_CAP rows are kept, the rows of the chunk up to
-    the cap are kept too, x-major.
+    while fewer than WITNESS_CAP rows are kept, the failure mask of the x up
+    to the one where the cap is reached is laid out x-major, and its flat
+    indices, split by divmod into x and pair, give the rows in order.
     """
     if not len(ys):
         return np.empty((0, 3), dtype=np.intp), 0
@@ -320,21 +321,19 @@ def _sd_witnesses(composites, k: int, ys: np.ndarray, zs: np.ndarray, cls: np.nd
     blocks = []
     for start, stop in _chunks(n, k * k + len(ys)):
         T = composites(start, stop)
-        b = (T.take(left, axis=0) != T.take(right, axis=0)).T  # [i, p]: pair p fails at x = start + i
-        count = int(np.count_nonzero(b))
+        fail = T.take(left, axis=0) != T.take(right, axis=0)  # [p, i]: pair p fails at x = start + i
+        count = int(np.count_nonzero(fail))
         total += count
         if not count or kept == WITNESS_CAP:
             continue
-        # Only the rows of x up to the one where the cap is reached are spread.
-        per_x = np.count_nonzero(b, axis=1)
-        rows = int(np.searchsorted(per_x.cumsum(), WITNESS_CAP - kept)) + 1
-        b, per_x = b[:rows], per_x[:rows]
-        block = np.empty((int(per_x.sum()), 3), dtype=narrow)
-        block[:, 0] = np.repeat(np.arange(start, start + len(b), dtype=narrow), per_x)
-        block[:, 1] = np.broadcast_to(ys, b.shape)[b]
-        block[:, 2] = np.broadcast_to(zs, b.shape)[b]
-        blocks.append(block[:WITNESS_CAP - kept])
-        kept += len(blocks[-1])
+        rows = int(np.searchsorted(np.count_nonzero(fail, axis=0).cumsum(), WITNESS_CAP - kept)) + 1
+        x, p = np.divmod(np.flatnonzero(fail[:, :rows].T)[:WITNESS_CAP - kept], len(ys))
+        block = np.empty((len(x), 3), dtype=narrow)
+        block[:, 0] = x + start
+        block[:, 1] = ys[p]
+        block[:, 2] = zs[p]
+        blocks.append(block)
+        kept += len(block)
     sd = np.concatenate(blocks, dtype=np.intp) if blocks else np.empty((0, 3), dtype=np.intp)
     return sd, total
 

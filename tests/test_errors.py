@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaugequandles import racks
 from gaugequandles.errors import ShapeError, index_array
 
 
@@ -62,3 +63,19 @@ def test_index_array_without_a_bound_checks_only_the_dtype():
         index_array([0.5], None, "entries")
     with pytest.raises(ShapeError, match="integers, got dtype object"):
         index_array([0, 10**30], None, "entries")
+
+
+def test_index_array_copies_an_int64_array_but_not_the_array_it_reads_from_a_list():
+    # A list is read into a new array, which is frozen in place; a caller's
+    # C-ordered int64 array is copied, and stays writeable and unshared.
+    values = np.array([[2, 0], [1, 2]], dtype=np.int64)
+    out = index_array(values, 3, "indices")
+    assert values.flags.writeable and not np.shares_memory(out, values)
+    listed = index_array(values.tolist(), 3, "indices")
+    for got in (out, listed):
+        assert got.dtype == np.int64 and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tolist() == [[2, 0], [1, 2]]
+    table = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    m = racks.magma_from_table(table)
+    assert table.flags.writeable and not np.shares_memory(m.op, table)
+    assert not racks.magma_from_table(table.tolist()).op.flags.writeable

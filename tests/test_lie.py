@@ -530,7 +530,7 @@ def test_a_sweep_draws_its_points_once(monkeypatch):
 def test_sweep_work_counts(monkeypatch, name, samples):
     # exp: 1 on the model's basis, 6 point draws and 1 equal-X pair, 2 plan
     # rounds, and op_t's 2. eval: 2 plan rounds, and the Noether sweep's one
-    # check_noether (op_t's 2 and the algebra gap).
+    # op_t call (2); the sweep reads no algebra gap.
     counts = {"exp": 0, "eval": 0, "op_t": 0}
 
     def counting(owner, attr):
@@ -546,7 +546,7 @@ def test_sweep_work_counts(monkeypatch, name, samples):
     counting(lie.AdjointSection, "eval")
     counting(lie, "op_t")
     assert lie.run_sweep(lie.SweepConfig(model=name, samples=samples, seed=2)).passed
-    assert counts == {"exp": 12, "eval": 5, "op_t": 1}
+    assert counts == {"exp": 12, "eval": 4, "op_t": 1}
 
 
 def _failing_checks(report):
@@ -577,7 +577,7 @@ def test_every_check_can_fail(monkeypatch, name):
 def test_sweep_reports_do_not_depend_on_the_chunking(monkeypatch, name):
     config = lie.SweepConfig(model=name, samples=23, seed=6)
     whole = lie.run_sweep(config).to_json()
-    # One sample, then one pair, a chunk: 23 plan chunks and 46 check_noether calls.
+    # One sample, then one pair, a chunk: 23 plan chunks and 46 Noether op_t calls.
     monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 1)
     assert lie.run_sweep(config).to_json() == whole
     monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 7 * 10 * lie.get_model(name).dim ** 2)

@@ -11,13 +11,16 @@ key-head buckets against fingerprinting every head, its witness check on
 the augmented form against the full-table check it replaced,
 find_isomorphism's starting colours against the tuple and dict colouring
 they replaced, and verify_rack against the full n^3 scan on gauge,
-rack and random tables. The CLI's --json writer is checked against
-json.dumps(obj, indent=2), the call it replaced, on generated JSON trees,
-and on trees holding integer arrays against json.dumps of the same trees
-with each array as its tolist(). The Lie closed forms are checked against
-the forms they replaced: the SO3 and SU2 exponential against Rodrigues'
-formula written with np.sinc and A @ A, and the summed complex product
-against numpy's @. The sweep's shared evaluation plan is checked against
+rack and random tables, and its witness listing against the broadcast
+spread it replaced. read_array is checked against the reader that walked
+the type of every entry before numpy read the list. The CLI's --json
+writer is checked against json.dumps(obj, indent=2), the call it replaced,
+on generated JSON trees, and on trees holding integer arrays against
+json.dumps of the same trees with each array as its tolist(), and on
+arrays whose pad bytes are dense or sparse. The Lie closed forms are
+checked against the forms they replaced: the SO3 and SU2 exponential
+against Rodrigues' formula written with np.sinc and A @ A, and the summed
+complex product against numpy's @. The sweep's shared evaluation plan is checked against
 each check composed from its own op_t calls on the same draw, and the
 one-call Noether sweep against its four-call form.
 """
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaugequandles import bundles, cli, gauge, groups, lie, racks
-from gaugequandles.errors import AlgebraError, AxiomViolation
+from gaugequandles.errors import AlgebraError, AxiomViolation, ShapeError, read_array
 from conftest import every_map
 
 NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -274,6 +277,63 @@ def plain_report(report):
     both sides go through this before they are compared.
     """
     return {name: np.asarray(v).tolist() for name, v in vars(report).items()}
+
+
+def ref_sd_witnesses(composites, k, ys, zs, cls, op, narrow):
+    """_sd_witnesses with the rows of each chunk spread from its [x, pair]
+    failure mask, a transposed view, by one repeat for x and two boolean
+    gathers of broadcast ys and zs over the whole x by pair grid."""
+    if not len(ys):
+        return np.empty((0, 3), dtype=np.intp), 0
+    n = len(op)
+    left = cls[zs] * k + cls[ys]
+    right = cls[op[ys, zs]] * k + cls[zs]
+    total = kept = 0
+    blocks = []
+    for start, stop in racks._chunks(n, k * k + len(ys)):
+        T = composites(start, stop)
+        b = (T.take(left, axis=0) != T.take(right, axis=0)).T  # [i, p]: pair p fails at x = start + i
+        count = int(np.count_nonzero(b))
+        total += count
+        if not count or kept == racks.WITNESS_CAP:
+            continue
+        per_x = np.count_nonzero(b, axis=1)
+        rows = int(np.searchsorted(per_x.cumsum(), racks.WITNESS_CAP - kept)) + 1
+        b, per_x = b[:rows], per_x[:rows]
+        block = np.empty((int(per_x.sum()), 3), dtype=narrow)
+        block[:, 0] = np.repeat(np.arange(start, start + len(b), dtype=narrow), per_x)
+        block[:, 1] = np.broadcast_to(ys, b.shape)[b]
+        block[:, 2] = np.broadcast_to(zs, b.shape)[b]
+        blocks.append(block[:racks.WITNESS_CAP - kept])
+        kept += len(blocks[-1])
+    sd = np.concatenate(blocks, dtype=np.intp) if blocks else np.empty((0, 3), dtype=np.intp)
+    return sd, total
+
+
+def ref_holds_bool(values):
+    """Whether nested lists and tuples hold a bool or a bool array at any depth, one level at a time."""
+    stack = [values]
+    while stack:
+        level = stack.pop()
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds:
+            return True
+        if np.ndarray in kinds and any(v.dtype == bool for v in level if isinstance(v, np.ndarray)):
+            return True
+        if any(issubclass(k, (list, tuple)) for k in kinds):
+            stack.extend(v for v in level if isinstance(v, (list, tuple)))
+    return False
+
+
+def ref_read_array(values, what):
+    """read_array with the type of every entry of a list walked before np.asarray reads it."""
+    if isinstance(values, (list, tuple)) and ref_holds_bool(values):
+        raise ShapeError(f"{what} must be integers, got a bool")
+    try:
+        return np.asarray(values)
+    except ValueError as err:
+        got = "nesting past numpy's dimension limit" if "maximum number of dimension" in str(err) else "ragged rows"
+        raise ShapeError(f"{what} must form a rectangular array, got {got}") from None
 
 
 def ref_isomorphism_census(b):
@@ -583,6 +643,58 @@ def head_stacks(draw):
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
     return bundles.DiscreteBundle(G, base), np.array(rows, dtype=np.int64)
+
+
+# Entries that numpy reads as 0 or 1 from a bool, often enough that an
+# integer result hides one; small ints, so that most tables read as ints;
+# ints past int64, which numpy reads as objects or floats; and floats.
+BOOL_ENTRIES = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.booleans().map(np.array),
+    st.lists(st.booleans(), min_size=1, max_size=2).map(np.array),
+)
+READ_ENTRIES = st.one_of(
+    st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 1), st.integers(-2, 3).map(np.int64),
+    BOOL_ENTRIES, st.integers(2**63, 2**64), st.sampled_from([0.0, 1.0, 2.5]),
+)
+
+
+@st.composite
+def read_inputs(draw):
+    """Nested lists and tuples of 1 to 3 levels, mostly rectangular, of
+    READ_ENTRIES or now and then an innermost row that is a bool or int
+    array; one row in eight is one entry short, so the nesting is ragged."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    mostly_ints = draw(st.booleans())
+
+    def level(depth):
+        size = shape[depth] - (draw(st.integers(0, 7)) == 0 and shape[depth] > 1)
+        if depth == len(shape) - 1:
+            if draw(st.integers(0, 5)) == 0:
+                return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                                dtype=draw(st.sampled_from([bool, np.int64])))
+            entry = st.integers(2, 9) if mostly_ints and draw(st.booleans()) else READ_ENTRIES
+            row = draw(st.lists(entry, min_size=size, max_size=size))
+        else:
+            row = [level(depth + 1) for _ in range(size)]
+        return tuple(row) if draw(st.booleans()) else row
+
+    return level(0)
+
+
+@st.composite
+def pad_arrays(draw):
+    """A non-empty 1-D or 2-D array of values from 100 to 999, whose zero
+    bytes are dense, or from 0 to 9, which have none, in a dict of a list at
+    depth 0 or 1, with the same nesting of its tolist()."""
+    wide = draw(st.booleans())
+    shape = draw(st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 12), st.integers(1, 4))))
+    values = st.integers(100, 999) if wide else st.integers(0, 9)
+    a = np.array(draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                 dtype=draw(st.sampled_from(["int64", "uint16", "int32"]))).reshape(shape)
+    obj, plain = (a, a.tolist()) if draw(st.booleans()) else ({"k": [a]}, {"k": [a.tolist()]})
+    return wide, obj, plain
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1106,112 @@ def test_augmented_witness_check_matches_the_full_table_check(bundle, seed, kind
     assert accepted or kind != "census"
 
 
+def _read_outcome(read, values):
+    """What read(values, ...) gives: the array's dtype, shape and entries, or the ShapeError's text."""
+    try:
+        arr = read(values, "entries")
+    except ShapeError as err:
+        return "ShapeError", str(err)
+    return arr.dtype.str, arr.shape, repr(arr.tolist())
+
+
+@settings(max_examples=500, deadline=None)
+@given(read_inputs())
+def test_read_array_matches_walking_every_entry_first(values):
+    assert _read_outcome(read_array, values) == _read_outcome(ref_read_array, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [[]],
+        [np.array([], dtype=bool)],
+        [np.array([], dtype=bool), np.array([], dtype=np.int64)],
+        [[np.array([], dtype=bool)], [np.array([], dtype=np.int64)]],
+        [[0, 1], [np.True_, 2]],
+        [np.array(True), 2],
+        [np.array([[1, 0]], dtype=bool), [[2, 3]]],
+        ((5, 6), (7, np.array(False))),
+        [[0, 1], [2, True, 3]],
+        [[[0] * 3] * 2, [[0, 1, np.array([True])]] * 2],
+        [2**63, 1],
+        [2**64, True],
+        [1.0, 2],
+        functools.reduce(lambda v, _: [v], range(70), [0, True]),
+        functools.reduce(lambda v, _: [v], range(70), [0, 1]),
+    ],
+)
+def test_read_array_matches_walking_every_entry_first_on_edge_cases(values):
+    assert _read_outcome(read_array, values) == _read_outcome(ref_read_array, values)
+
+
+def check_sd_witnesses(op, chunk_elements):
+    """_sd_witnesses against ref_sd_witnesses on the arguments verify_rack
+    passes for op: the same rows in the same order, and the same total, at
+    caps 1 and 7, around the total, and one past the first witness of each x
+    that fails more than once, so that the cap is reached inside its row.
+    Returns (k, n)."""
+    calls = []
+    original = racks._sd_witnesses
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    n = len(op)
+    with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements):
+        with mock.patch.object(racks, "_sd_witnesses", spy):
+            racks.verify_rack(racks.magma_from_table(op))
+        (args,) = calls
+        with mock.patch.object(racks, "WITNESS_CAP", n**3 + 1):
+            whole, total = ref_sd_witnesses(*args)
+        x = whole[:, 0]
+        starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]]) if total else []
+        inside = {int(i) + 1 for i in starts if i + 1 < total and x[i + 1] == x[i]}
+        for cap in sorted({1, 7, total - 1, total, total + 1, *inside} - {-1, 0}):
+            with mock.patch.object(racks, "WITNESS_CAP", cap):
+                got, got_total = racks._sd_witnesses(*args)
+                ref, ref_total = ref_sd_witnesses(*args)
+            assert got_total == ref_total == total
+            assert got.dtype == ref.dtype == np.intp
+            assert got.tolist() == ref.tolist() == whole[:cap].tolist()
+    return args[1], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(swapped_gauge_tables(), repeated_column_tables(), random_tables()),
+    st.sampled_from([1, 50, 400, racks._CHUNK_ELEMENTS]),
+)
+def test_sd_witnesses_match_the_broadcast_spread(op, chunk_elements):
+    check_sd_witnesses(op, chunk_elements)
+
+
+def _swapped(op, pairs):
+    op = op.copy()
+    for (a, b), (c, d) in pairs:
+        op[a, b], op[c, d] = op[c, d], op[a, b]
+    return op
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 400, racks._CHUNK_ELEMENTS])
+@pytest.mark.parametrize(
+    "op, distinct",
+    [
+        # S4 over 2 base points, three pairs of entries swapped: fewer distinct columns than elements.
+        (_swapped(gauge.build(bundles.EquivariantMap(bundles.DiscreteBundle(groups.catalog("S4"), 2), [3, 17])).table.op,
+                  [((0, 1), (5, 9)), ((40, 2), (7, 30)), ((11, 11), (47, 0))]), "k < n"),
+        # Random tables: every column differs.
+        (np.random.default_rng(1).integers(0, 12, (12, 12)), "k == n"),
+        (np.random.default_rng(2).integers(0, 30, (30, 30)), "k == n"),
+    ],
+)
+def test_sd_witnesses_match_the_broadcast_spread_on_fixed_tables(op, distinct, chunk_elements):
+    k, n = check_sd_witnesses(op, chunk_elements)
+    assert (k < n) if distinct == "k < n" else (k == n)
+
+
 def _json_text_matches_json_dumps(obj):
     try:
         expected = json.dumps(obj, indent=2)
@@ -1040,6 +1258,20 @@ def test_json_text_writes_an_int_array_as_its_list(trees, chunk_bytes):
 @given(other_arrays().flatmap(nested))
 def test_json_text_leaves_other_arrays_to_json_dumps(trees):
     _json_text_matches_json_dumps(trees[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pad_arrays(), st.sampled_from([1, 64, cli._ARRAY_CHUNK_BYTES]))
+def test_json_text_drops_dense_and_sparse_pad_bytes(drawn, chunk_bytes):
+    # Values of three digits sit in 4-byte words, one zero byte each, and
+    # take bytes.translate; single digits sit in 1-byte words, no zero byte
+    # in the text, and take bytes.replace.
+    wide, obj, plain = drawn
+    with mock.patch.object(cli, "_ARRAY_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(cli, "_strip_dense_zeros", wraps=cli._strip_dense_zeros) as dense, \
+            mock.patch.object(cli, "_strip_sparse_zeros", wraps=cli._strip_sparse_zeros) as sparse:
+        assert cli._json_text(obj) == json.dumps(plain, indent=2)
+    assert (dense.called, sparse.called) == (wide, not wide)
 
 
 @pytest.mark.parametrize(
