@@ -121,18 +121,6 @@ def identity_map(b: DiscreteBundle) -> EquivariantMap:
     return EquivariantMap(b, (0,) * b.base_size)
 
 
-def equivariance_witnesses(b: DiscreteBundle, values) -> list[tuple[int, int]]:
-    """Pairs (p, g) where f(p*g) != g^-1 f(p) g, for raw total values such as f.total_values().
-
-    No pair exactly when (P, G, f) is an augmented rack.
-    """
-    vals = index_array(values, b.group.order, "map values")
-    if vals.shape != (b.total_size,):
-        raise ShapeError("need one value per total point")
-    bad = vals[b.action_table()] != b.group.conj[vals]
-    return list(map(tuple, np.argwhere(bad).tolist()))
-
-
 def to_gauge(f: EquivariantMap) -> GaugeTransformation:
     """The gauge transformation phi_f(p) = p * f(p).
 

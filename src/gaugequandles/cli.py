@@ -25,9 +25,10 @@ from .errors import AlgebraError, ShapeError, excerpt, load_json
 MAX_PRINTED_TABLE = 12
 
 
-def _json_text(obj) -> str:
-    """The --json text of obj, the join of _stream_json's chunks: what json.dumps gives with indent 2, byte for byte.
+def _stream_json(obj, writes: list) -> None:
+    """Pass the --json text of obj, chunk after chunk, to each function in writes.
 
+    The chunks join to what json.dumps gives with indent 2, byte for byte.
     Any indent sends json.dumps to its pure-Python encoder, which spends a
     few microseconds on every int of a table or witness list. Here a list
     of ints is joined in one call. A 1-D or 2-D numpy array of non-negative
@@ -39,14 +40,6 @@ def _json_text(obj) -> str:
     including empty containers, other arrays and any type json rejects, goes
     to json.dumps itself, so stdlib json still decides its text or raises
     its TypeError.
-    """
-    chunks: list[str] = []
-    _stream_json(obj, [chunks.append])
-    return "".join(chunks)
-
-
-def _stream_json(obj, writes: list) -> None:
-    """Pass the --json text of obj, chunk after chunk, to each function in writes.
 
     The small pieces (keys, scalars, short lists) collect in one list, which
     is joined and written only at the chunk boundaries of _write_int_array

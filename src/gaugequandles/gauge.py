@@ -37,6 +37,8 @@ from .groups import FiniteGroup, Subgroup, cosets, normalizer
 from .racks import (
     MagmaTable,
     _chunks,
+    _composer,
+    _decide,
     _row_ids,
     element_invariants,
     find_isomorphism,
@@ -76,8 +78,8 @@ def build(f: EquivariantMap) -> GaugeQuandle:
     p1 * f(p1)^-1. The quandle axioms are decided at every triple by
     verify_rack: the table reads p2 only through f(p2), so it has k <= |G|
     distinct columns, and verify_rack compares ids of their k^2 composites
-    on one |P| x |P| grid, then scans entry by entry only the pairs whose
-    ids differ, none for a quandle.
+    on one |P| x k grid of (p2, column class), then scans entry by entry
+    only the pairs of the rows whose ids differ, none for a quandle.
     """
     op = f.bundle.action_table()[to_gauge(invert_map(f)).values][:, f.total_values()]
     return GaugeQuandle(map=f, table=_verified(op))
@@ -250,46 +252,33 @@ def _augmented(b: DiscreteBundle, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return act[act[np.arange(n), G.inverses[f]]], f
 
 
-def _quandle_verdicts(target: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """ok[i]: whether the table op[x, y] = aug[i, x, f[i, y]] is a quandle, for target = (aug, f) from _augmented.
+def _decided_quandles(target: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """ok[i]: whether _decide finds the table op[x, y] = aug[i, x, f[i, y]] a quandle, for target = (aug, f) from _augmented.
 
-    The table reads y only through f(y), so its axioms are read off the
-    |P| x |G| augmented form: x <| x is aug[x, f(x)]; its columns are the
-    columns aug[:, g] for g in Im f, each of which must be a permutation; and
-    self-distributivity at (x, y, z) says comp[f(y), h](x) ==
-    comp[h, f(aug[y, h])](x) with h = f(z), where comp[g, h](x) =
-    aug[aug[x, g], h]. So each distinct triple (f(y), h, f(aug[y, h])), h in
-    Im f, is compared once as maps: at most |G|^3 of them a table. The rows
-    go in chunks of at most _CHUNK_ELEMENTS pairs (y, h), each chunk's
-    columns copied as rows, and their triples in chunks of at most
-    _CHUNK_ELEMENTS entries; every gathered entry stays in aug's dtype, and
-    every flat index is widened to int64 first.
+    The table reads y only through f(y), so its column-class form is read
+    off the |P| x |G| augmented form with no table: its distinct columns
+    are aug[:, g] for g in Im f, in increasing order, and the class of y is
+    the rank of f(y) among them. The stack is padded to the largest image,
+    k, with copies of each table's first class, and decided in chunks of at
+    most _CHUNK_ELEMENTS / (k |P|) tables. True is a quandle; False is not
+    one unless a hash collision split two equal composites, or k = |P|, so
+    a caller confirms it with verify_rack.
     """
     aug, f = target
     r, n, order = aug.shape
-    idx = np.arange(n)
+    tables = np.arange(r)[:, None]
+    image = np.zeros((r, order), dtype=bool)
+    image[tables, f] = True
+    rank = image.cumsum(axis=1) - 1
+    k = int(rank[:, -1].max(initial=0)) + 1
+    g = np.argsort(~image, axis=1, kind="stable")[:, :k]  # Im f in increasing order, then the rest
+    g = np.where(np.arange(k) <= rank[:, -1:], g, g[:, :1])
+    cls = rank[tables, f]
     ok = np.empty(r, dtype=bool)
-    for start, stop in _chunks(r, n * order):
-        fs = f[start:stop]
-        rows = np.arange(stop - start)[:, None]
-        cols = np.ascontiguousarray(aug[start:stop].transpose(0, 2, 1))  # [i, g, x] = aug[x, g]: column g as a row
-        flat = cols.reshape(-1)
-        image = np.zeros((stop - start, order), dtype=bool)
-        image[rows, fs] = True
-        idem = (flat.take((rows * order + fs) * n + idx) == idx).all(axis=1)  # x <| x = aug[x, f(x)]
-        bij = ((np.sort(cols, axis=2) == idx) | ~image[..., None]).all(axis=(1, 2))
-        ok[start:stop] = idem & bij
-        # [i, h, y] for h in Im f: the triple (f(y), h, f(aug[y, h])) as one base-|G| code with its row i.
-        after = fs.reshape(-1).take(rows[..., None] * n + cols)
-        codes = ((rows[..., None] * order + fs[:, None, :]) * order + np.arange(order)[:, None]) * order + after
-        codes = np.unique(codes[image])
-        for lo, hi in _chunks(len(codes), n):
-            t = codes[lo:hi, None]
-            row, g, h, c = t // order**3, t // order**2 % order, t // order % order, t % order
-            g, h, c = ((row * order + v) * n for v in (g, h, c))  # flat index of the column's first entry
-            left = flat.take(h + flat.take(g + idx))
-            right = flat.take(c + flat.take(h + idx))
-            ok[start + row[(left != right).any(axis=1), 0]] = False
+    for start, stop in _chunks(r, k * n):
+        R = aug[start:stop].transpose(0, 2, 1)[tables[:stop - start], g[start:stop]]  # [i, c, x] = aug[x, g[c]]
+        idem, bij, sd = _decide(R, cls[start:stop], _composer(R))
+        ok[start:stop] = ~(idem.any(axis=1) | bij.any(axis=1) | sd.any(axis=(1, 2)))
     return ok
 
 
@@ -521,10 +510,11 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     that shares its bucket with another root is built, which verifies its
     quandle axioms with verify_rack, and is searched with find_isomorphism
     against the earlier roots in its bucket. Every other root is compared
-    with nothing, so it is not built: its axioms are decided for all such
-    roots at once on the augmented form (_quandle_verdicts). A root that
-    fails, built or decided, raises AlgebraError with verify_rack's report
-    on its table, the first such root in head order.
+    with nothing, so it is not built: its column-class form is read off the
+    augmented form, and the axioms of all such roots are decided at once by
+    the decider verify_rack uses (_decided_quandles). A root that fails,
+    built or decided, raises AlgebraError with verify_rack's report on its
+    table, the first such root in head order.
 
     Every other map m of a key K joins its root's class through the witness
     psi_K o phi_m onto the root's verified head, where psi_K (_orbit_witness)
@@ -556,11 +546,11 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
     roots = roots[np.argsort(first[roots])]  # in order of their heads
 
     # A root alone among the roots of its bucket is compared with nothing, so
-    # its axioms are decided on the augmented form; only the others are built.
+    # its axioms are decided on its class form; only the others are built.
     target = _augmented(b, heads[roots])
     shared = np.bincount(bucket_of[roots])[bucket_of[roots]] > 1
     ok = np.ones(len(roots), dtype=bool)
-    ok[~shared] = _quandle_verdicts((target[0][~shared], target[1][~shared]))
+    ok[~shared] = _decided_quandles((target[0][~shared], target[1][~shared]))
 
     # root key -> its class; a bucket holds (root table, class) for equal sorted invariants.
     class_of_key = np.empty(keys, dtype=np.int64)
@@ -575,7 +565,7 @@ def isomorphism_census(b: DiscreteBundle) -> list[tuple[tuple[int, ...], ...]]:
             if found is None:
                 bucket.append((table, classes))
         elif not ok[i]:
-            _verified(target[0][i][:, target[1][i]])  # raises with the table's report
+            _verified(target[0][i][:, target[1][i]])  # raises with the table's report, if verify_rack confirms
         if found is None:
             found, classes = classes, classes + 1
         class_of_key[key] = found

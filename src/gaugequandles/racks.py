@@ -31,20 +31,21 @@ from .errors import (
 from .groups import FiniteGroup
 
 # Every chunked pass works in chunks of about this many entries, to bound peak
-# memory: verify_rack's composites, n x n grid and witness pass, and the
-# census's keys, invariants, automorphism checks and witness checks.
+# memory: the axiom decider's composites and grid, verify_rack's pair
+# expansion and witness pass, and the census's keys, invariants, stacked
+# decisions, automorphism checks and witness checks.
 _CHUNK_ELEMENTS = 1_000_000
 
 # verify_rack refuses a table with k distinct columns when k x n^2 exceeds
-# this. That bounds its decision: the k^2 x n composites and the n x n grid
-# are each at most k x n^2 entries, and k^2 stays below 2^32, so class-pair
-# indices fit uint32. The witness pass reads 2n entries for each (y, z) pair
-# the decision finds; each such pair has a witness unless a hash collision
-# split two equal composites (see _composite_ids). That pass counts every
-# witness but keeps only the first WITNESS_CAP, so this cap bounds the work
-# and WITNESS_CAP the witness memory: a table of 1,625 elements whose
-# columns all differ is admitted with about 4.3e9 witnesses, and its report
-# holds the first WITNESS_CAP of them and the total.
+# this. That bounds its decision: k^2 x n composite entries, an n x k grid
+# of (y, class), and k^2 below 2^32, so class-pair indices fit uint32. Each
+# (y, c) the grid finds expands into the pairs (y, z), z of class c, and the
+# witness pass reads 2n entries for each pair, which has a witness unless a
+# hash collision split two equal composites (see _composite_ids). That pass
+# counts every witness but keeps only the first WITNESS_CAP: this cap bounds
+# the decision, the witness count the pass, and WITNESS_CAP the witness
+# memory: a table of 1,625 elements whose columns all differ is admitted
+# with about 4.3e9 witnesses, and its report holds the first WITNESS_CAP.
 # A gauge quandle has at most |G| distinct columns, so with
 # |G| <= ASSOCIATIVITY_CAP (256) and at most TOTAL_POINTS_CAP (4096) points
 # none is refused.
@@ -168,22 +169,22 @@ def verify_rack(m: MagmaTable) -> RackReport:
 
     Self-distributivity at (x, y, z) reads (x <| y) <| z against
     (x <| z) <| (y <| z). For all x at once it says R_z R_y == R_{y <| z} R_z
-    as maps, where R_z is the right translation - <| z, the column z. The
-    left side reads y and z, and the right side z and y <| z, only through
-    their columns. So with k distinct columns the k^2 composites of two
-    column classes, k^2 x n entries, each get an id, equal only for equal
-    maps, and one n x n grid of id comparisons finds the (y, z) pairs that
-    may fail. Only those pairs are then scanned entry by entry: every
+    as maps, where R_z is the right translation - <| z, the column z. Both
+    sides read z only through its class c among the k distinct columns
+    (_column_classes), since y <| z = R_c(y), so _decide finds the (y, c)
+    that may fail on an n x k grid, through ids of the k^2 composites of two
+    classes. Only the rows y with such a class are expanded into (y, z)
+    pairs, in chunks, and those pairs are scanned entry by entry: every
     violation is counted, and the first WITNESS_CAP are kept in (x, y, z)
-    order. A table whose columns all differ skips the ids: each of its pairs
-    is scanned. A table with (distinct columns) x n^2 above SD_SCAN_CAP
-    raises CapExceeded first. Bijectivity is a permutation test per distinct
-    column; idempotency is also scanned so the report can state is_quandle.
-    Each list keeps its first WITNESS_CAP entries and each total is exact.
+    order. A table whose columns all differ skips the hash, so every pair
+    is scanned but those whose two sides are one composite. A table with
+    (distinct columns) x n^2 above SD_SCAN_CAP raises CapExceeded first.
+    Bijectivity is a permutation test per distinct column, and idempotency
+    is also decided so the report can state is_quandle. Each list keeps its
+    first WITNESS_CAP entries and each total is exact.
     """
     op = m.op
     n = m.size
-    idx = np.arange(n)
     reps, cls = _column_classes(op)
     k = len(reps)
     if k * n * n > SD_SCAN_CAP:
@@ -195,32 +196,13 @@ def verify_rack(m: MagmaTable) -> RackReport:
     # element (uint8 up to 256 elements); the witnesses keep that dtype until
     # the one intp witness array.
     narrow = np.min_scalar_type(n - 1)
-    R = np.ascontiguousarray(op[:, reps].T, dtype=narrow)  # [j, x] = x <| reps[j]
-
-    sorted_rows = R.copy()
-    sorted_rows.sort(axis=1)
-    bij = (sorted_rows != idx).any(axis=1)[cls].nonzero()[0]
-
-    idem = (op.diagonal() != idx).nonzero()[0]
-
-    def composites(start: int, stop: int) -> np.ndarray:
-        """[b * k + a, i] = R_{reps[b]} R_{reps[a]} (start + i): composite (a, b), R_a first, at x = start + i."""
-        if whole is not None:
-            return whole[:, start:stop]
-        return R.take(R[:, start:stop], axis=1).reshape(k * k, -1)
-
-    # A table whose composites fit one chunk composes them once.
-    whole = None
-    if n * k * k <= _CHUNK_ELEMENTS:
-        whole = composites(0, n)
-
-    if k < n:
-        ys, zs = _failing_pairs(op, cls, k, _composite_ids(composites, n, k), narrow)
-    else:
-        ys = np.repeat(np.arange(n, dtype=narrow), n)
-        zs = np.tile(np.arange(n, dtype=narrow), n)
+    R = np.ascontiguousarray(op[:, reps].T, dtype=narrow)[None]  # [0, c, x] = x <| reps[c]
+    composites = _composer(R)
+    idem, bij, grid = (mask[0] for mask in _decide(R, cls[None], composites))
+    ys, zs = _failing_pairs(grid, cls, narrow)
     sd, sd_count = _sd_witnesses(composites, k, ys, zs, cls, op, narrow)
 
+    bij, idem = bij[cls].nonzero()[0], idem.nonzero()[0]
     # A cut list is copied, so that it does not keep the whole list alive.
     bij_count, idem_count = len(bij), len(idem)
     bij, idem = (w[:WITNESS_CAP].copy() if len(w) > WITNESS_CAP else w for w in (bij, idem))
@@ -239,6 +221,54 @@ def verify_rack(m: MagmaTable) -> RackReport:
     )
 
 
+def _composer(R: np.ndarray):
+    """composites(start, stop) for a stack R of column-class forms, shape (r, k, n): its row (i * k + b) * k + a
+    is R_b R_a in table i, R_a first, at x = start..stop-1. Composites that fit one chunk are composed once."""
+    r, k, n = R.shape
+
+    def composites(start: int, stop: int) -> np.ndarray:
+        if whole is not None:
+            return whole[:, start:stop]
+        return np.concatenate([t.take(t[:, start:stop], axis=1) for t in R]).reshape(r * k * k, stop - start)
+
+    whole = None
+    if r * k * k * n <= _CHUNK_ELEMENTS:
+        whole = composites(0, n)
+    return composites
+
+
+def _decide(R: np.ndarray, cls: np.ndarray, composites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axioms of a stack of tables, each read off its column-class form alone.
+
+    R[i, c, x] = x <| z for the z of class c in table i, shape (r, k, n), and
+    cls[i, y] the class of y; a row no element has must repeat another row
+    of its table. composites is _composer(R). Returns the masks idem[i, x],
+    x <| x != x, read as R[i, cls x, x]; bij[i, c], row c not a permutation;
+    and sd[i, c, y], the n x k grid of (y, c) where self-distributivity may
+    fail at every z of class c: it compares the ids (_composite_ids) of the
+    composites (cls y, c) and (c, cls(R[i, c, y])), the two sides at every
+    x, which are equal only for equal maps, so sd misses no failure and
+    holds none but where a hash collision split two equal composites. With
+    k == n no composite is shared, so each is its own id, and sd holds each
+    (y, c) whose two sides are two composites. The grid goes in chunks of at
+    most _CHUNK_ELEMENTS entries.
+    """
+    r, k, n = R.shape
+    idx = np.arange(n)
+    idem = R[np.arange(r)[:, None], cls, idx] != idx
+    bij = (np.sort(R, axis=2) != idx).any(axis=2)
+    ids = _composite_ids(composites, n, r * k * k) if k < n else np.arange(r * k * k)
+    flip = ids.reshape(r, k, k).transpose(0, 2, 1).ravel()  # flip[(i * k + a) * k + b] = ids[(i * k + b) * k + a]
+    table = np.arange(r * k) // k  # row p = i * k + c of the grid is class c of table i
+    rows, flat_cls = R.reshape(r * k, n), cls.reshape(-1)
+    sd = np.empty((r * k, n), dtype=bool)
+    for start, stop in _chunks(r * k, n):
+        pk, i = np.arange(start * k, stop * k, k)[:, None], table[start:stop]
+        after = flat_cls.take(i[:, None] * n + rows[start:stop])  # cls(y <| z) for z of class c
+        sd[start:stop] = ids.take(pk + cls[i]) != flip.take(pk + after)
+    return idem, bij, sd.reshape(r, k, n)
+
+
 def _chunks(n: int, width: int) -> list[tuple[int, int]]:
     """(start, stop) ranges that cover 0..n-1 in rows of width entries, at most _CHUNK_ELEMENTS a range, at least one row."""
     step = max(1, _CHUNK_ELEMENTS // max(1, width))
@@ -247,57 +277,54 @@ def _chunks(n: int, width: int) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=16)
 def _hash_weights(n: int) -> np.ndarray:
-    """n fixed pseudo-random uint64 weights."""
-    w = np.random.default_rng(0).integers(0, 2**64, n, dtype=np.uint64)
+    """n fixed pseudo-random uint64 weights: splitmix64 of 1..n, which, unlike numpy.random, costs no import (15 ms, 6 MB)."""
+    w = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w = (w ^ w >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    w = (w ^ w >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    w ^= w >> np.uint64(31)
     w.flags.writeable = False
     return w
 
 
-def _composite_ids(composites, n: int, k: int) -> np.ndarray:
-    """ids[b * k + a]: equal for two class pairs only when their composites are equal maps.
+def _composite_ids(composites, n: int, count: int) -> np.ndarray:
+    """ids[j]: equal for two of the count rows of composites only when they are equal maps.
 
-    A few composites, whose k^4 x n pairwise comparison fits in 1/32 of a
-    chunk, are compared pair by pair, and each takes the index of the first
-    one equal to it: for tables that small, a few array calls cost more
-    than the entries. More are sorted by a hash, the sum of w[x] times the
-    entry at x modulo 2^64, which equal maps share, and each takes the id of
-    the one before it when every entry agrees, else a new one: a hash
-    collision can only split equal maps, which costs a scan of pairs that do
-    not fail.
+    A few composites, whose count^2 x n pairwise comparison fits in 1/32 of
+    a chunk, are compared pair by pair, and each takes the index of the
+    first one equal to it: for tables that small, a few array calls cost
+    more than the entries. More are sorted by a hash, the sum of w[x] times
+    the entry at x modulo 2^64, which equal maps share, and each takes the
+    id of the one before it when every entry agrees, else a new one: a hash
+    collision can only split equal maps, which costs a scan of pairs that
+    do not fail.
     """
-    if k**4 * n <= _CHUNK_ELEMENTS // 32:
+    if count**2 * n <= _CHUNK_ELEMENTS // 32:
         T = composites(0, n)
         return (T[:, None] == T).all(axis=2).argmax(axis=0)
-    chunks = _chunks(n, k * k)
+    chunks = _chunks(n, count)
     w = _hash_weights(n)
     order = sum(composites(start, stop) @ w[start:stop] for start, stop in chunks).argsort()
-    differs = np.zeros(k * k - 1, dtype=bool)  # [i]: the (i + 1)-th composite by hash differs from the i-th
+    differs = np.zeros(count - 1, dtype=bool)  # [i]: the (i + 1)-th composite by hash differs from the i-th
     for start, stop in chunks:
         T = composites(start, stop)[order]
         differs |= (T[1:] != T[:-1]).any(axis=1)
-    ids = np.empty(k * k, dtype=np.min_scalar_type(k * k - 1))
+    ids = np.empty(count, dtype=np.min_scalar_type(count - 1))
     ids[order[0]] = 0
     ids[order[1:]] = differs.cumsum()
     return ids
 
 
-def _failing_pairs(op: np.ndarray, cls: np.ndarray, k: int, ids: np.ndarray, narrow) -> tuple[np.ndarray, np.ndarray]:
-    """The (y, z), in order, as narrow arrays, whose composites (cls y, cls z)
-    and (cls z, cls(y <| z)) have different ids: the pairs that may fail."""
-    n = len(op)
-    ck = cls * np.uint32(k)  # k^2 <= k n^2 <= SD_SCAN_CAP = 2^32 fits
-    ys, zs = [], []
-    for start, stop in _chunks(n, n):
-        right = ck.take(op[start:stop])  # [y, z] = cls(y <| z) * k + cls z
-        right += cls
-        fail = ids.take(ck + cls[start:stop, None]) != ids.take(right)
-        if fail.any():
-            y, z = np.nonzero(fail)
-            ys.append((y + start).astype(narrow))
-            zs.append(z.astype(narrow))
-    if not ys:
-        none = np.empty(0, dtype=narrow)
-        return none, none
+def _failing_pairs(grid: np.ndarray, cls: np.ndarray, narrow) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, z) with grid[cls z, y], in order, as narrow arrays, for the
+    grid of one table from _decide: each y with a failing class expanded to
+    the z of its failing classes, in chunks of at most _CHUNK_ELEMENTS pairs."""
+    n = len(cls)
+    rows = np.flatnonzero(grid.any(axis=0))
+    ys, zs = [np.empty(0, dtype=narrow)], [np.empty(0, dtype=narrow)]
+    for start, stop in _chunks(len(rows), n):
+        y, z = np.nonzero(grid[:, rows[start:stop]].take(cls, axis=0).T)
+        ys.append(rows[start:stop][y].astype(narrow))
+        zs.append(z.astype(narrow))
     return np.concatenate(ys), np.concatenate(zs)
 
 
@@ -410,11 +437,6 @@ def _morphism_mismatch(f, src: MagmaTable, dst: MagmaTable) -> np.ndarray:
     if fa.shape != (src.size,):
         raise ShapeError(f"map must assign all {src.size} source elements")
     return fa[src.op] != dst.op[np.ix_(fa, fa)]
-
-
-def morphism_witnesses(f, src: MagmaTable, dst: MagmaTable) -> list[tuple[int, int]]:
-    """Pairs (x, y) where f(x <| y) != f(x) <| f(y), sorted."""
-    return list(map(tuple, np.argwhere(_morphism_mismatch(f, src, dst)).tolist()))
 
 
 def is_morphism(f, src: MagmaTable, dst: MagmaTable) -> bool:

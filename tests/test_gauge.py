@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gaugequandles import bundles, gauge, groups, racks
 from gaugequandles.errors import AlgebraError, CentralizerViolation, NormalizerViolation, ShapeError
 from conftest import every_map
-from test_loop_references import relabel
+from test_loop_references import relabel, relabeled_groups
 
 S3_PERMS = groups.symmetric_group_elements(3)
 TRANSPOSITION = S3_PERMS.index((1, 0, 2))
@@ -42,13 +42,14 @@ def test_rack_always_verifies_quandle_sometimes():
         assert racks.verify_rack(gauge.rack_from_map(f)).is_rack
 
 
-def test_associated_quandle_of_rack_equals_build():
-    G = groups.catalog("D4")
-    b = bundles.DiscreteBundle(G, 2)
-    for f in every_map(b):
-        rack = gauge.rack_from_map(f)
-        q = gauge.build(f)
-        assert racks.associated_quandle(rack) == q.table
+@settings(max_examples=100, deadline=None)
+@given(relabeled_groups(["S3", "D4", "Q8", "S4", "Z4"]), st.integers(1, 3), st.data())
+def test_associated_quandle_of_rack_equals_build(G, base, data):
+    # The paper's construction: the gauge quandle is the quandle associated
+    # with the augmented rack (P, G, f), whose iota is phi_f^-1.
+    values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
+    f = bundles.EquivariantMap(bundles.DiscreteBundle(G, base), values)
+    assert racks.associated_quandle(gauge.rack_from_map(f)) == gauge.build(f).table
 
 
 def test_build_and_rack_read_the_bundle_off_the_map():
@@ -400,13 +401,28 @@ def test_census_makes_map_objects_only_for_each_key_head(name, base, made, monke
 
 @pytest.mark.parametrize("name, base, built", [("S3", 2, 0), ("S4", 1, 0), ("D4", 2, 3), ("Q8", 2, 2)])
 def test_census_builds_only_roots_a_search_compares(name, base, built, monkeypatch):
-    # D4x2 and Q8x2 put 3 of 6 and 2 of 5 roots in shared buckets; every other
-    # root's axioms are decided in one stacked pass on the augmented form
-    # (6, 5, 6 and 5 builds when every root was built).
+    # D4x2 and Q8x2 put 3 of 8 and 2 of 5 roots in shared buckets; every other
+    # root's axioms are decided in one stacked call of the decider, on the
+    # column-class forms read off the augmented form (6, 5, 8 and 5 builds
+    # when every root was built).
     builds = count_calls(monkeypatch, gauge, "build")
-    decided = count_calls(monkeypatch, gauge, "_quandle_verdicts")
+    decided = count_calls(monkeypatch, gauge, "_decide")
     gauge.isomorphism_census(bundles.DiscreteBundle(relabeled_group(name, 2), base))
     assert len(builds) == built and len(decided) == 1
+
+
+def test_verify_rack_and_the_census_reach_one_decider(monkeypatch):
+    # One function decides the axioms of every table: verify_rack calls it
+    # once a table. The D4x2 census has 8 orbit roots: it calls it once for
+    # the 5 that share no bucket, and verify_rack calls it for each of the 3
+    # that it builds.
+    assert gauge._decide is racks._decide
+    in_racks = count_calls(monkeypatch, racks, "_decide")
+    in_gauge = count_calls(monkeypatch, gauge, "_decide")
+    racks.verify_rack(racks.conjugation_quandle(groups.catalog("S3")))
+    assert len(in_racks) == 1 and in_gauge == []
+    gauge.isomorphism_census(bundles.DiscreteBundle(relabeled_group("D4", 2), 2))
+    assert len(in_racks) == 4 and len(in_gauge) == 1 and len(in_gauge[0][0]) == 5
 
 
 def test_census_reports_a_decided_root_that_fails_with_its_table(monkeypatch):

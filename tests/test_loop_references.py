@@ -310,6 +310,13 @@ def ref_sd_witnesses(composites, k, ys, zs, cls, op, narrow):
     return sd, total
 
 
+def json_text(obj):
+    """The --json text of obj: the join of cli._stream_json's chunks."""
+    chunks = []
+    cli._stream_json(obj, [chunks.append])
+    return "".join(chunks)
+
+
 def ref_holds_bool(values):
     """Whether nested lists and tuples hold a bool or a bool array at any depth, one level at a time."""
     stack = [values]
@@ -764,16 +771,20 @@ def test_normalizer_cosets_and_centralizer_match_loops(case):
 @settings(max_examples=60, deadline=None)
 @given(relabeled_groups(["Z4", "D3", "D4", "Q8", "S3"]), st.integers(1, 2), st.data())
 def test_equivariance_witnesses_match_loop(G, base, data):
+    # A map's total values have no witness. With a value changed at one
+    # point p the loop lists the pairs of the array form, each at p or moved
+    # onto p.
     b = bundles.DiscreteBundle(G, base)
     values = data.draw(st.lists(st.integers(0, G.order - 1), min_size=base, max_size=base))
     vals = bundles.EquivariantMap(b, values).total_values()
-    if data.draw(st.booleans()):  # break equivariance at one point
-        p = data.draw(st.integers(0, b.total_size - 1))
-        vals = vals.copy()
-        vals[p] = data.draw(st.integers(0, G.order - 1))
-    got = bundles.equivariance_witnesses(b, vals)
-    assert got == ref_equivariance_witnesses(b, vals)
-    assert all(type(p) is int and type(g) is int for p, g in got)
+    assert ref_equivariance_witnesses(b, vals) == []
+    p = data.draw(st.integers(0, b.total_size - 1))
+    vals = vals.copy()
+    vals[p] = data.draw(st.integers(0, G.order - 1))
+    got = ref_equivariance_witnesses(b, vals)
+    act = b.action_table()
+    assert got == list(map(tuple, np.argwhere(vals[act] != G.conj[vals]).tolist()))
+    assert all(p in (q, act[q, g]) for q, g in got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -786,9 +797,7 @@ def test_morphism_witnesses_match_loop(G, data):
         f = G.inner_automorphism(data.draw(st.integers(0, G.order - 1))).tolist()
     else:
         f = data.draw(st.lists(st.integers(0, G.order - 1), min_size=G.order, max_size=G.order))
-    got = racks.morphism_witnesses(f, m, m)
-    assert got == ref_morphism_witnesses(f, m, m)
-    assert all(type(x) is int and type(y) is int for x, y in got)
+    assert racks.is_morphism(f, m, m) is (not ref_morphism_witnesses(f, m, m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -812,7 +821,7 @@ def test_is_morphism_agrees_with_the_witness_list(op, data):
         value = st.integers(0, dst.size - 1)
         f = [data.draw(value)] * src.size if kind == "constant" else data.draw(
             st.lists(value, min_size=src.size, max_size=src.size))
-    assert racks.is_morphism(f, src, dst) is (not racks.morphism_witnesses(f, src, dst))
+    assert racks.is_morphism(f, src, dst) is (not ref_morphism_witnesses(f, src, dst))
 
 
 @settings(max_examples=60, deadline=None)
@@ -838,7 +847,7 @@ def test_verify_rack_matches_the_full_scan(op, chunk_elements):
     assert got.sd_violations.shape == (len(ref.sd_violations), 3)
     for witnesses in (got.sd_violations, got.bijectivity_violations, got.idem_violations):
         assert witnesses.dtype.kind in "iu" and not witnesses.flags.writeable
-    assert cli._json_text(got.to_json()) == json.dumps(ref.to_json(), indent=2)
+    assert json_text(got.to_json()) == json.dumps(ref.to_json(), indent=2)
 
 
 def test_verify_rack_tells_apart_columns_that_agree_mod_256():
@@ -865,8 +874,10 @@ def boundary_table(n):
     """The dihedral quandle x <| y = 2y - x mod n with rows n - 2 and n - 1 of
     column n - 1 swapped, so that column reads n - 1 and 0 there.
 
-    Its columns all differ for odd n and pair up for even n, so n = 255 and
-    257 compare every pair of columns and n = 256 takes the composite ids."""
+    Its columns all differ for odd n and pair up for even n but the swapped
+    one, so n = 255 and 257 scan every pair of columns and n = 256, with 129
+    distinct columns, is decided on its 256 x 129 grid through the composite
+    ids."""
     idx = np.arange(n)
     op = (2 * idx[None, :] - idx[:, None]) % n
     op[[n - 2, n - 1], n - 1] = op[[n - 1, n - 2], n - 1]
@@ -1217,9 +1228,9 @@ def _json_text_matches_json_dumps(obj):
         expected = json.dumps(obj, indent=2)
     except TypeError:
         with pytest.raises(TypeError):
-            cli._json_text(obj)
+            json_text(obj)
     else:
-        assert cli._json_text(obj) == expected
+        assert json_text(obj) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -1251,7 +1262,7 @@ def test_json_text_matches_json_dumps_on_edge_cases(obj):
 def test_json_text_writes_an_int_array_as_its_list(trees, chunk_bytes):
     obj, plain = trees
     with mock.patch.object(cli, "_ARRAY_CHUNK_BYTES", chunk_bytes):
-        assert cli._json_text(obj) == json.dumps(plain, indent=2)
+        assert json_text(obj) == json.dumps(plain, indent=2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1270,7 +1281,7 @@ def test_json_text_drops_dense_and_sparse_pad_bytes(drawn, chunk_bytes):
     with mock.patch.object(cli, "_ARRAY_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(cli, "_strip_dense_zeros", wraps=cli._strip_dense_zeros) as dense, \
             mock.patch.object(cli, "_strip_sparse_zeros", wraps=cli._strip_sparse_zeros) as sparse:
-        assert cli._json_text(obj) == json.dumps(plain, indent=2)
+        assert json_text(obj) == json.dumps(plain, indent=2)
     assert (dense.called, sparse.called) == (wide, not wide)
 
 
@@ -1297,7 +1308,7 @@ def test_json_text_writes_int_arrays_by_the_digit_table(a):
         for _ in range(depth):
             obj, plain = {"k": [obj]}, {"k": [plain]}
         with mock.patch.object(cli, "_write_int_array", wraps=cli._write_int_array) as writer:
-            assert cli._json_text(obj) == json.dumps(plain, indent=2)
+            assert json_text(obj) == json.dumps(plain, indent=2)
         assert writer.called == bool(a.size and a.max() < cli._DIGIT_TABLE_CAP)
 
 

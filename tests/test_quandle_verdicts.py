@@ -1,15 +1,17 @@
 """The census's stacked quandle decision on the augmented form, against verify_rack, and its memory.
 
 isomorphism_census decides the axioms of every orbit root that no search
-compares in one stacked pass, gauge._quandle_verdicts, on the |P| x |G|
-augmented forms aug[i, x, g] of the roots, whose tables are aug[i][:, f[i]].
-Each verdict must be verify_rack's on that table: for stacks as built, with
-one entry changed to another point, inside Im f or outside it, or two
-entries of a column swapped, and with the identity map, whose table reads
-one column, among maps whose images are larger; at chunk sizes down to one
-element. Rows of the augmented rack, a quandle only for the identity map,
-give tables that fail idempotency alone. The last test bounds what the
-pass allocates by its inputs and the chunk size.
+compares in one stacked call of the decider verify_rack uses,
+racks._decide, on the column-class forms that gauge._decided_quandles
+reads off the |P| x |G| augmented forms aug[i, x, g] of the roots, whose
+tables are aug[i][:, f[i]]. Each verdict must be verify_rack's on that
+table: for stacks as built, with one entry changed to another point,
+inside Im f or outside it, or two entries of a column swapped, and with the
+identity map, whose table reads one column, among maps whose images are
+larger; at chunk sizes down to one element. Rows of the augmented rack, a
+quandle only for the identity map, give tables that fail idempotency alone.
+The last test bounds what the pass allocates by its inputs and the chunk
+size.
 """
 
 import tracemalloc
@@ -68,7 +70,7 @@ def test_verdicts_are_verify_racks(stack, chunk):
     aug, f = stack
     expected = [racks.verify_rack(racks.magma_from_table(aug[i][:, f[i]])).is_quandle for i in range(len(f))]
     with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk):
-        assert gauge._quandle_verdicts((aug, f)).tolist() == expected
+        assert gauge._decided_quandles((aug, f)).tolist() == expected
 
 
 def test_only_the_bijectivity_scan_rejects_a_table_with_constant_columns():
@@ -77,12 +79,23 @@ def test_only_the_bijectivity_scan_rejects_a_table_with_constant_columns():
     aug, f = np.array([[[0, 1], [0, 1]]], dtype=np.uint8), np.array([[0, 1]])
     report = racks.verify_rack(racks.magma_from_table(aug[0][:, f[0]]))
     assert len(report.bijectivity_violations) == 2 and not len(report.sd_violations) and not len(report.idem_violations)
-    assert gauge._quandle_verdicts((aug, f)).tolist() == [False]
+    assert gauge._decided_quandles((aug, f)).tolist() == [False]
+
+
+def test_only_the_bijectivity_scan_rejects_a_table_with_repeated_columns():
+    # x <| y = r(x) for y in {0, 2} and x for y = 1, with the retraction
+    # r = (0, 0, 2), which fixes 0 and 2: idempotent and self-distributive,
+    # since r r = r, but no rack. Its two column classes are fewer than its
+    # three elements, so the decision compares composite ids.
+    aug, f = np.array([[[0, 0], [0, 1], [2, 2]]], dtype=np.uint8), np.array([[0, 1, 0]])
+    report = racks.verify_rack(racks.magma_from_table(aug[0][:, f[0]]))
+    assert report.bijectivity_violations.tolist() == [0, 2] and not report.sd_violation_count and not report.idem_violation_count
+    assert gauge._decided_quandles((aug, f)).tolist() == [False]
 
 
 def test_every_gauge_table_of_a_bundle_is_a_quandle():
     b = bundles.DiscreteBundle(groups.catalog("D4"), 2)
-    assert gauge._quandle_verdicts(gauge._augmented(b, bundles.enumerate_maps(b))).all()
+    assert gauge._decided_quandles(gauge._augmented(b, bundles.enumerate_maps(b))).all()
 
 
 def test_verdicts_allocate_one_chunk_beyond_the_inputs():
@@ -95,21 +108,22 @@ def test_verdicts_allocate_one_chunk_beyond_the_inputs():
     target = gauge._augmented(b, heads)
     f = target[1]
     chunk = 1 << 14
-    gauge._quandle_verdicts(gauge._augmented(b, heads[:1]))  # numpy's first-call imports are not the pass's
-    # Beyond the verdicts, the image mask and the idempotency gather's int64
-    # indices, a few times f's size, every array holds at most one chunk of
-    # rows or triples, none wider than 8 bytes an entry.
+    gauge._decided_quandles(gauge._augmented(b, heads[:1]))  # numpy's first-call imports are not the pass's
+    # Beyond the verdicts, the class forms, the image mask and the
+    # idempotency gather's int64 indices, a few times f's size, every array
+    # holds at most one chunk of composites or grid entries, none wider than
+    # 8 bytes an entry.
     bound = 4 * f.nbytes + 48 * chunk + (1 << 16)
     with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ok = gauge._quandle_verdicts(target)
+            ok = gauge._decided_quandles(target)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
     assert len(ok) == 35 and ok.all()
-    # In one chunk, the 4,340 distinct triples of the 35 roots, 312,480
-    # entries, take about 8.5 MB.
+    # At the default chunk, the 14,000 composites of the 35 roots, 72
+    # entries each, take about 9 MB.
     assert peak <= bound, f"the verdicts peaked at {peak} bytes, above {bound}"

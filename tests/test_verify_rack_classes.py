@@ -2,16 +2,21 @@
 
 verify_rack decides self-distributivity at (x, y, z) for all x at once: it
 gives each composite of two column classes an id and compares the ids of
-R_z R_y and R_{y <| z} R_z on the n x n grid, then scans entry by entry only
-the (y, z) pairs whose ids differ. The tables below aim at that decision:
-gauge tables with one column class rewritten, where only the class pairs
-that meet the rewritten class can fail; tables with a single column class;
-and tables where a failing pair has y and z in one class and y <| z in
+R_z R_y and R_{y <| z} R_z on the n x k grid of (y, class c of z), then
+expands the rows y with a failing class into (y, z) pairs and scans entry
+by entry only those pairs. The tables below aim at that decision: gauge
+tables with one column class rewritten, where only the class pairs that
+meet the rewritten class can fail; tables with a single column class; and
+tables where a failing pair has y and z in one class and y <| z in
 another, so a decision that read cls(z) in place of cls(y <| z) would pass
 it. Each runs against ref_verify_rack at chunk sizes down to one element,
 and the last two kinds also with a hash under which every composite
-collides. The last test bounds what verify_rack allocates on a 1,008-point gauge
-table by the chunk size and the table copies.
+collides. Rewritten tables where one failing (x, y) fails at several z of
+one class test the expansion: every such z must be listed in (x, y, z)
+order, and a witness cap reached between two of them must cut the list
+there and still count them all. The last test bounds what verify_rack
+allocates on a 1,008-point gauge table by the chunk size and the table
+copies.
 """
 
 import tracemalloc
@@ -119,6 +124,48 @@ def test_a_hash_that_always_collides_changes_no_report(op, chunk_elements):
     # ones that do not fail.
     with mock.patch.object(racks, "_hash_weights", lambda n: np.zeros(n, dtype=np.uint64)):
         check_against_the_full_scan(op, chunk_elements)
+
+
+def inside_a_class(sd, cls):
+    """The indices i of the witness rows sd where row i - 1 has the same x and
+    y and a z of the same class: a cut at i falls inside one failing (y, c)."""
+    sd = np.asarray(sd, dtype=np.intp).reshape(-1, 3)
+    same = (sd[1:, :2] == sd[:-1, :2]).all(axis=1) & (cls[sd[1:, 2]] == cls[sd[:-1, 2]])
+    return np.flatnonzero(same) + 1
+
+
+@st.composite
+def class_wide_failures(draw):
+    """A rewritten gauge table with its reference report, where some failing
+    (x, y) fails at two or more z of one class, so the n x k grid's (y, c)
+    stands for several pairs (y, z)."""
+    op = draw(rewritten_class_tables())
+    ref = ref_verify_rack(racks.magma_from_table(op))
+    assume(len(inside_a_class(ref.sd_violations, column_classes(op))))
+    return op, ref
+
+
+@pytest.mark.parametrize("chunk_elements", CHUNK_SIZES)
+@settings(max_examples=30, deadline=None)
+@given(case=class_wide_failures())
+def test_a_failing_class_lists_each_of_its_z_in_order(case, chunk_elements):
+    check_against_the_full_scan(case[0], chunk_elements)
+
+
+@pytest.mark.parametrize("chunk_elements", CHUNK_SIZES)
+@settings(max_examples=30, deadline=None)
+@given(case=class_wide_failures(), data=st.data())
+def test_the_cap_reached_inside_a_class(case, chunk_elements, data):
+    # The cut falls between two z of one failing (y, c): the list must stop
+    # there, and the total must still count every z of every class.
+    op, ref = case
+    m = racks.magma_from_table(op)
+    inside = inside_a_class(ref.sd_violations, column_classes(op)).tolist()
+    for cap in {inside[0], inside[-1], data.draw(st.sampled_from(inside))}:
+        with mock.patch.object(racks, "_CHUNK_ELEMENTS", chunk_elements), mock.patch.object(racks, "WITNESS_CAP", cap):
+            got = racks.verify_rack(m)
+        assert got.sd_violations.tolist() == [list(w) for w in ref.sd_violations[:cap]]
+        assert got.sd_violation_count == ref.sd_violation_count > cap
 
 
 def test_verify_rack_allocates_one_chunk_beyond_the_table_copies():

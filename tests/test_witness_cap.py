@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugequandles import cli, racks
+from gaugequandles import racks
 from test_loop_references import (
     assert_witness_arrays,
     boundary_table,
+    json_text,
     random_tables,
     ref_verify_rack,
     swapped_gauge_tables,
@@ -67,7 +68,7 @@ def check_the_json(got, ref, cap):
             assert obj[f"{kind}_violation_count"] == getattr(ref, f"{kind}_violation_count")
             assert type(obj[f"{kind}_violation_count"]) is int
     assert list(obj) == keys
-    assert cli._json_text(obj) == json.dumps(obj, indent=2, default=np.ndarray.tolist)
+    assert json_text(obj) == json.dumps(obj, indent=2, default=np.ndarray.tolist)
 
 
 def check_every_cap(op, chunk_elements):
