@@ -55,7 +55,6 @@ from .lie import (
     AdjointSection,
     MatrixGroupModel,
     SweepConfig,
-    check_noether,
     check_self_action,
     check_self_distributivity,
     get_model,

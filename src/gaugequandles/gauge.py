@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     index_array,
 )
-from .groups import FiniteGroup, Subgroup, cosets, normalizer
+from .groups import FiniteGroup, Subgroup, _word_tree, cosets, normalizer
 from .racks import (
     MagmaTable,
     _chunks,
@@ -297,23 +297,6 @@ def _census_witnesses(
     np.put_along_axis(pi, np.argsort(cls[zs], axis=1, kind="stable"), targets, axis=1)
     h = G.table[G.inverses[conjugator[zs]], conjugator[np.take_along_axis(rep_zs, pi, axis=1)]]
     return b.point(pi[..., None], G.table[G.inverses[h]]).reshape(len(zs), b.total_size)
-
-
-def _word_tree(G: FiniteGroup, gens: list[int]) -> tuple[list, np.ndarray]:
-    """The subgroup <gens> as a mask, and its breadth-first levels (xs, ys, js) from e with xs = ys * gens[js]."""
-    reached = np.zeros(G.order, dtype=bool)
-    reached[0] = True
-    levels, frontier = [], np.zeros(1, dtype=np.int64)
-    while len(frontier):
-        ys = np.repeat(frontier, len(gens))
-        js = np.tile(np.arange(len(gens)), len(frontier))
-        xs, pos = np.unique(G.table[ys, np.array(gens, dtype=np.int64)[js]], return_index=True)
-        new = ~reached[xs]
-        xs, ys, js = xs[new], ys[pos[new]], js[pos[new]]
-        reached[xs] = True
-        levels.append((xs, ys, js))
-        frontier = xs
-    return levels, reached
 
 
 def _automorphisms(G: FiniteGroup, cls: np.ndarray) -> np.ndarray:

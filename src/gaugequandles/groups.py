@@ -152,12 +152,25 @@ def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     Closing under products is enough: in a finite group every inverse is a
     positive power.
     """
-    elems = np.union1d([0], index_array(list(generators), G.order, "generators"))
-    while True:
-        grown = np.union1d(elems, G.table[np.ix_(elems, elems)])
-        if len(grown) == len(elems):
-            return subgroup(G, elems)
-        elems = grown
+    gens = index_array(list(generators), G.order, "generators").tolist()
+    return subgroup(G, np.flatnonzero(_word_tree(G, gens)[1]))
+
+
+def _word_tree(G: FiniteGroup, gens: list[int]) -> tuple[list, np.ndarray]:
+    """The subgroup <gens> as a mask, and its breadth-first levels (xs, ys, js) from e with xs = ys * gens[js]."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    levels, frontier = [], np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        ys = np.repeat(frontier, len(gens))
+        js = np.tile(np.arange(len(gens)), len(frontier))
+        xs, pos = np.unique(G.table[ys, np.array(gens, dtype=np.int64)[js]], return_index=True)
+        new = ~reached[xs]
+        xs, ys, js = xs[new], ys[pos[new]], js[pos[new]]
+        reached[xs] = True
+        levels.append((xs, ys, js))
+        frontier = xs
+    return levels, reached
 
 
 def normalizer(H: Subgroup) -> Subgroup:

@@ -4,9 +4,9 @@ The parametrized operation on sampled bundle points is
     p1 <|_t p2 = p1 * exp(-t X(p1)) * exp(t X(p2)),
 where X assigns a Lie-algebra matrix to every point through an adjoint
 section: X(m, g) = g^-1 * Xs(m) * g. The check_* functions sample the
-Lie-quandle axioms (self-action, self-distributivity, idempotency), the
-conjugation identity behind them, and the Noether fixing equivalence, and
-report max Frobenius-norm residuals against a tolerance.
+Lie-quandle axioms (self-action, self-distributivity, idempotency) and the
+conjugation identity behind them, and noether_sweep the Noether fixing
+equivalence; all report max Frobenius-norm residuals against a tolerance.
 
 Everything broadcasts over leading axes: a point (m, g) is one base index
 with one (d, d) matrix, or an int array of shape (...) with a (..., d, d)
@@ -26,7 +26,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -543,63 +542,11 @@ def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> Residu
 # Noether property
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoetherReport:
-    """Both directional fixing predicates for one pair, plus the algebra gap.
-
-    For stacked pairs every field has the pairs' leading shape. The "for all
-    t" predicates are decided on the sampled t values alone: each holds when
-    its max residual over those values is <= tolerance. The algebra gap
-    ||X(p1) - X(p2)|| (zero exactly when fixing holds for every t) is
-    reported beside them, and no predicate or verdict reads it.
-    """
-
-    fixes_forward: bool
-    fixes_backward: bool
-    forward_residual: float
-    backward_residual: float
-    algebra_gap: float
-    tolerance: float
-
-    @property
-    def agree(self) -> bool:
-        return self.fixes_forward == self.fixes_backward
-
-
 def _fixing_residual(X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
-    """Max over the last axis of ts of the distance from p <|_t q to p."""
+    """Max over the last axis of ts of the distance from p <|_t q to p: "p <|_t q == p for all t", sampled."""
     p = (np.expand_dims(p[0], -1), np.expand_dims(p[1], -3))
     q = (np.expand_dims(q[0], -1), np.expand_dims(q[1], -3))
     return _gap(op_t(X, p, q, ts), p).max(axis=-1)
-
-
-def check_noether(
-    X: AdjointSection,
-    p1: Point,
-    p2: Point,
-    t_samples: Sequence[float],
-    tolerance: float = DEFAULT_COMPOSITE_TOLERANCE,
-) -> NoetherReport:
-    """Evaluate "p1 <|_t p2 == p1 for all t" in both directions.
-
-    The points may be stacks with leading shape (...); t_samples then has
-    shape (K,) or (..., K), and all K values are tried on every pair.
-    """
-    ts = np.asarray(t_samples, dtype=float)
-    if ts.ndim == 0 or ts.shape[-1] == 0:
-        raise ShapeError("need at least one t sample")
-    # Both directions as one stack: [p1, p2] acted on by [p2, p1].
-    m, g = (np.stack(np.broadcast_arrays(a, b)) for a, b in zip(p1, p2))
-    fwd, bwd = _fixing_residual(X, (m, g), (m[::-1], g[::-1]), ts)
-    values = X.eval((m, g))
-    return NoetherReport(
-        fixes_forward=fwd <= tolerance,
-        fixes_backward=bwd <= tolerance,
-        forward_residual=fwd,
-        backward_residual=bwd,
-        algebra_gap=_fro(values[0] - values[1]),
-        tolerance=tolerance,
-    )
 
 
 @dataclass(frozen=True)
@@ -636,7 +583,7 @@ def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     p1, p2 = random_point(X, rng, n), random_point(X, rng, n)
     q1, q2 = equal_section_pair(X, rng, n)
     # The random pairs, then the equal-X pairs, as one stack of 2n rows, and
-    # both directions as check_noether stacks them: [p1, p2] acted on by [p2, p1].
+    # both directions as one stack: [p1, p2] acted on by [p2, p1].
     m, g = (np.stack([np.concatenate([p[i], q[i]]) for p, q in ((p1, q1), (p2, q2))]) for i in (0, 1))
     ts = np.concatenate([ts, ts])
     # Rows per op_t call: each row is acted on in 2 directions at every t.

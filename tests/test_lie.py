@@ -388,13 +388,20 @@ def test_self_distributivity_reduces_to_self_action_when_z_equals_y():
         assert np.linalg.norm(lhs[1] - rhs[1]) < 1e-10
 
 
+def _fixing(X, p1, p2, ts):
+    """Whether p1 <|_t p2 == p1 and p2 <|_t p1 == p2 hold on the sampled ts, and the algebra gap ||X(p1) - X(p2)||."""
+    tol = lie.DEFAULT_COMPOSITE_TOLERANCE
+    forward, backward = (lie._fixing_residual(X, a, b, ts) <= tol for a, b in ((p1, p2), (p2, p1)))
+    return forward, backward, np.linalg.norm(X.eval(p1) - X.eval(p2))
+
+
 def test_noether_same_point():
     X = _setup("SO3", 61)
     rng = np.random.default_rng(61)
     p = lie.random_point(X, rng)
-    rep = lie.check_noether(X, p, p, [0.5, 1.0, -1.7])
-    assert rep.fixes_forward and rep.fixes_backward and rep.agree
-    assert rep.algebra_gap < 1e-15
+    forward, backward, gap = _fixing(X, p, p, [0.5, 1.0, -1.7])
+    assert forward and backward and forward == backward
+    assert gap < 1e-15
 
 
 def test_noether_zero_section_always_fixes():
@@ -402,8 +409,8 @@ def test_noether_zero_section_always_fixes():
     rng = np.random.default_rng(67)
     zero = lie.AdjointSection(model, (np.zeros((2, 2), dtype=complex),) * 2)
     p1, p2 = lie.random_point(zero, rng), lie.random_point(zero, rng)
-    rep = lie.check_noether(zero, p1, p2, [1.0, 2.0])
-    assert rep.fixes_forward and rep.fixes_backward
+    forward, backward, _ = _fixing(zero, p1, p2, [1.0, 2.0])
+    assert forward and backward
 
 
 def test_noether_generic_pairs_fail_both_ways():
@@ -411,10 +418,10 @@ def test_noether_generic_pairs_fail_both_ways():
     rng = np.random.default_rng(71)
     for _ in range(20):
         p1, p2 = lie.random_point(X, rng), lie.random_point(X, rng)
-        rep = lie.check_noether(X, p1, p2, rng.uniform(-2, 2, size=5))
-        assert rep.agree
-        if rep.algebra_gap > 1e-6:
-            assert not rep.fixes_forward and not rep.fixes_backward
+        forward, backward, gap = _fixing(X, p1, p2, rng.uniform(-2, 2, size=5))
+        assert forward == backward
+        if gap > 1e-6:
+            assert not forward and not backward
 
 
 def test_equal_section_pairs_fix_both_ways():
@@ -423,17 +430,9 @@ def test_equal_section_pairs_fix_both_ways():
     for _ in range(20):
         p1, p2 = lie.equal_section_pair(X, rng)
         assert np.linalg.norm(p1[1] - p2[1]) > 1e-6  # genuinely distinct points
-        rep = lie.check_noether(X, p1, p2, rng.uniform(-2, 2, size=5))
-        assert rep.fixes_forward and rep.fixes_backward and rep.agree
-        assert rep.algebra_gap < 1e-12
-
-
-def test_check_noether_requires_samples():
-    X = _setup("SO3", 79)
-    rng = np.random.default_rng(79)
-    p = lie.random_point(X, rng)
-    with pytest.raises(ShapeError):
-        lie.check_noether(X, p, p, [])
+        forward, backward, gap = _fixing(X, p1, p2, rng.uniform(-2, 2, size=5))
+        assert forward and backward and forward == backward
+        assert gap < 1e-12
 
 
 def test_sweep_config_json_round_trip(tmp_path):
