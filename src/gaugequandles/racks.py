@@ -23,9 +23,10 @@ from .errors import (
     NotARack,
     ShapeError,
     excerpt,
+    _frozen_indices,
     index_array,
     json_int,
-    load_json,
+    load_table_json,
     read_array,
 )
 from .groups import FiniteGroup
@@ -143,8 +144,8 @@ def magma_from_table(op, labels: Sequence[str] | None = None) -> MagmaTable:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ShapeError(f"operation table must be square and non-empty, got shape {arr.shape}")
     n = arr.shape[0]
-    # A C-ordered copy: a Fortran-ordered table would slow verify_rack.
-    arr = index_array(arr, n, "operation table entries")
+    # C-ordered: a Fortran-ordered table would slow verify_rack.
+    arr = _frozen_indices(op, arr, n, "operation table entries")
     if labels is not None and len(labels) != n:
         raise ShapeError(f"got {len(labels)} labels for {n} elements")
     return MagmaTable(size=n, op=arr, labels=tuple(labels) if labels is not None else None)
@@ -592,4 +593,10 @@ def magma_from_json(obj) -> MagmaTable:
 
 
 def load_magma(path: str | Path) -> MagmaTable:
-    return magma_from_json(load_json(path))
+    """The table in a quandle file, as magma_from_json(json.loads(text)) gives it, with the same errors.
+
+    errors.load_table_json reads the file as UTF-8, and a plain square
+    table of integers straight from its text into the array that becomes
+    m.op, with no Python int per entry and no second copy.
+    """
+    return magma_from_json(load_table_json(path))

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -513,6 +515,26 @@ def test_json_nested_too_deeply_is_one_line_input_error(tmp_path, capsys, kind):
     Path(files[kind]).write_text('{"op": ' + "[" * 100_000 + "]" * 100_000 + "}")
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: JSON in {files[kind]} nests too deeply to read\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_input_files_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
+    # RFC 8259 section 8.1: JSON text is UTF-8 whatever the locale. verify reads its table with
+    # errors.load_table_json, build its bundle with errors.load_json.
+    files = {
+        "quandle": ({"op": [[0, 0], [1, 1]], "labels": ["é", "ü"]}, ["verify"]),
+        "bundle": ({"group": {"name": "é", "table": [[0, 1], [1, 0]]}, "base_size": 1}, ["build"]),
+    }
+    obj, argv = files["quandle" if command == "verify" else "bundle"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    argv = [*argv, str(path)]
+    if command == "build":
+        argv.append(write(tmp_path, "map.json", {"section_values": [1]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "gaugequandles.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("entry", [float("nan"), 1e300])

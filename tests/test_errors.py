@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,19 @@ def test_index_array_copies_an_int64_array_but_not_the_array_it_reads_from_a_lis
     m = racks.magma_from_table(table)
     assert table.flags.writeable and not np.shares_memory(m.op, table)
     assert not racks.magma_from_table(table.tolist()).op.flags.writeable
+
+
+def test_magma_from_table_reads_a_list_into_one_table():
+    # read_array reads the list into a new int64 table, which is frozen in
+    # place; at the parent, index_array copied it again, so the peak held two.
+    n = 500
+    table = np.random.default_rng(0).integers(0, n, (n, n)).tolist()
+    tracemalloc.start()
+    try:
+        m = racks.magma_from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.op.tolist() == table and not m.op.flags.writeable
+    # One table of 8 bytes an entry, and the 1-byte mask of its 0/1 entries that read_array scans.
+    assert peak < 1.5 * 8 * n * n, peak
