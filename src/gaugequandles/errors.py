@@ -218,7 +218,9 @@ def _read_table(text: str, i: int) -> tuple[np.ndarray | None, int]:
         values = table[done * n : (done + rows) * n]
         values[:] = digits[ends - 1]
         for k in range(1, lengths.max()):
-            values += np.where(lengths > k, digits[ends - 1 - k], 0) * _POWERS_OF_TEN[k]
+            # Cast before the product: NumPy before 2.0 keeps uint8 times a small int64 scalar in uint8.
+            place = np.where(lengths > k, digits[ends - 1 - k], 0).astype(np.int64)
+            values += place * _POWERS_OF_TEN[k]
         done += rows
         q = _skip(text, cut + 1).end()
         if text[q : q + 1] != ("," if done < n else "]"):

@@ -62,7 +62,10 @@ def dump(obj, layout: dict, ws: str) -> str:
 def table_texts(draw):
     """(text, clean): a quandle file's text and whether its table is one load_table_json reads itself."""
     n = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(st.integers(0, n + 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    # Mostly entries in or just past range; in one table of four, entries of up to 18 digits, so every
+    # place value is read.
+    top = draw(st.sampled_from([n + 1, n + 1, n + 1, 10**18 - 1]))
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n), min_size=n, max_size=n))
     layout = draw(st.sampled_from([{}, {"indent": 0}, {"indent": 2}, {"indent": "\t"}]))
     if draw(st.booleans()):
         layout["separators"] = (",", ":")
@@ -142,6 +145,7 @@ def check(text: str, path, clean: bool) -> None:
 @example(case=('{"op": [[1,0]5,[1,]]}', False), block=1 << 16)
 @example(case=('{"op": [[1, 0], [1, 0]], }', False), block=1 << 16)
 @example(case=('{"op": [[1, 0], [1, 0]]  \r\n}\n', True), block=1 << 16)
+@example(case=('{"op": [[300, 999999999999999999], [10, 123456789012345678]]}', True), block=7)
 def test_load_magma_gives_what_json_loads_gives(tmp_path_factory, case, block):
     text, clean = case
     with mock.patch.object(errors, "_TABLE_BLOCK_CHARS", block):
