@@ -87,7 +87,13 @@ class NonFinite(AlgebraError):
 def load_json(path: str | Path):
     """The JSON value in a file, read as UTF-8 (RFC 8259 section 8.1) whatever the locale; nesting too deep
     for the parser is a ShapeError, not a RecursionError."""
-    return _parse_json(Path(path).read_text(encoding="utf-8"), path)
+    return _parse_json(_read_text(path), path)
+
+
+def _read_text(path: str | Path) -> str:
+    """The file's text as it is, with no newline translation, so JSON error positions count its own "\r"s."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
 
 
 def _parse_json(text: str, path: str | Path):
@@ -108,7 +114,7 @@ def load_table_json(path: str | Path):
     json.loads, so a file gives the value load_json gives, "op" as a list,
     or raises its error.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         obj = _table_object(text)
     except (ValueError, RecursionError):  # raw_decode's errors, which json.loads raises again below

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaugequandles import errors, racks
+from gaugequandles import cli, errors, racks
 from gaugequandles.errors import AlgebraError, ShapeError
 
 LABELS = ["]]", "[1,2]", '"', "é", "a\\b", "Ω]", "x"]
@@ -115,11 +115,10 @@ def table_texts(draw):
 
 
 def check(text: str, path, clean: bool) -> None:
-    path.write_text(text, encoding="utf-8")
-    # Files are read with universal newlines, as load_json always read them, so "\r" arrives as "\n".
-    read = path.read_text(encoding="utf-8")
-    assert outcome(lambda: racks.load_magma(path)) == reference(read, path)
-    # The reader itself, on the text with its "\r"s: the object json.loads gives, or None.
+    path.write_bytes(text.encode("utf-8"))
+    # Files are read as they are, with no newline translation, so an error's position counts each "\r".
+    assert outcome(lambda: racks.load_magma(path)) == reference(text, path)
+    # The reader itself: the object json.loads gives, or None.
     try:
         expected = json.loads(text)
     except ValueError:
@@ -184,3 +183,29 @@ def test_a_built_table_is_read_in_blocks_with_no_python_int_per_entry(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(m.op, op)
     assert peak < text_bytes + 8 * n * n + (2 << 20), peak
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_a_json_error_in_a_cr_or_crlf_file_is_placed_in_the_file_itself(tmp_path, capsys, newline, command):
+    # At the parent the file was read with universal newlines: a CRLF file whose error sits at char 34 was
+    # reported at char 32.
+    text = newline.join(["{", '  "group": "S3",', '  "base_size": 2,', '  "op": [[0]]', "}"])
+    text = text.replace('"op": [[0]]', '"op": [[0] [0]]')
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode())
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_a_clean_crlf_table_is_read_in_blocks_as_its_lf_file_is(tmp_path):
+    op = np.random.default_rng(1).integers(0, 40, (40, 40)).tolist()
+    text = json.dumps({"size": 40, "op": op}, indent=2)
+    (tmp_path / "lf.json").write_bytes(text.encode())
+    (tmp_path / "crlf.json").write_bytes(text.replace("\n", "\r\n").encode())
+    crlf = errors.load_table_json(tmp_path / "crlf.json")
+    assert type(crlf["op"]) is errors._ReadTable
+    assert crlf["op"].tolist() == op == racks.load_magma(tmp_path / "lf.json").op.tolist()
+    assert racks.load_magma(tmp_path / "crlf.json").op.tolist() == op
