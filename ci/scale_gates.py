@@ -184,7 +184,7 @@ def _(cli, build, verify):
 
 
 # S4 over 170 base points, built with --out: about 195 MB of text, which verify --json must read back as a
-# quandle, straight from the text in blocks of rows (errors.load_table_json). On a shared 2-core Xeon the verify
+# quandle, straight from the text in blocks of rows (errors.load_json). On a shared 2-core Xeon the verify
 # takes about 1.6-2.0 s at a peak RSS of about 403 MB (the build 1.4 s at 348 MB). When json.loads made a Python
 # int per entry, the verify took 2.9-4.2 s and peaked at 891 MB, so the gate fails above 650 MB.
 @gate("Verify a table at the total points cap", peak_mb=650, timeout_s=300, build=0, verify=0)

@@ -112,9 +112,6 @@ class EquivariantMap:
         """f(p) for every total point, in point order: f(m, g) = g^-1 * f(s(m)) * g."""
         return self.bundle.group.conj[list(self.section_values)].ravel()
 
-    def __hash__(self) -> int:
-        return hash(self.section_values)
-
 
 def identity_map(b: DiscreteBundle) -> EquivariantMap:
     """The constant-e map, the unit of Map(P, G)^G."""

@@ -85,41 +85,31 @@ class NonFinite(AlgebraError):
 
 
 def load_json(path: str | Path):
-    """The JSON value in a file, read as UTF-8 (RFC 8259 section 8.1) whatever the locale; nesting too deep
-    for the parser is a ShapeError, not a RecursionError."""
-    return _parse_json(_read_text(path), path)
+    """The JSON value in a file, read as UTF-8 (RFC 8259 section 8.1) whatever the locale and with no
+    newline translation, so JSON error positions count its own "\r"s; nesting too deep for the parser is a
+    ShapeError, not a RecursionError.
 
-
-def _read_text(path: str | Path) -> str:
-    """The file's text as it is, with no newline translation, so JSON error positions count its own "\r"s."""
+    A text that holds '"op"' is first walked by _table_object with json's
+    own raw_decode, which parses every key and every other value, so that a
+    top-level "op" that is a list of n lists of n non-negative JSON integers
+    (no leading zeros, at most 18 digits, JSON whitespace) is read straight
+    from the text into a new read-only int64 array, a _ReadTable, with no
+    Python int per entry. Any other text, a repeated "op" key and any error
+    go to json.loads, so a file gives the value json.loads gives, with such
+    an "op" as an array, or raises its error.
+    """
     with open(path, encoding="utf-8", newline="") as f:
-        return f.read()
-
-
-def _parse_json(text: str, path: str | Path):
+        text = f.read()
+    try:
+        obj = _table_object(text) if '"op"' in text else None
+    except (ValueError, RecursionError):  # raw_decode's errors, which json.loads raises again below
+        obj = None
+    if obj is not None:
+        return obj
     try:
         return json.loads(text)
     except RecursionError:
         raise ShapeError(f"JSON in {path} nests too deeply to read") from None
-
-
-def load_table_json(path: str | Path):
-    """The JSON value in a quandle file, as load_json gives it, but with a top-level "op" that is a list
-    of n lists of n non-negative JSON integers (no leading zeros, at most 18 digits, JSON whitespace) read
-    straight from the text into a new read-only int64 array, a _ReadTable, with no Python int per entry.
-
-    The object is walked with json's own raw_decode, which parses every key
-    and every other value; _read_table reads the table in blocks of whole
-    rows. Any other text, a repeated "op" key and any error go to load_json's
-    json.loads, so a file gives the value load_json gives, "op" as a list,
-    or raises its error.
-    """
-    text = _read_text(path)
-    try:
-        obj = _table_object(text)
-    except (ValueError, RecursionError):  # raw_decode's errors, which json.loads raises again below
-        obj = None
-    return _parse_json(text, path) if obj is None else obj
 
 
 # raw_decode(text, i): the JSON value that starts at text[i] and the index after it.
@@ -130,7 +120,7 @@ _skip = json.decoder.WHITESPACE.match
 
 
 class _ReadTable(np.ndarray):
-    """A read-only table that load_table_json has just read from a file; the type tells index readers
+    """A read-only table that load_json has just read from a file; the type tells index readers
     that nothing else holds it, so they keep it rather than copy it."""
 
 

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AxiomViolation, CapExceeded, ShapeError, excerpt, index_array, json_int, read_array
+from .errors import AxiomViolation, CapExceeded, ShapeError, excerpt, _frozen_indices, index_array, json_int, read_array
 
 # Exhaustive O(n^3) associativity validation is capped here.
 ASSOCIATIVITY_CAP = 256
@@ -40,6 +40,10 @@ class FiniteGroup:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.order == other.order and np.array_equal(self.table, other.table)
+
+    def __hash__(self) -> int:
+        # Equal groups have equal tables, whatever their integer dtype.
+        return hash(self.table.astype(np.int64, copy=False).tobytes())
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -71,7 +75,7 @@ def _as_index_table(table) -> np.ndarray:
     if np.issubdtype(arr.dtype, np.floating) and np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
         arr = arr.astype(np.int64)
     # No bound: group_from_table reports an out-of-range entry as a closure witness.
-    return index_array(arr, None, "Cayley table entries")
+    return _frozen_indices(table, arr, None, "Cayley table entries")
 
 
 def _check_associativity(t: np.ndarray) -> None:

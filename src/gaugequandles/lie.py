@@ -443,8 +443,10 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
 def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
     """Point stacks x, y, z, then parameter stacks t, s, from the config's seed; every array read-only.
 
-    The checks of one sweep share these stacks, so they are drawn once per
-    (X, config): X hashes by identity and the frozen config by value.
+    X hashes by identity and the frozen config by value. _plan, the only
+    caller, is memoized on the same key, so a sweep draws once with or
+    without this memo: an 80-sample SU2 lie-check --json took 2.7-3.2 ms
+    either way, in both run orders, on a shared 2-core Xeon.
     """
     rng = np.random.default_rng(config.seed)
     x, y, z = (random_point(X, rng, config.samples) for _ in range(3))

@@ -26,7 +26,7 @@ from .errors import (
     _frozen_indices,
     index_array,
     json_int,
-    load_table_json,
+    load_json,
     read_array,
 )
 from .groups import FiniteGroup
@@ -290,18 +290,11 @@ def _hash_weights(n: int) -> np.ndarray:
 def _composite_ids(composites, n: int, count: int) -> np.ndarray:
     """ids[j]: equal for two of the count rows of composites only when they are equal maps.
 
-    A few composites, whose count^2 x n pairwise comparison fits in 1/32 of
-    a chunk, are compared pair by pair, and each takes the index of the
-    first one equal to it: for tables that small, a few array calls cost
-    more than the entries. More are sorted by a hash, the sum of w[x] times
-    the entry at x modulo 2^64, which equal maps share, and each takes the
-    id of the one before it when every entry agrees, else a new one: a hash
-    collision can only split equal maps, which costs a scan of pairs that
-    do not fail.
+    The composites are sorted by a hash, the sum of w[x] times the entry at
+    x modulo 2^64, which equal maps share, and each takes the id of the one
+    before it when every entry agrees, else a new one: a hash collision can
+    only split equal maps, which costs a scan of pairs that do not fail.
     """
-    if count**2 * n <= _CHUNK_ELEMENTS // 32:
-        T = composites(0, n)
-        return (T[:, None] == T).all(axis=2).argmax(axis=0)
     chunks = _chunks(n, count)
     w = _hash_weights(n)
     order = sum(composites(start, stop) @ w[start:stop] for start, stop in chunks).argsort()
@@ -595,8 +588,8 @@ def magma_from_json(obj) -> MagmaTable:
 def load_magma(path: str | Path) -> MagmaTable:
     """The table in a quandle file, as magma_from_json(json.loads(text)) gives it, with the same errors.
 
-    errors.load_table_json reads the file as UTF-8, and a plain square
-    table of integers straight from its text into the array that becomes
-    m.op, with no Python int per entry and no second copy.
+    errors.load_json reads the file as UTF-8, and a plain square table of
+    integers straight from its text into the array that becomes m.op, with
+    no Python int per entry and no second copy.
     """
-    return magma_from_json(load_table_json(path))
+    return magma_from_json(load_json(path))

@@ -327,3 +327,23 @@ def test_bundle_base_size_takes_numpy_integers():
     assert bundles.bundle_from_json({"group": "S3", "base_size": 2.0}) == b
     with pytest.raises(ShapeError, match="at least one point"):
         bundles.DiscreteBundle(G, np.int64(0))
+
+
+def test_equal_groups_bundles_subgroups_and_maps_hash_equal_and_work_as_dict_keys():
+    # Each pair is equal but two objects: the second group is read again from a list, as a group file is.
+    G, H = groups.catalog("S3"), groups.group_from_table(groups.catalog("S3").table.tolist())
+    b, c = bundles.DiscreteBundle(G, 2), bundles.DiscreteBundle(H, 2)
+    pairs = [
+        (G, H),
+        (b, c),
+        (groups.generated_subgroup(G, [3]), groups.subgroup(H, groups.generated_subgroup(G, [3]).elements)),
+        (bundles.EquivariantMap(b, (1, 2)), bundles.EquivariantMap(c, [1, 2])),
+    ]
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert {x: "first"}[y] == "first"
+    keys = {x: i for i, (x, _) in enumerate(pairs)}
+    assert [keys[y] for _, y in pairs] == [0, 1, 2, 3]
+    # The same section values on another bundle are another map, so another key.
+    other = bundles.EquivariantMap(bundles.DiscreteBundle(groups.catalog("Z6"), 2), (1, 2))
+    assert other != pairs[3][0] and len({pairs[3][0]: 0, other: 1}) == 2

@@ -519,8 +519,8 @@ def test_json_nested_too_deeply_is_one_line_input_error(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("command", ["verify", "build"])
 def test_input_files_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
-    # RFC 8259 section 8.1: JSON text is UTF-8 whatever the locale. verify reads its table with
-    # errors.load_table_json, build its bundle with errors.load_json.
+    # RFC 8259 section 8.1: JSON text is UTF-8 whatever the locale. verify reads its table and build its
+    # bundle with errors.load_json, the table straight from the text and the bundle through json.loads.
     files = {
         "quandle": ({"op": [[0, 0], [1, 1]], "labels": ["é", "ü"]}, ["verify"]),
         "bundle": ({"group": {"name": "é", "table": [[0, 1], [1, 0]]}, "base_size": 1}, ["build"]),

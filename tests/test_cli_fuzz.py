@@ -1,8 +1,9 @@
 """Every CLI command ends in exit 0, 1 or 2 on fuzzed input files, with short output and no traceback.
 
-The files are small racks, quandles, bundles, maps and sweep configs, all
-below every cap, each either as it is, with one entry replaced by a bad value
-or dropped, or cut short as text. cli.main must return 0, 1 or 2 without
+The files are small racks, quandles, bundles (their group by catalog name or
+as an inline group object), group files, maps and sweep configs, all below
+every cap, each either as it is, with one entry replaced by a bad value or
+dropped, or cut short as text. cli.main must return 0, 1 or 2 without
 raising, and keep stdout and stderr each under a fixed size.
 """
 
@@ -14,12 +15,18 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaugequandles import cli
+from gaugequandles import cli, groups
 
 GROUPS = {"Z1": 1, "Z2": 2, "Z3": 3, "S3": 6, "D4": 8, "Q8": 8}
 # Values spliced over one entry: bounds of small tables and groups, and values of the wrong type.
 BAD = [-1, 0, 1, 2, 3, 6, 8, 24, 2**63, 1.5, 2.0, float("nan"), float("inf"), "0", "S3", None, True, [0], {}]
 MAX_OUT, MAX_ERR = 200_000, 2_000
+SUBGROUPS = st.sampled_from(["0", "0,1", "0,3,4", "0 1", "1.5", "x", ""])
+
+
+def group_object(name: str) -> dict:
+    """The group file object of a catalog group, its Cayley table as lists."""
+    return {"name": name, "order": GROUPS[name], "table": groups.catalog(name).table.tolist()}
 
 
 def tables(n: int):
@@ -55,7 +62,9 @@ def corrupted(draw, obj):
 @st.composite
 def cases(draw):
     """(argv, files): a command line and the JSON object each of its files holds."""
-    command = draw(st.sampled_from(["verify", "build", "rack", "census", "fiber", "reduce", "lie-check"]))
+    command = draw(st.sampled_from(
+        ["verify", "build", "rack", "census", "fiber", "reduce", "lie-check", "homogeneous"]
+    ))
     flags = ["--json"] if draw(st.booleans()) else []
     if command == "verify":
         n = draw(st.integers(1, 6))
@@ -68,14 +77,19 @@ def cases(draw):
                  "seed": draw(st.integers(0, 5)), "base_points": draw(st.integers(1, 3)), "t_range": [-2, 2]}
         return ["lie-check", "s.json", *flags], {"s.json": sweep}
     group = draw(st.sampled_from(sorted(GROUPS)))
+    if command == "homogeneous":
+        element = str(draw(st.integers(-1, GROUPS[group])))
+        return ["homogeneous", "g.json", "--subgroup", draw(SUBGROUPS), "--element", element, *flags], {
+            "g.json": group_object(group)
+        }
     base = draw(st.integers(1, 3 if GROUPS[group] < 8 else 2))
-    files = {"b.json": {"group": group, "base_size": base}}
+    files = {"b.json": {"group": draw(st.sampled_from([group, group_object(group)])), "base_size": base}}
     if command == "census":
         return ["census", "b.json", *flags], files
     files["m.json"] = {"section_values": draw(st.lists(st.integers(0, GROUPS[group] - 1), min_size=base,
                                                         max_size=base))}
     extra = {"fiber": ["--base", str(draw(st.integers(-1, base)))],
-             "reduce": ["--subgroup", draw(st.sampled_from(["0", "0,1", "0,3,4", "0 1", "1.5", "x", ""]))]}
+             "reduce": ["--subgroup", draw(SUBGROUPS)]}
     return [command, "b.json", "m.json", *flags, *extra.get(command, [])], files
 
 

@@ -6,12 +6,15 @@ order: each column x -> x <| y is a permutation, fixing y for a quandle,
 and a partial table is pruned by self-distributivity on the columns
 assigned so far. A canonical form, the least table over all n!
 relabelings, sorts tables into isomorphism classes without the library's
-search. Up to isomorphism there are 1, 1, 3, 7 and 22 quandles of order 1-5
-(Ho and Nelson, Matrices and finite quandles, Homology Homotopy Appl. 2005)
-and 1, 2, 6 and 19 racks of order 1-4 (OEIS). verify_rack,
-find_isomorphism, associated_quandle and isomorphism_census are checked
-against these tables. Quandles of order 6 and racks of order 5 take 10-20 s
-each this way, so they are not enumerated here.
+search. Up to isomorphism there are 1, 1, 3, 7, 22 and 73 quandles of
+order 1-6 (Ho and Nelson, Matrices and finite quandles, Homology Homotopy
+Appl. 2005, through order 5; Henderson, Macedo and Nelson, Symbolic
+computation with finite quandles, J. Symbolic Comput. 2006, order 6) and 1,
+2, 6, 19 and 74 racks of order 1-5 (OEIS). verify_rack, find_isomorphism,
+associated_quandle and isomorphism_census are checked against these tables.
+Quandles of order 6 and racks of order 5 take 10-20 s each this way, so
+their cases carry the exhaustive marker, which the default run deselects:
+    python -m pytest -q -m exhaustive tests/test_small_quandles.py
 """
 
 import functools
@@ -22,9 +25,19 @@ import pytest
 
 from gaugequandles import bundles, gauge, groups, racks
 
-QUANDLE_COUNTS = {1: (1, 1), 2: (1, 1), 3: (5, 3), 4: (36, 7), 5: (404, 22)}  # order: (labelled, classes)
-RACK_COUNTS = {1: (1, 1), 2: (2, 2), 3: (13, 6), 4: (114, 19)}
-KINDS = [(n, True) for n in QUANDLE_COUNTS] + [(n, False) for n in RACK_COUNTS]  # (order, quandle)
+QUANDLE_COUNTS = {1: (1, 1), 2: (1, 1), 3: (5, 3), 4: (36, 7), 5: (404, 22), 6: (6_658, 73)}  # (labelled, classes)
+RACK_COUNTS = {1: (1, 1), 2: (2, 2), 3: (13, 6), 4: (114, 19), 5: (1_708, 74)}
+EXHAUSTIVE = {(6, True), (5, False)}  # (order, quandle) cases that run only under the exhaustive marker
+
+
+def _marks(order, quandle):
+    return [pytest.mark.exhaustive] if (order, quandle) in EXHAUSTIVE else []
+
+
+KINDS = [pytest.param(n, True, marks=_marks(n, True)) for n in QUANDLE_COUNTS] + [
+    pytest.param(n, False, marks=_marks(n, False)) for n in RACK_COUNTS
+]  # (order, quandle)
+RACK_ORDERS = [pytest.param(n, marks=_marks(n, False)) for n in RACK_COUNTS]
 
 
 def _distributes(cols, y, z):
@@ -116,7 +129,7 @@ def test_enumerated_tables_match_the_published_counts(order, quandle):
     assert _agree(labels, forms)
 
 
-@pytest.mark.parametrize("order", sorted(RACK_COUNTS))
+@pytest.mark.parametrize("order", RACK_ORDERS)
 def test_every_enumerated_table_passes_verify_rack(order):
     quandles = {t.tobytes() for t in enumerate_tables(order, True)}
     for t in enumerate_tables(order, False):
@@ -143,7 +156,7 @@ def test_verify_rack_on_every_magma_of_order_3():
     assert found_racks == rack_tables and found_quandles == quandle_tables
 
 
-@pytest.mark.parametrize("order", sorted(RACK_COUNTS))
+@pytest.mark.parametrize("order", RACK_ORDERS)
 def test_associated_quandle_of_every_rack_is_an_enumerated_quandle(order):
     quandles = {t.tobytes() for t in enumerate_tables(order, True)}
     for t in enumerate_tables(order, False):

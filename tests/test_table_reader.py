@@ -1,10 +1,11 @@
-"""racks.load_magma reads a table file as magma_from_json(json.loads(text)) does.
+"""Every file is read by errors.load_json as json.loads reads its text.
 
-errors.load_table_json reads a plain square table of integers straight from
-the text, and hands every other text to json.loads. The oracle here is the
-json.loads path itself: for each generated text, load_magma must give the
-same MagmaTable (equal op, int64, read-only, C-ordered, same labels) or
-raise the same exception type with the same message.
+load_json reads a plain square table of integers under a top-level "op"
+straight from the text, and hands every other text to json.loads. The
+oracle here is the json.loads path itself: for each generated text,
+racks.load_magma must give the same MagmaTable (equal op, int64, read-only,
+C-ordered, same labels) or raise the same exception type with the same
+message, and so must every other loader on the files it reads.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaugequandles import cli, errors, racks
+from gaugequandles import bundles, cli, errors, groups, lie, racks
 from gaugequandles.errors import AlgebraError, ShapeError
 
 LABELS = ["]]", "[1,2]", '"', "é", "a\\b", "Ω]", "x"]
@@ -60,7 +61,7 @@ def dump(obj, layout: dict, ws: str) -> str:
 
 @st.composite
 def table_texts(draw):
-    """(text, clean): a quandle file's text and whether its table is one load_table_json reads itself."""
+    """(text, clean): a quandle file's text and whether its table is one load_json reads itself."""
     n = draw(st.integers(1, 6))
     # Mostly entries in or just past range; in one table of four, entries of up to 18 digits, so every
     # place value is read.
@@ -132,7 +133,7 @@ def check(text: str, path, clean: bool) -> None:
         assert {**obj, "op": obj["op"].tolist()} == expected
     if clean and expected is not None:
         assert obj is not None
-        assert isinstance(errors.load_table_json(path)["op"], np.ndarray)
+        assert isinstance(errors.load_json(path)["op"], np.ndarray)
 
 
 @settings(max_examples=400, deadline=None)
@@ -205,7 +206,76 @@ def test_a_clean_crlf_table_is_read_in_blocks_as_its_lf_file_is(tmp_path):
     text = json.dumps({"size": 40, "op": op}, indent=2)
     (tmp_path / "lf.json").write_bytes(text.encode())
     (tmp_path / "crlf.json").write_bytes(text.replace("\n", "\r\n").encode())
-    crlf = errors.load_table_json(tmp_path / "crlf.json")
+    crlf = errors.load_json(tmp_path / "crlf.json")
     assert type(crlf["op"]) is errors._ReadTable
     assert crlf["op"].tolist() == op == racks.load_magma(tmp_path / "lf.json").op.tolist()
     assert racks.load_magma(tmp_path / "crlf.json").op.tolist() == op
+
+
+
+# Each loader: its file as it should be, the loader, what it makes of the JSON value, and its command line,
+# "FILE" standing for the file and "b.json" for a bundle file that is as it should be.
+S3X2 = bundles.DiscreteBundle(groups.catalog("S3"), 2)
+LOADERS = {
+    "bundle": ({"group": "S3", "base_size": 2}, bundles.load_bundle, bundles.bundle_from_json, ["census", "FILE"]),
+    "map": ({"section_values": [1, 2]}, lambda path: bundles.load_map(S3X2, path),
+            lambda obj: bundles.map_from_json(S3X2, obj), ["build", "b.json", "FILE"]),
+    "quandle": ({"size": 2, "op": [[0, 0], [1, 1]]}, racks.load_magma, racks.magma_from_json, ["verify", "FILE"]),
+    "group": ({"name": "Z2", "order": 2, "table": [[0, 1], [1, 0]]},
+              lambda path: groups.group_from_json(errors.load_json(path)), groups.group_from_json,
+              ["homogeneous", "FILE", "--subgroup", "0", "--element", "0"]),
+    "sweep": ({"model": "SO3", "samples": 4, "seed": 1}, lambda path: lie.SweepConfig.from_json(errors.load_json(path)),
+              lie.SweepConfig.from_json, ["lie-check", "FILE"]),
+}
+
+
+def reader_case(case: str, good: dict) -> str:
+    """The text of case for a loader whose file should hold good."""
+    if case in ("cr", "crlf"):  # a comma before the closing brace, past the first line end
+        return json.dumps(good, indent=2)[:-2].replace("\n", {"cr": "\r", "crlf": "\r\n"}[case]) + ",}"
+    if case == "bom":
+        return "\ufeff" + json.dumps(good)
+    if case == "deep":
+        return "[" * 100_000
+    # A top-level "op" table in a file that is not a quandle file: a bundle file, for the quandle loader.
+    return json.dumps({**(LOADERS["bundle"][0] if "op" in good else good), "op": [[1, 0], [0, 1]]})
+
+
+def made(load) -> tuple:
+    """("value", what load() gives, tables and groups as lists), or ("error", its type, the message the CLI prints)."""
+    try:
+        value = load()
+    except (AlgebraError, KeyError, ValueError) as exc:
+        return "error", type(exc), exc.args[0] if isinstance(exc, KeyError) else str(exc)
+    if isinstance(value, racks.MagmaTable):
+        value = value.op.tolist(), value.labels
+    elif isinstance(value, groups.FiniteGroup):
+        value = value.table.tolist(), value.name
+    return "value", value
+
+
+@pytest.mark.parametrize("case", ["cr", "crlf", "bom", "deep", "op"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_loader_gives_what_json_loads_gives(tmp_path, capsys, kind, case):
+    good, load, from_obj, argv = LOADERS[kind]
+    text = reader_case(case, good)
+    path = tmp_path / "input.json"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        expected = "error", ShapeError, f"JSON in {path} nests too deeply to read"
+    except ValueError as exc:
+        expected = "error", type(exc), str(exc)
+    else:
+        raw = errors.load_json(path)  # the "op" table read straight from the text
+        assert type(raw["op"]) is errors._ReadTable and {**raw, "op": raw["op"].tolist()} == obj
+        expected = made(lambda: from_obj(obj))
+    assert made(lambda: load(path)) == expected
+    (tmp_path / "b.json").write_text(json.dumps(LOADERS["bundle"][0]))
+    code = cli.main([str(path) if a == "FILE" else str(tmp_path / a) if a == "b.json" else a for a in argv])
+    err = capsys.readouterr().err
+    if expected[0] == "error":
+        assert (code, err) == (2, f"error: {expected[2]}\n")
+    else:
+        assert code in (0, 1) and not err
