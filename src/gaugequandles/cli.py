@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -29,22 +28,18 @@ def _stream_json(obj, writes: list) -> None:
     """Pass the --json text of obj, chunk after chunk, to each function in writes.
 
     The chunks join to what json.dumps gives with indent 2, byte for byte.
-    Any indent sends json.dumps to its pure-Python encoder, which spends a
-    few microseconds on every int of a table or witness list. Here a list
-    of ints is joined in one call. A 1-D or 2-D numpy array of non-negative
-    ints, such as an op table or a witness array, is written as the text of
-    its tolist(), its digits gathered from a table into a byte template
-    (_write_int_array). Dicts with str keys and other lists are walked,
-    their keys quoted by json's own encoder, and the scalars of each
-    container are written by one json.dumps call. Every other value,
-    including empty containers, other arrays and any type json rejects, goes
-    to json.dumps itself, so stdlib json still decides its text or raises
-    its TypeError.
+    A 1-D or 2-D numpy array of non-negative ints, such as an op table or a
+    witness array, is written as the text of its tolist(), its digits
+    gathered from a table into a byte template (_write_int_array). Only the
+    dicts with str keys and the lists that hold such an array are walked,
+    their keys quoted by json's own encoder; every other value, including
+    other arrays and any type json rejects, goes to json whole, so stdlib
+    json still decides its text or raises its TypeError.
 
-    The small pieces (keys, scalars, short lists) collect in one list, which
-    is joined and written only at the chunk boundaries of _write_int_array
-    and at the end: a document without a large array is one write, and one
-    with an array is never held whole.
+    The pieces collect in one list, which is joined and written only at the
+    chunk boundaries of _write_int_array and at the end: a document without
+    an array is one json call and one write, and one with an array is never
+    held whole.
     """
     parts: list[str] = []
     _write_json(obj, "\n", parts, writes)
@@ -59,12 +54,9 @@ def _flush(parts: list[str], writes: list) -> None:
         write(chunk)
 
 
-# What _write_json walks; every other value is a scalar written by json.dumps.
-_CONTAINERS = (dict, list, tuple, np.ndarray)
-
-# json.dumps(values, separators=("\n", ":")), with its encoder built once:
-# json.dumps builds a new one for every call that passes separators.
-_scalar_list_text = json.JSONEncoder(separators=("\n", ":")).encode
+# json.dumps(v, indent=2), with its encoder built once: json.dumps builds a
+# new one for every call that passes indent.
+_json_text = json.JSONEncoder(indent=2).encode
 
 # _write_int_array builds a digit table of max + 1 words; an array with a
 # larger value is written from its tolist().
@@ -74,61 +66,42 @@ _DIGIT_TABLE_CAP = 1 << 20
 _ARRAY_CHUNK_BYTES = 1 << 18
 
 
-def _scalar_texts(values) -> Iterator[str]:
-    """The json.dumps text of each value among values that is not in _CONTAINERS, in order, from one call.
-
-    No JSON scalar text holds a newline, so with a newline between items
-    the texts are the lines of the list's text inside its brackets. A single
-    scalar, as in each census class dict, is written by json.dumps alone.
-    """
-    scalars = [x for x in values if not isinstance(x, _CONTAINERS)]
-    if len(scalars) == 1:
-        return iter((json.dumps(scalars[0]),))
-    return iter(_scalar_list_text(scalars)[1:-1].split("\n") if scalars else ())
+def _holds_array(v) -> bool:
+    """Whether v is a numpy array, or a dict or list or tuple that holds one at any depth."""
+    if isinstance(v, dict):
+        return any(map(_holds_array, v.values()))
+    if isinstance(v, (list, tuple)):
+        return any(map(_holds_array, v))
+    return type(v) is np.ndarray
 
 
 def _write_json(v, nl: str, parts: list[str], writes: list) -> None:
-    """Append the text of v, whose lines start with nl, to parts; an int array flushes its chunks to writes."""
+    """Append v's text, its lines starting with nl, to parts; json writes all but the int arrays, which flush to writes."""
     inner = nl + "  "
-    if type(v) is dict and v and set(map(type, v)) == {str}:
-        scalars = _scalar_texts(v.values())
-        sep = "{"
-        for key, value in v.items():
-            parts += (sep, inner, json.encoder.encode_basestring_ascii(key), ": ")
-            if isinstance(value, _CONTAINERS):
-                _write_json(value, inner, parts, writes)
-            else:
-                parts.append(next(scalars))
-            sep = ","
-        parts += (nl, "}")
-    elif type(v) in (list, tuple) and v:
-        if set(map(type, v)) == {int}:
-            parts += ("[", inner, ("," + inner).join(map(str, v)), nl, "]")
-        else:
-            scalars = _scalar_texts(v)
-            sep = "["
-            for item in v:
-                parts += (sep, inner)
-                if isinstance(item, _CONTAINERS):
-                    _write_json(item, inner, parts, writes)
-                else:
-                    parts.append(next(scalars))
-                sep = ","
-            parts += (nl, "]")
-    elif type(v) is np.ndarray and v.dtype.kind in "iu" and v.ndim in (1, 2) and not (v.size and v.min() < 0):
+    if type(v) is np.ndarray and v.dtype.kind in "iu" and v.ndim in (1, 2) and not (v.size and v.min() < 0):
         top = int(v.max()) if v.size else _DIGIT_TABLE_CAP
         if top < _DIGIT_TABLE_CAP:
             _write_int_array(v, top, nl, parts, writes)
         else:
             _write_json(v.tolist(), nl, parts, writes)
-    elif isinstance(v, (dict, list, tuple)):
-        # json.dumps never writes a raw newline inside a value, so each of
-        # its newlines starts a line and takes this value's indent.
-        parts.append(json.dumps(v, indent=2).replace("\n", nl))
+    elif type(v) is dict and set(map(type, v)) == {str} and _holds_array(v):
+        sep = "{"
+        for key, value in v.items():
+            parts += (sep, inner, json.encoder.encode_basestring_ascii(key), ": ")
+            _write_json(value, inner, parts, writes)
+            sep = ","
+        parts += (nl, "}")
+    elif type(v) in (list, tuple) and _holds_array(v):
+        sep = "["
+        for item in v:
+            parts += (sep, inner)
+            _write_json(item, inner, parts, writes)
+            sep = ","
+        parts += (nl, "]")
     else:
-        # indent lays out containers only; without it json.dumps reuses
-        # its C encoder instead of building a pure-Python one.
-        parts.append(json.dumps(v))
+        # json never writes a raw newline inside a value, so each of its
+        # newlines starts a line and takes this value's indent.
+        parts.append(_json_text(v).replace("\n", nl))
 
 
 # bytes.translate drops zero bytes at about 1.5 ns a byte of text and

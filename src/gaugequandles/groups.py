@@ -17,6 +17,9 @@ from .errors import AxiomViolation, CapExceeded, ShapeError, excerpt, _frozen_in
 # Exhaustive O(n^3) associativity validation is capped here.
 ASSOCIATIVITY_CAP = 256
 
+# The associativity check compares about this many products at a time.
+_ASSOCIATIVITY_CHUNK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -79,13 +82,15 @@ def _as_index_table(table) -> np.ndarray:
 
 
 def _check_associativity(t: np.ndarray) -> None:
+    """Raise on the first (a, b, c), in lexicographic order, with (a*b)*c != a*(b*c)."""
     n = t.shape[0]
-    for a in range(n):
-        lhs = t[t[a]]        # lhs[b, c] = (a*b)*c
-        rhs = t[a][t]        # rhs[b, c] = a*(b*c)
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            raise AxiomViolation("associativity", (a, int(b), int(c)))
+    step = max(1, _ASSOCIATIVITY_CHUNK_ELEMENTS // n**2)
+    for start in range(0, n, step):
+        rows = t[start:start + step]
+        bad = t[rows] != np.take(rows, t, axis=1)   # [a, b, c]: (a*b)*c != a*(b*c)
+        if bad.any():
+            a, b, c = np.argwhere(bad)[0].tolist()
+            raise AxiomViolation("associativity", (start + a, b, c))
 
 
 def group_from_table(table, name: str = "") -> FiniteGroup:

@@ -439,15 +439,8 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
     )
 
 
-@functools.lru_cache(maxsize=1)
 def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
-    """Point stacks x, y, z, then parameter stacks t, s, from the config's seed; every array read-only.
-
-    X hashes by identity and the frozen config by value. _plan, the only
-    caller, is memoized on the same key, so a sweep draws once with or
-    without this memo: an 80-sample SU2 lie-check --json took 2.7-3.2 ms
-    either way, in both run orders, on a shared 2-core Xeon.
-    """
+    """Point stacks x, y, z, then parameter stacks t, s, from the config's seed; every array read-only."""
     rng = np.random.default_rng(config.seed)
     x, y, z = (random_point(X, rng, config.samples) for _ in range(3))
     t, s = rng.uniform(*config.t_range, size=(2, config.samples))
@@ -465,9 +458,10 @@ _PLANNED_CHECKS = (
 def _plan(X: AdjointSection, config: SweepConfig) -> dict[str, np.ndarray]:
     """Per-sample residuals of the six sweep checks, keyed by check name.
 
-    The checks of one sweep read these, so like _draw they are computed once
-    per (X, config); only the residuals are kept. The samples are taken in
-    chunks that bound each stacked array.
+    The checks of one sweep read these, so they are computed once per
+    (X, config): X hashes by identity and the frozen config by value. Only
+    the residuals are kept. The samples are taken in chunks that bound each
+    stacked array.
     """
     x, y, z, t, s = _draw(X, config)
     # The widest stack, the first round of exponentials, holds ten matrices a sample.

@@ -587,7 +587,7 @@ def test_drawn_stacks_are_read_only():
     X = _setup("SO3", 5)
     config = lie.SweepConfig(samples=4, seed=5)
     (m, g), y, z, t, s = lie._draw(X, config)
-    assert lie._draw(X, config)[0][1] is g
+    assert np.array_equal(lie._draw(X, config)[0][1], g)
     for a in (m, g, *y, *z, t, s):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
