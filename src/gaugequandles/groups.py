@@ -119,8 +119,8 @@ def group_from_table(table, name: str = "") -> FiniteGroup:
 
     # Relabel so the identity sits at index 0, preserving the relative order
     # of the remaining elements: new element i is old element old[i].
-    old = np.concatenate([[identity], np.delete(idx, identity)])
-    t = np.argsort(old)[t[np.ix_(old, old)]]
+    old = (idx != identity).argsort(kind="stable")
+    t = old.argsort()[t[old[:, None], old]]
 
     two_sided = (t == 0) & (t.T == 0)
     missing = np.flatnonzero(~two_sided.any(axis=1))

@@ -10,12 +10,13 @@ equivalence; all report max Frobenius-norm residuals against a tolerance.
 
 Everything broadcasts over leading axes: a point (m, g) is one base index
 with one (d, d) matrix, or an int array of shape (...) with a (..., d, d)
-stack. A sweep draws its sample stacks once: the six checks share the same
-points x, y, z and parameters t, s, and the Noether sweep draws its own.
-The six checks read one evaluation plan, which builds each value of X and
-each exponential that two checks share once, in stacked rounds, and keeps
-only the residuals. The Noether sweep runs its random and equal-X pairs, in
-both directions, through one op_t call. Both are chunked to bound memory.
+stack. A sweep draws its sample stacks once, one call per random stream:
+the six checks share the same points x, y, z and parameters t, s, and the
+Noether sweep draws its own. The six checks read one evaluation plan, which
+builds each value of X and each exponential that two checks share once, in
+stacked rounds, and keeps only the residuals. The Noether sweep runs its
+random and equal-X pairs, in both directions, through one op_t call. Both
+are chunked to bound memory, and exponentiate along flows exp(tA).
 
 All randomness is seeded; every report carries its seed.
 """
@@ -54,9 +55,22 @@ _SWEEP_CHUNK_ELEMENTS = 1 << 17
 GL_DIM_CAP = 16
 
 
+# The identity matrix of each dimension, built once; no caller writes to it.
+_eye = functools.lru_cache(maxsize=GL_DIM_CAP + 1)(np.eye)
+
+
 def _fro(a) -> np.ndarray:
-    """Frobenius norm over the last two axes."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm over the last two axes, squared by einsum, not through np.linalg.norm's Python layers."""
+    a = np.asarray(a)
+    square = np.einsum("...ij,...ij->...", a.real, a.real)
+    if a.dtype.kind == "c":
+        square = square + np.einsum("...ij,...ij->...", a.imag, a.imag)
+    return np.sqrt(square)
+
+
+def _stack(arrays) -> np.ndarray:
+    """np.stack of same-shape arrays as one np.concatenate, without np.stack's Python layers."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
 
 
 def _col(t) -> np.ndarray:
@@ -66,7 +80,7 @@ def _col(t) -> np.ndarray:
 
 def _adjoint(M) -> np.ndarray:
     """Conjugate transpose of each matrix."""
-    return np.swapaxes(M, -1, -2).conj()
+    return np.asarray(M).swapaxes(-1, -2).conj()
 
 
 def _mul(A, B) -> np.ndarray:
@@ -76,7 +90,8 @@ def _mul(A, B) -> np.ndarray:
     complex product is summed from d outer products instead. Real stacks
     keep @: summed, an SO3 sweep of 8 to 80 samples takes 40-60% longer.
     """
-    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
+    A, B = np.asarray(A), np.asarray(B)
+    if A.dtype.kind != "c" and B.dtype.kind != "c":
         return A @ B
     out = A[..., :, 0, None] * B[..., None, 0, :]
     for k in range(1, A.shape[-1]):
@@ -96,9 +111,9 @@ def mat_exp(a) -> np.ndarray:
     A = np.asarray(a)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ShapeError(f"matrix exponential needs square matrices, got shape {A.shape}")
-    if not np.issubdtype(A.dtype, np.inexact):
+    if A.dtype.kind not in "fc":
         A = A.astype(np.float64)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFinite("matrix exponential of a non-finite matrix")
 
     # An overflowing norm or product leaves a non-finite result, checked once below.
@@ -107,7 +122,7 @@ def mat_exp(a) -> np.ndarray:
         squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
         B = A / _col(2.0**squarings)
 
-        eye = np.eye(A.shape[-1], dtype=B.dtype)
+        eye = _eye(A.shape[-1])
         result = eye
         for k in range(_EXP_TAYLOR_ORDER, 0, -1):
             result = eye + (B @ result) / k
@@ -115,7 +130,7 @@ def mat_exp(a) -> np.ndarray:
             result = np.where((squarings > i)[..., None, None], result @ result, result)
     if not np.isfinite(result).all():
         bad = ~np.isfinite(result).all(axis=(-2, -1))
-        raise NonFinite(f"matrix exponential overflows at argument norm {np.max(norms[bad]):.3g}")
+        raise NonFinite(f"matrix exponential overflows at argument norm {norms[bad].max():.3g}")
     return result
 
 
@@ -136,65 +151,71 @@ class MatrixGroupModel:
 
     name: str
     dim: int
-    algebra_basis: tuple[np.ndarray, ...]
+    algebra_basis: np.ndarray  # given as any sequence of (dim, dim) matrices, stored as one read-only stack
     unitary: bool = False
     real: bool = False
 
     def __post_init__(self):
-        basis = np.asarray(self.algebra_basis)
+        basis = np.array(self.algebra_basis)
         d = self.dim
         if basis.shape[:1] == (0,) or basis.shape[1:] != (d, d):
             raise ShapeError(f"{self.name} basis must be a (k, {d}, {d}) stack with k >= 1, got shape {basis.shape}")
-        r = np.max(algebra_residual(self, basis))
+        basis.setflags(write=False)
+        object.__setattr__(self, "algebra_basis", basis)
+        r = algebra_residual(self, basis).max()
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"{self.name} basis matrix violates algebra constraints ({r:.2e})")
         # The Taylor series is the independent reference: exp must agree with it
         # on the basis, which a sign slip would not (the sweep is symmetric in t).
         reference = mat_exp(basis)
-        r = np.max(membership_residual(self, reference))
+        r = membership_residual(self, reference).max()
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"exp of a {self.name} basis matrix leaves the group ({r:.2e})")
-        r = np.max(_fro(self.exp(basis) - reference))
+        r = _fro(self.exp(basis) - reference).max()
         if not r <= MODEL_TOLERANCE:
             raise ShapeError(f"{self.name} exp disagrees with the Taylor series on its basis ({r:.2e})")
 
     def exp(self, A) -> np.ndarray:
-        """Exponential of one algebra matrix or a (..., dim, dim) stack of them.
+        """Exponential of one algebra matrix or a (..., dim, dim) stack of them: flow(A, 1.0)."""
+        return self.flow(A, 1.0)
 
-        so(3) satisfies A^3 = -theta^2 A with theta = ||A||_F / sqrt(2), so
-        Rodrigues' formula exp(A) = I + sin(theta)/theta A
-        + (1 - cos(theta))/theta^2 A^2 is exact there. On a traceless
+    def flow(self, A, t) -> np.ndarray:
+        """exp(tA) on the one-parameter subgroup of each algebra matrix in A.
+
+        A is one (dim, dim) matrix or a (..., dim, dim) stack; t, a scalar or
+        an array that broadcasts with A's leading shape, scales it as
+        t[..., None, None]. so(3) satisfies A^3 = -theta^2 A with theta =
+        ||A||_F / sqrt(2), so Rodrigues' formula exp(tA) = I + sin(t theta)/theta A
+        + (1 - cos(t theta))/theta^2 A^2 is exact there. On a traceless
         anti-Hermitian 2 x 2 matrix (su(2), so(2)) Cayley-Hamilton gives
-        A^2 = -det(A) I = -theta^2 I, so exp(A) = cos(theta) I + sin(theta)/theta A,
-        with no matrix product. Past theta * 2^-53 > MODEL_TOLERANCE a double
+        A^2 = -det(A) I = -theta^2 I, so exp(tA) = cos(t theta) I + sin(t theta)/theta A.
+        theta and A^2 are computed once per matrix of A, and each t costs a
+        sine and a cosine. Past |t| theta * 2^-53 > MODEL_TOLERANCE a double
         keeps no digit of the angle, and that argument raises NonFinite, as a
-        NaN or infinite entry does. Other models use mat_exp.
+        NaN or infinite entry does. Other models use mat_exp(tA).
         """
         if not (self.unitary and (self.dim == 2 or (self.dim == 3 and self.real))):
-            return mat_exp(A)
+            return mat_exp(_col(t) * A)
         A = np.asarray(A)
-        square = np.einsum("...ij,...ij->...", A.real, A.real)
-        if np.iscomplexobj(A):
-            square = square + np.einsum("...ij,...ij->...", A.imag, A.imag)
+        norm = _fro(A)
         # Where A is 0, or too small to square, a floor far below any angle
-        # that matters gives both ratios their limits 1 and 1/2.
-        theta = np.maximum(np.sqrt(0.5 * square), 1e-300)
-        # False for a NaN or infinite theta too, so one test guards both.
-        if not (theta <= MODEL_TOLERANCE * 2.0**53).all():
-            if not np.isfinite(A).all():
+        # that matters gives both ratios their limits t and t^2/2.
+        theta = np.maximum(norm * math.sqrt(0.5), 1e-300)
+        angle = t * theta
+        # False for a NaN or infinite angle too, so one test guards both.
+        if not (abs(angle) <= MODEL_TOLERANCE * 2.0**53).all():
+            if not (np.isfinite(A).all() and np.isfinite(t).all()):
                 raise NonFinite("matrix exponential of a non-finite matrix")
-            with np.errstate(over="ignore"):
-                norm = np.max(_fro(A))
             raise NonFinite(
-                f"matrix exponential overflows at argument norm {norm:.3g}: "
+                f"matrix exponential overflows at argument norm {(abs(t) * norm).max():.3g}: "
                 "no digit of its rotation angle survives in double precision"
             )
         inverse = 1.0 / theta
-        sin_term = (np.sin(theta) * inverse)[..., None, None]
+        sin_term = (np.sin(angle) * inverse)[..., None, None]
         if self.dim == 2:
-            return np.cos(theta)[..., None, None] * np.eye(2) + sin_term * A
-        half = np.sin(0.5 * theta) * inverse
-        return np.eye(3) + sin_term * A + (2.0 * half * half)[..., None, None] * (A @ A)
+            return np.cos(angle)[..., None, None] * _eye(2) + sin_term * A
+        half = np.sin(0.5 * angle) * inverse
+        return _eye(3) + sin_term * A + (2.0 * half * half)[..., None, None] * (A @ A)
 
     def inverse(self, M) -> np.ndarray:
         if self.unitary:
@@ -208,7 +229,7 @@ class MatrixGroupModel:
 
 
 def _imag_residual(A) -> np.ndarray:
-    return np.abs(np.imag(A)).max(axis=(-2, -1))
+    return np.abs(A.imag).max(axis=(-2, -1))
 
 
 def algebra_residual(model: MatrixGroupModel, A):
@@ -216,7 +237,7 @@ def algebra_residual(model: MatrixGroupModel, A):
     A = np.asarray(A)
     r = np.zeros(A.shape[:-2])
     if model.unitary:
-        r = np.maximum(_fro(A + _adjoint(A)), np.abs(np.trace(A, axis1=-2, axis2=-1)))
+        r = np.maximum(_fro(A + _adjoint(A)), np.abs(A.trace(axis1=-2, axis2=-1)))
     if model.real:
         r = np.maximum(r, _imag_residual(A))
     return r[()]
@@ -231,7 +252,7 @@ def membership_residual(model: MatrixGroupModel, M):
     M = np.where(finite[..., None, None], M, 0)
     det = np.linalg.det(M)
     if model.unitary:
-        r = np.maximum(_fro(_mul(_adjoint(M), M) - np.eye(model.dim)), np.abs(det - 1.0))
+        r = np.maximum(_fro(_mul(_adjoint(M), M) - _eye(model.dim)), np.abs(det - 1.0))
     else:
         r = np.where(np.abs(det) > 1e-12, 0.0, np.inf)
     if model.real:
@@ -269,7 +290,7 @@ def get_model(name: str) -> MatrixGroupModel:
     if len(digits) > len(str(GL_DIM_CAP)) or int(digits) > GL_DIM_CAP:
         raise CapExceeded(f"model {excerpt(name)} exceeds the GL<n> size cap n <= {GL_DIM_CAP}")
     n = int(digits)
-    return MatrixGroupModel(f"GL{n}", n, tuple(np.eye(n * n).reshape(n * n, n, n)))
+    return MatrixGroupModel(f"GL{n}", n, np.eye(n * n).reshape(n * n, n, n))
 
 
 def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -279,11 +300,11 @@ def random_algebra(model: MatrixGroupModel, rng: np.random.Generator, size=None)
     coefficient vector has expected squared length 1 for every model; for
     the 3-dimensional SO3 and SU2 algebras the range is [-1, 1].
     """
-    shape = () if size is None else np.atleast_1d(size)
+    shape = () if size is None else size if isinstance(size, tuple) else (size,)
     k = len(model.algebra_basis)
     bound = math.sqrt(3 / k)
     coeffs = rng.uniform(-bound, bound, size=(*shape, k))
-    return np.einsum("...k,kij->...ij", coeffs, np.asarray(model.algebra_basis))
+    return np.einsum("...k,kij->...ij", coeffs, model.algebra_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +333,9 @@ class AdjointSection:
             raise ShapeError("need at least one base point")
         if values.shape[1:] != (d, d):
             raise ShapeError(f"section values must be a (base_points, {d}, {d}) stack, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFinite("section values must be finite")
-        r = np.max(algebra_residual(self.model, values))
+        r = algebra_residual(self.model, values).max()
         if r > MODEL_TOLERANCE:
             raise ShapeError(f"section value violates algebra constraints ({r:.2e})")
         values.setflags(write=False)
@@ -339,11 +360,12 @@ def op_t(X: AdjointSection, p1: Point, p2: Point, t) -> Point:
 
     t is a scalar or an array that broadcasts with the points' leading shape.
     """
-    t = _col(t)
-    if not np.all(np.isfinite(t)):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise NonFinite("parameter t must be finite")
     m1, g1 = p1
-    return (m1, _mul(_mul(g1, X.model.exp(-t * X.eval(p1))), X.model.exp(t * X.eval(p2))))
+    flow = X.model.flow
+    return (m1, _mul(_mul(g1, flow(X.eval(p1), -t)), flow(X.eval(p2), t)))
 
 
 def _gap(p: Point, q: Point) -> np.ndarray:
@@ -428,7 +450,7 @@ def _json_residual(r: float) -> float | None:
 
 def _report(check: str, config: SweepConfig, residuals, tolerance: float | None = None) -> ResidualReport:
     tol = config.tolerance if tolerance is None else tolerance
-    worst = float(np.max(residuals))
+    worst = float(residuals.max())
     return ResidualReport(
         check=check,
         samples=config.samples,
@@ -440,13 +462,13 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
 
 
 def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
-    """Point stacks x, y, z, then parameter stacks t, s, from the config's seed; every array read-only."""
+    """Points x, y, z stacked on a leading axis of 3, then parameter stacks t, s; every array read-only."""
     rng = np.random.default_rng(config.seed)
-    x, y, z = (random_point(X, rng, config.samples) for _ in range(3))
+    m, g = random_point(X, rng, (3, config.samples))
     t, s = rng.uniform(*config.t_range, size=(2, config.samples))
-    for a in (*x, *y, *z, t, s):
+    for a in (m, g, t, s):
         a.setflags(write=False)
-    return x, y, z, t, s
+    return (m, g), t, s
 
 
 _PLANNED_CHECKS = (
@@ -463,42 +485,39 @@ def _plan(X: AdjointSection, config: SweepConfig) -> dict[str, np.ndarray]:
     the residuals are kept. The samples are taken in chunks that bound each
     stacked array.
     """
-    x, y, z, t, s = _draw(X, config)
+    (m, g), t, s = _draw(X, config)
     # The widest stack, the first round of exponentials, holds ten matrices a sample.
     chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (10 * X.model.dim**2))
-    parts = [
-        _plan_rows(X, *(a[start:start + chunk] for a in (*x, *y, *z, t, s)))
-        for start in range(0, config.samples, chunk)
-    ]
+    chunks = [slice(start, start + chunk) for start in range(0, config.samples, chunk)]
+    parts = [_plan_rows(X, m[:, rows], g[:, rows], t[rows], s[rows]) for rows in chunks]
     return dict(zip(_PLANNED_CHECKS, np.concatenate(parts, axis=1)))
 
 
-def _plan_rows(X: AdjointSection, mx, gx, my, gy, mz, gz, t, s) -> np.ndarray:
+def _plan_rows(X: AdjointSection, m, g, t, s) -> np.ndarray:
     """Residuals of the six checks, in _PLANNED_CHECKS order, on stacked samples: shape (6, samples).
 
-    Every value two checks share is built once, in stacked rounds: X at x, y,
-    z and ten exponentials of those values; the points w = x <|_t y,
+    m and g hold the points x, y, z on their first axis. Every value two
+    checks share is built once, in stacked rounds: X at x, y, z and ten
+    exponentials of those values; the points w = x <|_t y,
     x <|_s z, y <|_s z, x * exp(s X(y)) and x * y; X at those five and four
     exponentials of them; the products each side of each check reads.
     """
-    exp = X.model.exp
-    V = X.eval((np.stack([mx, my, mz]), np.stack([gx, gy, gz])))
+    flow = X.model.flow
+    gx, gy, _ = g
+    V = X.eval((m, g))
     # Named by coefficient and point: msx = exp(-s X(x)), sty = exp((s+t) X(y)).
-    msx, sx, mtx, tx, mstx, ty, sy, msy, sty, sz = exp(
-        _col(np.stack([-s, s, -t, t, -(s + t), t, s, -s, s + t, s])) * V[[0, 0, 0, 0, 0, 1, 1, 1, 1, 2]]
-    )
+    coefficients = np.concatenate([-s, s, -t, t, -(s + t), t, s, -s, s + t, s]).reshape(10, -1)
+    msx, sx, mtx, tx, mstx, ty, sy, msy, sty, sz = flow(V[[0, 0, 0, 0, 0, 1, 1, 1, 1, 2]], coefficients)
     # x * exp(-t X(x)), x * exp(-s X(x)), y * exp(-s X(y)), the key point, the
     # equivariance point x * y, and y^-1 X(x) as the head of its conjugation.
-    head = _mul(np.stack([gx, gx, gy, gx, gx, X.model.inverse(gy)]), np.stack([mtx, msx, msy, sy, gy, V[0]]))
-    w, u, v, conjugated = _mul(head[[0, 1, 2, 5]], np.stack([ty, sz, sz, gy]))
-    W = X.eval((np.stack([mx, mx, my, mx, mx]), np.stack([w, u, v, head[3], head[4]])))
-    msw, mtu, tv, t_key = exp(_col(np.stack([-s, -t, t, t])) * W[:4])
-    left = _mul(np.stack([gx, w, gx, u, msy]), np.stack([msx, msw, mstx, mtu, tx]))
-    idem, sa_lhs, sd_lhs, sa_rhs, sd_rhs, key_rhs = _mul(
-        left[[0, 1, 1, 2, 3, 4]], np.stack([sx, sy, sz, sty, tv, sy])
-    )
-    gaps = _fro(np.stack([idem - gx, sa_lhs - sa_rhs, sd_lhs - sd_rhs, t_key - key_rhs, W[4] - conjugated]))
-    return np.vstack([gaps, membership_residual(X.model, w)])
+    head = _mul(_stack([gx, gx, gy, gx, gx, X.model.inverse(gy)]), _stack([mtx, msx, msy, sy, gy, V[0]]))
+    w, u, _, conjugated = moved = _mul(head[[0, 1, 2, 5]], _stack([ty, sz, sz, gy]))
+    W = X.eval((m[[0, 0, 1, 0, 0]], np.concatenate([moved[:3], head[3:5]])))
+    msw, mtu, tv, t_key = flow(W[:4], np.concatenate([-s, -t, t, t]).reshape(4, -1))
+    left = _mul(_stack([gx, w, gx, u, msy]), _stack([msx, msw, mstx, mtu, tx]))
+    idem, sa_lhs, sd_lhs, sa_rhs, sd_rhs, key_rhs = _mul(left[[0, 1, 1, 2, 3, 4]], _stack([sx, sy, sz, sty, tv, sy]))
+    gaps = _fro(_stack([idem - gx, sa_lhs - sa_rhs, sd_lhs - sd_rhs, t_key - key_rhs, W[4] - conjugated]))
+    return np.concatenate([gaps, membership_residual(X.model, w)[None]])
 
 
 def check_idempotency(X: AdjointSection, config: SweepConfig) -> ResidualReport:
@@ -540,8 +559,8 @@ def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> Residu
 
 def _fixing_residual(X: AdjointSection, p: Point, q: Point, ts: np.ndarray) -> np.ndarray:
     """Max over the last axis of ts of the distance from p <|_t q to p: "p <|_t q == p for all t", sampled."""
-    p = (np.expand_dims(p[0], -1), np.expand_dims(p[1], -3))
-    q = (np.expand_dims(q[0], -1), np.expand_dims(q[1], -3))
+    p = (p[0][..., None], p[1][..., None, :, :])
+    q = (q[0][..., None], q[1][..., None, :, :])
     return _gap(op_t(X, p, q, ts), p).max(axis=-1)
 
 
@@ -560,43 +579,44 @@ class NoetherSweepReport:
         return {**vars(self), "equal_pair_max_residual": _json_residual(self.equal_pair_max_residual)}
 
 
-def equal_section_pair(X: AdjointSection, rng: np.random.Generator, size=None) -> tuple[Point, Point]:
-    """A pair of distinct points with X(p1) == X(p2) exactly, or a stack of pairs.
+def equal_section_pair(X: AdjointSection, p: Point, rng: np.random.Generator) -> tuple[Point, Point]:
+    """p and a distinct point with the same value of X exactly; p may be a stack of points.
 
     Multiplying the fiber coordinate on the left by exp(a * Xs(m)) commutes
     with Xs(m), so the adjoint value is unchanged.
     """
-    m, g = random_point(X, rng, size)
-    a = rng.uniform(0.5, 1.5, size=size)
-    return (m, g), (m, _mul(X.model.exp(_col(a) * X.section_algebra_values[m]), g))
+    m, g = p
+    a = rng.uniform(0.5, 1.5, size=np.shape(m))
+    return p, (m, _mul(X.model.flow(X.section_algebra_values[m], a), g))
 
 
 def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     """Agreement of the directional predicates over random and equal-X pairs."""
     rng = np.random.default_rng(config.seed)
     n = config.samples
-    ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
-    p1, p2 = random_point(X, rng, n), random_point(X, rng, n)
-    q1, q2 = equal_section_pair(X, rng, n)
-    # The random pairs, then the equal-X pairs, as one stack of 2n rows, and
-    # both directions as one stack: [p1, p2] acted on by [p2, p1].
-    m, g = (np.stack([np.concatenate([p[i], q[i]]) for p, q in ((p1, q1), (p2, q2))]) for i in (0, 1))
-    ts = np.concatenate([ts, ts])
-    # Rows per op_t call: each row is acted on in 2 directions at every t.
-    chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (2 * ts.shape[1] * X.model.dim**2))
-    fwd, bwd = np.empty((2, 2 * n))
-    for start in range(0, 2 * n, chunk):
+    ts = np.concatenate([rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1))], axis=1)
+    m, g = random_point(X, rng, (3, n))
+    (_, gq1), (_, gq2) = equal_section_pair(X, (m[2], g[2]), rng)
+    # Axes (direction, kind, sample): [p1, p2] acted on by [p2, p1], each the
+    # random pairs and then the equal-X pairs, whose base points agree.
+    m = m[[0, 2, 1, 2]].reshape(2, 2, n)
+    g = np.concatenate([g[0], gq1, g[1], gq2]).reshape(2, 2, *g.shape[1:])
+    # Samples per op_t call: each is acted on in 2 directions, for 2 kinds of pair, at every t.
+    chunk = max(1, _SWEEP_CHUNK_ELEMENTS // (4 * ts.shape[1] * X.model.dim**2))
+    res = np.empty((2, 2, n))
+    for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        fwd[rows], bwd[rows] = _fixing_residual(X, (m[:, rows], g[:, rows]), (m[::-1, rows], g[::-1, rows]), ts[rows])
-    fix_fwd, fix_bwd = fwd <= config.tolerance, bwd <= config.tolerance
-    disagreements = int(np.sum(fix_fwd != fix_bwd))
-    all_fix = bool(np.all((fix_fwd & fix_bwd)[n:]))
+        p = (m[:, :, rows], g[:, :, rows])
+        res[..., rows] = _fixing_residual(X, p, (p[0][::-1], p[1][::-1]), ts[rows])
+    fix_fwd, fix_bwd = res <= config.tolerance
+    disagreements = int((fix_fwd != fix_bwd).sum())
+    all_fix = bool((fix_fwd & fix_bwd)[1].all())
     return NoetherSweepReport(
         samples=n,
         seed=config.seed,
         disagreements=disagreements,
         all_agree=disagreements == 0,
-        equal_pair_max_residual=float(np.max(np.maximum(fwd, bwd)[n:])),
+        equal_pair_max_residual=float(res[:, 1].max()),
         equal_pairs_all_fix=all_fix,
         tolerance=config.tolerance,
         passed=disagreements == 0 and all_fix,

@@ -428,7 +428,7 @@ def test_equal_section_pairs_fix_both_ways():
     X = _setup("SU2", 73)
     rng = np.random.default_rng(73)
     for _ in range(20):
-        p1, p2 = lie.equal_section_pair(X, rng)
+        p1, p2 = lie.equal_section_pair(X, lie.random_point(X, rng), rng)
         assert np.linalg.norm(p1[1] - p2[1]) > 1e-6  # genuinely distinct points
         forward, backward, gap = _fixing(X, p1, p2, rng.uniform(-2, 2, size=5))
         assert forward and backward and forward == backward
@@ -504,11 +504,12 @@ def test_every_sweep_draw_takes_the_config_sample_count(monkeypatch):
     monkeypatch.setattr(lie, "random_point", recording)
     report = lie.run_sweep(lie.SweepConfig(samples=7, seed=1))
     assert report.passed and report.section_equivariance.samples == 7
-    assert sizes and all(size == 7 for size in sizes)
+    # Each draw stacks its points on a leading axis; the sample axis is last.
+    assert sizes and all(size[-1] == 7 for size in sizes)
 
 
 def test_a_sweep_draws_its_points_once(monkeypatch):
-    # Three stacks shared by the six checks, and three for the Noether sweep.
+    # One draw of x, y, z for the six checks, and one of p1, p2, q1 for the Noether sweep.
     calls = []
     draw = lie.random_point
 
@@ -519,18 +520,19 @@ def test_a_sweep_draws_its_points_once(monkeypatch):
     monkeypatch.setattr(lie, "random_point", counting)
     config = lie.SweepConfig(model="SU2", samples=9, seed=2)
     assert lie.run_sweep(config).passed
-    assert len(calls) == 6
+    assert calls == [(3, 9), (3, 9)]
     assert lie.run_sweep(config).to_json() == lie.run_sweep(config).to_json()
-    assert len(calls) == 18
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("name", ["SO3", "SU2", "GL2"])
 @pytest.mark.parametrize("samples", [8, 80])
 def test_sweep_work_counts(monkeypatch, name, samples):
-    # exp: 1 on the model's basis, 6 point draws and 1 equal-X pair, 2 plan
-    # rounds, and op_t's 2. eval: 2 plan rounds, and the Noether sweep's one
-    # op_t call (2); the sweep reads no algebra gap.
-    counts = {"exp": 0, "eval": 0, "op_t": 0}
+    # exp: 1 on the model's basis and 2 point draws, each a flow at t = 1.
+    # flow: those 3, 2 plan rounds, op_t's 2 and 1 equal-X pair. eval: 2
+    # plan rounds, and the Noether sweep's one op_t call (2); the sweep reads
+    # no algebra gap.
+    counts = {"exp": 0, "flow": 0, "eval": 0, "op_t": 0}
 
     def counting(owner, attr):
         original = getattr(owner, attr)
@@ -542,10 +544,11 @@ def test_sweep_work_counts(monkeypatch, name, samples):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counting(lie.MatrixGroupModel, "exp")
+    counting(lie.MatrixGroupModel, "flow")
     counting(lie.AdjointSection, "eval")
     counting(lie, "op_t")
     assert lie.run_sweep(lie.SweepConfig(model=name, samples=samples, seed=2)).passed
-    assert counts == {"exp": 12, "eval": 4, "op_t": 1}
+    assert counts == {"exp": 3, "flow": 8, "eval": 4, "op_t": 1}
 
 
 def _failing_checks(report):
@@ -564,9 +567,10 @@ def test_every_check_can_fail(monkeypatch, name):
             "self_action", "self_distributivity", "key_identity", "section_equivariance",
         }
     model = lie.get_model(name)
-    exp = lie.MatrixGroupModel.exp
+    # Every exponential, exp included, is a flow.
+    flow = lie.MatrixGroupModel.flow
     monkeypatch.setattr(lie, "get_model", lambda _: model)
-    monkeypatch.setattr(lie.MatrixGroupModel, "exp", lambda self, A: 1.001 * exp(self, A))
+    monkeypatch.setattr(lie.MatrixGroupModel, "flow", lambda self, A, t: 1.001 * flow(self, A, t))
     assert _failing_checks(lie.run_sweep(config)) == {
         "idempotency", "self_action", "self_distributivity", "key_identity", "membership", "noether",
     }
@@ -576,7 +580,7 @@ def test_every_check_can_fail(monkeypatch, name):
 def test_sweep_reports_do_not_depend_on_the_chunking(monkeypatch, name):
     config = lie.SweepConfig(model=name, samples=23, seed=6)
     whole = lie.run_sweep(config).to_json()
-    # One sample, then one pair, a chunk: 23 plan chunks and 46 Noether op_t calls.
+    # One sample a chunk: 23 plan chunks and 23 Noether op_t calls.
     monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 1)
     assert lie.run_sweep(config).to_json() == whole
     monkeypatch.setattr(lie, "_SWEEP_CHUNK_ELEMENTS", 7 * 10 * lie.get_model(name).dim ** 2)
@@ -586,9 +590,10 @@ def test_sweep_reports_do_not_depend_on_the_chunking(monkeypatch, name):
 def test_drawn_stacks_are_read_only():
     X = _setup("SO3", 5)
     config = lie.SweepConfig(samples=4, seed=5)
-    (m, g), y, z, t, s = lie._draw(X, config)
+    (m, g), t, s = lie._draw(X, config)
+    assert m.shape == (3, 4) and g.shape == (3, 4, 3, 3)
     assert np.array_equal(lie._draw(X, config)[0][1], g)
-    for a in (m, g, *y, *z, t, s):
+    for a in (m, g, m[1], g[2], t, s):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     assert lie.check_idempotency(X, config).passed

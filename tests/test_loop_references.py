@@ -19,8 +19,10 @@ on generated JSON trees, and on trees holding integer arrays against
 json.dumps of the same trees with each array as its tolist(), and on
 arrays whose pad bytes are dense or sparse. The Lie closed forms are
 checked against the forms they replaced: the SO3 and SU2 exponential
-against Rodrigues' formula written with np.sinc and A @ A, and the summed
-complex product against numpy's @. The sweep's shared evaluation plan is checked against
+against Rodrigues' formula written with np.sinc and A @ A, the summed
+complex product against numpy's @, a flow exp(tA) against exp and the
+Taylor series of tA, and the einsum Frobenius norm against
+np.linalg.norm. The sweep's shared evaluation plan is checked against
 each check composed from its own op_t calls on the same draw, and the
 one-call Noether sweep against its four-call form.
 """
@@ -28,6 +30,7 @@ one-call Noether sweep against its four-call form.
 import functools
 import itertools
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -37,7 +40,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaugequandles import bundles, cli, gauge, groups, lie, racks
-from gaugequandles.errors import AlgebraError, AxiomViolation, ShapeError, read_array
+from gaugequandles.errors import AlgebraError, AxiomViolation, NonFinite, ShapeError, read_array
 from conftest import every_map
 
 NAMES = ["Z1", "Z2", "Z4", "Z6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -1252,8 +1255,9 @@ def test_sd_witnesses_match_the_broadcast_spread_on_fixed_tables(op, distinct, c
 def _json_text_matches_json_dumps(obj):
     try:
         expected = json.dumps(ref_listed(obj), indent=2)
-    except TypeError:
-        with pytest.raises(TypeError):
+    except TypeError as error:
+        # The same message too: json's, not that of a writer step it never takes.
+        with pytest.raises(TypeError, match=f"^{re.escape(str(error))}$"):
             json_text(obj)
     else:
         assert json_text(obj) == expected
@@ -1263,6 +1267,10 @@ def _json_text_matches_json_dumps(obj):
 @given(JSON_TREES)
 def test_json_text_matches_json_dumps(obj):
     _json_text_matches_json_dumps(obj)
+
+
+class StrKey(str):
+    """A str subclass: json.dumps takes it as a key, and the writer leaves a dict keyed by it to json."""
 
 
 @pytest.mark.parametrize(
@@ -1281,6 +1289,7 @@ def test_json_text_matches_json_dumps(obj):
         {"k": [np.array([1, 2])], 1: np.array([3])},
         [np.zeros(0, dtype=np.int64), np.array([4, 5]), np.zeros((2, 0), dtype=np.uint8)],
         {"s": 'two\nlines "quoted"', "op": np.array([[1]]), "t": ['\n"', np.array([9])]},
+        {StrKey("op"): np.array([1, 2])},
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(obj):
@@ -1390,6 +1399,62 @@ def test_model_exp_matches_the_sinc_form(case):
 
 
 @st.composite
+def flow_cases(draw):
+    """(model, A, t): SO3, SU2 or GL2 algebra stacks, some of them 0, and t of either sign or 0 broadcasting with A."""
+    model = lie.get_model(draw(st.sampled_from(["SO3", "SU2", "GL2"])))
+    n = draw(st.integers(1, 4))
+    lead, t_shape = draw(st.sampled_from([((), ()), ((4,), ()), ((4,), (4,)), ((n, 1), (n, 5)), ((n, 1), (5,))]))
+    coeffs = draw(hnp.arrays(float, (*lead, len(model.algebra_basis)), elements=st.floats(-3, 3)))
+    coeffs[draw(hnp.arrays(bool, lead))] = 0.0
+    A = np.einsum("...k,kij->...ij", coeffs, model.algebra_basis)
+    t = draw(hnp.arrays(float, t_shape, elements=st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3, 3)))
+    return model, A, (float(t) if t_shape == () and draw(st.booleans()) else t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_cases())
+def test_flow_matches_exp_and_the_taylor_series_of_tA(case):
+    model, A, t = case
+    tA = np.asarray(t)[..., None, None] * A
+    F = model.flow(A, t)
+    assert F.shape == tA.shape
+    scale = np.maximum(1.0, np.linalg.norm(tA, axis=(-2, -1)))
+    for ref in (model.exp(tA), lie.mat_exp(tA)):
+        assert np.all(np.linalg.norm(F - ref, axis=(-2, -1)) <= 1e-13 * scale)
+    # At t = 0 or A = 0 every form gives the identity exactly.
+    trivial = (np.asarray(t) == 0) | (A == 0).all(axis=(-2, -1))
+    assert (F[np.broadcast_to(trivial, F.shape[:-2])] == np.eye(model.dim)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([float, complex]), hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=4), st.data())
+def test_fro_matches_linalg_norm(dtype, shape, data):
+    parts = st.floats(-1e100, 1e100)
+    a = data.draw(hnp.arrays(float, shape, elements=parts))
+    if dtype is complex:
+        a = a + 1j * data.draw(hnp.arrays(float, shape, elements=parts))
+    got, want = lie._fro(a), np.linalg.norm(a, axis=(-2, -1))
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["SO3", "SU2"]), st.floats(1.01, 1e6), st.sampled_from([1.0, -1.0]), st.integers(0, 4))
+def test_flow_past_the_angle_limit_names_the_argument_norm(name, over, sign, position):
+    # Five t on one matrix: the angle limit binds |t| theta, whatever the angle of A.
+    model = lie.get_model(name)
+    A = model.algebra_basis[0]
+    theta = np.linalg.norm(A) / np.sqrt(2)
+    t = np.full(5, 0.5)
+    t[position] = sign * over * ANGLE_CAP / theta
+    norm = f"{abs(t[position]) * np.linalg.norm(A):.3g}"
+    with pytest.raises(NonFinite, match=f"^matrix exponential overflows at argument norm {re.escape(norm)}:"):
+        model.flow(A, t)
+    t[position] = sign * NEAR_CAP / theta
+    assert np.max(lie.membership_residual(model, model.flow(A, t))) <= 1e-14
+
+
+@st.composite
 def product_stacks(draw):
     """Two real or complex d x d stacks with mutually broadcastable leading shapes."""
     d = draw(st.integers(1, 4))
@@ -1420,15 +1485,21 @@ def test_mul_matches_matmul(stacks):
 # Lie sweep plan
 # ---------------------------------------------------------------------------
 
+def drawn(X, config):
+    """The sweep's draw as separate points x, y, z, then t and s."""
+    (m, g), t, s = lie._draw(X, config)
+    return (m[0], g[0]), (m[1], g[1]), (m[2], g[2]), t, s
+
+
 def ref_check_idempotency(X, config):
     """x <|_s x against x."""
-    x, _, _, _, s = lie._draw(X, config)
+    x, _, _, _, s = drawn(X, config)
     return lie._gap(lie.op_t(X, x, x, s), x)
 
 
 def ref_check_self_action(X, config):
     """(x <|_t y) <|_s y against x <|_{s+t} y."""
-    x, y, _, t, s = lie._draw(X, config)
+    x, y, _, t, s = drawn(X, config)
     lhs = lie.op_t(X, lie.op_t(X, x, y, t), y, s)
     rhs = lie.op_t(X, x, y, s + t)
     return lie._gap(lhs, rhs)
@@ -1436,7 +1507,7 @@ def ref_check_self_action(X, config):
 
 def ref_check_self_distributivity(X, config):
     """(x <|_t y) <|_s z against (x <|_s z) <|_t (y <|_s z)."""
-    x, y, z, t, s = lie._draw(X, config)
+    x, y, z, t, s = drawn(X, config)
     lhs = lie.op_t(X, lie.op_t(X, x, y, t), z, s)
     rhs = lie.op_t(X, lie.op_t(X, x, z, s), lie.op_t(X, y, z, s), t)
     return lie._gap(lhs, rhs)
@@ -1444,7 +1515,7 @@ def ref_check_self_distributivity(X, config):
 
 def ref_check_key_identity(X, config):
     """exp(t X(p1 * exp(s X(p2)))) against exp(-s X(p2)) exp(t X(p1)) exp(s X(p2))."""
-    p1, p2, _, t, s = lie._draw(X, config)
+    p1, p2, _, t, s = drawn(X, config)
     t, s = lie._col(t), lie._col(s)
     exp = X.model.exp
     h = exp(s * X.eval(p2))
@@ -1455,13 +1526,13 @@ def ref_check_key_identity(X, config):
 
 def ref_check_membership(X, config):
     """Membership residual of x <|_t y."""
-    x, y, _, t, _ = lie._draw(X, config)
+    x, y, _, t, _ = drawn(X, config)
     return lie.membership_residual(X.model, lie.op_t(X, x, y, t)[1])
 
 
 def ref_check_section_equivariance(X, config):
     """X(p * g) against g^-1 X(p) g, g the fiber coordinate of a second point."""
-    (m, h), (_, g), _, _, _ = lie._draw(X, config)
+    (m, h), (_, g), _, _, _ = drawn(X, config)
     moved = X.eval((m, h @ g))
     conjugated = X.model.inverse(g) @ X.eval((m, h)) @ g
     return lie._fro(moved - conjugated)
@@ -1490,8 +1561,9 @@ def ref_noether_sweep(X, config):
     rng = np.random.default_rng(config.seed)
     n = config.samples
     ts = np.append(rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1)), axis=1)
-    p1, p2 = lie.random_point(X, rng, n), lie.random_point(X, rng, n)
-    q1, q2 = lie.equal_section_pair(X, rng, n)
+    m, g = lie.random_point(X, rng, (3, n))
+    p1, p2 = (m[0], g[0]), (m[1], g[1])
+    q1, q2 = lie.equal_section_pair(X, (m[2], g[2]), rng)
     fixes = [ref_fixing_residual(X, a, b, ts) <= config.tolerance for a, b in ((p1, p2), (p2, p1))]
     equal = [ref_fixing_residual(X, a, b, ts) for a, b in ((q1, q2), (q2, q1))]
     equal_fixes = [r <= config.tolerance for r in equal]
