@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 import reprlib
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -257,59 +256,38 @@ def json_real(value, what: str) -> float:
 
 
 def _holds_bool(values) -> bool:
-    """Whether nested lists and tuples hold a bool or a bool array at any depth, one level at a time."""
-    stack = [values]
-    while stack:
-        level = stack.pop()
-        kinds = set(map(type, level))
-        if _any_bool(level, kinds):
+    """Whether nested lists and tuples hold a bool, a numpy bool or a bool array (of any shape) at any depth,
+    the entries at each depth read in one pass."""
+    level = [values]
+    while level:
+        kinds = set(map(type, chain.from_iterable(level)))
+        if bool in kinds or np.bool_ in kinds:
             return True
-        if any(issubclass(k, (list, tuple)) for k in kinds):
-            stack.extend(v for v in level if isinstance(v, (list, tuple)))
+        if any(issubclass(k, np.ndarray) for k in kinds) and any(
+            v.dtype == bool for v in chain.from_iterable(level) if isinstance(v, np.ndarray)
+        ):
+            return True
+        nested = any(issubclass(k, (list, tuple)) for k in kinds)
+        level = [v for v in chain.from_iterable(level) if isinstance(v, (list, tuple))] if nested else []
     return False
-
-
-def _any_bool(items, kinds: set) -> bool:
-    """Whether items, whose types are kinds, holds a bool, a numpy bool or a bool array (of any shape) itself."""
-    if bool in kinds or np.bool_ in kinds:
-        return True
-    return np.ndarray in kinds and any(v.dtype == bool for v in items if isinstance(v, np.ndarray))
-
-
-def _bool_among_bits(values, arr: np.ndarray) -> bool:
-    """Whether the non-empty integer array arr = np.asarray(values) was read from a bool in values.
-
-    numpy reads a bool among ints, or an entry of a bool array among int
-    rows, as 0 or 1. So only the entries of arr equal to 0 or 1 are looked
-    up in values, each by its index, and their types checked in one call.
-    """
-    # Read as unsigned, a negative entry is large.
-    hits = (h.tolist() for h in np.nonzero(arr.view(f"u{arr.itemsize}") < 2))
-    items = [functools.reduce(operator.getitem, index, values) for index in zip(*hits)]
-    return _any_bool(items, set(map(type, items)))
 
 
 def read_array(values, what: str) -> np.ndarray:
     """np.asarray, but a bool in a list (numpy reads [0, True] as int64), ragged rows or nesting
     deeper than numpy's dimension limit raise ShapeError.
 
-    Only list and tuple input is scanned, so arrays the library builds pay
-    nothing. When numpy reads the list as a non-empty integer array, only the
-    entries it read as 0 or 1 are inspected; every other result is walked
-    level by level.
+    Only list and tuple input is walked for bools, before numpy reads it, so
+    arrays the library builds pay nothing and a ragged list that holds a bool
+    reports the bool.
     """
-    listed = isinstance(values, (list, tuple))
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ShapeError(f"{what} must be integers, got a bool")
     try:
-        arr = np.asarray(values)
+        return np.asarray(values)
     except ValueError as err:
-        if listed and _holds_bool(values):
-            raise ShapeError(f"{what} must be integers, got a bool") from None
         # numpy raises ValueError both for ragged rows and for nesting past its dimension limit.
         got = "nesting past numpy's dimension limit" if "maximum number of dimension" in str(err) else "ragged rows"
         raise ShapeError(f"{what} must form a rectangular array, got {got}") from None
-    if listed and (_bool_among_bits(values, arr) if arr.size and arr.dtype.kind in "iu" else _holds_bool(values)):
-        raise ShapeError(f"{what} must be integers, got a bool")
-    return arr
 
 
 def index_array(values, bound: int | None, what: str) -> np.ndarray:

@@ -18,7 +18,8 @@ stacked rounds, and keeps only the residuals. The Noether sweep runs its
 random and equal-X pairs, in both directions, through one op_t call. Both
 are chunked to bound memory, and exponentiate along flows exp(tA).
 
-All randomness is seeded; every report carries its seed.
+All randomness is seeded; every report carries its seed. The section, the
+six checks and the Noether sweep each draw from their own stream of it.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ class MatrixGroupModel:
         theta and A^2 are computed once per matrix of A, and each t costs a
         sine and a cosine. Past |t| theta * 2^-53 > MODEL_TOLERANCE a double
         keeps no digit of the angle, and that argument raises NonFinite, as a
-        NaN or infinite entry does. Other models use mat_exp(tA).
+        NaN or infinite entry does; at t = 0 the flow is I even where
+        ||A||_F overflows. Other models use mat_exp(tA).
         """
         if not (self.unitary and (self.dim == 2 or (self.dim == 3 and self.real))):
             return mat_exp(_col(t) * A)
@@ -206,6 +208,9 @@ class MatrixGroupModel:
         if not (abs(angle) <= MODEL_TOLERANCE * 2.0**53).all():
             if not (np.isfinite(A).all() and np.isfinite(t).all()):
                 raise NonFinite("matrix exponential of a non-finite matrix")
+            # exp(0 A) = I even where ||A||_F overflows and 0 * theta is NaN: follow the flow of 0 there.
+            if ((at_zero := _col(t) == 0) & (A != 0)).any():
+                return self.flow(np.where(at_zero, 0.0, A), t)
             raise NonFinite(
                 f"matrix exponential overflows at argument norm {(abs(t) * norm).max():.3g}: "
                 "no digit of its rotation angle survives in double precision"
@@ -463,7 +468,8 @@ def _report(check: str, config: SweepConfig, residuals, tolerance: float | None 
 
 def _draw(X: AdjointSection, config: SweepConfig) -> tuple:
     """Points x, y, z stacked on a leading axis of 3, then parameter stacks t, s; every array read-only."""
-    rng = np.random.default_rng(config.seed)
+    # The seed's child stream (1,): default_rng(seed) draws the section, and at one base point x would replay it.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     m, g = random_point(X, rng, (3, config.samples))
     t, s = rng.uniform(*config.t_range, size=(2, config.samples))
     for a in (m, g, t, s):
@@ -548,11 +554,6 @@ def check_membership(X: AdjointSection, config: SweepConfig) -> ResidualReport:
     return _report("membership", config, _plan(X, config)["membership"])
 
 
-def check_section_equivariance(X: AdjointSection, config: SweepConfig) -> ResidualReport:
-    """X(x * g) == g^-1 X(x) g, g the fiber coordinate of y; held to PRIMITIVE_TOLERANCE."""
-    return _report("section_equivariance", config, _plan(X, config)["section_equivariance"], PRIMITIVE_TOLERANCE)
-
-
 # ---------------------------------------------------------------------------
 # Noether property
 # ---------------------------------------------------------------------------
@@ -592,7 +593,8 @@ def equal_section_pair(X: AdjointSection, p: Point, rng: np.random.Generator) ->
 
 def noether_sweep(X: AdjointSection, config: SweepConfig) -> NoetherSweepReport:
     """Agreement of the directional predicates over random and equal-X pairs."""
-    rng = np.random.default_rng(config.seed)
+    # The seed's child stream (2,): on default_rng(seed), its first t would be twice the section's coefficients.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2,)))
     n = config.samples
     ts = np.concatenate([rng.uniform(*config.t_range, size=(n, 4)), np.ones((n, 1))], axis=1)
     m, g = random_point(X, rng, (3, n))
@@ -673,8 +675,7 @@ class SweepReport:
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Build a seeded random section over the requested model and run every check."""
     model = get_model(config.model)
-    rng = np.random.default_rng(config.seed)
-    section = AdjointSection(model, random_algebra(model, rng, size=config.base_points))
+    section = AdjointSection(model, random_algebra(model, np.random.default_rng(config.seed), size=config.base_points))
     axioms = {
         "idempotency": check_idempotency(section, config),
         "self_action": check_self_action(section, config),
@@ -682,9 +683,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         "key_identity": check_key_identity(section, config),
         "membership": check_membership(section, config),
     }
+    # X(x * g) == g^-1 X(x) g, g the fiber coordinate of y: a primitive identity, held to PRIMITIVE_TOLERANCE.
+    equivariance = _plan(section, config)["section_equivariance"]
     return SweepReport(
         config=config,
         axioms=axioms,
         noether=noether_sweep(section, config),
-        section_equivariance=check_section_equivariance(section, config),
+        section_equivariance=_report("section_equivariance", config, equivariance, PRIMITIVE_TOLERANCE),
     )

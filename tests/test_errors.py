@@ -95,5 +95,5 @@ def test_magma_from_table_reads_a_list_into_one_table():
     finally:
         tracemalloc.stop()
     assert m.op.tolist() == table and not m.op.flags.writeable
-    # One table of 8 bytes an entry, and the 1-byte mask of its 0/1 entries that read_array scans.
+    # One table of 8 bytes an entry; read_array's bool walk, before numpy reads the list, holds only row references.
     assert peak < 1.5 * 8 * n * n, peak

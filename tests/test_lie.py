@@ -265,11 +265,8 @@ def test_model_basis_must_be_a_stack_of_matrices():
 
 
 def test_adjoint_section_equivariance():
-    rng = np.random.default_rng(31)
     for name in ("SO3", "SU2"):
-        model = lie.get_model(name)
-        X = lie.AdjointSection(model, tuple(lie.random_algebra(model, rng) for _ in range(3)))
-        report = lie.check_section_equivariance(X, lie.SweepConfig(model=name, samples=40, seed=31))
+        report = lie.run_sweep(lie.SweepConfig(model=name, samples=40, seed=31)).section_equivariance
         assert report.samples == 40 and report.tolerance == lie.PRIMITIVE_TOLERANCE
         assert report.passed and report.max_residual < 1e-12
 
@@ -597,6 +594,24 @@ def test_drawn_stacks_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     assert lie.check_idempotency(X, config).passed
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_no_sweep_draw_replays_another(monkeypatch, name):
+    # Drawn from one stream of the seed, at t_range [-2, 2] and one base point, the checks' first x was the
+    # point (0, exp(Xs(0))) on the section's own flow, and the Noether sweep's first t were twice the section's
+    # coefficients (random_algebra draws them from [-1, 1] on these 3-dimensional algebras).
+    config = lie.SweepConfig(model=name, base_points=1, samples=8, seed=7)
+    model = lie.get_model(name)
+    coefficients = np.random.default_rng(config.seed).uniform(-1, 1, size=3)
+    X = lie.AdjointSection(model, lie.random_algebra(model, np.random.default_rng(config.seed), size=1))
+    (m, g), _, _ = lie._draw(X, config)
+    assert m[0, 0] == 0 and not np.allclose(g[0, 0], model.exp(X.section_algebra_values[0]))
+    calls = []
+    fixing = lie._fixing_residual
+    monkeypatch.setattr(lie, "_fixing_residual", lambda X, p, q, ts: calls.append(ts) or fixing(X, p, q, ts))
+    assert lie.noether_sweep(X, config).passed
+    assert len(calls) == 1 and not np.allclose(calls[0][0, :3], 2 * coefficients)
 
 
 @pytest.mark.parametrize("field, cap", [("samples", lie.SAMPLES_CAP), ("base_points", lie.BASE_POINTS_CAP)])
